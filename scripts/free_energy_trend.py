@@ -15,7 +15,6 @@ import argparse
 import math
 
 from pottsglass import exact, rate
-from pottsglass.experiment import ExperimentSpec
 
 
 def main():
@@ -34,11 +33,10 @@ def main():
     print(f"high-temperature limit: {limit:.6f}")
     print(f"{'n':>4} {'quenched':>10} {'se':>8} {'annealed(n)':>12} {'jensen gap':>11} {'to limit':>9}")
     for n in sizes:
-        spec = ExperimentSpec(
-            command="exact-free-energy", kappa=args.kappa, n=(n,), beta=(args.beta,),
-            sector="balanced", kind="centered", replicas=args.replicas, seed=args.seed,
+        res = exact.quenched_free_energy(
+            n, args.beta, args.kappa, sector="balanced", kind="centered",
+            replicas=args.replicas, seed=args.seed, workers=args.workers,
         )
-        res = exact.quenched_free_energy(spec, workers=args.workers)
         annealed = exact.annealed_log_partition_balanced(n, args.beta, args.kappa) / n
         print(
             f"{n:>4} {res.mean:>10.6f} {res.stderr:>8.6f} {annealed:>12.6f}"

@@ -13,7 +13,6 @@ import argparse
 import math
 
 from pottsglass import exact, montecarlo as mc
-from pottsglass.experiment import ExperimentSpec
 
 EXACT_LIMIT = 12  # sites; 2^12 states is still instant to enumerate
 
@@ -51,11 +50,11 @@ def main():
                 ladder = tuple(rungs + [beta])
             else:
                 ladder = ()
-            spec = ExperimentSpec(
-                command="tail-bound", kappa=2, n=(n,), beta=(beta,), replicas=args.replicas,
+            estimates = mc.estimate_tail(
+                n, beta, epsilons, kappa=2, replicas=args.replicas,
                 sweeps=1500, burn_in=500, thinning=3, seed=args.seed, ladder=ladder,
             )
-            for est in mc.estimate_tail(spec, epsilons):
+            for est in estimates:
                 flag = " (slow-mixing flag)" if est.flagged else ""
                 print(f"{n:>4} {beta:>6} {est.epsilon:>5} {est.estimate:>10.6f} {est.stderr:>9.6f}"
                       f" {est.bound:>9.6f} {'mc':>8}{flag}")

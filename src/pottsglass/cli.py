@@ -74,8 +74,10 @@ def _run_exact_free_energy(spec: ExperimentSpec):
     for n in spec.n:
         spec.check_cap(n)
         for beta in spec.beta:
-            one = spec.replace(n=(n,), beta=(beta,))
-            result = exact.quenched_free_energy(one, workers=spec.workers)
+            result = exact.quenched_free_energy(
+                n, beta, spec.kappa, spec.sector, spec.kind, replicas=spec.replicas,
+                seed=spec.seed, cap=spec.cap, workers=spec.workers,
+            )
             for idx, s in enumerate(result.samples):
                 rows.append([n, beta, idx, s.seed, s.stream, s.log_z, s.free_energy])
     return cols, rows
@@ -190,7 +192,7 @@ def _run_gauge_check(spec: ExperimentSpec):
         res = exact.gauge_pair_check(g, beta, sites, cap=spec.cap)
         worst = max(worst, abs(res.pair_sum))
         rows.append([trial, trial, res.flip_site, res.value, res.value_flipped, res.pair_sum])
-    print(f"max |pair sum| = {worst:.3e}")
+    print(f"max |pair sum| = {worst:.3e}", file=sys.stderr)
     return cols, rows
 
 
@@ -212,8 +214,12 @@ def _run_tail_bound(spec: ExperimentSpec):
     rows = []
     for n in spec.n:
         for beta in spec.beta:
-            one = spec.replace(n=(n,), beta=(beta,))
-            for est in montecarlo.estimate_tail(one, spec.epsilon or (0.25,)):
+            estimates = montecarlo.estimate_tail(
+                n, beta, spec.epsilon or (0.25,), kappa=spec.kappa, sector=spec.sector,
+                replicas=spec.replicas, sweeps=spec.sweeps, burn_in=spec.burn_in,
+                thinning=spec.thinning, ladder=spec.ladder, seed=spec.seed, cap=spec.cap,
+            )
+            for est in estimates:
                 ok = est.bound is None or est.estimate <= est.bound + 3.0 * est.stderr
                 rows.append([n, beta, est.epsilon, est.estimate, est.stderr, est.bound, ok, est.flagged])
     return cols, rows

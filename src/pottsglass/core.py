@@ -57,6 +57,7 @@ __all__ = [
     "count_configs",
     "enumerate_configs",
     "config_array",
+    "max_deviation",
     "batch_energies_raw",
 ]
 
@@ -354,43 +355,26 @@ def count_configs(n: int, kappa: int, constraint="all") -> int:
     return total
 
 
-def _multiset_permutations(counts: np.ndarray) -> Iterator[np.ndarray]:
-    """Lexicographic stream of all arrangements of the given color counts."""
-    n = int(counts.sum())
-    kappa = counts.size
-    work = counts.copy()
-    out = np.empty(n, dtype=np.int64)
-
-    def rec(pos: int) -> Iterator[np.ndarray]:
-        if pos == n:
-            yield out.copy()
-            return
-        for c in range(kappa):
-            if work[c] > 0:
-                work[c] -= 1
-                out[pos] = c + 1
-                yield from rec(pos + 1)
-                work[c] += 1
-
-    yield from rec(0)
-
-
 def enumerate_configs(n: int, kappa: int, constraint="all") -> Iterator[SpinConfig]:
-    """Yield each configuration of the sector exactly once."""
+    """Lazily yield each configuration of the sector once, in lexicographic order.
+
+    Fixed sectors filter the full product by color counts, so this stream is
+    an independent (and, on constrained sectors, O(kappa^n)) reference for
+    :func:`config_array`.
+    """
     counts = sector_counts(n, kappa, constraint)
-    if counts is None:
-        for colors in product(range(1, kappa + 1), repeat=n):
-            yield SpinConfig(np.array(colors, dtype=np.int64), kappa)
-    else:
-        for colors in _multiset_permutations(counts):
-            yield SpinConfig(colors, kappa)
+    for colors in product(range(1, kappa + 1), repeat=n):
+        arr = np.array(colors, dtype=np.int64)
+        if counts is None or np.array_equal(np.bincount(arr - 1, minlength=kappa), counts):
+            yield SpinConfig(arr, kappa)
 
 
 def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
     """All sector configurations as one ``(count, n)`` int array.
 
-    The ordering matches :func:`enumerate_configs`.  Raises
-    :class:`EnumerationCapError` before materializing anything too large.
+    Rows are in lexicographic order, matching :func:`enumerate_configs`.
+    Raises :class:`EnumerationCapError` before materializing anything too
+    large.
     """
     total = count_configs(n, kappa, constraint)
     if cap is not None and total > cap:
@@ -404,7 +388,24 @@ def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -
         for j in range(n):
             cols[:, j] = (idx // kappa ** (n - 1 - j)) % kappa + 1
         return cols
-    return np.array(list(_multiset_permutations(counts)), dtype=np.int64)
+    # Extend every prefix by each color it still has sites for; row-major
+    # nonzero visits prefixes in order and colors ascending, so the rows stay
+    # lexicographic (multiset permutations, Knuth TAOCP 7.2.1.2).
+    dtype = np.min_scalar_type(kappa)
+    prefix = np.empty((1, 0), dtype=dtype)
+    left = counts[None, :]
+    for _ in range(n):
+        rows, cols = np.nonzero(left > 0)
+        prefix = np.hstack((prefix[rows], (cols + 1).astype(dtype)[:, None]))
+        left = left[rows]
+        left[np.arange(rows.size), cols] -= 1
+    return prefix.astype(np.int64)
+
+
+def max_deviation(colors: np.ndarray, kappa: int):
+    """``max_a |d_a - 1/kappa|`` of one configuration, or of each row of many."""
+    counts = (colors[..., None] == np.arange(1, kappa + 1)).sum(axis=-2)
+    return np.abs(counts / colors.shape[-1] - 1.0 / kappa).max(axis=-1)
 
 
 def batch_energies_raw(colors: np.ndarray, g: CouplingMatrix, chunk: int = 4096) -> np.ndarray:

@@ -32,6 +32,7 @@ from .core import (
     centering_shift,
     config_array,
     count_configs,
+    max_deviation,
     sector_counts,
 )
 
@@ -44,6 +45,7 @@ __all__ = [
     "GaugePairResult",
     "MomentEstimate",
     "logsumexp",
+    "gibbs_weights",
     "log_partition",
     "quenched_free_energy",
     "gibbs_expectation",
@@ -77,6 +79,14 @@ def logsumexp(a) -> float:
     if not math.isfinite(m):
         return m
     return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
+    """Unnormalized weights ``exp(beta (H - max H))``; beta = inf marks the maximizers."""
+    top = energies.max()
+    if math.isinf(beta):
+        return (energies == top).astype(np.float64)
+    return np.exp(beta * (energies - top))
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,24 +211,19 @@ def _quenched_one(args) -> FreeEnergySample:
     return log_partition(g, beta, kappa, sector, kind, cap)
 
 
-def quenched_free_energy(spec, workers: int | None = None) -> QuenchedFreeEnergy:
+def quenched_free_energy(
+    n: int, beta: float, kappa: int, sector="all", kind: str = "centered",
+    replicas: int = 8, seed: int = 0, cap: int = DEFAULT_CAP, workers: int = 1,
+) -> QuenchedFreeEnergy:
     """Mean and standard error of ``n^{-1} log Z`` over disorder replicas.
 
-    ``spec`` needs fields ``kappa, n, beta, sector, kind, seed, replicas``
-    (a single n and beta; see :class:`pottsglass.experiment.ExperimentSpec`).
     Replica ``r`` draws its coupling from stream ``r`` of the root seed, so
     results are independent of the worker count.
     """
-    n = spec.n if isinstance(spec.n, int) else spec.n[0]
-    beta = spec.beta if isinstance(spec.beta, float) else spec.beta[0]
-    if spec.replicas < 2:
+    if replicas < 2:
         raise ValueError("quenched averaging needs at least 2 replicas")
-    jobs = [
-        (n, spec.kappa, beta, spec.sector, spec.kind, spec.cap, spec.seed, r)
-        for r in range(spec.replicas)
-    ]
-    workers = workers if workers is not None else getattr(spec, "workers", 1)
-    if workers and workers > 1:
+    jobs = [(n, kappa, beta, sector, kind, cap, seed, r) for r in range(replicas)]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             samples = list(ex.map(_quenched_one, jobs, chunksize=8))
     else:
@@ -248,10 +253,7 @@ def gibbs_expectation(
     values = np.array(
         [observable(SpinConfig(row, kappa)) for row in colors], dtype=np.float64
     )
-    if math.isinf(beta):
-        w = (energies == energies.max()).astype(np.float64)
-    else:
-        w = np.exp(beta * (energies - energies.max()))
+    w = gibbs_weights(energies, beta)
     return float((w * values).sum() / w.sum())
 
 
@@ -552,14 +554,9 @@ def _spin_products(colors: np.ndarray, sites: Sequence[int]) -> np.ndarray:
 
 
 def _gibbs_product(g: CouplingMatrix, beta: float, sites: Sequence[int], cap: int) -> float:
-    colors = config_array(g.n, 2, "all", cap=cap)
-    energies = batch_energies_raw(colors, g)
-    prods = _spin_products(colors, sites)
-    if math.isinf(beta):
-        w = (energies == energies.max()).astype(np.float64)
-    else:
-        w = np.exp(beta * (energies - energies.max()))
-    return float((w * prods).sum() / w.sum())
+    colors, energies = _sector_energies(g, 2, "all", "raw", cap)
+    w = gibbs_weights(energies, beta)
+    return float((w * _spin_products(colors, sites)).sum() / w.sum())
 
 
 def gauge_pair_check(
@@ -609,35 +606,28 @@ class MomentEstimate:
         return self.value <= self.bound + 3.0 * self.stderr
 
 
-def _kappa2_gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    if math.isinf(beta):
-        w = (energies == energies.max()).astype(np.float64)
-    else:
-        w = np.exp(beta * (energies - energies.max()))
-    return w / w.sum()
+def _replica_average(colors: np.ndarray, beta: float, replicas: int, seed: int, stats):
+    """Disorder (mean, stderr) of Gibbs statistics with exact inner enumeration.
 
-
-def _kappa2_replica_average(
-    n: int,
-    beta: float,
-    replicas: int,
-    seed: int,
-    stat: Callable[[np.ndarray, np.ndarray], float],
-    cap: int,
-) -> tuple[float, float]:
-    """Disorder average of a Gibbs statistic with exact inner enumeration.
-
-    ``stat(weights, x)`` sees the normalized Gibbs weights and the centered
-    color-1 fraction ``x = d_1 - 1/2`` of every configuration.
+    ``stats(weights)`` maps the normalized Gibbs weights of the rows of
+    ``colors`` to a list of statistics.  Replica ``r`` draws its coupling
+    from stream ``r`` of ``seed``; a single replica reports stderr 0.
     """
-    colors = config_array(n, 2, "all", cap=cap)
-    x = (colors == 1).sum(axis=1) / n - 0.5
-    vals = np.empty(replicas)
+    n = colors.shape[1]
+    rows = []
     for r in range(replicas):
-        g = CouplingMatrix.from_seed(n, seed, r)
-        w = _kappa2_gibbs_weights(batch_energies_raw(colors, g), beta)
-        vals[r] = stat(w, x)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+        w = gibbs_weights(batch_energies_raw(colors, CouplingMatrix.from_seed(n, seed, r)), beta)
+        rows.append(stats(w / w.sum()))
+    return [
+        (float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0)
+        for col in np.array(rows).T
+    ]
+
+
+def _color1_excess(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-color sector rows and their centered color-1 fraction ``d_1 - 1/2``."""
+    colors = config_array(n, 2, "all", cap=cap)
+    return colors, (colors == 1).sum(axis=1) / n - 0.5
 
 
 def magnetization_moment_exact(
@@ -663,8 +653,9 @@ def magnetization_moment_exact(
     if replicas < 2:
         raise ValueError("even-moment estimation needs at least 2 replicas")
     bound = math.factorial(m) / (2 ** m * math.factorial(m // 2)) / n ** (m // 2)
-    mean, se = _kappa2_replica_average(
-        n, beta, replicas, seed, lambda w, x: float((w * x ** m).sum()), cap
+    colors, x = _color1_excess(n, cap)
+    [(mean, se)] = _replica_average(
+        colors, beta, replicas, seed, lambda w: [float((w * x ** m).sum())]
     )
     return MomentEstimate(mean, se, bound, m, n, beta, replicas)
 
@@ -678,22 +669,33 @@ def magnetization_mgf_exact(
     cap: int = DEFAULT_CAP,
 ) -> MomentEstimate:
     """Disorder-averaged ``<exp(lam (d_1 - 1/2))>`` against ``e^{lam^2/(4n)}``."""
-    mean, se = _kappa2_replica_average(
-        n, beta, replicas, seed, lambda w, x: float((w * np.exp(lam * x)).sum()), cap
+    colors, x = _color1_excess(n, cap)
+    [(mean, se)] = _replica_average(
+        colors, beta, replicas, seed, lambda w: [float((w * np.exp(lam * x)).sum())]
     )
     return MomentEstimate(mean, se, math.exp(lam ** 2 / (4.0 * n)), 0, n, beta, replicas)
 
 
 def tail_probability_exact(
-    n: int,
-    beta: float,
-    epsilon: float,
-    replicas: int = 200,
-    seed: int = 0,
-    cap: int = DEFAULT_CAP,
-) -> MomentEstimate:
-    """Disorder-averaged Gibbs mass of ``|d_1 - 1/2| >= eps`` vs ``2 e^{-eps^2 n}``."""
-    mean, se = _kappa2_replica_average(
-        n, beta, replicas, seed, lambda w, x: float((w * (np.abs(x) >= epsilon)).sum()), cap
-    )
-    return MomentEstimate(mean, se, 2.0 * math.exp(-epsilon ** 2 * n), 0, n, beta, replicas)
+    n: int, beta: float, epsilon, replicas: int = 200, seed: int = 0,
+    cap: int = DEFAULT_CAP, kappa: int = 2,
+):
+    """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``.
+
+    The bound is ``2 e^{-eps^2 n}`` for kappa = 2 and ``inf`` (no closed
+    form) otherwise.  One ``epsilon`` gives one estimate; a sequence gives a
+    list of estimates sharing the enumeration and the disorder draws.
+    """
+    epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
+    colors = config_array(n, kappa, "all", cap=cap)
+    dev = max_deviation(colors, kappa)
+
+    def stats(w: np.ndarray) -> list[float]:
+        return [float((w * (dev >= e)).sum()) for e in epsilons]
+
+    out = [
+        MomentEstimate(mean, se, 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else math.inf,
+                       0, n, beta, replicas)
+        for e, (mean, se) in zip(epsilons, _replica_average(colors, beta, replicas, seed, stats))
+    ]
+    return out[0] if np.isscalar(epsilon) else out

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 from .core import count_configs
 
@@ -58,6 +58,10 @@ class ExperimentSpec:
         """Raise :class:`ValidationError` on the first failed constraint."""
         if self.kappa < 2:
             raise ValidationError(f"kappa must be >= 2, got {self.kappa}")
+        for name in ("beta", "ladder", "epsilon", "delta", "beta_max"):
+            value = getattr(self, name)
+            if any(math.isnan(v) for v in (value if isinstance(value, tuple) else (value,))):
+                raise ValidationError(f"{name} must not be NaN, got {value}")
         if any(n < 1 for n in self.n):
             raise ValidationError(f"sizes must be positive, got {self.n}")
         if any(b < 0 for b in self.beta):
@@ -80,6 +84,10 @@ class ExperimentSpec:
             raise ValidationError("workers must be >= 1")
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
+        if self.command == "exact-free-energy" and self.replicas < 2:
+            raise ValidationError("quenched averaging needs replicas >= 2")
+        if self.command == "mc-free-energy" and self.n_grid < 8:
+            raise ValidationError(f"thermodynamic integration needs n_grid >= 8, got {self.n_grid}")
 
     def check_cap(self, n: int) -> None:
         size = count_configs(n, self.kappa, self.sector)
@@ -115,11 +123,6 @@ class ExperimentSpec:
             if key in kwargs and kwargs[key] is not None:
                 kwargs[key] = tuple(float(v) for v in kwargs[key])
         return cls(**kwargs)
-
-    def replace(self, **changes) -> "ExperimentSpec":
-        payload = asdict(self)
-        payload.update(changes)
-        return ExperimentSpec(**payload)
 
 
 def _int_tuple(value) -> tuple[int, ...]:

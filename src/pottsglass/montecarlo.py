@@ -37,9 +37,11 @@ from .core import (
     batch_energies_raw,
     centering_shift,
     count_configs,
+    max_deviation,
     philox_generator,
     sector_counts,
 )
+from .exact import DEFAULT_CAP, tail_probability_exact
 
 __all__ = [
     "ChainState",
@@ -321,7 +323,7 @@ def equilibration_flagged(series: np.ndarray) -> bool:
     se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
     if se == 0.0:
         return False
-    return abs(a.mean() - b.mean()) / se > 3.0
+    return bool(abs(a.mean() - b.mean()) / se > 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -338,76 +340,57 @@ class TailEstimate:
     flagged: bool
 
 
-def _max_deviation(colors: np.ndarray, kappa: int) -> float:
-    counts = np.bincount(colors - 1, minlength=kappa)
-    return float(np.abs(counts / colors.size - 1.0 / kappa).max())
-
-
-def _tail_exact_replica(g: CouplingMatrix, kappa: int, beta: float, epsilons, cap: int) -> list[float]:
-    from .core import config_array
-
-    colors = config_array(g.n, kappa, "all", cap=cap)
-    energies = batch_energies_raw(colors, g)
-    counts = np.stack([(colors == a).sum(axis=1) for a in range(1, kappa + 1)], axis=1)
-    dev = np.abs(counts / g.n - 1.0 / kappa).max(axis=1)
-    if math.isinf(beta):
-        w = (energies == energies.max()).astype(np.float64)
-    else:
-        w = np.exp(beta * (energies - energies.max()))
-    w = w / w.sum()
-    return [float((w * (dev >= e)).sum()) for e in epsilons]
-
-
-def estimate_tail(spec, epsilon) -> list[TailEstimate]:
+def estimate_tail(
+    n: int, beta: float, epsilon, kappa: int = 2, sector: str = "all", replicas: int = 8,
+    sweeps: int = 2000, burn_in: int = 1000, thinning: int = 10, ladder=(), seed: int = 0,
+    cap: int = DEFAULT_CAP,
+) -> list[TailEstimate]:
     """Disorder-and-Gibbs double average of ``1{max_a |d_a - 1/kappa| >= eps}``.
 
     Accepts one epsilon or a sequence; all epsilons share the same chains.
     For the balanced sector the deviation is identically zero.  beta = inf
-    is served by the exact uniform-on-maximizers measure; finite beta runs
-    Metropolis chains, or a tempering ladder when ``spec.ladder`` is set
-    (recommended for large beta).  For kappa = 2 the closed-form ceiling
+    is served by :func:`pottsglass.exact.tail_probability_exact`; finite
+    beta runs Metropolis chains, or a tempering ladder when ``ladder`` is
+    set (recommended for large beta).  For kappa = 2 the closed-form ceiling
     ``2 e^{-eps^2 n}`` is attached to each estimate.
     """
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
-    n = spec.n if isinstance(spec.n, int) else spec.n[0]
-    beta = spec.beta if isinstance(spec.beta, float) else spec.beta[0]
-    kappa = spec.kappa
 
     def bound(e: float) -> float | None:
         return 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else None
 
-    if spec.sector == "balanced":
+    if sector == "balanced":
         return [TailEstimate(e, 0.0, 0.0, bound(e), 0, False) for e in epsilons]
-    if spec.ladder and not math.isinf(beta) and spec.ladder[-1] != beta:
+    if math.isinf(beta):
+        exact_estimates = tail_probability_exact(
+            n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa
+        )
+        return [
+            TailEstimate(e, est.value, est.stderr, bound(e), replicas, False)
+            for e, est in zip(epsilons, exact_estimates)
+        ]
+    if ladder and ladder[-1] != beta:
         raise ValueError(
-            f"the ladder must end at the target beta: ladder top {spec.ladder[-1]}, beta {beta}"
+            f"the ladder must end at the target beta: ladder top {ladder[-1]}, beta {beta}"
         )
 
-    per_replica = np.empty((spec.replicas, len(epsilons)))
+    per_replica = np.empty((replicas, len(epsilons)))
     flagged = False
-    for r in range(spec.replicas):
-        g = CouplingMatrix.from_seed(n, spec.seed, r)
-        if math.isinf(beta):
-            per_replica[r] = _tail_exact_replica(g, kappa, beta, epsilons, spec.cap)
-            continue
-        if spec.ladder:
-            ladder = TemperingLadder.start(g, kappa, spec.ladder, "all", spec.seed, ladder_id=r)
-            target = ladder.rungs[-1]
-            for _ in range(spec.burn_in):
-                tempering_step(ladder, g)
-            devs = []
-            for t in range(spec.sweeps):
-                tempering_step(ladder, g)
-                if t % spec.thinning == 0:
-                    devs.append(_max_deviation(target.colors, kappa))
+    for r in range(replicas):
+        g = CouplingMatrix.from_seed(n, seed, r)
+        if ladder:
+            temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=r)
+            target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
         else:
-            chain = ChainState.start(g, kappa, beta, "all", spec.seed, chain_id=r)
-            run_sweeps(chain, g, spec.burn_in)
-            devs = []
-            for t in range(spec.sweeps):
-                metropolis_sweep(chain, g)
-                if t % spec.thinning == 0:
-                    devs.append(_max_deviation(chain.colors, kappa))
+            target = ChainState.start(g, kappa, beta, "all", seed, chain_id=r)
+            step = lambda: metropolis_sweep(target, g)
+        for _ in range(burn_in):
+            step()
+        devs = []
+        for t in range(sweeps):
+            step()
+            if t % thinning == 0:
+                devs.append(max_deviation(target.colors, kappa))
         devs = np.asarray(devs)
         flagged = flagged or equilibration_flagged(devs)
         per_replica[r] = [(devs >= e).mean() for e in epsilons]
@@ -416,7 +399,7 @@ def estimate_tail(spec, epsilon) -> list[TailEstimate]:
     for idx, e in enumerate(epsilons):
         col = per_replica[:, idx]
         se = float(col.std(ddof=1) / math.sqrt(len(col))) if len(col) > 1 else 0.0
-        out.append(TailEstimate(e, float(col.mean()), se, bound(e), spec.replicas, flagged))
+        out.append(TailEstimate(e, float(col.mean()), se, bound(e), replicas, flagged))
     return out
 
 

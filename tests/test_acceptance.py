@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from pottsglass import core, exact, montecarlo as mc, rate
-from pottsglass.experiment import ExperimentSpec
 
 from conftest import match_matrix_flat
 
@@ -228,11 +227,11 @@ def quenched_trend():
     means = {}
     stderrs = {}
     for n in (3, 6, 9):
-        spec = ExperimentSpec(
-            command="exact-free-energy", kappa=3, n=(n,), beta=(1.0,),
+        spec = dict(
+            n=n, beta=1.0, kappa=3,
             sector="balanced", kind="centered", replicas=200, seed=2024,
         )
-        res = exact.quenched_free_energy(spec)
+        res = exact.quenched_free_energy(**spec)
         means[n], stderrs[n] = res.mean, res.stderr
     return means, stderrs
 
@@ -314,20 +313,19 @@ def test_criterion_6_gauge_suite():
         for n in (4, 8, 12):
             for beta in (0.0, 1.0, 4.0, math.inf):
                 if math.isinf(beta):
-                    spec = ExperimentSpec(command="tail-bound", kappa=2, n=(n,), beta=(beta,),
-                                          replicas=200, seed=68)
+                    spec = dict(n=n, beta=beta, kappa=2, replicas=200, seed=68)
                 elif beta >= 2.0:
-                    spec = ExperimentSpec(
-                        command="tail-bound", kappa=2, n=(n,), beta=(beta,), replicas=48,
+                    spec = dict(
+                        n=n, beta=beta, kappa=2, replicas=48,
                         sweeps=900, burn_in=300, thinning=3, seed=68,
                         ladder=(0.0, 1.0, 2.0, 3.0, 4.0),
                     )
                 else:
-                    spec = ExperimentSpec(
-                        command="tail-bound", kappa=2, n=(n,), beta=(beta,), replicas=48,
+                    spec = dict(
+                        n=n, beta=beta, kappa=2, replicas=48,
                         sweeps=900, burn_in=300, thinning=3, seed=68,
                     )
-                for est in mc.estimate_tail(spec, (0.25, 0.5)):
+                for est in mc.estimate_tail(epsilon=(0.25, 0.5), **spec):
                     assert est.estimate <= est.bound + 3 * est.stderr, (n, beta, est)
 
 

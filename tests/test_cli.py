@@ -51,6 +51,8 @@ def test_stdout_when_no_sink(capsys, monkeypatch):
     assert run(["thresholds", "--kappa-max", "5"]) == 0
     out = capsys.readouterr().out
     assert "kappa,beta_kappa" in out
+    assert run(["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "3"]) == 0
+    assert capsys.readouterr().out.startswith("# pottsglass")
 
 
 def test_outdir_env(tmp_path, monkeypatch):
@@ -59,10 +61,23 @@ def test_outdir_env(tmp_path, monkeypatch):
     assert (tmp_path / "thresholds.csv").exists()
 
 
-def test_validation_failure_exits_2(tmp_path):
-    code = run(["exact-free-energy", "--kappa", "2", "--n", "5", "--sector", "balanced",
-                "--out", str(tmp_path / "x.csv")])
-    assert code == 2
+INVALID_COMMANDS = {
+    "indivisible-balanced": ["exact-free-energy", "--kappa", "2", "--n", "5", "--sector", "balanced"],
+    "nan-beta": ["second-moment", "--n", "3", "--beta", "nan"],
+    "nan-in-beta-list": ["second-moment", "--n", "3", "--beta", "1,nan"],
+    "nan-ladder": ["tail-bound", "--beta", "1", "--ladder", "0,nan"],
+    "nan-epsilon": ["tail-bound", "--epsilon", "nan"],
+    "nan-delta": ["rate-gap", "--delta", "nan"],
+    "nan-beta-max": ["mc-free-energy", "--beta-max", "nan"],
+    "one-replica": ["exact-free-energy", "--replicas", "1"],
+    "short-grid": ["mc-free-energy", "--n-grid", "3"],
+}
+
+
+@pytest.mark.parametrize("args", INVALID_COMMANDS.values(), ids=INVALID_COMMANDS.keys())
+def test_validation_failure_exits_2(args, tmp_path):
+    assert run(args + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_prevalidated_cap_exits_2(tmp_path):
@@ -134,8 +149,8 @@ def test_threshold_table_contents(tmp_path):
 def test_gauge_check_prints_max_pair_sum(tmp_path, capsys):
     out = str(tmp_path / "gc.csv")
     assert run(["gauge-check", "--n", "5", "--beta", "1.0", "--trials", "25", "--out", out]) == 0
-    stdout = capsys.readouterr().out
-    line = [l for l in stdout.splitlines() if l.startswith("max |pair sum|")][0]
+    stderr = capsys.readouterr().err
+    line = [l for l in stderr.splitlines() if l.startswith("max |pair sum|")][0]
     assert float(line.split("=")[1]) <= 1e-12
     _, rows = read_rows(out)
     assert len(rows) == 25
@@ -152,6 +167,19 @@ def test_moment_check_rows(tmp_path):
     even = [r for r in rows if r["m"] == "2"][0]
     assert float(even["estimate"]) == pytest.approx(1 / 16, abs=1e-12)
     assert even["satisfied"] == "true"
+
+
+@pytest.mark.parametrize("args", [
+    ["tail-bound", "--n", "4", "--beta", "0.5", "--epsilon", "0.25",
+     "--replicas", "2", "--sweeps", "40", "--burn-in", "10", "--thinning", "2"],
+    ["mc-free-energy", "--kappa", "2", "--n", "4", "--beta-max", "0.5",
+     "--n-grid", "8", "--sector", "all", "--sweeps", "40", "--burn-in", "10"],
+], ids=lambda a: a[0])
+def test_flagged_is_json_boolean(args, tmp_path):
+    out = str(tmp_path / "out.json")
+    assert run(args + ["--format", "json", "--out", out]) == 0
+    rows = json.load(open(out))["rows"]
+    assert rows and all(isinstance(r["flagged"], bool) for r in rows)
 
 
 def test_beta_inf_accepted(tmp_path):

@@ -279,6 +279,13 @@ class TestEnumeration:
         arr_all = core.config_array(3, 2, "all")
         stream_all = [s.as_tuple() for s in core.enumerate_configs(3, 2, "all")]
         assert [tuple(row) for row in arr_all] == stream_all
+        for n, kappa, sector in [(5, 2, (3, 2)), (6, 3, (2, 1, 3)), (6, 3, (0, 3, 3)),
+                                 (8, 4, "balanced")]:
+            arr = core.config_array(n, kappa, sector)
+            assert arr.dtype == np.int64
+            stream = [s.as_tuple() for s in core.enumerate_configs(n, kappa, sector)]
+            assert [tuple(row) for row in arr] == stream
+            assert len(stream) == core.count_configs(n, kappa, sector)
 
     def test_cap(self):
         with pytest.raises(core.EnumerationCapError):

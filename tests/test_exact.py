@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pottsglass import core, exact
-from pottsglass.experiment import ExperimentSpec
 
 from conftest import gram_pair_covariances
 
@@ -53,16 +52,12 @@ class TestLogPartition:
 
 class TestQuenchedFreeEnergy:
     def test_beta_zero_has_no_variance(self):
-        spec = ExperimentSpec(command="exact-free-energy", kappa=2, n=(4,), beta=(0.0,), replicas=4)
-        res = exact.quenched_free_energy(spec)
+        res = exact.quenched_free_energy(4, 0.0, 2, replicas=4)
         assert res.mean == pytest.approx(math.log(2), abs=1e-14)
         assert res.stderr == 0.0
 
     def test_single_site_closed_form(self):
-        spec = ExperimentSpec(
-            command="exact-free-energy", kappa=3, n=(1,), beta=(0.7,), kind="centered", replicas=64, seed=5
-        )
-        res = exact.quenched_free_energy(spec)
+        res = exact.quenched_free_energy(1, 0.7, 3, kind="centered", replicas=64, seed=5)
         for s in res.samples:
             g = core.CouplingMatrix.from_seed(1, 5, s.stream)
             expected = math.log(3) + 0.7 * float(g.g[0, 0]) * (1 - 1 / 3)
@@ -80,17 +75,16 @@ class TestQuenchedFreeEnergy:
     def test_raw_and_centered_means_agree(self):
         # the centering shift is mean-zero over disorder, so the two kinds
         # share the quenched mean up to replica noise
-        base = dict(command="exact-free-energy", kappa=3, n=(5,), beta=(1.0,), sector="all", seed=8, replicas=48)
-        raw = exact.quenched_free_energy(ExperimentSpec(kind="raw", **base))
-        cen = exact.quenched_free_energy(ExperimentSpec(kind="centered", **base))
+        base = dict(n=5, beta=1.0, kappa=3, sector="all", seed=8, replicas=48)
+        raw = exact.quenched_free_energy(kind="raw", **base)
+        cen = exact.quenched_free_energy(kind="centered", **base)
         pooled = math.hypot(raw.stderr, cen.stderr)
         assert abs(raw.mean - cen.mean) <= 3 * pooled
 
     def test_worker_count_invariance(self):
-        spec = ExperimentSpec(command="exact-free-energy", kappa=2, n=(5,), beta=(0.8,), sector="all",
-                              replicas=6, seed=3)
-        serial = exact.quenched_free_energy(spec, workers=1)
-        parallel = exact.quenched_free_energy(spec, workers=2)
+        spec = dict(n=5, beta=0.8, kappa=2, sector="all", replicas=6, seed=3)
+        serial = exact.quenched_free_energy(**spec, workers=1)
+        parallel = exact.quenched_free_energy(**spec, workers=2)
         assert serial.mean == parallel.mean
         assert [s.log_z for s in serial.samples] == [s.log_z for s in parallel.samples]
 

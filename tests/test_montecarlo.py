@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import chisquare
 
 from pottsglass import core, exact, montecarlo as mc
-from pottsglass.experiment import ExperimentSpec
 
 
 def exact_gibbs_weights(g, kappa, beta, sector):
@@ -184,15 +183,15 @@ class TestTempering:
 
 class TestEstimators:
     def test_balanced_tail_is_zero(self):
-        spec = ExperimentSpec(command="tail-bound", kappa=2, n=(4,), beta=(1.0,), sector="balanced")
-        (est,) = mc.estimate_tail(spec, 0.25)
+        spec = dict(n=4, beta=1.0, kappa=2, sector="balanced")
+        (est,) = mc.estimate_tail(epsilon=0.25, **spec)
         assert est.estimate == 0.0 and est.stderr == 0.0
 
     def test_zero_temperature_routes_to_ground_state(self):
-        spec = ExperimentSpec(
-            command="tail-bound", kappa=2, n=(6,), beta=(math.inf,), replicas=8, seed=9
+        spec = dict(
+            n=6, beta=math.inf, kappa=2, replicas=8, seed=9
         )
-        (est,) = mc.estimate_tail(spec, 0.25)
+        (est,) = mc.estimate_tail(epsilon=0.25, **spec)
         # oracle: direct uniform-over-maximizers average per replica
         vals = []
         for r in range(8):
@@ -206,36 +205,36 @@ class TestEstimators:
 
     def test_infinite_temperature_matches_counting(self):
         # at beta=0 only the two monochrome configs reach deviation 0.5
-        spec = ExperimentSpec(
-            command="tail-bound", kappa=2, n=(8,), beta=(0.0,), replicas=24,
+        spec = dict(
+            n=8, beta=0.0, kappa=2, replicas=24,
             sweeps=800, burn_in=100, thinning=2, seed=14,
         )
-        (est,) = mc.estimate_tail(spec, 0.5)
+        (est,) = mc.estimate_tail(epsilon=0.5, **spec)
         assert abs(est.estimate - 2 / 256) <= 3 * est.stderr + 1e-3
 
     def test_ladder_must_end_at_target_beta(self):
-        spec = ExperimentSpec(
-            command="tail-bound", kappa=2, n=(4,), beta=(2.0,), replicas=2,
+        spec = dict(
+            n=4, beta=2.0, kappa=2, replicas=2,
             sweeps=10, burn_in=2, thinning=1, seed=1, ladder=(0.5, 1.0),
         )
         with pytest.raises(ValueError, match="ladder"):
-            mc.estimate_tail(spec, 0.25)
+            mc.estimate_tail(epsilon=0.25, **spec)
 
     def test_reproducible_bit_for_bit(self):
-        spec = ExperimentSpec(
-            command="tail-bound", kappa=2, n=(6,), beta=(1.0,), replicas=4,
+        spec = dict(
+            n=6, beta=1.0, kappa=2, replicas=4,
             sweeps=200, burn_in=50, thinning=2, seed=13,
         )
-        a = mc.estimate_tail(spec, (0.25, 0.5))
-        b = mc.estimate_tail(spec, (0.25, 0.5))
+        a = mc.estimate_tail(epsilon=(0.25, 0.5), **spec)
+        b = mc.estimate_tail(epsilon=(0.25, 0.5), **spec)
         assert [(e.estimate, e.stderr) for e in a] == [(e.estimate, e.stderr) for e in b]
 
     def test_ladder_path(self):
-        spec = ExperimentSpec(
-            command="tail-bound", kappa=2, n=(6,), beta=(2.0,), replicas=3,
+        spec = dict(
+            n=6, beta=2.0, kappa=2, replicas=3,
             sweeps=100, burn_in=30, thinning=2, seed=13, ladder=(0.5, 1.0, 2.0),
         )
-        (est,) = mc.estimate_tail(spec, 0.5)
+        (est,) = mc.estimate_tail(epsilon=0.5, **spec)
         assert 0.0 <= est.estimate <= 1.0 and est.bound == pytest.approx(2 * math.exp(-0.25 * 6))
 
 
