@@ -26,21 +26,6 @@ from .experiment import ExperimentSpec, ValidationError
 
 __all__ = ["main", "rows_for_spec", "render_output", "read_spec"]
 
-SUBCOMMANDS = (
-    "thresholds",
-    "exact-free-energy",
-    "second-moment",
-    "uncentered-ratio",
-    "rate-gap",
-    "kl-check",
-    "ldp-check",
-    "shell-count",
-    "gauge-check",
-    "moment-check",
-    "tail-bound",
-    "mc-free-energy",
-)
-
 
 def _fmt(value) -> str:
     if isinstance(value, bool):

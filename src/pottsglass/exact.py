@@ -283,38 +283,30 @@ def ground_state(
 
 
 def enumerate_admissible(n: int, kappa: int) -> Iterator[AdmissibleMatrix]:
-    """All kappa-by-kappa tables with margins n/kappa, by margin-constrained fill."""
-    for counts in _admissible_rows(n, kappa):
-        yield AdmissibleMatrix(np.array(counts, dtype=np.int64), n)
-
-
-def _admissible_rows(n: int, kappa: int) -> Iterator[list[list[int]]]:
-    if n % kappa != 0:
-        raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
-    margin = n // kappa
-
-    def fill_row(prefix: list[int], col_left: list[int], rem: int) -> Iterator[list[int]]:
-        j = len(prefix)
-        if j == kappa - 1:
-            if 0 <= rem <= col_left[-1]:
-                yield prefix + [rem]
-            return
-        for v in range(min(rem, col_left[j]) + 1):
-            yield from fill_row(prefix + [v], col_left, rem - v)
-
-    def rec(rows: list[list[int]], col_left: list[int]) -> Iterator[list[list[int]]]:
-        if len(rows) == kappa - 1:
-            yield rows + [col_left]  # last row forced by the column margins
-            return
-        for row in fill_row([], col_left, margin):
-            yield from rec(rows + [row], [c - v for c, v in zip(col_left, row)])
-
-    yield from rec([], [margin] * kappa)
+    """All kappa-by-kappa tables with margins n/kappa, in :func:`admissible_array` order."""
+    for counts in admissible_array(n, kappa):
+        yield AdmissibleMatrix(counts, n)
 
 
 def admissible_array(n: int, kappa: int) -> np.ndarray:
-    """All admissible tables stacked as one ``(count, kappa, kappa)`` array."""
-    return np.array(list(_admissible_rows(n, kappa)), dtype=np.int64)
+    """All admissible tables stacked as one ``(count, kappa, kappa)`` array.
+
+    Tables are built one row at a time: every partial table is extended by
+    each row composition that fits under its remaining column margins, and
+    the last row is forced.  Row-major ``nonzero`` keeps the tables in
+    lexicographic order.
+    """
+    if n % kappa != 0:
+        raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
+    margin = n // kappa
+    rows = _compositions(margin, kappa)
+    tables = np.empty((1, 0, kappa), dtype=np.int64)
+    left = np.full((1, kappa), margin, dtype=np.int64)
+    for _ in range(kappa - 1):
+        p, c = np.nonzero((rows[None] <= left[:, None]).all(axis=2))
+        tables = np.concatenate((tables[p], rows[c][:, None]), axis=1)
+        left = left[p] - rows[c]
+    return np.concatenate((tables, left[:, None]), axis=1)
 
 
 def _log_gamma_table(n: int) -> np.ndarray:
@@ -392,37 +384,32 @@ def shell_count(n: int, kappa: int, l: int) -> int:
     return int(shell_histogram(n, kappa)[l - 1])
 
 
-def _compositions(total: int, parts: int, _cache={}) -> np.ndarray:
-    """All nonnegative integer vectors of length ``parts`` summing to ``total``."""
-    key = (total, parts)
-    if key in _cache:
-        return _cache[key]
-    if parts == 1:
-        out = np.array([[total]], dtype=np.int64)
-    else:
-        blocks = []
-        for v in range(total + 1):
-            rest = _compositions(total - v, parts - 1)
-            blk = np.empty((len(rest), parts), dtype=np.int64)
-            blk[:, 0] = v
-            blk[:, 1:] = rest
-            blocks.append(blk)
-        out = np.concatenate(blocks)
-    out.setflags(write=False)
-    if parts <= 4:
-        _cache[key] = out
-    return out
+def _fan_out(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of every slot when item ``i`` owns ``counts[i]`` consecutive slots."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _log_ez_raw(n: int, beta: float, kappa: int, counts: np.ndarray | None) -> float:
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """All nonnegative integer vectors of length ``parts`` summing to ``total``.
+
+    Rows are in lexicographic order: each prefix is extended by every value
+    up to what it has left, and the last entry takes the rest.
+    """
+    out = np.empty((1, 0), dtype=np.int64)
+    left = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        p, v = _fan_out(left + 1)
+        out = np.hstack((out[p], v[:, None]))
+        left = left[p] - v
+    return np.hstack((out, left[:, None]))
+
+
+def _log_ez_raw(n: int, beta: float, kappa: int) -> float:
     """log E Z for the raw Hamiltonian; E e^{beta H} = e^{beta^2 sum_a m_a^2 / (2n)}."""
     glt = _log_gamma_table(n)
-    if counts is None:
-        m = _compositions(n, kappa)
-        logmult = glt[n] - glt[m].sum(axis=1)
-    else:
-        m = counts[None, :]
-        logmult = np.array([glt[n] - glt[counts].sum()])
+    m = _compositions(n, kappa)
+    logmult = glt[n] - glt[m].sum(axis=1)
     e1 = beta ** 2 * (m.astype(np.float64) ** 2).sum(axis=1) / (2.0 * n)
     return logsumexp(logmult + e1)
 
@@ -432,73 +419,55 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
 
     Pairs (sigma, tau) are grouped by their joint color-count table C; the
     number of pairs with table C is the multinomial n!/prod C_ab!, and the
-    Gaussian pair moment is exp(beta^2 (sum_a rows_a^2 + sum_b cols_b^2 +
-    2 sum C^2) / (2n)).  The table sum is evaluated row-by-row so the cross
-    term between rows reduces to pairwise dot products, which keeps the
-    kappa=3, n=24 case (10.5M tables) vectorized.
+    Gaussian pair moment is exp(al (sum_a rows_a^2 + sum_b cols_b^2 +
+    2 sum C^2)) with al = beta^2 / (2n).  The table sum runs one row r of C
+    at a time over the partial column sums s of the rows before it:
+    ``W'(s + r) = LSE_{s,r} [W(s) + phi(r) + 2 al s.r]`` from W(0) = 0,
+    where ``phi(r) = -sum_b log r_b! + al (|r|^2 + 3 sum_b r_b^2)`` and
+    ``|r| = sum_b r_b``; then log E Z^2 = log n! + LSE_{|s|=n} W(s).  Each
+    target is stabilized by its own maximum, since the cross term alone can
+    overflow exp.
     """
     glt = _log_gamma_table(n)
     al = beta ** 2 / (2.0 * n)
-    pieces: list[float] = []
-    for row_sums in _compositions(n, kappa):
-        rows = [_compositions(int(t), kappa) for t in row_sums]
-        fs = []
-        for rr in rows:
-            rf = rr.astype(np.float64)
-            # per-row: -log prod factorials + al*(2+1)*sum r^2 (own squares
-            # appear in both the cross-column sum and the 2*||C||^2 term)
-            fs.append(-glt[rr].sum(axis=1) + al * 3.0 * (rf ** 2).sum(axis=1))
-        base = float(glt[n] + al * (row_sums.astype(np.float64) ** 2).sum())
-        if kappa == 2:
-            a, b = (rr.astype(np.float64) for rr in rows)
-            x = base + fs[0][:, None] + fs[1][None, :] + al * 2.0 * (a @ b.T)
-            pieces.append(logsumexp(x))
-        elif kappa == 3:
-            a, b, c = (rr.astype(np.float64) for rr in rows)
-            ab, ac, bc = a @ b.T, a @ c.T, b @ c.T
-            n1 = a.shape[0]
-            step = max(1, int(4_000_000 // max(1, b.shape[0] * c.shape[0])))
-            for lo in range(0, n1, step):
-                hi = min(n1, lo + step)
-                x = (
-                    base
-                    + fs[0][lo:hi, None, None]
-                    + fs[1][None, :, None]
-                    + fs[2][None, None, :]
-                    + al * 2.0 * (ab[lo:hi, :, None] + ac[lo:hi, None, :] + bc[None, :, :])
-                )
-                pieces.append(logsumexp(x))
-        else:
-            # generic fallback: explicit table enumeration
-            tb = _compositions(n, kappa * kappa).reshape(-1, kappa, kappa)
-            tf = tb.astype(np.float64)
-            expo = al * (
-                (tf.sum(axis=2) ** 2).sum(axis=1)
-                + (tf.sum(axis=1) ** 2).sum(axis=1)
-                + 2.0 * (tf ** 2).sum(axis=(1, 2))
-            )
-            return logsumexp(glt[n] - glt[tb].sum(axis=(1, 2)) + expo)
-    return logsumexp(pieces)
+    states = _compositions(n, kappa + 1)[:, :-1]  # every s with |s| <= n, lexicographic
+    size = states.sum(axis=1)
+    # Pair each s with every r of |r| <= n - |s|: a prefix of the states sorted by size.
+    src, rank = _fan_out(np.cumsum(np.bincount(size))[n - size])
+    row = np.argsort(size, kind="stable")[rank]
+    # s + r never carries in base n + 1, so its key is the sum of the keys.
+    keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)
+    tgt = np.searchsorted(keys, keys[src] + keys[row])
+    sf = states.astype(np.float64)
+    phi = -glt[states].sum(axis=1) + al * (size ** 2 + 3.0 * (sf ** 2).sum(axis=1))
+    step = phi[row] + 2.0 * al * np.einsum("ij,ij->i", sf[src], sf[row])
+    w = np.full(len(states), -np.inf)
+    w[0] = 0.0
+    for _ in range(kappa):
+        x = w[src] + step
+        top = np.full(len(states), -np.inf)
+        np.maximum.at(top, tgt, x)
+        w = top + np.log(np.bincount(tgt, np.exp(x - top[tgt]), minlength=len(states)))
+    return float(glt[n] + logsumexp(w[size == n]))
 
 
 def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
     """Exact ``E Z^2 / (E Z)^2`` for the RAW Hamiltonian.
 
     Evaluated through the Gaussian pair-moment identity, summed over joint
-    color-count tables rather than configuration pairs, which is exact and
-    reaches n=24 at kappa=3.  Diverges with n for any beta > 0; the
-    constrained sectors only slow the divergence.
+    color-count tables one row at a time rather than over configuration
+    pairs, which is exact and reaches n=24 at kappa=3 and n=12 at kappa=4.
+    The cap counts the row recursion's (s, r) pairs.  Diverges with n for
+    any beta > 0; the constrained sectors only slow the divergence.
     """
     counts = sector_counts(n, kappa, sector)
     if counts is None:
-        n_tables = math.comb(n + kappa * kappa - 1, kappa * kappa - 1)
-        if n_tables > cap:
+        n_pairs = math.comb(n + 2 * kappa, 2 * kappa)
+        if n_pairs > cap:
             raise EnumerationCapError(
-                f"pair-table enumeration has {n_tables} terms, exceeding the cap of {cap}"
+                f"row recursion has {n_pairs} (s, r) pairs, exceeding the cap of {cap}"
             )
-        log_ez = _log_ez_raw(n, beta, kappa, None)
-        log_ez2 = _log_ez2_raw_all(n, beta, kappa)
-        return math.exp(log_ez2 - 2.0 * log_ez)
+        return math.exp(_log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa))
     if not np.all(counts == counts[0]):
         raise SectorError("uncentered_ratio supports the 'all' and 'balanced' sectors")
     # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces

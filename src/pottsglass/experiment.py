@@ -21,6 +21,10 @@ class ValidationError(ValueError):
     """The spec fails a structural constraint before any computation runs."""
 
 
+# Commands whose engines define beta = inf (the uniform measure on maximizers).
+_INFINITE_BETA_COMMANDS = ("gauge-check", "moment-check", "tail-bound")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     command: str
@@ -60,8 +64,12 @@ class ExperimentSpec:
             raise ValidationError(f"kappa must be >= 2, got {self.kappa}")
         for name in ("beta", "ladder", "epsilon", "delta", "beta_max"):
             value = getattr(self, name)
-            if any(math.isnan(v) for v in (value if isinstance(value, tuple) else (value,))):
-                raise ValidationError(f"{name} must not be NaN, got {value}")
+            values = value if isinstance(value, tuple) else (value,)
+            if any(math.isnan(v) or v == -math.inf for v in values):
+                raise ValidationError(f"{name} must be finite or inf, got {value}")
+            if (name in ("beta", "beta_max") and self.command not in _INFINITE_BETA_COMMANDS
+                    and math.inf in values):
+                raise ValidationError(f"{name} must be finite for {self.command}, got {value}")
         if any(n < 1 for n in self.n):
             raise ValidationError(f"sizes must be positive, got {self.n}")
         if any(b < 0 for b in self.beta):
@@ -137,8 +145,5 @@ def _float_tuple(value) -> tuple[float, ...]:
     if value is None:
         return ()
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        v = float(value)
-        if not math.isfinite(v) and v != math.inf:
-            raise ValidationError("beta values must be finite or inf")
-        return (v,)
+        return (float(value),)
     return tuple(float(v) for v in value)

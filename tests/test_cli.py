@@ -71,6 +71,11 @@ INVALID_COMMANDS = {
     "nan-beta-max": ["mc-free-energy", "--beta-max", "nan"],
     "one-replica": ["exact-free-energy", "--replicas", "1"],
     "short-grid": ["mc-free-energy", "--n-grid", "3"],
+    "inf-beta-uncentered": ["uncentered-ratio", "--n", "3", "--beta", "inf"],
+    "inf-beta-second-moment": ["second-moment", "--n", "3", "--beta", "inf"],
+    "inf-beta-exact": ["exact-free-energy", "--n", "3", "--beta", "inf", "--replicas", "2"],
+    "inf-beta-max": ["mc-free-energy", "--n", "3", "--beta-max", "inf", "--n-grid", "8"],
+    "inf-beta-rate-gap": ["rate-gap", "--kappa", "3", "--beta", "inf"],
 }
 
 

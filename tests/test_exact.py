@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -141,6 +142,15 @@ class TestAdmissible:
         stream = [m.counts.tolist() for m in exact.enumerate_admissible(4, 2)]
         assert stream == exact.admissible_array(4, 2).tolist()
 
+    @pytest.mark.parametrize("n,kappa", [(8, 2), (6, 3), (4, 4)])
+    def test_array_matches_brute_force_in_order(self, n, kappa):
+        # every cell vector in lexicographic order, kept when all margins hold
+        margin = n // kappa
+        cells = np.array(list(itertools.product(range(margin + 1), repeat=kappa * kappa)))
+        cells = cells.reshape(-1, kappa, kappa)
+        keep = (cells.sum(axis=1) == margin).all(axis=1) & (cells.sum(axis=2) == margin).all(axis=1)
+        assert exact.admissible_array(n, kappa).tolist() == cells[keep].tolist()
+
     def test_divisibility(self):
         with pytest.raises(core.DivisibilityError):
             exact.admissible_array(5, 2)
@@ -237,7 +247,8 @@ class TestUncenteredRatio:
 
     def test_against_pair_sum_oracle(self):
         # literal double sum over configs via the covariance operation
-        for kappa, n, beta, sector in ((2, 4, 1.0, "all"), (3, 4, 0.8, "all"), (2, 4, 1.0, "balanced"), (3, 6, 0.6, "balanced")):
+        for kappa, n, beta, sector in ((2, 4, 1.0, "all"), (3, 4, 0.8, "all"), (2, 4, 1.0, "balanced"), (3, 6, 0.6, "balanced"),
+                                       (4, 4, 0.7, "all"), (3, 5, 1.3, "all"), (2, 7, 2.0, "all")):
             colors = core.config_array(n, kappa, sector)
             cov = gram_pair_covariances(colors)
             diag = np.diag(cov)
