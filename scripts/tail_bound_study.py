@@ -38,10 +38,10 @@ def main():
     for n in sizes:
         for beta in betas:
             if n <= EXACT_LIMIT or math.isinf(beta):
-                for eps in epsilons:
-                    est = exact.tail_probability_exact(
-                        n, beta, eps, replicas=args.replicas, seed=args.seed
-                    )
+                estimates = exact.tail_probability_exact(
+                    n, beta, epsilons, replicas=args.replicas, seed=args.seed
+                )
+                for eps, est in zip(epsilons, estimates):
                     print(f"{n:>4} {beta:>6} {eps:>5} {est.value:>10.6f} {est.stderr:>9.6f}"
                           f" {est.bound:>9.6f} {'exact':>8}")
                 continue

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import tempfile
+from functools import partial
 
 import numpy as np
 
@@ -75,8 +76,8 @@ def _run_second_moment(spec: ExperimentSpec):
         if n % spec.kappa:
             raise ValidationError(f"second moment needs kappa | n; n={n}, kappa={spec.kappa}")
         for beta in spec.beta:
-            ratio = exact.second_moment_ratio(n, beta, spec.kappa)
-            rows.append([n, beta, ratio, math.log(ratio)])
+            log_ratio = exact.second_moment_ratio(n, beta, spec.kappa, log=True)
+            rows.append([n, beta, exact.exp_or_inf(log_ratio), log_ratio])
     return cols, rows
 
 
@@ -85,9 +86,10 @@ def _run_uncentered_ratio(spec: ExperimentSpec):
     rows = []
     for n in spec.n:
         for beta in spec.beta:
-            ratio = exact.uncentered_ratio(n, beta, spec.kappa, spec.sector, cap=spec.cap)
-            bound = exact.uncentered_lower_bound(n, beta, spec.kappa, spec.sector)
-            rows.append([n, beta, spec.sector, ratio, bound, ratio >= bound])
+            log_ratio = exact.uncentered_ratio(n, beta, spec.kappa, spec.sector, cap=spec.cap, log=True)
+            log_bound = exact.uncentered_lower_bound(n, beta, spec.kappa, spec.sector, log=True)
+            rows.append([n, beta, spec.sector, exact.exp_or_inf(log_ratio), exact.exp_or_inf(log_bound),
+                         log_ratio >= log_bound])
     return cols, rows
 
 
@@ -160,24 +162,29 @@ def _run_shell_count(spec: ExperimentSpec):
     return cols, rows
 
 
+def _gauge_trial(beta: float, trial_sites, cap: int, g: core.CouplingMatrix, trial: int):
+    return exact.gauge_pair_check(g, beta, trial_sites[trial], cap=cap)
+
+
 def _run_gauge_check(spec: ExperimentSpec):
     n = spec.n[0]
-    beta = spec.beta[0]
     rng = core.philox_generator(spec.seed, 0)
-    cols = ["trial", "stream", "flip_site", "value", "value_flipped", "pair_sum"]
-    rows = []
-    worst = 0.0
-    for trial in range(spec.trials):
-        g = core.CouplingMatrix.from_seed(n, spec.seed, trial)
+    trial_sites = []
+    for _ in range(spec.trials):
         m = int(rng.integers(1, 6))
         sites = [int(s) for s in rng.integers(0, n, size=m)]
-        degrees = {s: sites.count(s) for s in sites}
-        if all(d % 2 == 0 for d in degrees.values()):
+        if all(sites.count(s) % 2 == 0 for s in sites):
             sites.append(int(rng.integers(0, n)))  # force an odd-degree site
-        res = exact.gauge_pair_check(g, beta, sites, cap=spec.cap)
-        worst = max(worst, abs(res.pair_sum))
-        rows.append([trial, trial, res.flip_site, res.value, res.value_flipped, res.pair_sum])
+        trial_sites.append(sites)
+    # Trial r uses coupling stream r.
+    results = core.map_replicas(
+        partial(_gauge_trial, spec.beta[0], trial_sites, spec.cap), n, spec.seed, spec.trials, spec.workers
+    )
+    worst = max([0.0] + [abs(res.pair_sum) for res in results])
     print(f"max |pair sum| = {worst:.3e}", file=sys.stderr)
+    cols = ["trial", "stream", "flip_site", "value", "value_flipped", "pair_sum"]
+    rows = [[trial, trial, res.flip_site, res.value, res.value_flipped, res.pair_sum]
+            for trial, res in enumerate(results)]
     return cols, rows
 
 
@@ -188,7 +195,8 @@ def _run_moment_check(spec: ExperimentSpec):
         for beta in spec.beta:
             for m in spec.moments or (1, 2):
                 est = exact.magnetization_moment_exact(
-                    n, beta, m, replicas=spec.replicas, seed=spec.seed, cap=spec.cap
+                    n, beta, m, replicas=spec.replicas, seed=spec.seed, cap=spec.cap,
+                    workers=spec.workers,
                 )
                 rows.append([m, n, beta, est.value, est.stderr, est.bound, est.satisfied])
     return cols, rows
@@ -203,6 +211,7 @@ def _run_tail_bound(spec: ExperimentSpec):
                 n, beta, spec.epsilon or (0.25,), kappa=spec.kappa, sector=spec.sector,
                 replicas=spec.replicas, sweeps=spec.sweeps, burn_in=spec.burn_in,
                 thinning=spec.thinning, ladder=spec.ladder, seed=spec.seed, cap=spec.cap,
+                workers=spec.workers,
             )
             for est in estimates:
                 ok = est.bound is None or est.estimate <= est.bound + 3.0 * est.stderr
@@ -322,8 +331,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="root seed (Philox key)")
     p.add_argument("--out", type=str, default=None, help="output file (default: $POTTSGLASS_OUTDIR or stdout)")
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="replica-level parallelism; results are worker-count invariant")
+    p.add_argument("--workers", type=int, default=1,
+                   help="processes for the replicas of exact-free-energy, moment-check and tail-bound and the "
+                        "trials of gauge-check (others run serially); default 1; output is worker-count invariant")
     p.add_argument("--cap", type=int, default=20_000_000, help="exact-enumeration state cap")
 
 

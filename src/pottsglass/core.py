@@ -23,10 +23,12 @@ chain ``c`` uses ``CHAIN_NAMESPACE | c``, optimizer restart ``i`` uses
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.special import ndtri
@@ -45,6 +47,8 @@ __all__ = [
     "OverlapMatrix",
     "Projection",
     "philox_generator",
+    "map_replicas",
+    "mean_stderr",
     "hamiltonian_raw",
     "hamiltonian_centered",
     "centering_shift",
@@ -204,6 +208,29 @@ class CouplingMatrix:
         g[site, :] *= -1.0
         g[:, site] *= -1.0  # the diagonal entry is flipped twice, restoring it
         return CouplingMatrix(g)
+
+
+def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1) -> list:
+    """``[fn(g_r, r) for r in range(replicas)]`` with ``g_r = CouplingMatrix.from_seed(n, seed, r)``.
+
+    Every disorder loop runs through here: replica ``r`` uses stream ``r`` and
+    results come back in index order for any ``workers``.  With ``workers > 1``
+    a spawned process pool gets one contiguous chunk per worker, so ``fn``
+    (which must then pickle, with any array it carries) is sent once per worker.
+    """
+    gs = (CouplingMatrix.from_seed(n, seed, r) for r in range(replicas))
+    if workers > 1 and replicas > 1:
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(min(workers, replicas), mp_context=ctx) as ex:
+            return list(ex.map(fn, gs, range(replicas), chunksize=-(-replicas // workers)))
+    return list(map(fn, gs, range(replicas)))
+
+
+def mean_stderr(values) -> tuple[float, float]:
+    """Sample mean and standard error ``std(ddof=1) / sqrt(R)``; stderr 0 for one value."""
+    vals = np.asarray(values, dtype=np.float64)
+    se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return float(vals.mean()), se
 
 
 @dataclass(frozen=True, eq=False)

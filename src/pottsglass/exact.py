@@ -15,8 +15,8 @@ reproducible in isolation.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -32,7 +32,9 @@ from .core import (
     centering_shift,
     config_array,
     count_configs,
+    map_replicas,
     max_deviation,
+    mean_stderr,
     sector_counts,
 )
 
@@ -45,6 +47,7 @@ __all__ = [
     "GaugePairResult",
     "MomentEstimate",
     "logsumexp",
+    "exp_or_inf",
     "gibbs_weights",
     "log_partition",
     "quenched_free_energy",
@@ -79,6 +82,14 @@ def logsumexp(a) -> float:
     if not math.isfinite(m):
         return m
     return m + math.log(float(np.sum(np.exp(a - m))))
+
+
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or ``inf`` where the result overflows a double."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
@@ -170,15 +181,14 @@ def _sector_label(constraint) -> str:
     return "fixed"
 
 
-def _sector_energies(g: CouplingMatrix, kappa: int, sector, kind: str, cap: int):
-    """(colors, energies) for a whole sector under the requested Hamiltonian."""
+def _energies(colors: np.ndarray, g: CouplingMatrix, kappa: int, kind: str) -> np.ndarray:
+    """Energies of the rows of ``colors`` under the requested Hamiltonian."""
     if kind not in ("raw", "centered"):
         raise ValueError(f"hamiltonian kind must be 'raw' or 'centered', got {kind!r}")
-    colors = config_array(g.n, kappa, sector, cap=cap)
     energies = batch_energies_raw(colors, g)
     if kind == "centered":
         energies = energies - centering_shift(g, kappa)
-    return colors, energies
+    return energies
 
 
 def log_partition(
@@ -190,11 +200,16 @@ def log_partition(
     cap: int = DEFAULT_CAP,
 ) -> FreeEnergySample:
     """Exact ``log sum_sigma exp(beta * H(sigma))`` over the sector."""
+    return _log_partition(config_array(g.n, kappa, sector, cap=cap), beta, kappa, sector, kind, g)
+
+
+def _log_partition(colors: np.ndarray, beta: float, kappa: int, sector, kind: str,
+                   g: CouplingMatrix, r=None) -> FreeEnergySample:
+    """:func:`log_partition` over the sector rows ``colors``; ``r`` is the replica index."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    _, energies = _sector_energies(g, kappa, sector, kind, cap)
     return FreeEnergySample(
-        log_z=logsumexp(beta * energies),
+        log_z=logsumexp(beta * _energies(colors, g, kappa, kind)),
         n=g.n,
         kappa=kappa,
         beta=beta,
@@ -205,35 +220,24 @@ def log_partition(
     )
 
 
-def _quenched_one(args) -> FreeEnergySample:
-    n, kappa, beta, sector, kind, cap, seed, stream = args
-    g = CouplingMatrix.from_seed(n, seed, stream)
-    return log_partition(g, beta, kappa, sector, kind, cap)
-
-
 def quenched_free_energy(
     n: int, beta: float, kappa: int, sector="all", kind: str = "centered",
     replicas: int = 8, seed: int = 0, cap: int = DEFAULT_CAP, workers: int = 1,
 ) -> QuenchedFreeEnergy:
     """Mean and standard error of ``n^{-1} log Z`` over disorder replicas.
 
-    Replica ``r`` draws its coupling from stream ``r`` of the root seed, so
+    The sector is enumerated once; replica ``r`` draws its coupling from
+    stream ``r`` of the root seed (:func:`pottsglass.core.map_replicas`), so
     results are independent of the worker count.
     """
     if replicas < 2:
         raise ValueError("quenched averaging needs at least 2 replicas")
-    jobs = [(n, kappa, beta, sector, kind, cap, seed, r) for r in range(replicas)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            samples = list(ex.map(_quenched_one, jobs, chunksize=8))
-    else:
-        samples = [_quenched_one(j) for j in jobs]
-    vals = np.array([s.free_energy for s in samples])
-    return QuenchedFreeEnergy(
-        mean=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(len(vals))),
-        samples=tuple(samples),
+    colors = config_array(n, kappa, sector, cap=cap)
+    samples = map_replicas(
+        partial(_log_partition, colors, beta, kappa, sector, kind), n, seed, replicas, workers
     )
+    mean, stderr = mean_stderr([s.free_energy for s in samples])
+    return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
 
 
 def gibbs_expectation(
@@ -249,7 +253,8 @@ def gibbs_expectation(
 
     ``beta = inf`` uses the uniform distribution on the energy maximizers.
     """
-    colors, energies = _sector_energies(g, kappa, sector, kind, cap)
+    colors = config_array(g.n, kappa, sector, cap=cap)
+    energies = _energies(colors, g, kappa, kind)
     values = np.array(
         [observable(SpinConfig(row, kappa)) for row in colors], dtype=np.float64
     )
@@ -270,7 +275,8 @@ def ground_state(
     permutation produce bit-identical energies, so the structural degeneracy
     is exact.
     """
-    colors, energies = _sector_energies(g, kappa, sector, kind, cap)
+    colors = config_array(g.n, kappa, sector, cap=cap)
+    energies = _energies(colors, g, kappa, kind)
     top = float(energies.max())
     return GroundStateResult(
         energy=top,
@@ -341,16 +347,18 @@ def overlap_law_exact(n: int, kappa: int, table) -> float:
     return float(math.exp(log_overlap_law(table.counts, n, kappa)))
 
 
-def second_moment_ratio(n: int, beta: float, kappa: int) -> float:
+def second_moment_ratio(n: int, beta: float, kappa: int, log: bool = False) -> float:
     """Exact ``E (Z^bal)^2 / (E Z^bal)^2`` for the centered balanced model.
 
     Computed as the overlap-law average of
     ``exp(beta^2 n ||r - kappa^{-2} 11^T||_F^2)`` over admissible tables.
+    ``log=True`` returns the log ratio, finite where the ratio overflows.
     """
     tables = admissible_array(n, kappa)
     lp = log_overlap_law(tables, n, kappa)
     gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
-    return math.exp(logsumexp(lp + beta ** 2 * n * gap))
+    log_ratio = logsumexp(lp + beta ** 2 * n * gap)
+    return log_ratio if log else exp_or_inf(log_ratio)
 
 
 def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
@@ -451,7 +459,9 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     return float(glt[n] + logsumexp(w[size == n]))
 
 
-def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
+def uncentered_ratio(
+    n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP, log: bool = False,
+) -> float:
     """Exact ``E Z^2 / (E Z)^2`` for the RAW Hamiltonian.
 
     Evaluated through the Gaussian pair-moment identity, summed over joint
@@ -459,6 +469,7 @@ def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = D
     pairs, which is exact and reaches n=24 at kappa=3 and n=12 at kappa=4.
     The cap counts the row recursion's (s, r) pairs.  Diverges with n for
     any beta > 0; the constrained sectors only slow the divergence.
+    ``log=True`` returns the log ratio, finite where the ratio overflows.
     """
     counts = sector_counts(n, kappa, sector)
     if counts is None:
@@ -467,24 +478,28 @@ def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = D
             raise EnumerationCapError(
                 f"row recursion has {n_pairs} (s, r) pairs, exceeding the cap of {cap}"
             )
-        return math.exp(_log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa))
-    if not np.all(counts == counts[0]):
+        log_ratio = _log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa)
+    elif not np.all(counts == counts[0]):
         raise SectorError("uncentered_ratio supports the 'all' and 'balanced' sectors")
-    # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
-    # to the overlap-law average of exp(beta^2 n ||r||_F^2).
-    tables = admissible_array(n, kappa)
-    lp = log_overlap_law(tables, n, kappa)
-    frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
-    return math.exp(logsumexp(lp + beta ** 2 * frob))
+    else:
+        # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
+        # to the overlap-law average of exp(beta^2 n ||r||_F^2).
+        tables = admissible_array(n, kappa)
+        lp = log_overlap_law(tables, n, kappa)
+        frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
+        log_ratio = logsumexp(lp + beta ** 2 * frob)
+    return log_ratio if log else exp_or_inf(log_ratio)
 
 
-def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all") -> float:
-    """Closed-form divergence floor for the raw-Hamiltonian moment ratio."""
+def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all", log: bool = False) -> float:
+    """Closed-form divergence floor for the raw-Hamiltonian moment ratio (its log if ``log``)."""
     if sector == "all":
-        return math.exp(beta ** 2 * (n - 1) / kappa ** 2)
-    if sector == "balanced":
-        return math.exp(beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2)
-    raise SectorError("bound available for the 'all' and 'balanced' sectors")
+        log_bound = beta ** 2 * (n - 1) / kappa ** 2
+    elif sector == "balanced":
+        log_bound = beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2
+    else:
+        raise SectorError("bound available for the 'all' and 'balanced' sectors")
+    return log_bound if log else exp_or_inf(log_bound)
 
 
 def annealed_log_partition_balanced(n: int, beta: float, kappa: int) -> float:
@@ -522,9 +537,8 @@ def _spin_products(colors: np.ndarray, sites: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _gibbs_product(g: CouplingMatrix, beta: float, sites: Sequence[int], cap: int) -> float:
-    colors, energies = _sector_energies(g, 2, "all", "raw", cap)
-    w = gibbs_weights(energies, beta)
+def _gibbs_product(colors: np.ndarray, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> float:
+    w = gibbs_weights(batch_energies_raw(colors, g), beta)
     return float((w * _spin_products(colors, sites)).sum() / w.sum())
 
 
@@ -552,11 +566,12 @@ def gauge_pair_check(
     for s in sites:
         degrees[s] = degrees.get(s, 0) + 1
     odd = sorted(s for s, d in degrees.items() if d % 2 == 1)
-    value = _gibbs_product(g, beta, sites, cap)
+    colors = config_array(g.n, 2, "all", cap=cap)  # shared by g and its flip
+    value = _gibbs_product(colors, g, beta, sites)
     if not odd:
         return GaugePairResult(value, value, 2.0 * value, "even", None)
     flip = odd[0]
-    value_flipped = _gibbs_product(g.flipped_at(flip), beta, sites, cap)
+    value_flipped = _gibbs_product(colors, g.flipped_at(flip), beta, sites)
     return GaugePairResult(value, value_flipped, value + value_flipped, "odd", flip)
 
 
@@ -575,22 +590,25 @@ class MomentEstimate:
         return self.value <= self.bound + 3.0 * self.stderr
 
 
-def _replica_average(colors: np.ndarray, beta: float, replicas: int, seed: int, stats):
-    """Disorder (mean, stderr) of Gibbs statistics with exact inner enumeration.
+def _gibbs_averages(colors: np.ndarray, observables: np.ndarray, beta: float,
+                    g: CouplingMatrix, r) -> np.ndarray:
+    """Gibbs average under ``g`` of each row of ``observables`` (one replica)."""
+    w = gibbs_weights(batch_energies_raw(colors, g), beta)
+    return (w / w.sum() * observables).sum(axis=1)
 
-    ``stats(weights)`` maps the normalized Gibbs weights of the rows of
-    ``colors`` to a list of statistics.  Replica ``r`` draws its coupling
-    from stream ``r`` of ``seed``; a single replica reports stderr 0.
+
+def _replica_average(colors: np.ndarray, observables: np.ndarray, beta: float, replicas: int,
+                     seed: int, workers: int = 1) -> list[tuple[float, float]]:
+    """Disorder (mean, stderr) of Gibbs averages with exact inner enumeration.
+
+    Row ``k`` of the ``(K, states)`` array ``observables`` holds statistic
+    ``k`` on each row of ``colors``.  Replica ``r`` draws its coupling from
+    stream ``r`` of ``seed``; a single replica reports stderr 0.
     """
-    n = colors.shape[1]
-    rows = []
-    for r in range(replicas):
-        w = gibbs_weights(batch_energies_raw(colors, CouplingMatrix.from_seed(n, seed, r)), beta)
-        rows.append(stats(w / w.sum()))
-    return [
-        (float(col.mean()), float(col.std(ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0)
-        for col in np.array(rows).T
-    ]
+    rows = map_replicas(
+        partial(_gibbs_averages, colors, observables, beta), colors.shape[1], seed, replicas, workers
+    )
+    return [mean_stderr(col) for col in np.array(rows).T]
 
 
 def _color1_excess(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
@@ -606,6 +624,7 @@ def magnetization_moment_exact(
     replicas: int = 200,
     seed: int = 0,
     cap: int = DEFAULT_CAP,
+    workers: int = 1,
 ) -> MomentEstimate:
     """Disorder-averaged ``<(d_1 - 1/2)^m>`` for the two-color model.
 
@@ -623,9 +642,7 @@ def magnetization_moment_exact(
         raise ValueError("even-moment estimation needs at least 2 replicas")
     bound = math.factorial(m) / (2 ** m * math.factorial(m // 2)) / n ** (m // 2)
     colors, x = _color1_excess(n, cap)
-    [(mean, se)] = _replica_average(
-        colors, beta, replicas, seed, lambda w: [float((w * x ** m).sum())]
-    )
+    [(mean, se)] = _replica_average(colors, x[None] ** m, beta, replicas, seed, workers)
     return MomentEstimate(mean, se, bound, m, n, beta, replicas)
 
 
@@ -639,15 +656,13 @@ def magnetization_mgf_exact(
 ) -> MomentEstimate:
     """Disorder-averaged ``<exp(lam (d_1 - 1/2))>`` against ``e^{lam^2/(4n)}``."""
     colors, x = _color1_excess(n, cap)
-    [(mean, se)] = _replica_average(
-        colors, beta, replicas, seed, lambda w: [float((w * np.exp(lam * x)).sum())]
-    )
+    [(mean, se)] = _replica_average(colors, np.exp(lam * x)[None], beta, replicas, seed)
     return MomentEstimate(mean, se, math.exp(lam ** 2 / (4.0 * n)), 0, n, beta, replicas)
 
 
 def tail_probability_exact(
     n: int, beta: float, epsilon, replicas: int = 200, seed: int = 0,
-    cap: int = DEFAULT_CAP, kappa: int = 2,
+    cap: int = DEFAULT_CAP, kappa: int = 2, workers: int = 1,
 ):
     """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``.
 
@@ -657,14 +672,10 @@ def tail_probability_exact(
     """
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
     colors = config_array(n, kappa, "all", cap=cap)
-    dev = max_deviation(colors, kappa)
-
-    def stats(w: np.ndarray) -> list[float]:
-        return [float((w * (dev >= e)).sum()) for e in epsilons]
-
+    tails = (max_deviation(colors, kappa) >= np.array(epsilons)[:, None]).astype(np.float64)
     out = [
         MomentEstimate(mean, se, 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else math.inf,
                        0, n, beta, replicas)
-        for e, (mean, se) in zip(epsilons, _replica_average(colors, beta, replicas, seed, stats))
+        for e, (mean, se) in zip(epsilons, _replica_average(colors, tails, beta, replicas, seed, workers))
     ]
     return out[0] if np.isscalar(epsilon) else out

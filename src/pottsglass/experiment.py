@@ -88,12 +88,25 @@ class ExperimentSpec:
                     )
         if self.ladder and list(self.ladder) != sorted(self.ladder):
             raise ValidationError("ladder betas must be nondecreasing")
+        if len(self.ladder) == 1:
+            raise ValidationError("a tempering ladder needs at least 2 rungs")
+        if self.ladder and any(math.isfinite(b) and b != self.ladder[-1] for b in self.beta):
+            raise ValidationError(f"the ladder must end at beta: top {self.ladder[-1]}, beta {self.beta}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
         if self.command == "exact-free-energy" and self.replicas < 2:
             raise ValidationError("quenched averaging needs replicas >= 2")
+        if any(m < 1 for m in self.moments):
+            raise ValidationError(f"moment orders must be >= 1, got {self.moments}")
+        if self.command == "moment-check" and self.replicas < 2 and any(m % 2 == 0 for m in self.moments):
+            raise ValidationError("even moments need replicas >= 2")
+        min_sweeps = 2 if self.command == "mc-free-energy" else 1  # a TI stderr needs 2 batches
+        if self.sweeps < min_sweeps:
+            raise ValidationError(f"sweeps must be >= {min_sweeps}, got {self.sweeps}")
+        if self.thinning < 1 or self.burn_in < 0:
+            raise ValidationError(f"need thinning >= 1 and burn_in >= 0, got {self.thinning}, {self.burn_in}")
         if self.command == "mc-free-energy" and self.n_grid < 8:
             raise ValidationError(f"thermodynamic integration needs n_grid >= 8, got {self.n_grid}")
 

@@ -25,6 +25,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -37,7 +38,9 @@ from .core import (
     batch_energies_raw,
     centering_shift,
     count_configs,
+    map_replicas,
     max_deviation,
+    mean_stderr,
     philox_generator,
     sector_counts,
 )
@@ -343,7 +346,7 @@ class TailEstimate:
 def estimate_tail(
     n: int, beta: float, epsilon, kappa: int = 2, sector: str = "all", replicas: int = 8,
     sweeps: int = 2000, burn_in: int = 1000, thinning: int = 10, ladder=(), seed: int = 0,
-    cap: int = DEFAULT_CAP,
+    cap: int = DEFAULT_CAP, workers: int = 1,
 ) -> list[TailEstimate]:
     """Disorder-and-Gibbs double average of ``1{max_a |d_a - 1/kappa| >= eps}``.
 
@@ -352,7 +355,8 @@ def estimate_tail(
     is served by :func:`pottsglass.exact.tail_probability_exact`; finite
     beta runs Metropolis chains, or a tempering ladder when ``ladder`` is
     set (recommended for large beta).  For kappa = 2 the closed-form ceiling
-    ``2 e^{-eps^2 n}`` is attached to each estimate.
+    ``2 e^{-eps^2 n}`` is attached to each estimate.  Replica ``r`` samples
+    the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     """
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
 
@@ -363,7 +367,7 @@ def estimate_tail(
         return [TailEstimate(e, 0.0, 0.0, bound(e), 0, False) for e in epsilons]
     if math.isinf(beta):
         exact_estimates = tail_probability_exact(
-            n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa
+            n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa, workers=workers
         )
         return [
             TailEstimate(e, est.value, est.stderr, bound(e), replicas, False)
@@ -374,33 +378,36 @@ def estimate_tail(
             f"the ladder must end at the target beta: ladder top {ladder[-1]}, beta {beta}"
         )
 
-    per_replica = np.empty((replicas, len(epsilons)))
-    flagged = False
-    for r in range(replicas):
-        g = CouplingMatrix.from_seed(n, seed, r)
-        if ladder:
-            temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=r)
-            target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
-        else:
-            target = ChainState.start(g, kappa, beta, "all", seed, chain_id=r)
-            step = lambda: metropolis_sweep(target, g)
-        for _ in range(burn_in):
-            step()
-        devs = []
-        for t in range(sweeps):
-            step()
-            if t % thinning == 0:
-                devs.append(max_deviation(target.colors, kappa))
-        devs = np.asarray(devs)
-        flagged = flagged or equilibration_flagged(devs)
-        per_replica[r] = [(devs >= e).mean() for e in epsilons]
+    results = map_replicas(
+        partial(_tail_replica, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),
+        n, seed, replicas, workers,
+    )
+    fractions = np.array([f for f, _ in results])
+    flagged = any(flag for _, flag in results)
+    return [
+        TailEstimate(e, *mean_stderr(fractions[:, idx]), bound(e), replicas, flagged)
+        for idx, e in enumerate(epsilons)
+    ]
 
-    out = []
-    for idx, e in enumerate(epsilons):
-        col = per_replica[:, idx]
-        se = float(col.std(ddof=1) / math.sqrt(len(col))) if len(col) > 1 else 0.0
-        out.append(TailEstimate(e, float(col.mean()), se, bound(e), replicas, flagged))
-    return out
+
+def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
+                  g: CouplingMatrix, r: int) -> tuple[list[float], bool]:
+    """One replica of :func:`estimate_tail`: tail fractions per epsilon and its flag."""
+    if ladder:
+        temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=r)
+        target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
+    else:
+        target = ChainState.start(g, kappa, beta, "all", seed, chain_id=r)
+        step = lambda: metropolis_sweep(target, g)
+    for _ in range(burn_in):
+        step()
+    devs = []
+    for t in range(sweeps):
+        step()
+        if t % thinning == 0:
+            devs.append(max_deviation(target.colors, kappa))
+    devs = np.asarray(devs)
+    return [(devs >= e).mean() for e in epsilons], equilibration_flagged(devs)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pottsglass import cli
-from pottsglass.experiment import ExperimentSpec
+from pottsglass.experiment import ExperimentSpec, ValidationError
 
 
 def run(args):
@@ -76,6 +79,15 @@ INVALID_COMMANDS = {
     "inf-beta-exact": ["exact-free-energy", "--n", "3", "--beta", "inf", "--replicas", "2"],
     "inf-beta-max": ["mc-free-energy", "--n", "3", "--beta-max", "inf", "--n-grid", "8"],
     "inf-beta-rate-gap": ["rate-gap", "--kappa", "3", "--beta", "inf"],
+    "tail-zero-sweeps": ["tail-bound", "--sweeps", "0"],
+    "mc-zero-sweeps": ["mc-free-energy", "--sweeps", "0"],
+    "mc-one-sweep": ["mc-free-energy", "--sweeps", "1"],
+    "zero-thinning": ["tail-bound", "--thinning", "0"],
+    "negative-burn-in": ["tail-bound", "--burn-in", "-3"],
+    "zero-moment": ["moment-check", "--m", "0"],
+    "even-moment-one-replica": ["moment-check", "--n", "4", "--m", "2", "--replicas", "1"],
+    "ladder-top-not-beta": ["tail-bound", "--beta", "4", "--ladder", "0,1,2"],
+    "one-rung-ladder": ["tail-bound", "--beta", "1", "--ladder", "1"],
 }
 
 
@@ -106,15 +118,37 @@ def test_byte_identical_reruns(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_worker_count_invariance(tmp_path):
+@pytest.mark.parametrize("base", [
+    ["exact-free-energy", "--kappa", "2", "--n", "4", "--beta", "0.9",
+     "--replicas", "4", "--sector", "balanced", "--seed", "7"],
+    ["tail-bound", "--n", "4", "--beta", "0.5", "--epsilon", "0.25,0.5", "--replicas", "3",
+     "--sweeps", "40", "--burn-in", "10", "--thinning", "2", "--seed", "7"],
+    ["moment-check", "--n", "4", "--beta", "0.5", "--m", "1,2,4", "--replicas", "5", "--seed", "7"],
+    ["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "7", "--seed", "7"],
+], ids=lambda a: a[0])
+def test_worker_count_invariance(base, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    base = ["exact-free-energy", "--kappa", "2", "--n", "4", "--beta", "0.9",
-            "--replicas", "4", "--sector", "balanced", "--seed", "7"]
     assert run(base + ["--workers", "1", "--out", a]) == 0
     assert run(base + ["--workers", "2", "--out", b]) == 0
     ra = open(a).read().replace('"workers": 1', "")
     rb = open(b).read().replace('"workers": 2', "")
     assert ra == rb
+
+
+@pytest.mark.parametrize("args", [
+    ["second-moment", "--kappa", "3", "--n", "9", "--beta", "40"],
+    ["uncentered-ratio", "--kappa", "2", "--n", "6", "--beta", "50"],
+], ids=lambda a: a[0])
+def test_overflowing_ratio_prints_inf(args, tmp_path):
+    out = str(tmp_path / "r.csv")
+    assert run(args + ["--out", out]) == 0
+    _, [row] = read_rows(out)
+    assert row["ratio"] == "inf"
+    if "log_ratio" in row:
+        assert math.isfinite(float(row["log_ratio"]))
+    else:  # the floor e^3125 overflows too; the comparison is made on the logs
+        assert row["lower_bound"] == "inf"
+        assert row["exceeds_bound"] == "true"
 
 
 def test_round_trip_from_embedded_spec(tmp_path):
@@ -193,3 +227,36 @@ def test_beta_inf_accepted(tmp_path):
                 "--replicas", "3", "--out", out]) == 0
     _, rows = read_rows(out)
     assert rows[0]["beta"] == "inf"
+
+
+_INT = st.integers(-10 ** 6, 10 ** 6)
+_FLOAT = st.floats()  # NaN and both infinities included
+
+
+def _specs(ints, floats):
+    def tuples(elems):
+        return st.lists(elems, max_size=4).map(tuple)
+
+    return st.builds(
+        ExperimentSpec,
+        command=st.sampled_from(sorted(cli._HANDLERS)),
+        kappa=ints, n=tuples(ints), beta=tuples(floats),
+        sector=st.sampled_from(["all", "balanced", "fixed"]), kind=st.sampled_from(["raw", "centered"]),
+        seed=st.integers(0, 2 ** 64 - 1), replicas=ints, sweeps=ints, burn_in=ints, thinning=ints,
+        ladder=tuples(floats), epsilon=tuples(floats), moments=tuples(ints), delta=floats,
+        trials=ints, n_grid=ints, beta_max=floats, kappa_max=ints, cap=ints, workers=ints,
+        out=st.none() | st.text(max_size=8), fmt=st.sampled_from(["csv", "json"]),
+    )
+
+
+@given(_specs(_INT, st.floats(allow_nan=False)))
+def test_spec_json_round_trip(spec):
+    assert ExperimentSpec.from_json(spec.to_json()) == replace(spec, out=None, workers=1)
+
+
+@given(_specs(_INT, _FLOAT))
+def test_validate_raises_only_validation_error(spec):
+    try:
+        spec.validate()
+    except ValidationError:
+        pass
