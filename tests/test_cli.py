@@ -118,21 +118,29 @@ def test_byte_identical_reruns(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-@pytest.mark.parametrize("base", [
-    ["exact-free-energy", "--kappa", "2", "--n", "4", "--beta", "0.9",
-     "--replicas", "4", "--sector", "balanced", "--seed", "7"],
-    ["tail-bound", "--n", "4", "--beta", "0.5", "--epsilon", "0.25,0.5", "--replicas", "3",
-     "--sweeps", "40", "--burn-in", "10", "--thinning", "2", "--seed", "7"],
-    ["moment-check", "--n", "4", "--beta", "0.5", "--m", "1,2,4", "--replicas", "5", "--seed", "7"],
-    ["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "7", "--seed", "7"],
-], ids=lambda a: a[0])
-def test_worker_count_invariance(base, tmp_path):
+def assert_worker_count_invariant(base, tmp_path):
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert run(base + ["--workers", "1", "--out", a]) == 0
     assert run(base + ["--workers", "2", "--out", b]) == 0
     ra = open(a).read().replace('"workers": 1', "")
     rb = open(b).read().replace('"workers": 2', "")
     assert ra == rb
+
+
+def test_worker_count_invariance(tmp_path):
+    assert_worker_count_invariant(
+        ["exact-free-energy", "--kappa", "2", "--n", "4", "--beta", "0.9",
+         "--replicas", "4", "--sector", "balanced", "--seed", "7"], tmp_path)
+
+
+@pytest.mark.parametrize("base", [
+    ["tail-bound", "--n", "4", "--beta", "0.5", "--epsilon", "0.25,0.5", "--replicas", "3",
+     "--sweeps", "40", "--burn-in", "10", "--thinning", "2", "--seed", "7"],
+    ["moment-check", "--n", "4", "--beta", "0.5", "--m", "1,2,4", "--replicas", "5", "--seed", "7"],
+    ["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "7", "--seed", "7"],
+], ids=lambda a: a[0])
+def test_replica_loop_worker_count_invariance(base, tmp_path):
+    assert_worker_count_invariant(base, tmp_path)
 
 
 @pytest.mark.parametrize("args", [
