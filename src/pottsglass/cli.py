@@ -76,7 +76,7 @@ def _run_second_moment(spec: ExperimentSpec):
         if n % spec.kappa:
             raise ValidationError(f"second moment needs kappa | n; n={n}, kappa={spec.kappa}")
         for beta in spec.beta:
-            log_ratio = exact.second_moment_ratio(n, beta, spec.kappa, log=True)
+            log_ratio = exact._log_second_moment_ratio(n, beta, spec.kappa)
             rows.append([n, beta, exact.exp_or_inf(log_ratio), log_ratio])
     return cols, rows
 
@@ -86,8 +86,8 @@ def _run_uncentered_ratio(spec: ExperimentSpec):
     rows = []
     for n in spec.n:
         for beta in spec.beta:
-            log_ratio = exact.uncentered_ratio(n, beta, spec.kappa, spec.sector, cap=spec.cap, log=True)
-            log_bound = exact.uncentered_lower_bound(n, beta, spec.kappa, spec.sector, log=True)
+            log_ratio = exact._log_uncentered_ratio(n, beta, spec.kappa, spec.sector, spec.cap)
+            log_bound = exact._log_uncentered_lower_bound(n, beta, spec.kappa, spec.sector)
             rows.append([n, beta, spec.sector, exact.exp_or_inf(log_ratio), exact.exp_or_inf(log_bound),
                          log_ratio >= log_bound])
     return cols, rows
@@ -162,8 +162,8 @@ def _run_shell_count(spec: ExperimentSpec):
     return cols, rows
 
 
-def _gauge_trial(beta: float, trial_sites, cap: int, g: core.CouplingMatrix, trial: int):
-    return exact.gauge_pair_check(g, beta, trial_sites[trial], cap=cap)
+def _gauge_trial(colors: np.ndarray, beta: float, trial_sites, g: core.CouplingMatrix):
+    return exact._gauge_pair(colors, g, beta, trial_sites[g.stream])  # trial r uses stream r
 
 
 def _run_gauge_check(spec: ExperimentSpec):
@@ -176,9 +176,9 @@ def _run_gauge_check(spec: ExperimentSpec):
         if all(sites.count(s) % 2 == 0 for s in sites):
             sites.append(int(rng.integers(0, n)))  # force an odd-degree site
         trial_sites.append(sites)
-    # Trial r uses coupling stream r.
+    colors = core.config_array(n, 2, "all", cap=spec.cap)  # shared by every trial
     results = core.map_replicas(
-        partial(_gauge_trial, spec.beta[0], trial_sites, spec.cap), n, spec.seed, spec.trials, spec.workers
+        partial(_gauge_trial, colors, spec.beta[0], trial_sites), n, spec.seed, spec.trials, spec.workers
     )
     worst = max([0.0] + [abs(res.pair_sum) for res in results])
     print(f"max |pair sum| = {worst:.3e}", file=sys.stderr)
@@ -193,7 +193,7 @@ def _run_moment_check(spec: ExperimentSpec):
     rows = []
     for n in spec.n:
         for beta in spec.beta:
-            for m in spec.moments or (1, 2):
+            for m in spec.moment_orders:
                 est = exact.magnetization_moment_exact(
                     n, beta, m, replicas=spec.replicas, seed=spec.seed, cap=spec.cap,
                     workers=spec.workers,
@@ -333,7 +333,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=int, default=1,
                    help="processes for the replicas of exact-free-energy, moment-check and tail-bound and the "
-                        "trials of gauge-check (others run serially); default 1; output is worker-count invariant")
+                        "trials of gauge-check (others run serially); default 1; pin BLAS to one thread "
+                        "(OPENBLAS_NUM_THREADS=1) before raising it; output is worker-count invariant")
     p.add_argument("--cap", type=int, default=20_000_000, help="exact-enumeration state cap")
 
 

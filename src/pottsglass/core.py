@@ -23,7 +23,6 @@ chain ``c`` uses ``CHAIN_NAMESPACE | c``, optimizer restart ``i`` uses
 from __future__ import annotations
 
 import math
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,19 +210,19 @@ class CouplingMatrix:
 
 
 def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1) -> list:
-    """``[fn(g_r, r) for r in range(replicas)]`` with ``g_r = CouplingMatrix.from_seed(n, seed, r)``.
+    """``[fn(g_r) for r in range(replicas)]`` with ``g_r = CouplingMatrix.from_seed(n, seed, r)``.
 
-    Every disorder loop runs through here: replica ``r`` uses stream ``r`` and
-    results come back in index order for any ``workers``.  With ``workers > 1``
-    a spawned process pool gets one contiguous chunk per worker, so ``fn``
-    (which must then pickle, with any array it carries) is sent once per worker.
+    Every disorder loop runs through here: replica ``r`` uses stream ``r``
+    (``g_r.stream``) and results come back in index order for any
+    ``workers``.  With ``workers > 1`` a process pool gets one contiguous
+    chunk per worker, so ``fn`` (which must then pickle, with any array it
+    carries) is sent once per worker.
     """
     gs = (CouplingMatrix.from_seed(n, seed, r) for r in range(replicas))
     if workers > 1 and replicas > 1:
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(min(workers, replicas), mp_context=ctx) as ex:
-            return list(ex.map(fn, gs, range(replicas), chunksize=-(-replicas // workers)))
-    return list(map(fn, gs, range(replicas)))
+        with ProcessPoolExecutor(min(workers, replicas)) as ex:
+            return list(ex.map(fn, gs, chunksize=-(-replicas // workers)))
+    return list(map(fn, gs))
 
 
 def mean_stderr(values) -> tuple[float, float]:

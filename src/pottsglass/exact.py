@@ -204,8 +204,8 @@ def log_partition(
 
 
 def _log_partition(colors: np.ndarray, beta: float, kappa: int, sector, kind: str,
-                   g: CouplingMatrix, r=None) -> FreeEnergySample:
-    """:func:`log_partition` over the sector rows ``colors``; ``r`` is the replica index."""
+                   g: CouplingMatrix) -> FreeEnergySample:
+    """:func:`log_partition` over the sector rows ``colors``."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     return FreeEnergySample(
@@ -347,18 +347,22 @@ def overlap_law_exact(n: int, kappa: int, table) -> float:
     return float(math.exp(log_overlap_law(table.counts, n, kappa)))
 
 
-def second_moment_ratio(n: int, beta: float, kappa: int, log: bool = False) -> float:
+def second_moment_ratio(n: int, beta: float, kappa: int) -> float:
     """Exact ``E (Z^bal)^2 / (E Z^bal)^2`` for the centered balanced model.
 
     Computed as the overlap-law average of
     ``exp(beta^2 n ||r - kappa^{-2} 11^T||_F^2)`` over admissible tables.
-    ``log=True`` returns the log ratio, finite where the ratio overflows.
+    ``inf`` where the ratio overflows a double.
     """
+    return exp_or_inf(_log_second_moment_ratio(n, beta, kappa))
+
+
+def _log_second_moment_ratio(n: int, beta: float, kappa: int) -> float:
+    """Log of :func:`second_moment_ratio`, finite where the ratio overflows."""
     tables = admissible_array(n, kappa)
     lp = log_overlap_law(tables, n, kappa)
     gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
-    log_ratio = logsumexp(lp + beta ** 2 * n * gap)
-    return log_ratio if log else exp_or_inf(log_ratio)
+    return logsumexp(lp + beta ** 2 * n * gap)
 
 
 def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
@@ -459,9 +463,7 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     return float(glt[n] + logsumexp(w[size == n]))
 
 
-def uncentered_ratio(
-    n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP, log: bool = False,
-) -> float:
+def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
     """Exact ``E Z^2 / (E Z)^2`` for the RAW Hamiltonian.
 
     Evaluated through the Gaussian pair-moment identity, summed over joint
@@ -469,8 +471,13 @@ def uncentered_ratio(
     pairs, which is exact and reaches n=24 at kappa=3 and n=12 at kappa=4.
     The cap counts the row recursion's (s, r) pairs.  Diverges with n for
     any beta > 0; the constrained sectors only slow the divergence.
-    ``log=True`` returns the log ratio, finite where the ratio overflows.
+    ``inf`` where the ratio overflows a double.
     """
+    return exp_or_inf(_log_uncentered_ratio(n, beta, kappa, sector, cap))
+
+
+def _log_uncentered_ratio(n: int, beta: float, kappa: int, sector, cap: int) -> float:
+    """Log of :func:`uncentered_ratio`, finite where the ratio overflows."""
     counts = sector_counts(n, kappa, sector)
     if counts is None:
         n_pairs = math.comb(n + 2 * kappa, 2 * kappa)
@@ -478,28 +485,29 @@ def uncentered_ratio(
             raise EnumerationCapError(
                 f"row recursion has {n_pairs} (s, r) pairs, exceeding the cap of {cap}"
             )
-        log_ratio = _log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa)
-    elif not np.all(counts == counts[0]):
+        return _log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa)
+    if not np.all(counts == counts[0]):
         raise SectorError("uncentered_ratio supports the 'all' and 'balanced' sectors")
-    else:
-        # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
-        # to the overlap-law average of exp(beta^2 n ||r||_F^2).
-        tables = admissible_array(n, kappa)
-        lp = log_overlap_law(tables, n, kappa)
-        frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
-        log_ratio = logsumexp(lp + beta ** 2 * frob)
-    return log_ratio if log else exp_or_inf(log_ratio)
+    # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
+    # to the overlap-law average of exp(beta^2 n ||r||_F^2).
+    tables = admissible_array(n, kappa)
+    lp = log_overlap_law(tables, n, kappa)
+    frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
+    return logsumexp(lp + beta ** 2 * frob)
 
 
-def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all", log: bool = False) -> float:
-    """Closed-form divergence floor for the raw-Hamiltonian moment ratio (its log if ``log``)."""
+def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all") -> float:
+    """Closed-form divergence floor for the raw-Hamiltonian moment ratio (``inf`` on overflow)."""
+    return exp_or_inf(_log_uncentered_lower_bound(n, beta, kappa, sector))
+
+
+def _log_uncentered_lower_bound(n: int, beta: float, kappa: int, sector) -> float:
+    """Log of :func:`uncentered_lower_bound`."""
     if sector == "all":
-        log_bound = beta ** 2 * (n - 1) / kappa ** 2
-    elif sector == "balanced":
-        log_bound = beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2
-    else:
-        raise SectorError("bound available for the 'all' and 'balanced' sectors")
-    return log_bound if log else exp_or_inf(log_bound)
+        return beta ** 2 * (n - 1) / kappa ** 2
+    if sector == "balanced":
+        return beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2
+    raise SectorError("bound available for the 'all' and 'balanced' sectors")
 
 
 def annealed_log_partition_balanced(n: int, beta: float, kappa: int) -> float:
@@ -557,6 +565,13 @@ def gauge_pair_check(
     With no odd-multiplicity site the result carries parity='even' (the
     correlation is then flip-invariant, e.g. ``<tau_i^2> = 1``).
     """
+    return _gauge_pair(config_array(g.n, 2, "all", cap=cap), g, beta, sites)
+
+
+def _gauge_pair(
+    colors: np.ndarray, g: CouplingMatrix, beta: float, sites: Sequence[int]
+) -> GaugePairResult:
+    """:func:`gauge_pair_check` over the two-color rows ``colors``, shared by g and its flip."""
     sites = [int(s) for s in sites]
     if not sites:
         raise ValueError("sites multiset must be non-empty")
@@ -566,7 +581,6 @@ def gauge_pair_check(
     for s in sites:
         degrees[s] = degrees.get(s, 0) + 1
     odd = sorted(s for s, d in degrees.items() if d % 2 == 1)
-    colors = config_array(g.n, 2, "all", cap=cap)  # shared by g and its flip
     value = _gibbs_product(colors, g, beta, sites)
     if not odd:
         return GaugePairResult(value, value, 2.0 * value, "even", None)
@@ -591,7 +605,7 @@ class MomentEstimate:
 
 
 def _gibbs_averages(colors: np.ndarray, observables: np.ndarray, beta: float,
-                    g: CouplingMatrix, r) -> np.ndarray:
+                    g: CouplingMatrix) -> np.ndarray:
     """Gibbs average under ``g`` of each row of ``observables`` (one replica)."""
     w = gibbs_weights(batch_energies_raw(colors, g), beta)
     return (w / w.sum() * observables).sum(axis=1)

@@ -58,6 +58,11 @@ class ExperimentSpec:
             object.__setattr__(self, name, _float_tuple(getattr(self, name)))
         object.__setattr__(self, "moments", _int_tuple(self.moments))
 
+    @property
+    def moment_orders(self) -> tuple[int, ...]:
+        """The moment orders ``moment-check`` runs: ``moments``, or (1, 2) when empty."""
+        return self.moments or (1, 2)
+
     def validate(self) -> None:
         """Raise :class:`ValidationError` on the first failed constraint."""
         if self.kappa < 2:
@@ -100,7 +105,8 @@ class ExperimentSpec:
             raise ValidationError("quenched averaging needs replicas >= 2")
         if any(m < 1 for m in self.moments):
             raise ValidationError(f"moment orders must be >= 1, got {self.moments}")
-        if self.command == "moment-check" and self.replicas < 2 and any(m % 2 == 0 for m in self.moments):
+        even = any(m % 2 == 0 for m in self.moment_orders)
+        if self.command == "moment-check" and self.replicas < 2 and even:
             raise ValidationError("even moments need replicas >= 2")
         min_sweeps = 2 if self.command == "mc-free-energy" else 1  # a TI stderr needs 2 batches
         if self.sweeps < min_sweeps:

@@ -391,13 +391,16 @@ def estimate_tail(
 
 
 def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
-                  g: CouplingMatrix, r: int) -> tuple[list[float], bool]:
-    """One replica of :func:`estimate_tail`: tail fractions per epsilon and its flag."""
+                  g: CouplingMatrix) -> tuple[list[float], bool]:
+    """One replica of :func:`estimate_tail`: tail fractions per epsilon and its flag.
+
+    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.
+    """
     if ladder:
-        temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=r)
+        temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream)
         target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
     else:
-        target = ChainState.start(g, kappa, beta, "all", seed, chain_id=r)
+        target = ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream)
         step = lambda: metropolis_sweep(target, g)
     for _ in range(burn_in):
         step()

@@ -97,6 +97,13 @@ def test_validation_failure_exits_2(args, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_empty_moments_validated_as_run():
+    # moment-check runs orders (1, 2) when a spec gives none, so one replica is invalid
+    with pytest.raises(ValidationError):
+        ExperimentSpec(command="moment-check", n=(4,), replicas=1).validate()
+    ExperimentSpec(command="moment-check", n=(4,), replicas=1, moments=(1,)).validate()
+
+
 def test_prevalidated_cap_exits_2(tmp_path):
     # caps are checked before any computation, so this is a validation failure
     code = run(["exact-free-energy", "--kappa", "2", "--n", "8", "--sector", "all",

@@ -310,23 +310,22 @@ class TestIdentities:
             assert np.abs(p @ np.ones(kappa)).max() < 1e-12
 
 
-def _replica_record(g, r):
-    return r, g.stream, g.g
+def _replica_record(g):
+    return g.stream, g.g
 
 
 class TestMapReplicas:
     def test_replica_r_gets_stream_r_in_index_order(self):
         out = core.map_replicas(_replica_record, 4, 11, 5)
-        assert [r for r, _, _ in out] == list(range(5))
-        for r, stream, g in out:
-            assert stream == r
+        assert [stream for stream, _ in out] == list(range(5))
+        for r, (_, g) in enumerate(out):
             assert np.array_equal(g, core.CouplingMatrix.from_seed(4, 11, r).g)
 
     def test_worker_count_invariance(self):
         serial = core.map_replicas(_replica_record, 4, 11, 5, workers=1)
         parallel = core.map_replicas(_replica_record, 4, 11, 5, workers=2)
-        assert [(r, s) for r, s, _ in parallel] == [(r, s) for r, s, _ in serial]
-        assert all(np.array_equal(a[2], b[2]) for a, b in zip(serial, parallel))
+        assert [s for s, _ in parallel] == [s for s, _ in serial]
+        assert all(np.array_equal(a[1], b[1]) for a, b in zip(serial, parallel))
 
     def test_mean_stderr(self):
         assert core.mean_stderr([2.5]) == (2.5, 0.0)
