@@ -213,6 +213,9 @@ def _run_tail_bound(spec: ExperimentSpec):
                 thinning=spec.thinning, ladder=spec.ladder, seed=spec.seed, cap=spec.cap,
                 workers=spec.workers,
             )
+            if estimates[0].swap_rates:
+                rates = " ".join(f"{rate:.4f}" for rate in estimates[0].swap_rates)
+                print(f"ladder swap acceptance (n={n}, beta={beta:g}) = {rates}", file=sys.stderr)
             for est in estimates:
                 ok = est.bound is None or est.estimate <= est.bound + 3.0 * est.stderr
                 rows.append([n, beta, est.epsilon, est.estimate, est.stderr, est.bound, ok, est.flagged])

@@ -26,6 +26,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterator
 
@@ -198,6 +199,13 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return int(self.g.shape[0])
+
+    @cached_property
+    def sym(self) -> np.ndarray:
+        """The symmetrized couplings ``g + g^T`` (read-only), computed once per matrix."""
+        s = self.g + self.g.T
+        s.setflags(write=False)
+        return s
 
     def flipped_at(self, site: int) -> "CouplingMatrix":
         """Sign-flip every coupling incident to ``site`` (diagonal untouched)."""

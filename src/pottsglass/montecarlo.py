@@ -24,6 +24,7 @@ import json
 import math
 import os
 import tempfile
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -93,6 +94,8 @@ class ChainState:
             raise ValueError("chain beta must be finite and nonnegative")
         if self.sector not in ("all", "balanced"):
             raise SectorError(f"unsupported chain sector {self.sector!r}")
+        if self.audit_interval < 1:
+            raise ValueError(f"audit_interval must be >= 1, got {self.audit_interval}")
         self.colors = np.ascontiguousarray(self.colors, dtype=np.int64)
         if self.sector == "balanced":
             counts = np.bincount(self.colors - 1, minlength=self.kappa)
@@ -139,13 +142,6 @@ class ChainState:
             audit_interval=audit_interval,
         )
 
-    def energy_of_kind(self, g: CouplingMatrix, kind: str) -> float:
-        if kind == "raw":
-            return self.energy
-        if kind == "centered":
-            return self.energy - centering_shift(g, self.kappa)
-        raise ValueError(f"unknown hamiltonian kind {kind!r}")
-
     def _audit(self, g: CouplingMatrix) -> None:
         recomputed = float(batch_energies_raw(self.colors[None, :], g)[0])
         scale = max(1.0, abs(recomputed))
@@ -156,36 +152,50 @@ class ChainState:
         self.energy = recomputed  # resync to stop error accumulation
 
 
-def _site_delta(colors: np.ndarray, srow: np.ndarray, site: int, old: int, new: int, kappa: int, sqn: float) -> float:
-    sums = np.bincount(colors - 1, weights=srow, minlength=kappa)
-    return float((sums[new - 1] - sums[old - 1] + srow[site]) / sqn)
+def _local_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
+    """``h[a - 1, i] = sum_j S_ij 1{c_j = a}`` for every color ``a`` and site ``i``, one matmul."""
+    onehot = colors == np.arange(1, kappa + 1)[:, None]
+    return onehot.astype(np.float64) @ s
+
+
+def _partner(own: list[int], rank: int) -> int:
+    """``np.flatnonzero(colors != a)[rank]`` from the sorted sites ``own`` of color ``a``.
+
+    ``own[k] - k`` other-color sites precede ``own[k]``, so the partner is
+    ``rank`` plus the number of own-color sites before it: O(log n).
+    """
+    return rank + bisect_right(range(len(own)), rank, key=lambda k: own[k] - k)
 
 
 def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     """n single-site recoloring proposals with acceptance min(1, e^{beta dH}).
 
     Proposals draw the new color uniformly over all kappa colors, so a
-    proposal equal to the current color is always accepted as a no-op.
+    proposal equal to the current color is always accepted as a no-op.  The
+    local fields are rebuilt once per sweep, so a proposal costs O(1) and an
+    accepted move O(n).
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
     n, kappa, beta = state.n, state.kappa, state.beta
-    s = g.g + g.g.T
+    s = g.sym
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n)
-    props = state.rng.integers(1, kappa + 1, size=n)
-    us = state.rng.random(size=n)
+    sites = state.rng.integers(0, n, size=n).tolist()
+    props = state.rng.integers(1, kappa + 1, size=n).tolist()
+    us = state.rng.random(size=n).tolist()
     colors = state.colors
+    h = _local_fields(colors, s, kappa)
     energy = state.energy
-    for k in range(n):
-        t = int(sites[k])
-        new = int(props[k])
-        old = int(colors[t])
+    for t, new, u in zip(sites, props, us):
+        old = colors.item(t)
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
-        d = _site_delta(colors, s[t], t, old, new, kappa, sqn)
-        if d >= 0.0 or us[k] < math.exp(beta * d):
+        d = (h.item(new - 1, t) - h.item(old - 1, t) + s.item(t, t)) / sqn
+        if d >= 0.0 or u < math.exp(beta * d):
             colors[t] = new
+            row = s[t]
+            h[old - 1] -= row
+            h[new - 1] += row
             energy += d
     state.energy = energy
     state.sweeps += 1
@@ -200,7 +210,9 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     The first site is uniform over all sites, the second uniform over the
     sites of any other color; in the balanced sector that count is constant,
     so the proposal is uniform over ordered differing-color pairs and
-    symmetric.  Color counts are conserved exactly.
+    symmetric.  Color counts are conserved exactly.  The partner of rank
+    ``r`` is the ``r``-th other-color site in index order, found from sorted
+    per-color site lists.
     """
     if state.sector != "balanced":
         raise SectorError("swap_sweep serves the balanced sector")
@@ -209,27 +221,33 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     n_other = n - per
     if n_other == 0:
         raise SectorError("no differing-color pair exists")
-    s = g.g + g.g.T
+    s = g.sym
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n)
-    ranks = state.rng.integers(0, n_other, size=n)
-    us = state.rng.random(size=n)
+    sites = state.rng.integers(0, n, size=n).tolist()
+    ranks = state.rng.integers(0, n_other, size=n).tolist()
+    us = state.rng.random(size=n).tolist()
     colors = state.colors
+    h = _local_fields(colors, s, kappa)
+    own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
     energy = state.energy
-    for k in range(n):
-        i = int(sites[k])
-        a = int(colors[i])
-        others = np.flatnonzero(colors != a)
-        j = int(others[ranks[k]])
-        b = int(colors[j])
-        d1 = _site_delta(colors, s[i], i, a, b, kappa, sqn)
-        colors[i] = b
-        d2 = _site_delta(colors, s[j], j, b, a, kappa, sqn)
-        colors[i] = a
+    for i, rank, u in zip(sites, ranks, us):
+        a = colors.item(i)
+        j = _partner(own[a - 1], rank)
+        b = colors.item(j)
+        sij = s.item(i, j)
+        d1 = (h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)) / sqn
+        # site j's fields once site i already holds color b
+        d2 = ((h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)) / sqn
         d = d1 + d2
-        if d >= 0.0 or us[k] < math.exp(beta * d):
+        if d >= 0.0 or u < math.exp(beta * d):
             colors[i] = b
             colors[j] = a
+            shift = s[i] - s[j]
+            h[a - 1] -= shift
+            h[b - 1] += shift
+            for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
+                del sites_of[bisect_left(sites_of, out)]
+                insort(sites_of, into)
             energy += d
     state.energy = energy
     state.sweeps += 1
@@ -341,6 +359,7 @@ class TailEstimate:
     bound: float | None
     replicas: int
     flagged: bool
+    swap_rates: tuple[float, ...] = ()  # per adjacent ladder pair, summed over replicas
 
 
 def estimate_tail(
@@ -382,20 +401,26 @@ def estimate_tail(
         partial(_tail_replica, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),
         n, seed, replicas, workers,
     )
-    fractions = np.array([f for f, _ in results])
-    flagged = any(flag for _, flag in results)
+    fractions = np.array([f for f, _, _ in results])
+    flagged = any(flag for _, flag, _ in results)
+    swap_rates = ()
+    if ladder:
+        attempts, accepts = np.sum([swaps for _, _, swaps in results], axis=0)
+        swap_rates = tuple((accepts / attempts).tolist())
     return [
-        TailEstimate(e, *mean_stderr(fractions[:, idx]), bound(e), replicas, flagged)
+        TailEstimate(e, *mean_stderr(fractions[:, idx]), bound(e), replicas, flagged, swap_rates)
         for idx, e in enumerate(epsilons)
     ]
 
 
 def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
-                  g: CouplingMatrix) -> tuple[list[float], bool]:
-    """One replica of :func:`estimate_tail`: tail fractions per epsilon and its flag.
+                  g: CouplingMatrix) -> tuple[list[float], bool, np.ndarray | None]:
+    """One replica of :func:`estimate_tail`: tail fractions per epsilon, its flag,
+    and the ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
     Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.
     """
+    temper = None
     if ladder:
         temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream)
         target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
@@ -410,7 +435,8 @@ def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed
         if t % thinning == 0:
             devs.append(max_deviation(target.colors, kappa))
     devs = np.asarray(devs)
-    return [(devs >= e).mean() for e in epsilons], equilibration_flagged(devs)
+    swaps = None if temper is None else np.stack((temper.swap_attempts, temper.swap_accepts))
+    return [(devs >= e).mean() for e in epsilons], equilibration_flagged(devs), swaps
 
 
 @dataclass(frozen=True)
@@ -457,6 +483,9 @@ def free_energy_ti(
         raise ValueError("need n_grid >= 8 for a usable trapezoid rule")
     n = g.n
     log_size = math.log(count_configs(n, kappa, sector))
+    if kind not in ("raw", "centered"):
+        raise ValueError(f"unknown hamiltonian kind {kind!r}")
+    shift = centering_shift(g, kappa) if kind == "centered" else 0.0
     grid = np.linspace(0.0, beta_max, n_grid)
     means = np.empty(n_grid)
     errs = np.empty(n_grid)
@@ -468,7 +497,7 @@ def free_energy_ti(
         series = np.empty(sweeps)
         for t in range(sweeps):
             sweep(chain, g)
-            series[t] = chain.energy_of_kind(g, kind)
+            series[t] = chain.energy - shift
         flagged = flagged or equilibration_flagged(series)
         means[idx], errs[idx] = _batch_stats(series)
     if beta_max == 0.0:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pottsglass import cli
+from pottsglass import cli, core, montecarlo as mc
 from pottsglass.experiment import ExperimentSpec, ValidationError
 
 
@@ -209,6 +209,30 @@ def test_gauge_check_prints_max_pair_sum(tmp_path, capsys):
     _, rows = read_rows(out)
     assert len(rows) == 25
     assert all(abs(float(r["pair_sum"])) <= 1e-12 for r in rows)
+
+
+def test_tail_bound_prints_ladder_swap_rates(tmp_path, capsys):
+    n, betas, replicas, burn_in, sweeps, seed = 4, (0.0, 1.0, 2.0), 3, 10, 30, 5
+    base = ["tail-bound", "--n", str(n), "--beta", "2", "--epsilon", "0.25",
+            "--ladder", "0,1,2", "--replicas", str(replicas), "--sweeps", str(sweeps),
+            "--burn-in", str(burn_in), "--thinning", "2", "--seed", str(seed)]
+    lines = []
+    for workers in ("1", "2"):
+        assert run(base + ["--workers", workers, "--out", str(tmp_path / f"t{workers}.csv")]) == 0
+        err = capsys.readouterr().err
+        lines.append([l for l in err.splitlines() if l.startswith("ladder swap acceptance")])
+    assert lines[0] == lines[1] and len(lines[0]) == 1
+    rates = [float(v) for v in lines[0][0].rsplit("=", 1)[1].split()]
+    # oracle: the same ladders run by hand, their counters summed over replicas
+    attempts = accepts = 0
+    for r in range(replicas):
+        g = core.CouplingMatrix.from_seed(n, seed, r)
+        ladder = mc.TemperingLadder.start(g, 2, betas, "all", seed, ladder_id=r)
+        for _ in range(burn_in + sweeps):
+            mc.tempering_step(ladder, g)
+        attempts, accepts = attempts + ladder.swap_attempts, accepts + ladder.swap_accepts
+    assert rates == pytest.approx(accepts / attempts, abs=5e-5)
+    assert attempts.tolist() == [replicas * (burn_in + sweeps)] * 2
 
 
 def test_moment_check_rows(tmp_path):

@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from pottsglass import core, exact, montecarlo as mc
@@ -47,6 +50,120 @@ def single_proposal_kernel(g, kappa, beta, sector):
                     P[i, j] += acc / (n * n_other)
                     P[i, i] += (1 - acc) / (n * n_other)
     return colors, energies, P
+
+
+# The O(n)-per-proposal sweeps of v0.1.3, kept as the reference that the
+# local-field kernels must follow move for move: a weighted bincount over all
+# sites per proposal, and a flatnonzero scan for the swap partner.
+
+
+def _reference_site_delta(colors, srow, site, old, new, kappa, sqn):
+    sums = np.bincount(colors - 1, weights=srow, minlength=kappa)
+    return float((sums[new - 1] - sums[old - 1] + srow[site]) / sqn)
+
+
+def reference_metropolis_sweep(state, g):
+    n, kappa, beta = state.n, state.kappa, state.beta
+    s = g.g + g.g.T
+    sqn = math.sqrt(n)
+    sites = state.rng.integers(0, n, size=n)
+    props = state.rng.integers(1, kappa + 1, size=n)
+    us = state.rng.random(size=n)
+    colors = state.colors
+    for k in range(n):
+        t, new, old = int(sites[k]), int(props[k]), int(colors[sites[k]])
+        if new == old:
+            continue
+        d = _reference_site_delta(colors, s[t], t, old, new, kappa, sqn)
+        if d >= 0.0 or us[k] < math.exp(beta * d):
+            colors[t] = new
+            state.energy += d
+    state.sweeps += 1
+    if state.sweeps % state.audit_interval == 0:
+        state._audit(g)
+
+
+def reference_swap_sweep(state, g):
+    n, kappa, beta = state.n, state.kappa, state.beta
+    s = g.g + g.g.T
+    sqn = math.sqrt(n)
+    sites = state.rng.integers(0, n, size=n)
+    ranks = state.rng.integers(0, n - n // kappa, size=n)
+    us = state.rng.random(size=n)
+    colors = state.colors
+    for k in range(n):
+        i = int(sites[k])
+        a = int(colors[i])
+        j = int(np.flatnonzero(colors != a)[ranks[k]])
+        b = int(colors[j])
+        d1 = _reference_site_delta(colors, s[i], i, a, b, kappa, sqn)
+        colors[i] = b
+        d2 = _reference_site_delta(colors, s[j], j, b, a, kappa, sqn)
+        colors[i] = a
+        if d1 + d2 >= 0.0 or us[k] < math.exp(beta * (d1 + d2)):
+            colors[i], colors[j] = b, a
+            state.energy += d1 + d2
+    state.sweeps += 1
+    if state.sweeps % state.audit_interval == 0:
+        state._audit(g)
+
+
+def reference_tempering_step(ladder, g):
+    for rung in ladder.rungs:
+        reference_metropolis_sweep(rung, g)
+    us = ladder.rng.random(size=len(ladder.rungs) - 1)
+    for k in range(len(ladder.rungs) - 1):
+        lo, hi = ladder.rungs[k], ladder.rungs[k + 1]
+        log_acc = (lo.beta - hi.beta) * (hi.energy - lo.energy)
+        if log_acc >= 0.0 or us[k] < math.exp(log_acc):
+            lo.colors, hi.colors = hi.colors, lo.colors
+            lo.energy, hi.energy = hi.energy, lo.energy
+
+
+def assert_same_chain(new, ref):
+    assert np.array_equal(new.colors, ref.colors)
+    assert abs(new.energy - ref.energy) <= 1e-9 * max(1.0, abs(ref.energy))
+
+
+class TestKernelsMatchReference:
+    """Same Philox draws, same acceptance rule: identical colors after every sweep."""
+
+    @pytest.mark.parametrize("n, kappa, sweeps", [(5, 3, 400), (8, 2, 400), (64, 3, 150)])
+    def test_metropolis(self, n, kappa, sweeps):
+        g = core.CouplingMatrix.from_seed(n, 31)
+        new, ref = (mc.ChainState.start(g, kappa, 1.3, "all", seed=8) for _ in range(2))
+        for _ in range(sweeps):
+            mc.metropolis_sweep(new, g)
+            reference_metropolis_sweep(ref, g)
+            assert_same_chain(new, ref)
+
+    @pytest.mark.parametrize("n, kappa, sweeps", [(6, 3, 400), (12, 3, 400), (30, 2, 250)])
+    def test_swap(self, n, kappa, sweeps):
+        g = core.CouplingMatrix.from_seed(n, 32)
+        new, ref = (mc.ChainState.start(g, kappa, 1.3, "balanced", seed=9) for _ in range(2))
+        for _ in range(sweeps):
+            mc.swap_sweep(new, g)
+            reference_swap_sweep(ref, g)
+            assert_same_chain(new, ref)
+
+    def test_tempering(self):
+        g = core.CouplingMatrix.from_seed(8, 33)
+        new, ref = (mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 4.0], "all", seed=10)
+                    for _ in range(2))
+        for _ in range(300):
+            mc.tempering_step(new, g)
+            reference_tempering_step(ref, g)
+            for a, b in zip(new.rungs, ref.rungs):
+                assert_same_chain(a, b)
+
+
+@given(st.integers(2, 4), st.integers(1, 12), st.data())
+def test_partner_is_rank_th_other_color_site(kappa, per, data):
+    colors = np.array(data.draw(st.permutations(np.repeat(np.arange(1, kappa + 1), per).tolist())))
+    a = data.draw(st.integers(1, kappa))
+    rank = data.draw(st.integers(0, colors.size - per - 1))
+    own = np.flatnonzero(colors == a).tolist()
+    assert mc._partner(own, rank) == np.flatnonzero(colors != a)[rank]
 
 
 class TestMetropolis:
@@ -302,6 +419,19 @@ class TestChainInternals:
             assert np.array_equal(a.colors, b.colors)
             assert a.energy == b.energy
         assert np.array_equal(ladder.swap_accepts, restored.swap_accepts)
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_audit_interval_must_be_positive(self, interval, tmp_path):
+        g = core.CouplingMatrix.from_seed(4, 4)
+        with pytest.raises(ValueError, match="audit_interval"):
+            mc.ChainState.start(g, 2, 0.5, "all", seed=1, audit_interval=interval)
+        path = tmp_path / "chain.json"
+        mc.save_checkpoint(mc.ChainState.start(g, 2, 0.5, "all", seed=1), str(path))
+        payload = json.loads(path.read_text())
+        payload["audit_interval"] = interval
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="audit_interval"):
+            mc.load_chain(str(path))
 
     def test_cached_energy_matches_recomputation(self):
         g = core.CouplingMatrix.from_seed(6, 6)
