@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from functools import partial
 
 import numpy as np
@@ -41,7 +40,23 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 # Handlers: spec -> (columns, rows)
 
+_HANDLERS = {}  # subcommand -> handler; each handler carries its ``summary`` and option ``defaults``
 
+
+def _command(name: str, summary: str, **defaults):
+    """Register a handler as subcommand ``name``.
+
+    The subcommand takes the options named in ``defaults`` (spec fields, with
+    their default values) and the common ones in ``_COMMON``.
+    """
+    def register(fn):
+        fn.summary, fn.defaults = summary, defaults
+        _HANDLERS[name] = fn
+        return fn
+    return register
+
+
+@_command("thresholds", "closed-form threshold table per color count", kappa_max=100)
 def _run_thresholds(spec: ExperimentSpec):
     cols = ["kappa", "beta_kappa", "branch", "ew90_critical", "balanced_gse_upper", "breaks_at_zero_temp"]
     rows = []
@@ -54,6 +69,8 @@ def _run_thresholds(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("exact-free-energy", "per-replica exact quenched free energies", kappa=3, n=(6,),
+          beta=(1.0,), sector="balanced", kind="centered", replicas=8, cap=exact.DEFAULT_CAP)
 def _run_exact_free_energy(spec: ExperimentSpec):
     cols = ["n", "beta", "replica", "seed", "stream", "log_z", "free_energy"]
     rows = []
@@ -69,6 +86,8 @@ def _run_exact_free_energy(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("second-moment", "exact centered balanced second-moment ratio", kappa=3, n=(3, 6, 9),
+          beta=(1.0,))
 def _run_second_moment(spec: ExperimentSpec):
     cols = ["n", "beta", "ratio", "log_ratio"]
     rows = []
@@ -81,6 +100,8 @@ def _run_second_moment(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("uncentered-ratio", "raw-Hamiltonian moment ratio and its divergence floor", kappa=3,
+          n=(3, 6, 9), beta=(1.0,), sector="all", cap=exact.DEFAULT_CAP)
 def _run_uncentered_ratio(spec: ExperimentSpec):
     cols = ["n", "beta", "sector", "ratio", "lower_bound", "exceeds_bound"]
     rows = []
@@ -93,17 +114,22 @@ def _run_uncentered_ratio(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("rate-gap", "constrained minimum of the shell rate objective", kappa=3, beta=(1.0,),
+          delta=0.01)
 def _run_rate_gap(spec: ExperimentSpec):
     kappa = spec.kappa
-    result = rate.exponent_gap(kappa, spec.beta[0], spec.delta, seed=spec.seed)
     cols = ["kappa", "beta", "delta", "minimum", "source", "converged", "restarts", "iterations"]
     cols += [f"argmin_{a}{b}" for a in range(kappa) for b in range(kappa)]
-    row = [kappa, spec.beta[0], spec.delta, result.value, result.source, result.converged,
-           result.restarts, result.iterations]
-    row += [float(v) for v in result.argmin.ravel()]
-    return cols, [row]
+    rows = []
+    for beta in spec.beta:
+        result = rate.exponent_gap(kappa, beta, spec.delta, seed=spec.seed)
+        row = [kappa, beta, spec.delta, result.value, result.source, result.converged,
+               result.restarts, result.iterations]
+        rows.append(row + [float(v) for v in result.argmin.ravel()])
+    return cols, rows
 
 
+@_command("kl-check", "randomized sweep of the local KL expansion bound", trials=10000)
 def _run_kl_check(spec: ExperimentSpec):
     rng = core.philox_generator(spec.seed, 0)
     holds = 0
@@ -136,6 +162,8 @@ def _run_kl_check(spec: ExperimentSpec):
     return cols, [[spec.trials, holds + violations, holds, violations, worst]]
 
 
+@_command("ldp-check", "exact vs Stirling-asymptotic table log-probability", kappa=3,
+          n=(9, 18, 27, 36))
 def _run_ldp_check(spec: ExperimentSpec):
     cols = ["n", "exact_log_p", "asymptotic_log_p", "gap"]
     rows = []
@@ -149,6 +177,7 @@ def _run_ldp_check(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("shell-count", "admissible-table counts per Frobenius shell", kappa=3, n=(6, 9, 12))
 def _run_shell_count(spec: ExperimentSpec):
     cols = ["n", "l", "count", "bound_ratio"]
     rows = []
@@ -166,6 +195,8 @@ def _gauge_trial(colors: np.ndarray, beta: float, trial_sites, g: core.CouplingM
     return exact._gauge_pair(colors, g, beta, trial_sites[g.stream])  # trial r uses stream r
 
 
+@_command("gauge-check", "two-color gauge antisymmetry over random cases", n=(6,), beta=(1.0,),
+          trials=1000, cap=exact.DEFAULT_CAP)
 def _run_gauge_check(spec: ExperimentSpec):
     n = spec.n[0]
     rng = core.philox_generator(spec.seed, 0)
@@ -188,6 +219,8 @@ def _run_gauge_check(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("moment-check", "two-color magnetization moments vs closed-form bounds", n=(4, 8),
+          beta=(1.0,), moments=(1, 2, 4), replicas=200, cap=exact.DEFAULT_CAP)
 def _run_moment_check(spec: ExperimentSpec):
     cols = ["m", "n", "beta", "estimate", "stderr", "bound", "satisfied"]
     rows = []
@@ -202,6 +235,9 @@ def _run_moment_check(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("tail-bound", "magnetization tail estimates vs 2 exp(-eps^2 n)", kappa=2, n=(8,),
+          beta=(1.0,), epsilon=(0.25, 0.5), replicas=64, sweeps=2000, burn_in=500, thinning=4, ladder=(),
+          cap=exact.DEFAULT_CAP)
 def _run_tail_bound(spec: ExperimentSpec):
     cols = ["n", "beta", "epsilon", "estimate", "stderr", "bound", "within_bound", "flagged"]
     rows = []
@@ -222,6 +258,9 @@ def _run_tail_bound(spec: ExperimentSpec):
     return cols, rows
 
 
+@_command("mc-free-energy", "thermodynamic-integration free energy vs exact", kappa=3, n=(6,),
+          beta_max=1.0, n_grid=13, sector="balanced", kind="centered", sweeps=2000, burn_in=500,
+          cap=exact.DEFAULT_CAP)
 def _run_mc_free_energy(spec: ExperimentSpec):
     cols = ["n", "beta_max", "sector", "kind", "ti_value", "stderr", "quad_error", "exact_value", "flagged"]
     rows = []
@@ -241,22 +280,6 @@ def _run_mc_free_energy(spec: ExperimentSpec):
         rows.append([n, spec.beta_max, spec.sector, spec.kind, res.value, res.stderr,
                      res.quad_error, exact_val, res.flagged])
     return cols, rows
-
-
-_HANDLERS = {
-    "thresholds": _run_thresholds,
-    "exact-free-energy": _run_exact_free_energy,
-    "second-moment": _run_second_moment,
-    "uncentered-ratio": _run_uncentered_ratio,
-    "rate-gap": _run_rate_gap,
-    "kl-check": _run_kl_check,
-    "ldp-check": _run_ldp_check,
-    "shell-count": _run_shell_count,
-    "gauge-check": _run_gauge_check,
-    "moment-check": _run_moment_check,
-    "tail-bound": _run_tail_bound,
-    "mc-free-energy": _run_mc_free_energy,
-}
 
 
 def rows_for_spec(spec: ExperimentSpec):
@@ -303,20 +326,6 @@ def read_spec(path: str) -> ExperimentSpec:
     raise ValueError(f"no spec header found in {path}")
 
 
-def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _output_path(spec: ExperimentSpec) -> str | None:
     if spec.out:
         return spec.out
@@ -330,17 +339,6 @@ def _output_path(spec: ExperimentSpec) -> str | None:
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="root seed (Philox key)")
-    p.add_argument("--out", type=str, default=None, help="output file (default: $POTTSGLASS_OUTDIR or stdout)")
-    p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1,
-                   help="processes for the replicas of exact-free-energy, moment-check and tail-bound and the "
-                        "trials of gauge-check (others run serially); default 1; pin BLAS to one thread "
-                        "(OPENBLAS_NUM_THREADS=1) before raising it; output is worker-count invariant")
-    p.add_argument("--cap", type=int, default=20_000_000, help="exact-enumeration state cap")
-
-
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
@@ -349,112 +347,55 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
-def _beta_value(text: str) -> float:
-    return math.inf if text.lower() in ("inf", "infinity") else float(text)
+# One declaration per option: spec field -> (flag, argparse keywords).  Defaults live
+# with the subcommands (``_command``), since they differ between them.
+_OPTIONS = {
+    "kappa": ("--kappa", dict(type=int, help="number of colors")),
+    "kappa_max": ("--kappa-max", dict(type=int, help="largest color count tabulated")),
+    "n": ("--n", dict(type=_int_list, help="comma-separated system sizes")),
+    "beta": ("--beta", dict(type=_float_list, help="comma-separated inverse temperatures")),
+    "sector": ("--sector", dict(choices=("all", "balanced"), help="configuration sector")),
+    "kind": ("--kind", dict(choices=("raw", "centered"), help="raw or centered Hamiltonian")),
+    "replicas": ("--replicas", dict(type=int, help="disorder replicas")),
+    "delta": ("--delta", dict(type=float, help="least squared Frobenius distance from uniform")),
+    "trials": ("--trials", dict(type=int, help="random cases")),
+    "moments": ("--m", dict(type=_int_list, help="comma-separated moment orders")),
+    "epsilon": ("--epsilon", dict(type=_float_list, help="comma-separated tail thresholds")),
+    "sweeps": ("--sweeps", dict(type=int, help="measured sweeps per chain")),
+    "burn_in": ("--burn-in", dict(type=int, help="discarded sweeps per chain")),
+    "thinning": ("--thinning", dict(type=int, help="record every k-th measured sweep")),
+    "ladder": ("--ladder", dict(type=_float_list, help="comma-separated tempering betas ending at --beta")),
+    "beta_max": ("--beta-max", dict(type=float, help="upper end of the integration grid")),
+    "n_grid": ("--n-grid", dict(type=int, help="points of the integration grid")),
+    "cap": ("--cap", dict(type=int, help="exact-enumeration state cap")),
+    "seed": ("--seed", dict(type=int, help="root seed (Philox key)")),
+    "out": ("--out", dict(help="output file (default: $POTTSGLASS_OUTDIR or stdout)")),
+    "fmt": ("--format", dict(choices=("csv", "json"), help="output format")),
+    "workers": ("--workers", dict(
+        type=int, help="processes for the replicas of exact-free-energy, moment-check and tail-bound and the "
+                       "trials of gauge-check (others run serially); default 1; pin BLAS to one thread "
+                       "(OPENBLAS_NUM_THREADS=1) before raising it; output is worker-count invariant")),
+}
+_COMMON = dict(seed=0, out=None, fmt="csv", workers=1)  # taken by every subcommand
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pottsglass", description=__doc__)
     parser.add_argument("--version", action="version", version=f"pottsglass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("thresholds", help="closed-form threshold table per color count")
-    p.add_argument("--kappa-max", type=int, default=100)
-    _add_common(p)
-
-    p = sub.add_parser("exact-free-energy", help="per-replica exact quenched free energies")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(6,))
-    p.add_argument("--beta", type=_float_list, default=(1.0,))
-    p.add_argument("--sector", choices=("all", "balanced"), default="balanced")
-    p.add_argument("--kind", choices=("raw", "centered"), default="centered")
-    p.add_argument("--replicas", type=int, default=8)
-    _add_common(p)
-
-    p = sub.add_parser("second-moment", help="exact centered balanced second-moment ratio")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(3, 6, 9))
-    p.add_argument("--beta", type=_float_list, default=(1.0,))
-    _add_common(p)
-
-    p = sub.add_parser("uncentered-ratio", help="raw-Hamiltonian moment ratio and its divergence floor")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(3, 6, 9))
-    p.add_argument("--beta", type=_float_list, default=(1.0,))
-    p.add_argument("--sector", choices=("all", "balanced"), default="all")
-    _add_common(p)
-
-    p = sub.add_parser("rate-gap", help="constrained minimum of the shell rate objective")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--beta", type=_float_list, default=(1.0,))
-    p.add_argument("--delta", type=float, default=0.01)
-    _add_common(p)
-
-    p = sub.add_parser("kl-check", help="randomized sweep of the local KL expansion bound")
-    p.add_argument("--trials", type=int, default=10000)
-    _add_common(p)
-
-    p = sub.add_parser("ldp-check", help="exact vs Stirling-asymptotic table log-probability")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(9, 18, 27, 36))
-    _add_common(p)
-
-    p = sub.add_parser("shell-count", help="admissible-table counts per Frobenius shell")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(6, 9, 12))
-    _add_common(p)
-
-    p = sub.add_parser("gauge-check", help="two-color gauge antisymmetry over random cases")
-    p.add_argument("--n", type=_int_list, default=(6,))
-    p.add_argument("--beta", type=_beta_value, default=1.0)
-    p.add_argument("--trials", type=int, default=1000)
-    _add_common(p)
-
-    p = sub.add_parser("moment-check", help="two-color magnetization moments vs closed-form bounds")
-    p.add_argument("--n", type=_int_list, default=(4, 8))
-    p.add_argument("--beta", type=_beta_value, default=1.0)
-    p.add_argument("--m", dest="moments", type=_int_list, default=(1, 2, 4))
-    p.add_argument("--replicas", type=int, default=200)
-    _add_common(p)
-
-    p = sub.add_parser("tail-bound", help="magnetization tail estimates vs 2 exp(-eps^2 n)")
-    p.add_argument("--kappa", type=int, default=2)
-    p.add_argument("--n", type=_int_list, default=(8,))
-    p.add_argument("--beta", type=_beta_value, default=1.0)
-    p.add_argument("--epsilon", type=_float_list, default=(0.25, 0.5))
-    p.add_argument("--replicas", type=int, default=64)
-    p.add_argument("--sweeps", type=int, default=2000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-    p.add_argument("--thinning", type=int, default=4)
-    p.add_argument("--ladder", type=_float_list, default=())
-    _add_common(p)
-
-    p = sub.add_parser("mc-free-energy", help="thermodynamic-integration free energy vs exact")
-    p.add_argument("--kappa", type=int, default=3)
-    p.add_argument("--n", type=_int_list, default=(6,))
-    p.add_argument("--beta-max", dest="beta_max", type=float, default=1.0)
-    p.add_argument("--n-grid", dest="n_grid", type=int, default=13)
-    p.add_argument("--sector", choices=("all", "balanced"), default="balanced")
-    p.add_argument("--kind", choices=("raw", "centered"), default="centered")
-    p.add_argument("--sweeps", type=int, default=2000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=500)
-    _add_common(p)
-
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.summary, allow_abbrev=False)  # --kappa is not --kappa-max
+        for field, default in {**handler.defaults, **_COMMON}.items():
+            flag, kwargs = _OPTIONS[field]
+            p.add_argument(flag, dest=field, default=default, **kwargs)
     return parser
-
-
-def _spec_from_args(args: argparse.Namespace) -> ExperimentSpec:
-    payload = {k: v for k, v in vars(args).items() if v is not None}
-    payload.pop("version", None)
-    allowed = set(ExperimentSpec.__dataclass_fields__)
-    return ExperimentSpec(**{k: v for k, v in payload.items() if k in allowed})
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        spec = _spec_from_args(args)
+        spec = ExperimentSpec(**vars(args))
         columns, rows = rows_for_spec(spec)
     except (ValidationError, core.DivisibilityError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -467,7 +408,7 @@ def main(argv=None) -> int:
     if path is None:
         sys.stdout.write(text)
     else:
-        _write_atomic(path, text)
+        core.write_atomic(path, text)
         print(f"wrote {path}")
     return 0
 

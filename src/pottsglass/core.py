@@ -23,6 +23,8 @@ chain ``c`` uses ``CHAIN_NAMESPACE | c``, optimizer restart ``i`` uses
 from __future__ import annotations
 
 import math
+import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +51,7 @@ __all__ = [
     "philox_generator",
     "map_replicas",
     "mean_stderr",
+    "write_atomic",
     "hamiltonian_raw",
     "hamiltonian_centered",
     "centering_shift",
@@ -238,6 +241,22 @@ def mean_stderr(values) -> tuple[float, float]:
     vals = np.asarray(values, dtype=np.float64)
     se = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(vals.mean()), se
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file in the same directory and a rename,
+    so readers never see a partial file; missing directories are created."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .core import count_configs
+from .exact import DEFAULT_CAP
 
 __all__ = ["ExperimentSpec", "ValidationError"]
 
@@ -46,7 +47,7 @@ class ExperimentSpec:
     n_grid: int = 13
     beta_max: float = 1.0
     kappa_max: int = 100
-    cap: int = 20_000_000
+    cap: int = DEFAULT_CAP
     workers: int = 1
     out: str | None = None
     fmt: str = "csv"
@@ -97,6 +98,10 @@ class ExperimentSpec:
             raise ValidationError("a tempering ladder needs at least 2 rungs")
         if self.ladder and any(math.isfinite(b) and b != self.ladder[-1] for b in self.beta):
             raise ValidationError(f"the ladder must end at beta: top {self.ladder[-1]}, beta {self.beta}")
+        if self.ladder and not any(math.isfinite(b) for b in self.beta):
+            raise ValidationError(f"a ladder needs a finite beta (beta = inf is exact), got {self.beta}")
+        if self.command == "gauge-check" and (len(self.n) != 1 or len(self.beta) != 1):
+            raise ValidationError(f"gauge-check takes one size and one beta, got n={self.n}, beta={self.beta}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         if self.replicas < 1:

@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -35,7 +33,6 @@ from .core import (
     TEMPER_NAMESPACE,
     CouplingMatrix,
     SectorError,
-    SpinConfig,
     batch_energies_raw,
     centering_shift,
     count_configs,
@@ -44,6 +41,7 @@ from .core import (
     mean_stderr,
     philox_generator,
     sector_counts,
+    write_atomic,
 )
 from .exact import DEFAULT_CAP, tail_probability_exact
 
@@ -106,10 +104,6 @@ class ChainState:
     def n(self) -> int:
         return int(self.colors.size)
 
-    @property
-    def spin_config(self) -> SpinConfig:
-        return SpinConfig(self.colors.copy(), self.kappa)
-
     @classmethod
     def start(
         cls,
@@ -150,6 +144,14 @@ class ChainState:
                 f"cached energy drifted: cached={self.energy!r} recomputed={recomputed!r}"
             )
         self.energy = recomputed  # resync to stop error accumulation
+
+    def _end_sweep(self, g: CouplingMatrix, energy: float) -> "ChainState":
+        """Store a sweep's running energy, count the sweep, and audit on schedule."""
+        self.energy = energy
+        self.sweeps += 1
+        if self.sweeps % self.audit_interval == 0:
+            self._audit(g)
+        return self
 
 
 def _local_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
@@ -197,11 +199,7 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
             h[old - 1] -= row
             h[new - 1] += row
             energy += d
-    state.energy = energy
-    state.sweeps += 1
-    if state.sweeps % state.audit_interval == 0:
-        state._audit(g)
-    return state
+    return state._end_sweep(g, energy)
 
 
 def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
@@ -249,11 +247,7 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
                 del sites_of[bisect_left(sites_of, out)]
                 insort(sites_of, into)
             energy += d
-    state.energy = energy
-    state.sweeps += 1
-    if state.sweeps % state.audit_interval == 0:
-        state._audit(g)
-    return state
+    return state._end_sweep(g, energy)
 
 
 def sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
@@ -272,8 +266,8 @@ class TemperingLadder:
 
     rungs: list[ChainState]
     rng: np.random.Generator
-    swap_attempts: np.ndarray = field(default=None)  # type: ignore[assignment]
-    swap_accepts: np.ndarray = field(default=None)  # type: ignore[assignment]
+    swap_attempts: np.ndarray  # per adjacent rung pair
+    swap_accepts: np.ndarray
     seed: int | None = None
     ladder_id: int | None = None
 
@@ -283,10 +277,6 @@ class TemperingLadder:
         betas = [r.beta for r in self.rungs]
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("rung betas must be nondecreasing")
-        if self.swap_attempts is None:
-            self.swap_attempts = np.zeros(max(len(self.rungs) - 1, 0), dtype=np.int64)
-        if self.swap_accepts is None:
-            self.swap_accepts = np.zeros(max(len(self.rungs) - 1, 0), dtype=np.int64)
 
     @property
     def betas(self) -> tuple[float, ...]:
@@ -307,7 +297,9 @@ class TemperingLadder:
             for k, b in enumerate(betas)
         ]
         rng = philox_generator(seed, TEMPER_NAMESPACE | ladder_id)
-        return cls(rungs=rungs, rng=rng, seed=seed, ladder_id=ladder_id)
+        pairs = max(len(rungs) - 1, 0)
+        return cls(rungs, rng, np.zeros(pairs, dtype=np.int64), np.zeros(pairs, dtype=np.int64),
+                   seed=seed, ladder_id=ladder_id)
 
 
 def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
@@ -377,6 +369,10 @@ def estimate_tail(
     ``2 e^{-eps^2 n}`` is attached to each estimate.  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     """
+    if sweeps < 1 or thinning < 1 or burn_in < 0:
+        raise ValueError(
+            f"need sweeps >= 1, thinning >= 1 and burn_in >= 0, got {sweeps}, {thinning}, {burn_in}"
+        )
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
 
     def bound(e: float) -> float | None:
@@ -427,14 +423,7 @@ def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed
     else:
         target = ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream)
         step = lambda: metropolis_sweep(target, g)
-    for _ in range(burn_in):
-        step()
-    devs = []
-    for t in range(sweeps):
-        step()
-        if t % thinning == 0:
-            devs.append(max_deviation(target.colors, kappa))
-    devs = np.asarray(devs)
+    devs = _series(step, lambda: max_deviation(target.colors, kappa), burn_in, sweeps, thinning)
     swaps = None if temper is None else np.stack((temper.swap_attempts, temper.swap_accepts))
     return [(devs >= e).mean() for e in epsilons], equilibration_flagged(devs), swaps
 
@@ -451,13 +440,24 @@ class TiResult:
     flagged: bool
 
 
+def _series(step, observe, burn_in: int, sweeps: int, thinning: int = 1) -> np.ndarray:
+    """``burn_in`` discarded steps, then ``sweeps`` steps with ``observe()`` recorded
+    after every ``thinning``-th (the first included)."""
+    for _ in range(burn_in):
+        step()
+    values = []
+    for t in range(sweeps):
+        step()
+        if t % thinning == 0:
+            values.append(observe())
+    return np.asarray(values, dtype=np.float64)
+
+
 def _batch_stats(series: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
-    series = np.asarray(series, dtype=np.float64)
-    mean = float(series.mean())
+    """Mean of ``series`` and the stderr of its batch means (at least 2 batches)."""
     k = min(n_batches, max(2, series.size // 4))
     usable = (series.size // k) * k
-    batches = series[:usable].reshape(k, -1).mean(axis=1)
-    return mean, float(batches.std(ddof=1) / math.sqrt(k))
+    return float(series.mean()), mean_stderr(series[:usable].reshape(k, -1).mean(axis=1))[1]
 
 
 def free_energy_ti(
@@ -493,11 +493,7 @@ def free_energy_ti(
     chain = ChainState.start(g, kappa, 0.0, sector, seed, chain_id=0)
     for idx, b in enumerate(grid):
         chain.beta = float(b)
-        run_sweeps(chain, g, burn_in)
-        series = np.empty(sweeps)
-        for t in range(sweeps):
-            sweep(chain, g)
-            series[t] = chain.energy - shift
+        series = _series(lambda: sweep(chain, g), lambda: chain.energy - shift, burn_in, sweeps)
         flagged = flagged or equilibration_flagged(series)
         means[idx], errs[idx] = _batch_stats(series)
     if beta_max == 0.0:
@@ -530,16 +526,9 @@ def _rng_state(rng: np.random.Generator) -> dict:
     return json.loads(json.dumps(state, default=lambda o: o.tolist()))
 
 
-def _restore_rng(payload: dict) -> np.random.Generator:
+def _restore_rng(state: dict) -> np.random.Generator:
     rng = np.random.Generator(np.random.Philox())
-    state = dict(payload)
-    inner = dict(state["state"])
-    inner["counter"] = np.array(inner["counter"], dtype=np.uint64)
-    inner["key"] = np.array(inner["key"], dtype=np.uint64)
-    state["state"] = inner
-    if "buffer" in state:
-        state["buffer"] = np.array(state["buffer"], dtype=np.uint64)
-    rng.bit_generator.state = state
+    rng.bit_generator.state = state  # numpy reads the counter, key and buffer lists as uint64
     return rng
 
 
@@ -577,21 +566,20 @@ def save_checkpoint(obj, path: str) -> None:
         }
     else:
         raise TypeError(f"cannot checkpoint {type(obj).__name__}")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, sort_keys=True))
+
+
+def _checked(payload: dict, kind: str) -> dict:
+    """``payload`` if it holds a ``kind`` checkpoint of this version, else ValueError."""
+    if payload.get("kind") != kind:
+        raise ValueError(f"checkpoint does not hold a {kind}")
+    if payload.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    return payload
 
 
 def _chain_from_payload(payload: dict) -> ChainState:
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+    _checked(payload, "chain")
     return ChainState(
         colors=np.array(payload["colors"], dtype=np.int64),
         kappa=payload["kappa"],
@@ -608,19 +596,12 @@ def _chain_from_payload(payload: dict) -> ChainState:
 
 def load_chain(path: str) -> ChainState:
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "chain":
-        raise ValueError("checkpoint does not hold a chain")
-    return _chain_from_payload(payload)
+        return _chain_from_payload(json.load(fh))
 
 
 def load_ladder(path: str) -> TemperingLadder:
     with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "ladder":
-        raise ValueError("checkpoint does not hold a ladder")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
+        payload = _checked(json.load(fh), "ladder")
     return TemperingLadder(
         rungs=[_chain_from_payload(p) for p in payload["rungs"]],
         rng=_restore_rng(payload["rng"]),

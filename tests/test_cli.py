@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
@@ -11,7 +13,11 @@ from pottsglass.experiment import ExperimentSpec, ValidationError
 
 
 def run(args):
-    return cli.main(args)
+    """The exit code of ``cli.main``, including argparse's exit 2 on a malformed argv."""
+    try:
+        return cli.main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 def read_rows(path):
@@ -88,6 +94,12 @@ INVALID_COMMANDS = {
     "even-moment-one-replica": ["moment-check", "--n", "4", "--m", "2", "--replicas", "1"],
     "ladder-top-not-beta": ["tail-bound", "--beta", "4", "--ladder", "0,1,2"],
     "one-rung-ladder": ["tail-bound", "--beta", "1", "--ladder", "1"],
+    "ladder-without-finite-beta": ["tail-bound", "--n", "4", "--beta", "inf", "--ladder", "0,1",
+                                   "--epsilon", "0.25", "--replicas", "2"],
+    "gauge-two-sizes": ["gauge-check", "--n", "4,6", "--trials", "3"],
+    "gauge-two-betas": ["gauge-check", "--n", "4", "--beta", "1,2", "--trials", "3"],
+    "cap-on-thresholds": ["thresholds", "--cap", "5"],
+    "abbreviated-flag": ["thresholds", "--kappa", "5"],
 }
 
 
@@ -95,6 +107,71 @@ INVALID_COMMANDS = {
 def test_validation_failure_exits_2(args, tmp_path):
     assert run(args + ["--out", str(tmp_path / "x.csv")]) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+# Defaults of every subcommand, as v0.1.4 wrote them into the spec header.
+DEFAULT_SPECS = {
+    "thresholds": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "thresholds", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "exact-free-energy": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "exact-free-energy", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "balanced", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "second-moment": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "second-moment", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [3, 6, 9], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "uncentered-ratio": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "uncentered-ratio", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [3, 6, 9], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "rate-gap": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "rate-gap", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "kl-check": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "kl-check", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 10000}',
+    "ldp-check": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "ldp-check", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [9, 18, 27, 36], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "shell-count": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "shell-count", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6, 9, 12], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "gauge-check": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "gauge-check", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "moment-check": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 1000, "cap": 20000000, "command": "moment-check", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [1, 2, 4], "n": [4, 8], "n_grid": 13, "replicas": 200, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+    "tail-bound": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 500, "cap": 20000000, "command": "tail-bound", "delta": 0.01, "epsilon": [0.25, 0.5], "fmt": "csv", "kappa": 2, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [8], "n_grid": 13, "replicas": 64, "sector": "all", "seed": 0, "sweeps": 2000, "thinning": 4, "trials": 1000}',
+    "mc-free-energy": '{"beta": [1.0], "beta_max": 1.0, "burn_in": 500, "cap": 20000000, "command": "mc-free-energy", "delta": 0.01, "epsilon": [], "fmt": "csv", "kappa": 3, "kappa_max": 100, "kind": "centered", "ladder": [], "moments": [], "n": [6], "n_grid": 13, "replicas": 8, "sector": "balanced", "seed": 0, "sweeps": 2000, "thinning": 10, "trials": 1000}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli._HANDLERS))
+def test_subcommand_defaults(command):
+    args = cli.build_parser().parse_args([command])
+    assert ExperimentSpec(**vars(args)).to_json() == DEFAULT_SPECS[command]
+
+
+_FLOAT_FLAGS = ("--beta", "--delta", "--beta-max", "--epsilon")
+_LIST_FLAGS = ("--n", "--beta", "--epsilon", "--m", "--ladder")
+_NON_ENUMERATING = ("thresholds", "second-moment", "rate-gap", "kl-check", "ldp-check", "shell-count")
+
+
+@st.composite
+def _invalid_argv(draw):
+    """A cheap smoke command with exactly one change that must be rejected before compute."""
+    argv = list(draw(st.sampled_from(SMOKE_COMMANDS)))
+    command, flags = argv[0], argv[1::2]  # every smoke flag takes one value
+    single = [f for f in flags if f not in _LIST_FLAGS or (command, f) in
+              (("gauge-check", "--n"), ("gauge-check", "--beta"))]
+    changes = ["second-value", "unknown-flag"]
+    changes += ["nan"] if any(f in _FLOAT_FLAGS for f in flags) else []
+    changes += ["negative-size"] if "--n" in flags else []
+    changes += ["zero-sweeps"] if "--sweeps" in flags else []
+    changes += ["cap"] if command in _NON_ENUMERATING else []
+    change = draw(st.sampled_from(changes))
+    if change == "second-value":
+        i = argv.index(draw(st.sampled_from(single))) + 1
+        argv[i] += "," + argv[i]
+    elif change == "unknown-flag":
+        argv.append(draw(st.sampled_from(["--bogus", "--verbose", "--rep", "--kappa-maximum"])))
+    elif change == "nan":
+        argv[argv.index(draw(st.sampled_from([f for f in flags if f in _FLOAT_FLAGS]))) + 1] = "nan"
+    elif change == "negative-size":
+        argv[argv.index("--n") + 1] = str(draw(st.integers(-64, -1)))
+    elif change == "zero-sweeps":
+        argv[argv.index("--sweeps") + 1] = "0"
+    else:
+        argv += ["--cap", str(draw(st.integers(1, 10 ** 9)))]
+    return argv
+
+
+@given(_invalid_argv())
+def test_invalid_argv_exits_2_without_output(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "x.csv")
+        assert run(argv + ["--out", out]) == 2
+        assert not os.path.exists(out)
 
 
 def test_empty_moments_validated_as_run():
@@ -164,6 +241,17 @@ def test_overflowing_ratio_prints_inf(args, tmp_path):
     else:  # the floor e^3125 overflows too; the comparison is made on the logs
         assert row["lower_bound"] == "inf"
         assert row["exceeds_bound"] == "true"
+
+
+def test_rate_gap_writes_one_row_per_beta(tmp_path):
+    one, two = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
+    base = ["rate-gap", "--kappa", "3", "--delta", "0.02"]
+    assert run(base + ["--beta", "1.0", "--out", one]) == 0
+    assert run(base + ["--beta", "1.0,0.5", "--out", two]) == 0
+    _, [row] = read_rows(one)
+    _, rows = read_rows(two)
+    assert [r["beta"] for r in rows] == ["1", "0.5"]
+    assert rows[0] == row
 
 
 def test_round_trip_from_embedded_spec(tmp_path):

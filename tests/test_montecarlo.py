@@ -337,6 +337,12 @@ class TestEstimators:
         with pytest.raises(ValueError, match="ladder"):
             mc.estimate_tail(epsilon=0.25, **spec)
 
+    @pytest.mark.parametrize("sweeps, burn_in, thinning", [(0, 2, 1), (10, -1, 1), (10, 2, 0)])
+    def test_chain_lengths_must_be_valid(self, sweeps, burn_in, thinning):
+        # sweeps=0 used to give a nan estimate with a RuntimeWarning
+        with pytest.raises(ValueError, match="sweeps >= 1"):
+            mc.estimate_tail(4, 1.0, 0.25, replicas=2, sweeps=sweeps, burn_in=burn_in, thinning=thinning)
+
     def test_reproducible_bit_for_bit(self):
         spec = dict(
             n=6, beta=1.0, kappa=2, replicas=4,
@@ -419,6 +425,28 @@ class TestChainInternals:
             assert np.array_equal(a.colors, b.colors)
             assert a.energy == b.energy
         assert np.array_equal(ladder.swap_accepts, restored.swap_accepts)
+
+    def test_checkpoint_kind_and_version_checked(self, tmp_path):
+        g = core.CouplingMatrix.from_seed(4, 8)
+        chain_path, ladder_path = tmp_path / "chain.json", tmp_path / "ladder.json"
+        mc.save_checkpoint(mc.ChainState.start(g, 2, 0.5, "all", seed=1), str(chain_path))
+        mc.save_checkpoint(mc.TemperingLadder.start(g, 2, [0.3, 0.9], "all", seed=3), str(ladder_path))
+        with pytest.raises(ValueError, match="does not hold a ladder"):
+            mc.load_ladder(str(chain_path))
+        with pytest.raises(ValueError, match="does not hold a chain"):
+            mc.load_chain(str(ladder_path))
+        for path, load in ((chain_path, mc.load_chain), (ladder_path, mc.load_ladder)):
+            payload = json.loads(path.read_text())
+            payload["version"] = mc.CHECKPOINT_VERSION + 1
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="unsupported checkpoint version"):
+                load(str(path))
+        payload = json.loads(ladder_path.read_text())
+        payload["version"] = mc.CHECKPOINT_VERSION
+        payload["rungs"][1]["version"] = mc.CHECKPOINT_VERSION + 1  # each rung is checked too
+        ladder_path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="unsupported checkpoint version"):
+            mc.load_ladder(str(ladder_path))
 
     @pytest.mark.parametrize("interval", [0, -3])
     def test_audit_interval_must_be_positive(self, interval, tmp_path):
