@@ -14,7 +14,7 @@ Five layers:
 * :mod:`pottsglass.cli` -- reproducible experiment runner with CSV/JSON sinks.
 """
 
-__version__ = "0.1.4"
+__version__ = "0.1.5"
 
 from .core import (
     CouplingMatrix,

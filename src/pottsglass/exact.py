@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -28,12 +28,10 @@ from .core import (
     EnumerationCapError,
     SectorError,
     SpinConfig,
-    batch_energies_raw,
     centering_shift,
     config_array,
     count_configs,
     map_replicas,
-    max_deviation,
     mean_stderr,
     sector_counts,
 )
@@ -92,12 +90,16 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def gibbs_weights(energies: np.ndarray, beta: float) -> np.ndarray:
-    """Unnormalized weights ``exp(beta (H - max H))``; beta = inf marks the maximizers."""
-    top = energies.max()
+def gibbs_weights(energies, beta: float, top=None) -> np.ndarray:
+    """Unnormalized weights ``exp(beta (H - top))``, by default ``top = max H``.
+
+    beta = inf marks the energies equal to ``top``; beta = 0 weighs every
+    energy by 1, ``-inf`` included.
+    """
+    gap = energies - (np.max(energies) if top is None else top)
     if math.isinf(beta):
-        return (energies == top).astype(np.float64)
-    return np.exp(beta * (energies - top))
+        return (gap == 0).astype(np.float64)
+    return np.exp(beta * gap) if beta else np.ones(np.shape(gap))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,43 +183,170 @@ def _sector_label(constraint) -> str:
     return "fixed"
 
 
-def _energies(colors: np.ndarray, g: CouplingMatrix, kappa: int, kind: str) -> np.ndarray:
-    """Energies of the rows of ``colors`` under the requested Hamiltonian."""
+# ---------------------------------------------------------------------------
+# Split-half enumeration (meet in the middle: Horowitz and Sahni 1974)
+#
+# Sites [0, n // 2) form half A and the rest half B, so a configuration is a
+# pair (a, b) of half rows and, with S = g + g^T,
+#     sqrt(n) H = H_A[a] + H_B[b] + sum_{j in B} U_A[a, j, sigma_B(b)_j],
+#     U_A[a, j, c] = sum_{i in A} S_ij 1{sigma_A(a)_i = c},
+# where H_A holds the diagonal and the site pairs inside A, and H_B those inside
+# B.  Every sum runs in one fixed order for all rows -- elementwise adds, or one
+# numpy reduction over all rows at once, never BLAS -- so two configurations
+# with the same site-equality pattern, in particular any two related by a color
+# permutation, get bit-identical energies.
+
+_BLOCK = 1 << 15  # pairs per energy block: bounds working memory at any sector size
+
+
+class _Split(NamedTuple):
+    """A sector as compatible pairs (a, b) of half rows, built once and shared by all replicas.
+
+    Pair (a, b) is the configuration ``(rows_a[a], rows_b[b])``, with color
+    counts ``counts[label[key_a[a] + key_b[b]]]``.  ``pairs_a = (index, eq)``
+    gives the flat index in S of each site pair i < j of half A and which of
+    its rows have equal colors there (likewise ``pairs_b``).  Each block ``(pa, pb,
+    steps)`` covers the pairs ``(pa, pb)`` (broadcast).  A flat block lists
+    them, and ``steps[j]`` locates ``U_A[a, j, sigma_B(b)_j]`` in the flat
+    ``U_A``; a tree block pairs the A rows ``pa[:, 0]`` with the lexicographic
+    B rows ``pb``, whose distinct prefixes of length j + 1 have (parent, color
+    index) ``steps[j]``.
+    """
+
+    n: int
+    kappa: int
+    rows_a: np.ndarray
+    rows_b: np.ndarray
+    counts: np.ndarray
+    key_a: np.ndarray
+    key_b: np.ndarray
+    label: np.ndarray
+    pairs_a: tuple
+    pairs_b: tuple
+    flat: bool
+    blocks: list
+
+
+def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(parent, color index) of the distinct prefixes of each length of lexicographic ``rows``."""
+    levels, node = [], np.zeros(len(rows), dtype=np.int64)
+    for j in range(rows.shape[1]):
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (node[1:] != node[:-1]) | (rows[1:, j] != rows[:-1, j])
+        levels.append((node[new], rows[new, j] - 1))
+        node = np.cumsum(new) - 1
+    return levels
+
+
+def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
+    """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
+
+    A fixed sector keeps the half rows whose color counts fit under its d,
+    grouped by count vector (Knuth, TAOCP 7.2.1.2), and pairs each A group
+    with the one B group that completes it to d.
+    """
+    total = count_configs(n, kappa, sector)
+    if total > cap:
+        raise EnumerationCapError(f"sector has {total} configurations, exceeding the cap of {cap}")
+    d = sector_counts(n, kappa, sector)
+    enumerated = {m: config_array(m, kappa, "all") for m in {n // 2, n - n // 2}}
+    halves = []
+    for rows in (enumerated[n // 2], enumerated[n - n // 2]):
+        c = (rows[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1)
+        if d is not None:
+            fit = np.flatnonzero((c <= d).all(axis=1))
+            order = fit[np.lexsort(c[fit].T[::-1])]
+            rows, c = rows[order], c[order]
+        groups, key = np.unique(c, axis=0, return_inverse=True)
+        key = key.reshape(-1)
+        i, j = np.triu_indices(rows.shape[1], 1)
+        offset = len(halves) * (n // 2)  # site of column 0 of the half
+        pairs = ((i + offset) * n + j + offset, (rows[:, i] == rows[:, j]).astype(np.float64))
+        halves.append((rows, groups, key, np.searchsorted(key, np.arange(len(groups) + 1)), pairs))
+    (rows_a, groups_a, key_a, bounds_a, pairs_a), (rows_b, groups_b, key_b, bounds_b, pairs_b) = halves
+    sums = (groups_a[:, None] + groups_b).reshape(-1, kappa)
+    if d is None:
+        counts, label = np.unique(sums, axis=0, return_inverse=True)
+        segments = [(0, len(rows_a), 0, len(rows_b))]
+    else:  # group k of A pairs with group p of B; both halves are sorted by group
+        counts, label = d[None], np.where((sums == d).all(axis=1), 0, -1)
+        partner = (label.reshape(len(groups_a), -1) == 0).argmax(axis=1)
+        segments = [(bounds_a[k], bounds_a[k + 1], bounds_b[p], bounds_b[p + 1]) for k, p in enumerate(partner)]
+    blocks = []
+    for a0, a1, b0, b1 in segments:  # chunks of A rows share the B rows and their prefix tree
+        pb, levels, step = np.arange(b0, b1), _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
+        blocks += [(np.arange(r, min(r + step, a1))[:, None], pb, levels) for r in range(a0, a1, step)]
+    flat = total <= _BLOCK
+    if flat:  # one block listing every pair: a fixed, small number of array calls per replica
+        pa = np.concatenate([np.repeat(ra[:, 0], len(rb)) for ra, rb, _ in blocks])
+        pb = np.concatenate([np.tile(rb, len(ra)) for ra, rb, _ in blocks])
+        nb = rows_b.shape[1]
+        blocks = [(pa, pb, (pa * nb + np.arange(nb)[:, None]) * kappa + rows_b[pb].T - 1)]
+    return _Split(n, kappa, rows_a, rows_b, counts, key_a * len(groups_b), key_b, label.reshape(-1),
+                  pairs_a, pairs_b, flat, blocks)
+
+
+def _energy_blocks(split: _Split, g: CouplingMatrix, kind: str) -> Iterator[tuple]:
+    """Energies under ``g`` of every sector configuration, one block at a time.
+
+    Yields ``(energies, pa, pb)``: ``energies[...]`` is the energy of the
+    configuration ``(rows_a[pa], rows_b[pb])``, with ``pa`` and ``pb``
+    broadcast to its shape.
+    """
     if kind not in ("raw", "centered"):
         raise ValueError(f"hamiltonian kind must be 'raw' or 'centered', got {kind!r}")
-    energies = batch_energies_raw(colors, g)
-    if kind == "centered":
-        energies = energies - centering_shift(g, kappa)
-    return energies
+    s, na = g.sym, split.rows_a.shape[1]
+    (index_a, eq_a), (index_b, eq_b) = split.pairs_a, split.pairs_b
+    h_a = g.g.trace() + (eq_a * s.ravel()[index_a]).sum(axis=1)
+    h_b = (eq_b * s.ravel()[index_b]).sum(axis=1)
+    onehot = split.rows_a[:, :, None, None] == np.arange(1, split.kappa + 1)
+    u = (onehot * s[:na, na:, None]).sum(axis=1)  # U_A, shape (rows, |B|, kappa)
+    shift = centering_shift(g, split.kappa) if kind == "centered" else 0.0
+    for pa, pb, steps in split.blocks:
+        if split.flat:  # sum over the sites j of B in order
+            cross = sum(u.ravel()[index] for index in steps)
+        else:  # the same sums, shared along the prefix tree
+            cross = 0.0
+            for j, (parent, color) in enumerate(steps):
+                cross = (cross[:, parent] if j else cross) + u[pa[:, 0], j][:, color]
+        yield ((h_a[pa] + h_b[pb]) + cross) / math.sqrt(split.n) - shift, pa, pb
 
 
-def log_partition(
-    g: CouplingMatrix,
-    beta: float,
-    kappa: int,
-    sector="all",
-    kind: str = "centered",
-    cap: int = DEFAULT_CAP,
-) -> FreeEnergySample:
+def _mass(split: _Split, g: CouplingMatrix, beta: float, kind: str = "raw",
+          factors: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[float, np.ndarray]:
+    """Gibbs mass of the sector under ``g``, resolved by color counts.
+
+    Returns ``(top, w)``: ``top`` is the largest energy and ``w[k, 0]`` the sum
+    of ``exp(beta (H - top))`` over the configurations with color counts
+    ``split.counts[k]`` -- at beta = inf, how many of them reach ``top`` -- so
+    ``log Z_g(beta, d_k) = beta top + log w[k, 0]``.  Column ``1 + f`` also
+    weighs each pair (a, b) by ``fa[a] fb[b]`` for ``(fa, fb) = factors[f]``.
+    """
+    top, mass = -np.inf, np.zeros((len(split.counts), 1 + len(factors)))
+    for energies, pa, pb in _energy_blocks(split, g, kind):
+        peak = energies.max()
+        if peak > top:  # a running maximum keeps every weight <= 1
+            mass, top = mass * gibbs_weights(top, beta, peak), peak
+        w = gibbs_weights(energies, beta, top)
+        label = split.label[split.key_a[pa] + split.key_b[pb]].ravel()
+        cols = [w] + [w * fa[pa] * fb[pb] for fa, fb in factors]
+        mass = mass + np.stack([np.bincount(label, c.ravel(), len(mass)) for c in cols], axis=1)
+    return float(top), mass
+
+
+def log_partition(g: CouplingMatrix, beta: float, kappa: int, sector="all", kind: str = "centered",
+                  cap: int = DEFAULT_CAP) -> FreeEnergySample:
     """Exact ``log sum_sigma exp(beta * H(sigma))`` over the sector."""
-    return _log_partition(config_array(g.n, kappa, sector, cap=cap), beta, kappa, sector, kind, g)
+    return _log_partition(_split(g.n, kappa, sector, cap), beta, kind, sector, g)
 
 
-def _log_partition(colors: np.ndarray, beta: float, kappa: int, sector, kind: str,
-                   g: CouplingMatrix) -> FreeEnergySample:
-    """:func:`log_partition` over the sector rows ``colors``."""
+def _log_partition(split: _Split, beta: float, kind: str, sector, g: CouplingMatrix) -> FreeEnergySample:
+    """:func:`log_partition` over a split sector."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    return FreeEnergySample(
-        log_z=logsumexp(beta * _energies(colors, g, kappa, kind)),
-        n=g.n,
-        kappa=kappa,
-        beta=beta,
-        seed=g.seed,
-        stream=g.stream,
-        sector=_sector_label(sector),
-        kind=kind,
-    )
+    top, w = _mass(split, g, beta, kind)
+    return FreeEnergySample(beta * top + math.log(w[:, 0].sum()), g.n, split.kappa, beta, g.seed, g.stream,
+                            _sector_label(sector), kind)
 
 
 def quenched_free_energy(
@@ -226,66 +355,57 @@ def quenched_free_energy(
 ) -> QuenchedFreeEnergy:
     """Mean and standard error of ``n^{-1} log Z`` over disorder replicas.
 
-    The sector is enumerated once; replica ``r`` draws its coupling from
-    stream ``r`` of the root seed (:func:`pottsglass.core.map_replicas`), so
-    results are independent of the worker count.
+    The sector is split once; replica ``r`` draws its coupling from stream
+    ``r`` of the root seed (:func:`pottsglass.core.map_replicas`), so results
+    are independent of the worker count.
     """
     if replicas < 2:
         raise ValueError("quenched averaging needs at least 2 replicas")
-    colors = config_array(n, kappa, sector, cap=cap)
     samples = map_replicas(
-        partial(_log_partition, colors, beta, kappa, sector, kind), n, seed, replicas, workers
+        partial(_log_partition, _split(n, kappa, sector, cap), beta, kind, sector), n, seed, replicas, workers
     )
     mean, stderr = mean_stderr([s.free_energy for s in samples])
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
 
 
-def gibbs_expectation(
-    g: CouplingMatrix,
-    beta: float,
-    kappa: int,
-    observable: Callable[[SpinConfig], float],
-    sector="all",
-    kind: str = "raw",
-    cap: int = DEFAULT_CAP,
-) -> float:
+def _sector_energies(split: _Split, g: CouplingMatrix, kind: str) -> tuple[np.ndarray, Callable]:
+    """Every energy of the split sector under ``g``, and a builder of its configurations.
+
+    Returns ``(energies, rows)``, where ``rows(mask)`` rebuilds the color rows of
+    the configurations selected by the boolean ``mask`` over ``energies``.
+    """
+    parts = [[np.broadcast_to(x, e.shape).ravel() for x in (e, pa, pb)]
+             for e, pa, pb in _energy_blocks(split, g, kind)]
+    energies, pa, pb = (np.concatenate(x) for x in zip(*parts))
+    return energies, lambda mask: np.hstack((split.rows_a[pa[mask]], split.rows_b[pb[mask]]))
+
+
+def gibbs_expectation(g: CouplingMatrix, beta: float, kappa: int, observable: Callable[[SpinConfig], float],
+                      sector="all", kind: str = "raw", cap: int = DEFAULT_CAP) -> float:
     """Exact Gibbs average of an observable, stabilized by the max energy.
 
     ``beta = inf`` uses the uniform distribution on the energy maximizers.
+    The observable sees each configuration of nonzero weight once.
     """
-    colors = config_array(g.n, kappa, sector, cap=cap)
-    energies = _energies(colors, g, kappa, kind)
-    values = np.array(
-        [observable(SpinConfig(row, kappa)) for row in colors], dtype=np.float64
-    )
+    energies, rows = _sector_energies(_split(g.n, kappa, sector, cap), g, kind)
     w = gibbs_weights(energies, beta)
-    return float((w * values).sum() / w.sum())
+    values = [observable(SpinConfig(row, kappa)) for row in rows(w > 0)]
+    return float((w[w > 0] * np.array(values, dtype=np.float64)).sum() / w.sum())
 
 
-def ground_state(
-    g: CouplingMatrix,
-    kappa: int,
-    sector="all",
-    kind: str = "raw",
-    cap: int = DEFAULT_CAP,
-) -> GroundStateResult:
+def ground_state(g: CouplingMatrix, kappa: int, sector="all", kind: str = "raw",
+                 cap: int = DEFAULT_CAP) -> GroundStateResult:
     """Exact maximum energy over the sector, with every maximizer kept.
 
     Float ties are kept as-is: configurations related by a global color
     permutation produce bit-identical energies, so the structural degeneracy
-    is exact.
+    is exact.  Maximizers come in lexicographic order.
     """
-    colors = config_array(g.n, kappa, sector, cap=cap)
-    energies = _energies(colors, g, kappa, kind)
+    energies, rows = _sector_energies(_split(g.n, kappa, sector, cap), g, kind)
     top = float(energies.max())
-    return GroundStateResult(
-        energy=top,
-        maximizers=colors[energies == top],
-        n=g.n,
-        kappa=kappa,
-        sector=_sector_label(sector),
-        kind=kind,
-    )
+    maximizers = rows(energies == top)
+    return GroundStateResult(top, maximizers[np.lexsort(maximizers.T[::-1])], g.n, kappa,
+                             _sector_label(sector), kind)
 
 
 def enumerate_admissible(n: int, kappa: int) -> Iterator[AdmissibleMatrix]:
@@ -536,18 +656,14 @@ class GaugePairResult:
     flip_site: int | None
 
 
-def _spin_products(colors: np.ndarray, sites: Sequence[int]) -> np.ndarray:
-    # tau_i = +1 when color 1, -1 when color 2
-    tau = 3 - 2 * colors  # 1 -> +1, 2 -> -1
-    out = np.ones(colors.shape[0], dtype=np.float64)
-    for s in sites:
-        out *= tau[:, s]
-    return out
-
-
-def _gibbs_product(colors: np.ndarray, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> float:
-    w = gibbs_weights(batch_energies_raw(colors, g), beta)
-    return float((w * _spin_products(colors, sites)).sum() / w.sum())
+def _spin_product(split: _Split, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> float:
+    """Gibbs average under ``g`` of ``prod_{s in sites} tau_s`` (tau = +1 on color 1, -1 on color 2),
+    a separable product: its A part times its B part."""
+    na = split.rows_a.shape[1]
+    tau_a = 3.0 - 2 * split.rows_a[:, [s for s in sites if s < na]]
+    tau_b = 3.0 - 2 * split.rows_b[:, [s - na for s in sites if s >= na]]
+    _, w = _mass(split, g, beta, "raw", [(tau_a.prod(axis=1), tau_b.prod(axis=1))])
+    return float(w[:, 1].sum() / w[:, 0].sum())
 
 
 def gauge_pair_check(
@@ -565,13 +681,11 @@ def gauge_pair_check(
     With no odd-multiplicity site the result carries parity='even' (the
     correlation is then flip-invariant, e.g. ``<tau_i^2> = 1``).
     """
-    return _gauge_pair(config_array(g.n, 2, "all", cap=cap), g, beta, sites)
+    return _gauge_pair(_split(g.n, 2, "all", cap), g, beta, sites)
 
 
-def _gauge_pair(
-    colors: np.ndarray, g: CouplingMatrix, beta: float, sites: Sequence[int]
-) -> GaugePairResult:
-    """:func:`gauge_pair_check` over the two-color rows ``colors``, shared by g and its flip."""
+def _gauge_pair(split: _Split, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> GaugePairResult:
+    """:func:`gauge_pair_check` over the split two-color sector, shared by g and its flip."""
     sites = [int(s) for s in sites]
     if not sites:
         raise ValueError("sites multiset must be non-empty")
@@ -581,11 +695,11 @@ def _gauge_pair(
     for s in sites:
         degrees[s] = degrees.get(s, 0) + 1
     odd = sorted(s for s, d in degrees.items() if d % 2 == 1)
-    value = _gibbs_product(colors, g, beta, sites)
+    value = _spin_product(split, g, beta, sites)
     if not odd:
         return GaugePairResult(value, value, 2.0 * value, "even", None)
     flip = odd[0]
-    value_flipped = _gibbs_product(colors, g.flipped_at(flip), beta, sites)
+    value_flipped = _spin_product(split, g.flipped_at(flip), beta, sites)
     return GaugePairResult(value, value_flipped, value + value_flipped, "odd", flip)
 
 
@@ -604,42 +718,29 @@ class MomentEstimate:
         return self.value <= self.bound + 3.0 * self.stderr
 
 
-def _gibbs_averages(colors: np.ndarray, observables: np.ndarray, beta: float,
-                    g: CouplingMatrix) -> np.ndarray:
-    """Gibbs average under ``g`` of each row of ``observables`` (one replica)."""
-    w = gibbs_weights(batch_energies_raw(colors, g), beta)
-    return (w / w.sum() * observables).sum(axis=1)
+def _count_averages(split: _Split, observables: np.ndarray, beta: float, g: CouplingMatrix) -> np.ndarray:
+    """Gibbs averages under ``g`` of statistics of the color counts, ``observables[:, k]`` at ``split.counts[k]``."""
+    _, w = _mass(split, g, beta)
+    return (observables * w[:, 0]).sum(axis=1) / w[:, 0].sum()
 
 
-def _replica_average(colors: np.ndarray, observables: np.ndarray, beta: float, replicas: int,
-                     seed: int, workers: int = 1) -> list[tuple[float, float]]:
-    """Disorder (mean, stderr) of Gibbs averages with exact inner enumeration.
+def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.ndarray], beta: float,
+                     replicas: int, seed: int, cap: int, workers: int = 1) -> list[tuple[float, float]]:
+    """Disorder (mean, stderr) of exact Gibbs averages over the 'all' sector.
 
-    Row ``k`` of the ``(K, states)`` array ``observables`` holds statistic
-    ``k`` on each row of ``colors``.  Replica ``r`` draws its coupling from
-    stream ``r`` of ``seed``; a single replica reports stderr 0.
+    ``statistics`` maps the ``(D, kappa)`` color fractions ``d / n`` of the
+    sector's count vectors to a ``(K, D)`` array, row ``k`` holding statistic
+    ``k``.  Replica ``r`` draws its coupling from stream ``r`` of ``seed``; a
+    single replica reports stderr 0.
     """
-    rows = map_replicas(
-        partial(_gibbs_averages, colors, observables, beta), colors.shape[1], seed, replicas, workers
-    )
+    split = _split(n, kappa, "all", cap)
+    observables = np.asarray(statistics(split.counts / n), dtype=np.float64)
+    rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers)
     return [mean_stderr(col) for col in np.array(rows).T]
 
 
-def _color1_excess(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two-color sector rows and their centered color-1 fraction ``d_1 - 1/2``."""
-    colors = config_array(n, 2, "all", cap=cap)
-    return colors, (colors == 1).sum(axis=1) / n - 0.5
-
-
-def magnetization_moment_exact(
-    n: int,
-    beta: float,
-    m: int,
-    replicas: int = 200,
-    seed: int = 0,
-    cap: int = DEFAULT_CAP,
-    workers: int = 1,
-) -> MomentEstimate:
+def magnetization_moment_exact(n: int, beta: float, m: int, replicas: int = 200, seed: int = 0,
+                               cap: int = DEFAULT_CAP, workers: int = 1) -> MomentEstimate:
     """Disorder-averaged ``<(d_1 - 1/2)^m>`` for the two-color model.
 
     Odd moments vanish identically: the global color swap leaves every
@@ -655,22 +756,14 @@ def magnetization_moment_exact(
     if replicas < 2:
         raise ValueError("even-moment estimation needs at least 2 replicas")
     bound = math.factorial(m) / (2 ** m * math.factorial(m // 2)) / n ** (m // 2)
-    colors, x = _color1_excess(n, cap)
-    [(mean, se)] = _replica_average(colors, x[None] ** m, beta, replicas, seed, workers)
+    [(mean, se)] = _replica_average(n, 2, lambda f: [(f[:, 0] - 0.5) ** m], beta, replicas, seed, cap, workers)
     return MomentEstimate(mean, se, bound, m, n, beta, replicas)
 
 
-def magnetization_mgf_exact(
-    n: int,
-    beta: float,
-    lam: float,
-    replicas: int = 200,
-    seed: int = 0,
-    cap: int = DEFAULT_CAP,
-) -> MomentEstimate:
+def magnetization_mgf_exact(n: int, beta: float, lam: float, replicas: int = 200, seed: int = 0,
+                            cap: int = DEFAULT_CAP) -> MomentEstimate:
     """Disorder-averaged ``<exp(lam (d_1 - 1/2))>`` against ``e^{lam^2/(4n)}``."""
-    colors, x = _color1_excess(n, cap)
-    [(mean, se)] = _replica_average(colors, np.exp(lam * x)[None], beta, replicas, seed)
+    [(mean, se)] = _replica_average(n, 2, lambda f: [np.exp(lam * (f[:, 0] - 0.5))], beta, replicas, seed, cap)
     return MomentEstimate(mean, se, math.exp(lam ** 2 / (4.0 * n)), 0, n, beta, replicas)
 
 
@@ -684,12 +777,9 @@ def tail_probability_exact(
     form) otherwise.  One ``epsilon`` gives one estimate; a sequence gives a
     list of estimates sharing the enumeration and the disorder draws.
     """
-    epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
-    colors = config_array(n, kappa, "all", cap=cap)
-    tails = (max_deviation(colors, kappa) >= np.array(epsilons)[:, None]).astype(np.float64)
-    out = [
-        MomentEstimate(mean, se, 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else math.inf,
-                       0, n, beta, replicas)
-        for e, (mean, se) in zip(epsilons, _replica_average(colors, tails, beta, replicas, seed, workers))
-    ]
+    eps = np.array([float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon])
+    tails = _replica_average(n, kappa, lambda f: np.abs(f - 1.0 / kappa).max(axis=1) >= eps[:, None],
+                             beta, replicas, seed, cap, workers)
+    out = [MomentEstimate(mean, se, 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else math.inf, 0, n, beta, replicas)
+           for e, (mean, se) in zip(eps, tails)]
     return out[0] if np.isscalar(epsilon) else out

@@ -104,6 +104,10 @@ class ExperimentSpec:
             raise ValidationError(f"gauge-check takes one size and one beta, got n={self.n}, beta={self.beta}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
+        if self.trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        if self.kappa_max < 3:
+            raise ValidationError(f"kappa_max must be >= 3, got {self.kappa_max}")
         if self.replicas < 1:
             raise ValidationError("replicas must be >= 1")
         if self.command == "exact-free-energy" and self.replicas < 2:

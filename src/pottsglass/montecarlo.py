@@ -373,6 +373,10 @@ def estimate_tail(
         raise ValueError(
             f"need sweeps >= 1, thinning >= 1 and burn_in >= 0, got {sweeps}, {thinning}, {burn_in}"
         )
+    if ladder and (math.isinf(beta) or ladder[-1] != beta):  # beta = inf is exact: no chains to temper
+        raise ValueError(
+            f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}"
+        )
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
 
     def bound(e: float) -> float | None:
@@ -388,10 +392,6 @@ def estimate_tail(
             TailEstimate(e, est.value, est.stderr, bound(e), replicas, False)
             for e, est in zip(epsilons, exact_estimates)
         ]
-    if ladder and ladder[-1] != beta:
-        raise ValueError(
-            f"the ladder must end at the target beta: ladder top {ladder[-1]}, beta {beta}"
-        )
 
     results = map_replicas(
         partial(_tail_replica, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),

@@ -100,6 +100,9 @@ INVALID_COMMANDS = {
     "gauge-two-betas": ["gauge-check", "--n", "4", "--beta", "1,2", "--trials", "3"],
     "cap-on-thresholds": ["thresholds", "--cap", "5"],
     "abbreviated-flag": ["thresholds", "--kappa", "5"],
+    "kl-negative-trials": ["kl-check", "--trials", "-5"],
+    "gauge-negative-trials": ["gauge-check", "--n", "4", "--trials", "-2"],
+    "thresholds-small-kappa-max": ["thresholds", "--kappa-max", "2"],
 }
 
 

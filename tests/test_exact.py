@@ -6,7 +6,7 @@ import pytest
 
 from pottsglass import core, exact
 
-from conftest import gram_pair_covariances
+from conftest import gram_pair_covariances, match_matrix_flat
 
 
 def coupling(matrix):
@@ -333,3 +333,170 @@ class TestKappa2Moments:
         est = exact.tail_probability_exact(8, 0.0, 0.5, replicas=3, seed=4)
         assert est.value == pytest.approx(2 / 256, abs=1e-12)
         assert est.satisfied
+
+
+# ---------------------------------------------------------------------------
+# Split-half engine: bitwise color symmetry and an independent oracle
+
+
+def split_energies(n, kappa, sector, g):
+    """Every configuration of the split sector with its raw energy from the engine's blocks."""
+    energies, rows = exact._sector_energies(exact._split(n, kappa, sector), g, "raw")
+    return rows(np.ones(energies.size, dtype=bool)), energies
+
+
+def color_images(rows, kappa):
+    """For every permutation of the colors: the position of each permuted row among ``rows``."""
+    weights = kappa ** np.arange(rows.shape[1])[::-1]
+    codes = (rows - 1) @ weights
+    order = np.argsort(codes)
+    for perm in itertools.permutations(range(1, kappa + 1)):
+        image = np.array((0,) + perm)[rows]
+        yield perm, order[np.searchsorted(codes[order], (image - 1) @ weights)]
+
+
+PERMUTATION_CASES = [  # (kappa, n, sector, seed); the first one broke under the mask kernel
+    (3, 7, "all", 1),
+    (3, 12, "balanced", 6),
+    (4, 8, "balanced", 1),
+    (4, 6, "all", 1),
+    (3, 10, "all", 1),  # tree blocks with several count vectors each
+]
+
+
+class TestSplitEngine:
+    @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
+    def test_color_permutations_give_bitwise_equal_energies(self, kappa, n, sector, seed):
+        g = core.CouplingMatrix.from_seed(n, seed, 0)
+        rows, energies = split_energies(n, kappa, sector, g)
+        assert len(rows) == core.count_configs(n, kappa, sector)
+        for perm, idx in color_images(rows, kappa):
+            assert np.array_equal(rows[idx], np.array((0,) + perm)[rows])
+            assert np.array_equal(energies[idx], energies), perm
+
+    @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
+    def test_ground_states_are_closed_under_color_permutations(self, kappa, n, sector, seed):
+        g = core.CouplingMatrix.from_seed(n, seed, 0)
+        res = exact.ground_state(g, kappa, sector, "raw")
+        found = {tuple(row) for row in res.maximizers}
+        assert len(found) == res.degeneracy
+        for perm in itertools.permutations(range(1, kappa + 1)):
+            assert {tuple(np.array((0,) + perm)[row]) for row in res.maximizers} == found
+        assert res.maximizers.tolist() == sorted(res.maximizers.tolist())  # lexicographic
+
+    @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 9, (4, 5))])
+    def test_flat_and_tree_blocks_agree_bitwise(self, kappa, n, sector, monkeypatch):
+        g = core.CouplingMatrix.from_seed(n, 12, 3)
+        flat_rows, flat = split_energies(n, kappa, sector, g)
+        monkeypatch.setattr(exact, "_BLOCK", 7)  # tree blocks of a few pairs each
+        assert not exact._split(n, kappa, sector).flat
+        tree_rows, tree = split_energies(n, kappa, sector, g)
+        key = lambda rows: np.lexsort(rows.T[::-1])
+        assert np.array_equal(flat_rows[key(flat_rows)], tree_rows[key(tree_rows)])
+        assert np.array_equal(flat[key(flat_rows)], tree[key(tree_rows)])
+
+    def test_cap_is_checked_before_any_enumeration(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the cap")
+
+        monkeypatch.setattr(exact, "config_array", refuse)
+        with pytest.raises(core.EnumerationCapError):
+            exact.tail_probability_exact(20, 1.0, 0.25, replicas=2, cap=1000)
+        with pytest.raises(core.EnumerationCapError):
+            exact.log_partition(core.CouplingMatrix.from_seed(11, 1), 1.0, 3, "all", cap=1000)
+
+    def test_replica_engines_are_worker_count_invariant(self):
+        def run(workers):
+            tails = exact.tail_probability_exact(7, 1.3, [0.1, 0.3], replicas=5, seed=4, kappa=3, workers=workers)
+            moment = exact.magnetization_moment_exact(9, 1.3, 2, replicas=5, seed=4, workers=workers)
+            return [(t.value, t.stderr) for t in tails] + [(moment.value, moment.stderr)]
+
+        assert run(1) == run(2)
+
+
+def oracle_energies(colors, g):
+    """Raw energies by site-match masks times couplings, summed row by row (no split)."""
+    flat = g.g.ravel()
+    return np.concatenate([(match_matrix_flat(colors[lo:lo + 2048]) * flat).sum(axis=1)
+                           for lo in range(0, len(colors), 2048)]) / math.sqrt(colors.shape[1])
+
+
+def oracle_weights(energies, beta):
+    """Gibbs weights; at beta = inf, ties with the maximum up to 1e-12 relative."""
+    top = energies.max()
+    if math.isinf(beta):
+        return (np.abs(energies - top) <= 1e-12 * np.maximum(1.0, np.abs(energies))).astype(float)
+    return np.exp(beta * (energies - top))
+
+
+def fixed_sector(n, kappa):
+    """A fixed count vector with a zero count: (0, rest spread as evenly as possible)."""
+    rest = [(n + i) // (kappa - 1) for i in range(kappa - 1)]
+    return (0, *sorted(rest))
+
+
+ORACLE_SIZES = [(n, kappa) for n in (1, 2, 3, 5, 8, 13) for kappa in (2, 3, 4)]
+BETAS = (0.0, 1.3, math.inf)
+
+
+def close(a, b, floor=0.0):
+    return math.isclose(a, b, rel_tol=1e-12, abs_tol=floor)
+
+
+class TestSplitOracle:
+    @pytest.mark.parametrize("n,kappa", ORACLE_SIZES)
+    def test_log_partition_and_ground_state(self, n, kappa):
+        sectors = ["all", fixed_sector(n, kappa)] + (["balanced"] if n % kappa == 0 else [])
+        for sector in sectors:
+            if core.count_configs(n, kappa, sector) > 70_000:
+                continue
+            colors = core.config_array(n, kappa, sector)
+            for stream in range(2):
+                g = core.CouplingMatrix.from_seed(n, 17, stream)
+                energies = oracle_energies(colors, g)
+                for kind, shift in (("raw", 0.0), ("centered", core.centering_shift(g, kappa))):
+                    for beta in BETAS[:2]:
+                        got = exact.log_partition(g, beta, kappa, sector, kind).log_z
+                        assert close(got, exact.logsumexp(beta * (energies - shift))), (sector, kind, beta)
+                gs = exact.ground_state(g, kappa, sector, "raw")
+                ties = oracle_weights(energies, math.inf) > 0
+                assert close(gs.energy, energies.max())
+                assert gs.maximizers.tolist() == colors[ties].tolist()
+
+    @pytest.mark.parametrize("n,kappa", ORACLE_SIZES)
+    def test_tails(self, n, kappa):
+        if kappa ** n > 70_000:
+            pytest.skip("sector too large for the mask oracle")
+        colors = core.config_array(n, kappa, "all")
+        deviation = np.abs((colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / n - 1 / kappa).max(axis=1)
+        epsilons = (0.1, 0.25, 0.5)
+        for beta in BETAS:
+            per_replica = []
+            for r in range(3):
+                w = oracle_weights(oracle_energies(colors, core.CouplingMatrix.from_seed(n, 5, r)), beta)
+                per_replica.append([(w * (deviation >= e)).sum() / w.sum() for e in epsilons])
+            got = exact.tail_probability_exact(n, beta, epsilons, replicas=3, seed=5, kappa=kappa)
+            for est, want in zip(got, np.mean(per_replica, axis=0)):
+                assert close(est.value, want), (beta, est.epsilon)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_two_color_moments_mgf_and_gauge(self, n):
+        colors = core.config_array(n, 2, "all")
+        x = (colors == 1).sum(axis=1) / n - 0.5
+        tau = 3 - 2 * colors
+        for beta in BETAS:
+            moments, mgf = [], []
+            for r in range(3):
+                w = oracle_weights(oracle_energies(colors, core.CouplingMatrix.from_seed(n, 8, r)), beta)
+                moments.append((w * x ** 2).sum() / w.sum())
+                mgf.append((w * np.exp(1.7 * x)).sum() / w.sum())
+            assert close(exact.magnetization_moment_exact(n, beta, 2, replicas=3, seed=8).value, np.mean(moments))
+            assert close(exact.magnetization_mgf_exact(n, beta, 1.7, replicas=3, seed=8).value, np.mean(mgf))
+            g = core.CouplingMatrix.from_seed(n, 9, 0)
+            sites = [0, n - 1, n // 2, n // 2]
+            res = exact.gauge_pair_check(g, beta, sites)
+            flipped = g if res.flip_site is None else g.flipped_at(res.flip_site)
+            for value, coupling_ in ((res.value, g), (res.value_flipped, flipped)):
+                w = oracle_weights(oracle_energies(colors, coupling_), beta)
+                want = (w * tau[:, sites].prod(axis=1)).sum() / w.sum()
+                assert close(value, want, floor=1e-12), (beta, value, want)

@@ -337,6 +337,11 @@ class TestEstimators:
         with pytest.raises(ValueError, match="ladder"):
             mc.estimate_tail(epsilon=0.25, **spec)
 
+    def test_ladder_needs_finite_beta(self):
+        # beta = inf used to return the exact tail and silently drop the ladder
+        with pytest.raises(ValueError, match="finite target beta"):
+            mc.estimate_tail(4, math.inf, 0.25, replicas=2, ladder=(0.0, 1.0))
+
     @pytest.mark.parametrize("sweeps, burn_in, thinning", [(0, 2, 1), (10, -1, 1), (10, 2, 0)])
     def test_chain_lengths_must_be_valid(self, sweeps, burn_in, thinning):
         # sweeps=0 used to give a nan estimate with a RuntimeWarning
