@@ -69,6 +69,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_ENERGY_CHUNK = 4096  # rows per mask block in batch_energies_raw
 
 # Stream namespaces for the seed-splitting rule (see module docstring).
 CHAIN_NAMESPACE = 1 << 32
@@ -422,12 +423,31 @@ def enumerate_configs(n: int, kappa: int, constraint="all") -> Iterator[SpinConf
             yield SpinConfig(arr, kappa)
 
 
+def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every sequence of ``steps`` rows of ``choices`` whose sum fits under ``budget``.
+
+    Each prefix is extended by every choice that still fits its remaining
+    budget; row-major ``nonzero`` visits prefixes in order and choices
+    ascending, so the sequences come out in lexicographic order of choice
+    index (Knuth, TAOCP 7.2.1.2).  Returns ``(picks, left)``: the choice
+    indices of each sequence, ``(count, steps)``, and its remaining budget.
+    """
+    picks = np.empty((1, 0), dtype=np.min_scalar_type(len(choices)))
+    left = np.asarray(budget, dtype=np.int64)[None]
+    for _ in range(steps):
+        rows, pick = np.nonzero((choices <= left[:, None]).all(axis=2))
+        picks = np.hstack((picks[rows], pick.astype(picks.dtype)[:, None]))
+        left = left[rows] - choices[pick]
+    return picks, left
+
+
 def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
     """All sector configurations as one ``(count, n)`` int array.
 
-    Rows are in lexicographic order, matching :func:`enumerate_configs`.
-    Raises :class:`EnumerationCapError` before materializing anything too
-    large.
+    Rows are in lexicographic order, matching :func:`enumerate_configs`:
+    each site takes every color that still has sites left in the sector
+    (any color, for ``"all"``).  Raises :class:`EnumerationCapError` before
+    materializing anything too large.
     """
     total = count_configs(n, kappa, constraint)
     if cap is not None and total > cap:
@@ -435,24 +455,8 @@ def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -
             f"sector has {total} configurations, exceeding the cap of {cap}"
         )
     counts = sector_counts(n, kappa, constraint)
-    if counts is None:
-        idx = np.arange(total, dtype=np.int64)
-        cols = np.empty((total, n), dtype=np.int64)
-        for j in range(n):
-            cols[:, j] = (idx // kappa ** (n - 1 - j)) % kappa + 1
-        return cols
-    # Extend every prefix by each color it still has sites for; row-major
-    # nonzero visits prefixes in order and colors ascending, so the rows stay
-    # lexicographic (multiset permutations, Knuth TAOCP 7.2.1.2).
-    dtype = np.min_scalar_type(kappa)
-    prefix = np.empty((1, 0), dtype=dtype)
-    left = counts[None, :]
-    for _ in range(n):
-        rows, cols = np.nonzero(left > 0)
-        prefix = np.hstack((prefix[rows], (cols + 1).astype(dtype)[:, None]))
-        left = left[rows]
-        left[np.arange(rows.size), cols] -= 1
-    return prefix.astype(np.int64)
+    picks, _ = _lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
+    return picks.astype(np.int64) + 1
 
 
 def max_deviation(colors: np.ndarray, kappa: int):
@@ -461,7 +465,7 @@ def max_deviation(colors: np.ndarray, kappa: int):
     return np.abs(counts / colors.shape[-1] - 1.0 / kappa).max(axis=-1)
 
 
-def batch_energies_raw(colors: np.ndarray, g: CouplingMatrix, chunk: int = 4096) -> np.ndarray:
+def batch_energies_raw(colors: np.ndarray, g: CouplingMatrix) -> np.ndarray:
     """Raw Hamiltonian of every row of a ``(m, n)`` color matrix."""
     colors = np.asarray(colors, dtype=np.int64)
     m, n = colors.shape
@@ -470,8 +474,8 @@ def batch_energies_raw(colors: np.ndarray, g: CouplingMatrix, chunk: int = 4096)
     flat = g.g.reshape(-1)
     sqn = math.sqrt(n)
     out = np.empty(m, dtype=np.float64)
-    for lo in range(0, m, chunk):
-        hi = min(m, lo + chunk)
+    for lo in range(0, m, _ENERGY_CHUNK):
+        hi = min(m, lo + _ENERGY_CHUNK)
         blk = colors[lo:hi]
         mask = (blk[:, :, None] == blk[:, None, :]).reshape(hi - lo, -1)
         out[lo:hi] = mask.astype(np.float64) @ flat / sqn

@@ -28,6 +28,7 @@ from .core import (
     EnumerationCapError,
     SectorError,
     SpinConfig,
+    _lex_extend,
     centering_shift,
     config_array,
     count_configs,
@@ -241,49 +242,46 @@ def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
     """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
 
-    A fixed sector keeps the half rows whose color counts fit under its d,
-    grouped by count vector (Knuth, TAOCP 7.2.1.2), and pairs each A group
-    with the one B group that completes it to d.
+    A fixed sector is enumerated one count group at a time: each A count
+    vector c that fits under its d, in lexicographic order, pairs the A rows
+    with counts c and the B rows with counts d - c.
     """
     total = count_configs(n, kappa, sector)
     if total > cap:
         raise EnumerationCapError(f"sector has {total} configurations, exceeding the cap of {cap}")
     d = sector_counts(n, kappa, sector)
-    enumerated = {m: config_array(m, kappa, "all") for m in {n // 2, n - n // 2}}
-    halves = []
-    for rows in (enumerated[n // 2], enumerated[n - n // 2]):
-        c = (rows[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1)
-        if d is not None:
-            fit = np.flatnonzero((c <= d).all(axis=1))
-            order = fit[np.lexsort(c[fit].T[::-1])]
-            rows, c = rows[order], c[order]
-        groups, key = np.unique(c, axis=0, return_inverse=True)
-        key = key.reshape(-1)
-        i, j = np.triu_indices(rows.shape[1], 1)
-        offset = len(halves) * (n // 2)  # site of column 0 of the half
-        pairs = ((i + offset) * n + j + offset, (rows[:, i] == rows[:, j]).astype(np.float64))
-        halves.append((rows, groups, key, np.searchsorted(key, np.arange(len(groups) + 1)), pairs))
-    (rows_a, groups_a, key_a, bounds_a, pairs_a), (rows_b, groups_b, key_b, bounds_b, pairs_b) = halves
-    sums = (groups_a[:, None] + groups_b).reshape(-1, kappa)
     if d is None:
-        counts, label = np.unique(sums, axis=0, return_inverse=True)
-        segments = [(0, len(rows_a), 0, len(rows_b))]
-    else:  # group k of A pairs with group p of B; both halves are sorted by group
-        counts, label = d[None], np.where((sums == d).all(axis=1), 0, -1)
-        partner = (label.reshape(len(groups_a), -1) == 0).argmax(axis=1)
-        segments = [(bounds_a[k], bounds_a[k + 1], bounds_b[p], bounds_b[p + 1]) for k, p in enumerate(partner)]
-    blocks = []
-    for a0, a1, b0, b1 in segments:  # chunks of A rows share the B rows and their prefix tree
-        pb, levels, step = np.arange(b0, b1), _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
+        enumerated = {m: config_array(m, kappa, "all") for m in {n // 2, n - n // 2}}
+        rows_a, rows_b = enumerated[n // 2], enumerated[n - n // 2]
+        (groups_a, key_a), (groups_b, key_b) = (
+            np.unique((rows[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1), axis=0, return_inverse=True)
+            for rows in (rows_a, rows_b))
+        counts, label = np.unique((groups_a[:, None] + groups_b).reshape(-1, kappa), axis=0, return_inverse=True)
+        key_a, key_b = key_a.reshape(-1) * len(groups_b), key_b.reshape(-1)
+        parts = [(rows_a, rows_b)]
+    else:
+        parts = [(config_array(n // 2, kappa, tuple(c)), config_array(n - n // 2, kappa, tuple(d - c)))
+                 for c in _compositions(n // 2, kappa) if (c <= d).all()]
+        rows_a, rows_b = (np.concatenate(half) for half in zip(*parts))
+        counts, label = d[None], np.zeros(1, dtype=np.int64)  # every pair has counts d
+        key_a, key_b = np.zeros(len(rows_a), dtype=np.int64), np.zeros(len(rows_b), dtype=np.int64)
+    pairs = []
+    for offset, rows in ((0, rows_a), (n // 2, rows_b)):  # offset: site of column 0 of the half
+        i, j = np.triu_indices(rows.shape[1], 1)
+        pairs.append(((i + offset) * n + j + offset, (rows[:, i] == rows[:, j]).astype(np.float64)))
+    blocks, a0, b0 = [], 0, 0
+    for part_a, part_b in parts:  # chunks of A rows share the B rows and their prefix tree
+        a1, b1 = a0 + len(part_a), b0 + len(part_b)
+        pb, levels, step = np.arange(b0, b1), _prefix_tree(part_b), max(1, _BLOCK // (b1 - b0))
         blocks += [(np.arange(r, min(r + step, a1))[:, None], pb, levels) for r in range(a0, a1, step)]
+        a0, b0 = a1, b1
     flat = total <= _BLOCK
     if flat:  # one block listing every pair: a fixed, small number of array calls per replica
         pa = np.concatenate([np.repeat(ra[:, 0], len(rb)) for ra, rb, _ in blocks])
         pb = np.concatenate([np.tile(rb, len(ra)) for ra, rb, _ in blocks])
         nb = rows_b.shape[1]
         blocks = [(pa, pb, (pa * nb + np.arange(nb)[:, None]) * kappa + rows_b[pb].T - 1)]
-    return _Split(n, kappa, rows_a, rows_b, counts, key_a * len(groups_b), key_b, label.reshape(-1),
-                  pairs_a, pairs_b, flat, blocks)
+    return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label.reshape(-1), *pairs, flat, blocks)
 
 
 def _energy_blocks(split: _Split, g: CouplingMatrix, kind: str) -> Iterator[tuple]:
@@ -419,20 +417,14 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
 
     Tables are built one row at a time: every partial table is extended by
     each row composition that fits under its remaining column margins, and
-    the last row is forced.  Row-major ``nonzero`` keeps the tables in
-    lexicographic order.
+    the last row is forced; the rows come out in lexicographic order.
     """
     if n % kappa != 0:
         raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
     margin = n // kappa
     rows = _compositions(margin, kappa)
-    tables = np.empty((1, 0, kappa), dtype=np.int64)
-    left = np.full((1, kappa), margin, dtype=np.int64)
-    for _ in range(kappa - 1):
-        p, c = np.nonzero((rows[None] <= left[:, None]).all(axis=2))
-        tables = np.concatenate((tables[p], rows[c][:, None]), axis=1)
-        left = left[p] - rows[c]
-    return np.concatenate((tables, left[:, None]), axis=1)
+    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1)
+    return np.concatenate((rows[picks], left[:, None]), axis=1)
 
 
 def _log_gamma_table(n: int) -> np.ndarray:
@@ -528,13 +520,8 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     Rows are in lexicographic order: each prefix is extended by every value
     up to what it has left, and the last entry takes the rest.
     """
-    out = np.empty((1, 0), dtype=np.int64)
-    left = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
-        p, v = _fan_out(left + 1)
-        out = np.hstack((out[p], v[:, None]))
-        left = left[p] - v
-    return np.hstack((out, left[:, None]))
+    values, left = _lex_extend(np.arange(total + 1)[:, None], [total], parts - 1)
+    return np.hstack((values, left))
 
 
 def _log_ez_raw(n: int, beta: float, kappa: int) -> float:
@@ -739,25 +726,33 @@ def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.n
     return [mean_stderr(col) for col in np.array(rows).T]
 
 
-def magnetization_moment_exact(n: int, beta: float, m: int, replicas: int = 200, seed: int = 0,
-                               cap: int = DEFAULT_CAP, workers: int = 1) -> MomentEstimate:
+def magnetization_moment_exact(n: int, beta: float, m, replicas: int = 200, seed: int = 0,
+                               cap: int = DEFAULT_CAP, workers: int = 1):
     """Disorder-averaged ``<(d_1 - 1/2)^m>`` for the two-color model.
 
     Odd moments vanish identically: the global color swap leaves every
     energy bit-for-bit unchanged while negating ``d_1 - 1/2``, so each
     disorder realization's Gibbs average pairs to zero.  Even moments are
     estimated over disorder replicas and compared against the bound
-    ``m! / (2^m (m/2)!) n^{-m/2}``.
+    ``m! / (2^m (m/2)!) n^{-m/2}``.  One order ``m`` gives one estimate; a
+    sequence gives a list of estimates sharing the enumeration and the
+    disorder draws.
     """
-    if m < 1:
+    orders = [int(m)] if np.isscalar(m) else [int(k) for k in m]
+    if any(k < 1 for k in orders):
         raise ValueError("moment order m must be >= 1")
-    if m % 2 == 1:
-        return MomentEstimate(0.0, 0.0, 0.0, m, n, beta, 0)
-    if replicas < 2:
+    even = [k for k in orders if k % 2 == 0]
+    if even and replicas < 2:
         raise ValueError("even-moment estimation needs at least 2 replicas")
-    bound = math.factorial(m) / (2 ** m * math.factorial(m // 2)) / n ** (m // 2)
-    [(mean, se)] = _replica_average(n, 2, lambda f: [(f[:, 0] - 0.5) ** m], beta, replicas, seed, cap, workers)
-    return MomentEstimate(mean, se, bound, m, n, beta, replicas)
+    estimates = {k: MomentEstimate(0.0, 0.0, 0.0, k, n, beta, 0) for k in orders if k % 2 == 1}
+    if even:
+        moments = _replica_average(n, 2, lambda f: [(f[:, 0] - 0.5) ** k for k in even], beta, replicas, seed,
+                                   cap, workers)
+        for k, (mean, se) in zip(even, moments):
+            bound = math.factorial(k) / (2 ** k * math.factorial(k // 2)) / n ** (k // 2)
+            estimates[k] = MomentEstimate(mean, se, bound, k, n, beta, replicas)
+    out = [estimates[k] for k in orders]
+    return out[0] if np.isscalar(m) else out
 
 
 def magnetization_mgf_exact(n: int, beta: float, lam: float, replicas: int = 200, seed: int = 0,

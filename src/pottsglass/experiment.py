@@ -124,13 +124,23 @@ class ExperimentSpec:
             raise ValidationError(f"need thinning >= 1 and burn_in >= 0, got {self.thinning}, {self.burn_in}")
         if self.command == "mc-free-energy" and self.n_grid < 8:
             raise ValidationError(f"thermodynamic integration needs n_grid >= 8, got {self.n_grid}")
+        if self.command == "rate-gap" and not 0.0 < self.delta <= (self.kappa - 1) / self.kappa ** 2 + 1e-15:
+            raise ValidationError(f"delta must lie in (0, (kappa-1)/kappa^2] for kappa={self.kappa}, got {self.delta}")
+        sector = {  # (kappa, sector) that each size enumerates, for the commands that enumerate
+            "exact-free-energy": (self.kappa, self.sector),
+            "gauge-check": (2, "all"),
+            "moment-check": (2, "all") if even else None,
+            "tail-bound": (self.kappa, "all") if math.inf in self.beta and self.sector == "all" else None,
+        }.get(self.command)
+        if sector is not None:
+            for n in self.n:
+                if self.exceeds_cap(n, *sector):
+                    raise ValidationError(f"the sector at n={n} has more states than the enumeration cap {self.cap}")
 
-    def check_cap(self, n: int) -> None:
-        size = count_configs(n, self.kappa, self.sector)
-        if size > self.cap:
-            raise ValidationError(
-                f"sector size {size} at n={n} exceeds the enumeration cap {self.cap}"
-            )
+    def exceeds_cap(self, n: int, kappa: int, sector: str) -> bool:
+        """Whether the sector has more than ``cap`` configurations; an 'all' or balanced
+        sector has at least ``2^(n // 2)``, so a size far beyond the cap is never computed."""
+        return n // 2 >= self.cap.bit_length() or count_configs(n, kappa, sector) > self.cap
 
     def to_json(self) -> str:
         """Canonical JSON of the experiment content.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +48,13 @@ __all__ = [
 
 _MARGIN_TOL = 1e-12
 _ZERO_FLOOR = 1e-300
+_FIT_ITER = 400  # proportional-fitting sweeps in margin_fit
+_DESCENT_ITER = 400  # descent steps per start in exponent_gap
+_PERMUTATION_LIMIT = 720  # permutation directions tried by exponent_gap (all of them up to kappa = 6)
+_GRID_PITCH = 1.0 / 60.0  # pitch of exponent_gap's kappa = 3 grid scan
 
 
-def margin_fit(matrix: np.ndarray, kappa: int, tol: float = _MARGIN_TOL, max_iter: int = 400) -> np.ndarray:
+def margin_fit(matrix: np.ndarray, kappa: int) -> np.ndarray:
     """Fit a nonnegative matrix to row and column sums 1/kappa.
 
     Iterative proportional fitting, finished by an additive raking polish:
@@ -60,22 +64,22 @@ def margin_fit(matrix: np.ndarray, kappa: int, tol: float = _MARGIN_TOL, max_ite
     """
     target = 1.0 / kappa
     r = np.clip(np.asarray(matrix, dtype=np.float64), 0.0, None)
-    for _ in range(max_iter):
+    for _ in range(_FIT_ITER):
         rows = r.sum(axis=1, keepdims=True)
         r = np.where(rows > 0, r * (target / np.maximum(rows, _ZERO_FLOOR)), target / kappa)
         cols = r.sum(axis=0, keepdims=True)
         r = np.where(cols > 0, r * (target / np.maximum(cols, _ZERO_FLOOR)), target / kappa)
         if (
-            np.abs(r.sum(axis=1) - target).max() < tol
-            and np.abs(r.sum(axis=0) - target).max() < tol
+            np.abs(r.sum(axis=1) - target).max() < _MARGIN_TOL
+            and np.abs(r.sum(axis=0) - target).max() < _MARGIN_TOL
         ):
             break
     for _ in range(60):
         rows = r.sum(axis=1, keepdims=True)
         cols = r.sum(axis=0, keepdims=True)
         if (
-            np.abs(rows - target).max() < tol
-            and np.abs(cols - target).max() < tol
+            np.abs(rows - target).max() < _MARGIN_TOL
+            and np.abs(cols - target).max() < _MARGIN_TOL
             and r.min() >= 0.0
         ):
             break
@@ -250,7 +254,7 @@ def _push_to_shell(r: np.ndarray, kappa: int, delta: float, rng: np.random.Gener
     return r
 
 
-def _permutation_line_points(kappa: int, limit: int = 720) -> list[np.ndarray]:
+def _permutation_line_points(kappa: int) -> list[np.ndarray]:
     """Points along u -> (permutation matrix)/kappa directions.
 
     These are the low-entropy candidates where the objective first turns
@@ -258,10 +262,7 @@ def _permutation_line_points(kappa: int, limit: int = 720) -> list[np.ndarray]:
     """
     u = np.full((kappa, kappa), 1.0 / kappa ** 2)
     pts = []
-    perms = permutations(range(kappa))
-    for count, perm in enumerate(perms):
-        if count >= limit:
-            break
+    for perm in islice(permutations(range(kappa)), _PERMUTATION_LIMIT):
         p = np.zeros((kappa, kappa))
         p[np.arange(kappa), list(perm)] = 1.0 / kappa
         for alpha in (0.2, 0.4, 0.6, 0.8, 0.92, 0.98, 0.999):
@@ -310,22 +311,14 @@ def dense_grid_minimum(beta: float, delta: float, pitch: float) -> float:
     return best
 
 
-def exponent_gap(
-    kappa: int,
-    beta: float,
-    delta: float,
-    restarts: int = 64,
-    max_iter: int = 400,
-    seed: int = 0,
-    grid_pitch: float | None = None,
-) -> GapResult:
+def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed: int = 0) -> GapResult:
     """Minimize ``D(r||u) - beta^2 ||r-u||_F^2`` over margins 1/kappa with
     ``||r-u||_F^2 >= delta``.
 
     Multi-start projected descent (margin refit by proportional fitting,
     shell enforcement by radial rescale) plus candidate points along the
-    permutation-matrix directions; at kappa=3 a dense grid scan (default
-    pitch 1/60) is folded in as an extra safeguard against missed symmetric
+    permutation-matrix directions; at kappa=3 a dense grid scan at
+    pitch 1/60 is folded in as an extra safeguard against missed symmetric
     minima.  Below the coupling bound
     ``beta^2 < kappa (kappa-1) log(kappa-1) / (kappa-2)`` the minimum is
     positive; well above it the minimum turns negative.
@@ -349,7 +342,7 @@ def exponent_gap(
         r = _push_to_shell(margin_fit(start, kappa), kappa, delta, rng)
         val = _objective(r, kappa, beta)
         step = 0.05
-        for _ in range(max_iter):
+        for _ in range(_DESCENT_ITER):
             total_iter += 1
             cand = r - step * _tangent_gradient(r, kappa, beta)
             cand = margin_fit(cand, kappa)
@@ -369,8 +362,7 @@ def exponent_gap(
 
     source = "descent"
     if kappa == 3:
-        pitch = grid_pitch if grid_pitch is not None else 1.0 / 60.0
-        grid_val = dense_grid_minimum(beta, delta, pitch)
+        grid_val = dense_grid_minimum(beta, delta, _GRID_PITCH)
         if grid_val < best_val:
             # keep the grid value; its argmin is not tracked, flag the source
             best_val = grid_val

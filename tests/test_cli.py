@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pottsglass import cli, core, montecarlo as mc
+from pottsglass import cli, core, exact, montecarlo as mc
 from pottsglass.experiment import ExperimentSpec, ValidationError
 
 
@@ -103,6 +103,11 @@ INVALID_COMMANDS = {
     "kl-negative-trials": ["kl-check", "--trials", "-5"],
     "gauge-negative-trials": ["gauge-check", "--n", "4", "--trials", "-2"],
     "thresholds-small-kappa-max": ["thresholds", "--kappa-max", "2"],
+    "moment-over-cap": ["moment-check", "--n", "4", "--cap", "2"],
+    "gauge-over-cap": ["gauge-check", "--n", "4", "--cap", "2"],
+    "tail-inf-beta-over-cap": ["tail-bound", "--n", "4", "--beta", "inf", "--cap", "2"],
+    "rate-gap-zero-delta": ["rate-gap", "--delta", "0"],
+    "rate-gap-delta-above-max-gap": ["rate-gap", "--kappa", "3", "--delta", "0.5"],
 }
 
 
@@ -189,6 +194,28 @@ def test_prevalidated_cap_exits_2(tmp_path):
     code = run(["exact-free-energy", "--kappa", "2", "--n", "8", "--sector", "all",
                 "--replicas", "2", "--cap", "100", "--out", str(tmp_path / "x.csv")])
     assert code == 2
+
+
+def test_moment_check_draws_each_replica_once_per_size_and_beta(monkeypatch):
+    spec = ExperimentSpec(command="moment-check", n=(4, 6), beta=(0.5, math.inf), moments=(1, 2, 3, 4),
+                          replicas=5, seed=3)
+    expected = []
+    for n in spec.n:
+        for beta in spec.beta:
+            for m in spec.moments:
+                est = exact.magnetization_moment_exact(n, beta, m, replicas=spec.replicas, seed=spec.seed)
+                expected.append([m, n, beta, est.value, est.stderr, est.bound, est.satisfied])
+    draw = core.CouplingMatrix.__dict__["from_seed"].__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(args)
+        return draw(cls, *args, **kwargs)
+
+    monkeypatch.setattr(core.CouplingMatrix, "from_seed", classmethod(counted))
+    _, rows = cli.rows_for_spec(spec)
+    assert rows == expected
+    assert len(calls) == len(spec.n) * len(spec.beta) * spec.replicas
 
 
 def test_computation_cap_exits_1(tmp_path):

@@ -280,7 +280,7 @@ class TestEnumeration:
         stream_all = [s.as_tuple() for s in core.enumerate_configs(3, 2, "all")]
         assert [tuple(row) for row in arr_all] == stream_all
         for n, kappa, sector in [(5, 2, (3, 2)), (6, 3, (2, 1, 3)), (6, 3, (0, 3, 3)),
-                                 (8, 4, "balanced")]:
+                                 (8, 4, "balanced"), (1, 3, "all"), (5, 3, "all"), (4, 4, "all")]:
             arr = core.config_array(n, kappa, sector)
             assert arr.dtype == np.int64
             stream = [s.as_tuple() for s in core.enumerate_configs(n, kappa, sector)]

@@ -155,6 +155,13 @@ class TestAdmissible:
         with pytest.raises(core.DivisibilityError):
             exact.admissible_array(5, 2)
 
+    @pytest.mark.parametrize("total,parts", [(0, 1), (0, 3), (5, 1), (5, 3), (6, 5)])
+    def test_compositions_match_product_filter_in_order(self, total, parts):
+        expected = [v for v in itertools.product(range(total + 1), repeat=parts) if sum(v) == total]
+        rows = exact._compositions(total, parts)
+        assert rows.dtype == np.int64
+        assert [tuple(row) for row in rows] == expected
+
 
 class TestOverlapLaw:
     def test_hand_values(self):
