@@ -381,9 +381,10 @@ def sector_counts(n: int, kappa: int, constraint) -> np.ndarray | None:
     ``constraint`` is ``"all"`` (returns None), ``"balanced"``, or a sequence
     of per-color site counts summing to ``n``.
     """
-    if constraint == "all" or constraint is None:
+    named = isinstance(constraint, str)  # compare names only: an array of counts compares elementwise
+    if constraint is None or named and constraint == "all":
         return None
-    if constraint == "balanced":
+    if named and constraint == "balanced":
         if n % kappa != 0:
             raise DivisibilityError(f"balanced sector needs kappa | n, got n={n}, kappa={kappa}")
         return np.full(kappa, n // kappa, dtype=np.int64)

@@ -177,10 +177,11 @@ class GroundStateResult:
 
 
 def _sector_label(constraint) -> str:
-    if constraint is None or constraint == "all":
+    """The sector's name: all (also for None), balanced, or fixed for counts of any type."""
+    if constraint is None:
         return "all"
-    if constraint == "balanced":
-        return "balanced"
+    if isinstance(constraint, str) and constraint in ("all", "balanced"):
+        return constraint
     return "fixed"
 
 
@@ -610,9 +611,10 @@ def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all") -> flo
 
 def _log_uncentered_lower_bound(n: int, beta: float, kappa: int, sector) -> float:
     """Log of :func:`uncentered_lower_bound`."""
-    if sector == "all":
+    label = _sector_label(sector)
+    if label == "all":
         return beta ** 2 * (n - 1) / kappa ** 2
-    if sector == "balanced":
+    if label == "balanced":
         return beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2
     raise SectorError("bound available for the 'all' and 'balanced' sectors")
 

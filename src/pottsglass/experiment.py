@@ -53,11 +53,10 @@ class ExperimentSpec:
     fmt: str = "csv"
 
     def __post_init__(self):
-        for name in ("n",):
-            object.__setattr__(self, name, _int_tuple(getattr(self, name)))
-        for name in ("beta", "ladder", "epsilon"):
-            object.__setattr__(self, name, _float_tuple(getattr(self, name)))
-        object.__setattr__(self, "moments", _int_tuple(self.moments))
+        for f in fields(self):  # a list field may arrive as a list (JSON), a tuple or one number
+            to_tuple = _TUPLES.get(str(f.type))
+            if to_tuple is not None:
+                object.__setattr__(self, f.name, to_tuple(getattr(self, f.name)))
 
     @property
     def moment_orders(self) -> tuple[int, ...]:
@@ -86,12 +85,13 @@ class ExperimentSpec:
             raise ValidationError(f"kind must be 'raw' or 'centered', got {self.kind!r}")
         if self.fmt not in ("csv", "json"):
             raise ValidationError(f"format must be 'csv' or 'json', got {self.fmt!r}")
-        if self.sector == "balanced":
-            for n in self.n:
-                if n % self.kappa:
-                    raise ValidationError(
-                        f"balanced sector needs kappa | n; n={n}, kappa={self.kappa}"
-                    )
+        # kappa | n for a balanced sector, which second-moment and shell-count always use;
+        # kappa^2 | n for the uniform table of ldp-check
+        divisor = {"second-moment": self.kappa, "shell-count": self.kappa, "ldp-check": self.kappa ** 2}.get(
+            self.command, self.kappa if self.sector == "balanced" else 1)
+        for n in self.n:
+            if n % divisor:
+                raise ValidationError(f"{self.command} needs {divisor} | n (kappa={self.kappa}), got n={n}")
         if self.ladder and list(self.ladder) != sorted(self.ladder):
             raise ValidationError("ladder betas must be nondecreasing")
         if len(self.ladder) == 1:
@@ -150,25 +150,13 @@ class ExperimentSpec:
         byte-identical files regardless of sink path or parallelism.
         """
         payload = asdict(self)
-        payload = {
-            k: (list(v) if isinstance(v, tuple) else v)
-            for k, v in payload.items()
-            if k not in ("out", "workers")
-        }
+        del payload["out"], payload["workers"]
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        payload = json.loads(text)
         names = {f.name for f in fields(cls)}
-        kwargs = {k: v for k, v in payload.items() if k in names}
-        for key in ("n", "moments"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(int(v) for v in kwargs[key])
-        for key in ("beta", "ladder", "epsilon"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        return cls(**kwargs)
+        return cls(**{k: v for k, v in json.loads(text).items() if k in names})
 
 
 def _int_tuple(value) -> tuple[int, ...]:
@@ -185,3 +173,6 @@ def _float_tuple(value) -> tuple[float, ...]:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return (float(value),)
     return tuple(float(v) for v in value)
+
+
+_TUPLES = {"tuple[int, ...]": _int_tuple, "tuple[float, ...]": _float_tuple}  # annotation -> converter

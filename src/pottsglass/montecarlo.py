@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -518,12 +518,7 @@ def free_energy_ti(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints (versioned JSON; layout documented field by field)
-
-
-def _rng_state(rng: np.random.Generator) -> dict:
-    state = rng.bit_generator.state
-    return json.loads(json.dumps(state, default=lambda o: o.tolist()))
+# Checkpoints (versioned JSON: a record's dataclass fields plus ``kind`` and ``version``)
 
 
 def _restore_rng(state: dict) -> np.random.Generator:
@@ -532,81 +527,58 @@ def _restore_rng(state: dict) -> np.random.Generator:
     return rng
 
 
-def _chain_payload(state: ChainState) -> dict:
-    return {
-        "kind": "chain",
-        "version": CHECKPOINT_VERSION,
-        "seed": state.seed,
-        "chain_id": state.chain_id,
-        "kappa": state.kappa,
-        "beta": state.beta,
-        "sector": state.sector,
-        "sweeps": state.sweeps,
-        "energy": state.energy,
-        "colors": state.colors.tolist(),
-        "audit_interval": state.audit_interval,
-        "rng": _rng_state(state.rng),
-    }
+_KINDS = {ChainState: "chain", TemperingLadder: "ladder"}
+
+
+def _payload(obj) -> dict:
+    """Every dataclass field of ``obj``, tagged with its kind and the checkpoint version."""
+    payload = {"kind": _KINDS[type(obj)], "version": CHECKPOINT_VERSION}
+    payload.update((f.name, getattr(obj, f.name)) for f in fields(obj))
+    return payload
+
+
+def _to_json(value):
+    """How ``json.dumps`` writes a payload's other values: a rung as its payload, a generator
+    as its Philox state, and arrays (the state's too) as lists."""
+    if isinstance(value, ChainState):
+        return _payload(value)
+    if isinstance(value, np.random.Generator):
+        return value.bit_generator.state
+    return value.tolist()
 
 
 def save_checkpoint(obj, path: str) -> None:
     """Atomically write a chain or ladder checkpoint as versioned JSON."""
-    if isinstance(obj, ChainState):
-        payload = _chain_payload(obj)
-    elif isinstance(obj, TemperingLadder):
-        payload = {
-            "kind": "ladder",
-            "version": CHECKPOINT_VERSION,
-            "seed": obj.seed,
-            "ladder_id": obj.ladder_id,
-            "swap_attempts": obj.swap_attempts.tolist(),
-            "swap_accepts": obj.swap_accepts.tolist(),
-            "rng": _rng_state(obj.rng),
-            "rungs": [_chain_payload(r) for r in obj.rungs],
-        }
-    else:
+    if type(obj) not in _KINDS:
         raise TypeError(f"cannot checkpoint {type(obj).__name__}")
-    write_atomic(path, json.dumps(payload, sort_keys=True))
+    write_atomic(path, json.dumps(_payload(obj), sort_keys=True, default=_to_json))
 
 
-def _checked(payload: dict, kind: str) -> dict:
-    """``payload`` if it holds a ``kind`` checkpoint of this version, else ValueError."""
+# Fields whose JSON value is not the field value itself; every other field loads as stored.
+_DECODE = {
+    "colors": partial(np.array, dtype=np.int64),
+    "swap_attempts": partial(np.array, dtype=np.int64),
+    "swap_accepts": partial(np.array, dtype=np.int64),
+    "rng": _restore_rng,
+    "rungs": lambda payloads: [_from_payload(p, ChainState) for p in payloads],
+}
+
+
+def _from_payload(payload: dict, cls):
+    """The ``cls`` record held by ``payload``; ValueError unless kind and version match."""
+    kind = _KINDS[cls]
     if payload.get("kind") != kind:
         raise ValueError(f"checkpoint does not hold a {kind}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {payload.get('version')!r}")
-    return payload
-
-
-def _chain_from_payload(payload: dict) -> ChainState:
-    _checked(payload, "chain")
-    return ChainState(
-        colors=np.array(payload["colors"], dtype=np.int64),
-        kappa=payload["kappa"],
-        beta=payload["beta"],
-        sector=payload["sector"],
-        energy=payload["energy"],
-        rng=_restore_rng(payload["rng"]),
-        sweeps=payload["sweeps"],
-        audit_interval=payload["audit_interval"],
-        seed=payload["seed"],
-        chain_id=payload["chain_id"],
-    )
+    return cls(**{f.name: _DECODE.get(f.name, lambda value: value)(payload[f.name]) for f in fields(cls)})
 
 
 def load_chain(path: str) -> ChainState:
     with open(path) as fh:
-        return _chain_from_payload(json.load(fh))
+        return _from_payload(json.load(fh), ChainState)
 
 
 def load_ladder(path: str) -> TemperingLadder:
     with open(path) as fh:
-        payload = _checked(json.load(fh), "ladder")
-    return TemperingLadder(
-        rungs=[_chain_from_payload(p) for p in payload["rungs"]],
-        rng=_restore_rng(payload["rng"]),
-        swap_attempts=np.array(payload["swap_attempts"], dtype=np.int64),
-        swap_accepts=np.array(payload["swap_accepts"], dtype=np.int64),
-        seed=payload["seed"],
-        ladder_id=payload["ladder_id"],
-    )
+        return _from_payload(json.load(fh), TemperingLadder)

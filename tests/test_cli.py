@@ -108,6 +108,9 @@ INVALID_COMMANDS = {
     "tail-inf-beta-over-cap": ["tail-bound", "--n", "4", "--beta", "inf", "--cap", "2"],
     "rate-gap-zero-delta": ["rate-gap", "--delta", "0"],
     "rate-gap-delta-above-max-gap": ["rate-gap", "--kappa", "3", "--delta", "0.5"],
+    "second-moment-indivisible-size": ["second-moment", "--kappa", "3", "--n", "3,4"],
+    "ldp-indivisible-size": ["ldp-check", "--kappa", "2", "--n", "4,6"],
+    "shell-count-indivisible-size": ["shell-count", "--kappa", "3", "--n", "6,7"],
 }
 
 
@@ -180,6 +183,26 @@ def test_invalid_argv_exits_2_without_output(argv):
         out = os.path.join(tmp, "x.csv")
         assert run(argv + ["--out", out]) == 2
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("name", ["second-moment-indivisible-size", "ldp-indivisible-size",
+                                  "shell-count-indivisible-size"])
+def test_indivisible_size_rejected_before_any_row(name, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an engine ran before validation")
+
+    for engine in ("_log_second_moment_ratio", "ldp_log_probability", "shell_histogram"):
+        monkeypatch.setattr(exact, engine, refuse)
+    assert run(INVALID_COMMANDS[name] + ["--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_list_fields_become_tuples():
+    spec = ExperimentSpec(command="tail-bound", n=8, beta=[1, 2], ladder=None, epsilon=0.5, moments=[2.0])
+    assert (spec.n, spec.beta, spec.ladder, spec.epsilon, spec.moments) == ((8,), (1.0, 2.0), (), (0.5,), (2,))
+    assert [type(b) for b in spec.beta] == [float, float]
+    with pytest.raises(TypeError):
+        ExperimentSpec(command="tail-bound", n=8.0)  # a lone size must be an int
 
 
 def test_empty_moments_validated_as_run():

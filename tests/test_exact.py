@@ -50,6 +50,15 @@ class TestLogPartition:
         with pytest.raises(core.DivisibilityError):
             exact.log_partition(g5, 1.0, 2, "balanced", "raw")
 
+    @pytest.mark.parametrize("kappa, counts", [(2, (2, 2)), (3, (1, 0, 4))])
+    def test_array_sector_matches_tuple(self, kappa, counts):
+        n = sum(counts)
+        assert np.array_equal(core.config_array(n, kappa, np.array(counts)), core.config_array(n, kappa, counts))
+        g = core.CouplingMatrix.from_seed(n, 6)
+        fs = exact.log_partition(g, 1.0, kappa, np.array(counts))
+        assert fs.log_z == exact.log_partition(g, 1.0, kappa, counts).log_z
+        assert fs.sector == "fixed"
+
 
 class TestQuenchedFreeEnergy:
     def test_beta_zero_has_no_variance(self):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -472,3 +473,93 @@ class TestChainInternals:
         mc.run_sweeps(chain, g, 333)
         full = float(core.batch_energies_raw(chain.colors[None, :], g)[0])
         assert chain.energy == pytest.approx(full, rel=1e-6)
+
+
+# Checkpoints as v0.1.5 saved them, with the run that reaches each one afresh.
+V015_CHECKPOINTS = {
+    "chain-all": (
+        '{"audit_interval": 100, "beta": 0.7, "chain_id": 1, "colors": [2, 1, 1, 1, 2]'
+        ', "energy": -1.2972297041501357, "kappa": 3, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [1256477096058323303, 16052574837747377924'
+        ', 1352686618695844241, 10689723240430104699], "buffer_pos": 1, "has_uint32": 1'
+        ', "state": {"counter": [19, 0, 0, 0], "key": [2, 4294967297]}, "uinteger": 1608830103}'
+        ', "sector": "all", "seed": 2, "sweeps": 7, "version": 1}'
+    ),
+    "chain-balanced": (
+        '{"audit_interval": 3, "beta": 1.1, "chain_id": 0, "colors": [3, 1, 2, 2, 1, 3]'
+        ', "energy": 0.5264777413406962, "kappa": 3, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [1605601404264999370, 13773455935482142290'
+        ', 376198958316483285, 12413823728648783626], "buffer_pos": 3, "has_uint32": 0'
+        ', "state": {"counter": [16, 0, 0, 0], "key": [4, 4294967296]}, "uinteger": 2425324650}'
+        ', "sector": "balanced", "seed": 4, "sweeps": 5, "version": 1}'
+    ),
+    "ladder": (
+        '{"kind": "ladder", "ladder_id": 2, "rng": {"bit_generator": "Philox"'
+        ', "buffer": [15803601742490975237, 18071095372905398312, 13205400030976850009'
+        ', 12030535612457570053], "buffer_pos": 4, "has_uint32": 0, "state": {"counter": [2, 0, 0, 0]'
+        ', "key": [3, 12884901890]}, "uinteger": 0}, "rungs": [{"audit_interval": 100, "beta": 0.2'
+        ', "chain_id": 512, "colors": [2, 2, 1, 1], "energy": 1.1852334582506545, "kappa": 2'
+        ', "kind": "chain", "rng": {"bit_generator": "Philox", "buffer": [3226315916901363934'
+        ', 17404446605203780051, 10421364169892632037, 8521753649629161660], "buffer_pos": 2'
+        ', "has_uint32": 0, "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967808]}'
+        ', "uinteger": 1397780935}, "sector": "all", "seed": 3, "sweeps": 4, "version": 1}'
+        ', {"audit_interval": 100, "beta": 0.6, "chain_id": 513, "colors": [2, 1, 2, 2]'
+        ', "energy": 2.3406681960056233, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [5923454264388582796, 9478309074172290355'
+        ', 3521249823446407668, 13230404717880578564], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967809]}, "uinteger": 3429044939}'
+        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 1}, {"audit_interval": 100'
+        ', "beta": 1.0, "chain_id": 514, "colors": [2, 1, 2, 2], "energy": 2.340668196005623'
+        ', "kappa": 2, "kind": "chain", "rng": {"bit_generator": "Philox"'
+        ', "buffer": [17934980336109432999, 15134219465551973680, 14281583553931393285'
+        ', 15602445382894683932], "buffer_pos": 2, "has_uint32": 0, "state": {"counter": [9, 0, 0, 0]'
+        ', "key": [3, 4294967810]}, "uinteger": 648697900}, "sector": "all", "seed": 3, "sweeps": 4'
+        ', "version": 1}], "seed": 3, "swap_accepts": [3, 2], "swap_attempts": [4, 4], "version": 1}'
+    ),
+}
+
+
+def _v015_run(name):
+    """The state ``V015_CHECKPOINTS[name]`` holds, run afresh, and its step."""
+    if name == "ladder":
+        g = core.CouplingMatrix.from_seed(4, 3)
+        ladder = mc.TemperingLadder.start(g, 2, [0.2, 0.6, 1.0], "all", seed=3, ladder_id=2)
+        for _ in range(4):
+            mc.tempering_step(ladder, g)
+        return ladder, lambda state: mc.tempering_step(state, g)
+    if name == "chain-all":
+        g = core.CouplingMatrix.from_seed(5, 2)
+        chain, sweeps = mc.ChainState.start(g, 3, 0.7, "all", seed=2, chain_id=1), 7
+    else:
+        g = core.CouplingMatrix.from_seed(6, 4)
+        chain, sweeps = mc.ChainState.start(g, 3, 1.1, "balanced", seed=4, chain_id=0, audit_interval=3), 5
+    return mc.run_sweeps(chain, g, sweeps), lambda state: mc.sweep(state, g)
+
+
+class TestCheckpointFormat:
+    @staticmethod
+    def saved(obj, path) -> str:
+        mc.save_checkpoint(obj, str(path))
+        return path.read_text()
+
+    @pytest.mark.parametrize("name", sorted(V015_CHECKPOINTS))
+    def test_v015_checkpoint_loads_resumes_and_saves_back(self, name, tmp_path):
+        text = V015_CHECKPOINTS[name]
+        path = tmp_path / "v015.json"
+        path.write_text(text)
+        restored = (mc.load_ladder if name == "ladder" else mc.load_chain)(str(path))
+        assert self.saved(restored, tmp_path / "back.json") == text
+        fresh, step = _v015_run(name)
+        assert self.saved(fresh, tmp_path / "fresh.json") == text
+        for _ in range(13):
+            step(fresh)
+            step(restored)
+        assert self.saved(restored, tmp_path / "a.json") == self.saved(fresh, tmp_path / "b.json")
+
+    def test_payload_keys_are_the_dataclass_fields(self, tmp_path):
+        ladder, _ = _v015_run("ladder")
+        payload = json.loads(self.saved(ladder, tmp_path / "ladder.json"))
+        assert set(payload) == {f.name for f in fields(mc.TemperingLadder)} | {"kind", "version"}
+        chain, _ = _v015_run("chain-balanced")
+        for rung in payload["rungs"] + [json.loads(self.saved(chain, tmp_path / "chain.json"))]:
+            assert set(rung) == {f.name for f in fields(mc.ChainState)} | {"kind", "version"}
