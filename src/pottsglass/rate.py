@@ -52,6 +52,7 @@ _FIT_ITER = 400  # proportional-fitting sweeps in margin_fit
 _DESCENT_ITER = 400  # descent steps per start in exponent_gap
 _PERMUTATION_LIMIT = 720  # permutation directions tried by exponent_gap (all of them up to kappa = 6)
 _GRID_PITCH = 1.0 / 60.0  # pitch of exponent_gap's kappa = 3 grid scan
+_EPS16 = 16.0 * np.finfo(np.float64).eps  # noise floor factor of local_expansion_check
 
 
 def margin_fit(matrix: np.ndarray, kappa: int) -> np.ndarray:
@@ -61,31 +62,58 @@ def margin_fit(matrix: np.ndarray, kappa: int) -> np.ndarray:
     multiplicative IPF alone converges arbitrarily slowly near permutation-
     supported matrices, while one additive step zeroes the margins exactly
     and only needs re-clamping when it drives an entry negative.
+
+    ``matrix`` is one kappa-by-kappa matrix or a stack ``(S, kappa, kappa)``.
+    The matrices of a stack are fitted in lockstep, and each leaves both
+    loops at the sweep where a fit of it alone would, so every matrix comes
+    out bit for bit as it would on its own.
     """
     target = 1.0 / kappa
     r = np.clip(np.asarray(matrix, dtype=np.float64), 0.0, None)
+    out = np.ascontiguousarray(r).reshape(-1, kappa, kappa)
+    idx = np.arange(len(out))
+    work = out
+    rows = work.sum(axis=2, keepdims=True)
     for _ in range(_FIT_ITER):
-        rows = r.sum(axis=1, keepdims=True)
-        r = np.where(rows > 0, r * (target / np.maximum(rows, _ZERO_FLOOR)), target / kappa)
-        cols = r.sum(axis=0, keepdims=True)
-        r = np.where(cols > 0, r * (target / np.maximum(cols, _ZERO_FLOOR)), target / kappa)
-        if (
-            np.abs(r.sum(axis=1) - target).max() < _MARGIN_TOL
-            and np.abs(r.sum(axis=0) - target).max() < _MARGIN_TOL
-        ):
-            break
+        work = np.where(rows > 0, work * (target / np.maximum(rows, _ZERO_FLOOR)), target / kappa)
+        cols = work.sum(axis=1, keepdims=True)
+        work = np.where(cols > 0, work * (target / np.maximum(cols, _ZERO_FLOOR)), target / kappa)
+        rows = work.sum(axis=2, keepdims=True)  # checked now, rescaled by in the next sweep
+        row_err = np.abs(rows - target).max(axis=(1, 2))
+        if np.fmin.reduce(row_err, initial=math.inf) < _MARGIN_TOL:  # some row passes (fmin skips NaN)
+            done = (row_err < _MARGIN_TOL) & (np.abs(work.sum(axis=1) - target).max(axis=1) < _MARGIN_TOL)
+            work, idx = _retire(out, work, idx, done)
+            if not idx.size:
+                return out.reshape(r.shape)
+            rows = rows[~done]
+    # A matrix that passed the IPF check would pass the polish check at once,
+    # so only the matrices that used up their sweeps are polished.
     for _ in range(60):
-        rows = r.sum(axis=1, keepdims=True)
-        cols = r.sum(axis=0, keepdims=True)
-        if (
-            np.abs(rows - target).max() < _MARGIN_TOL
-            and np.abs(cols - target).max() < _MARGIN_TOL
-            and r.min() >= 0.0
-        ):
+        rows = work.sum(axis=2, keepdims=True)
+        cols = work.sum(axis=1, keepdims=True)
+        done = (
+            (np.abs(rows - target).max(axis=(1, 2)) < _MARGIN_TOL)
+            & (np.abs(cols - target).max(axis=(1, 2)) < _MARGIN_TOL)
+            & (work.min(axis=(1, 2)) >= 0.0)
+        )
+        work, idx = _retire(out, work, idx, done)
+        if not idx.size:
             break
-        r = r - (rows - target) / kappa - (cols - target) / kappa + (r.sum() - 1.0) / kappa ** 2
-        r = np.clip(r, 0.0, None)
-    return r
+        rows, cols = rows[~done], cols[~done]
+        total = work.reshape(len(work), -1).sum(axis=1)[:, None, None]
+        work = work - (rows - target) / kappa - (cols - target) / kappa + (total - 1.0) / kappa ** 2
+        work = np.clip(work, 0.0, None)
+    out[idx] = work
+    return out.reshape(r.shape)
+
+
+def _retire(out: np.ndarray, work: np.ndarray, idx: np.ndarray, done: np.ndarray):
+    """Write the finished rows of a lockstep loop back to ``out`` (at ``idx``)
+    and return the rows still running with their indices."""
+    if not np.count_nonzero(done):
+        return work, idx
+    out[idx[done]] = work[done]
+    return work[~done], idx[~done]
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +153,33 @@ def _as_matrix(point) -> tuple[np.ndarray, int]:
     return arr, arr.shape[0]
 
 
-def _kl_matrix(r: np.ndarray, kappa: int) -> float:
-    pos = r > _ZERO_FLOOR
-    vals = r[pos]
-    return float((vals * np.log(kappa ** 2 * vals)).sum())
+def _xlog_sums(x: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """``sum x log(ratio)`` along the last axis over the entries ``x > 1e-300``.
+
+    Each row sums as the 1-D array of its kept entries would.  Zeroing the
+    dropped entries instead would shift the kept ones within numpy's
+    pairwise summation and regroup the adds once a row has 8 or more.
+    """
+    if x.min(initial=math.inf) > _ZERO_FLOOR:
+        return (x * np.log(ratio)).sum(axis=-1)
+    width = x.shape[-1]
+    keep = (x > _ZERO_FLOOR).reshape(-1, width)
+    terms = (x * np.log(np.where(keep, ratio, 1.0))).reshape(-1, width)
+    sums = terms.sum(axis=1)
+    partial = np.flatnonzero(~keep.all(axis=1))
+    kept = keep[partial]
+    counts = kept.sum(axis=1)
+    packed = np.take_along_axis(terms[partial], np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    for count in np.unique(counts):
+        sel = counts == count
+        sums[partial[sel]] = packed[sel, :count].sum(axis=1)
+    return sums.reshape(x.shape[:-1])
+
+
+def _kl_rows(r: np.ndarray, kappa: int) -> np.ndarray:
+    """KL to uniform of each matrix in a stack ``(S, kappa, kappa)``."""
+    flat = r.reshape(len(r), -1)
+    return _xlog_sums(flat, kappa ** 2 * flat)
 
 
 def kl_to_uniform(point) -> float:
@@ -140,7 +191,7 @@ def kl_to_uniform(point) -> float:
         or np.abs(r.sum(axis=0) - target).max() > 1e-9
     ):
         raise ValueError("point violates the margin constraints")
-    return _kl_matrix(r, kappa)
+    return float(_kl_rows(r[None], kappa)[0])
 
 
 def frobenius_gap(point) -> float:
@@ -167,22 +218,42 @@ def local_expansion_check(p, q) -> LocalExpansionResult:
     an absolute rounding error of order eps, so for p extremely close to q
     both sides sink below the evaluation noise floor and a raw comparison
     would report roundoff, not mathematics.
+
+    Two ``(m, dim)`` stacks are checked row by row: each field is then an
+    array of length m, equal entry by entry to the m single checks, with
+    NaN bounds and a ``holds`` of None (an object array) where a row's
+    precondition fails.  Any other shape is flattened to one distribution.
     """
-    p = np.asarray(p, dtype=np.float64).ravel()
-    q = np.asarray(q, dtype=np.float64).ravel()
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    stacked = p.ndim == 2
+    if not stacked:
+        p, q = p.ravel(), q.ravel()
     if p.shape != q.shape:
-        raise ValueError("p and q must have the same length")
-    qmin = float(q.min())
+        raise ValueError("p and q must have the same shape")
+    qmin = q.min(axis=-1)
     diff = p - q
-    if qmin <= 0.0 or float(np.abs(diff).max()) > 0.5 * qmin:
-        return LocalExpansionResult(math.nan, math.nan, None, False)
-    pos = p > _ZERO_FLOOR
-    kl = float((p[pos] * np.log(p[pos] / q[pos])).sum())
-    quad = 0.5 * float((diff ** 2 / q).sum())
+    dist = np.abs(diff)
+    failed = (qmin <= 0.0) | (dist.max(axis=-1) > 0.5 * qmin)
+    if not stacked:
+        if failed:
+            return LocalExpansionResult(math.nan, math.nan, None, False)
+    elif failed.any():
+        ok = ~failed
+        p, q, diff, dist, qmin = p[ok], q[ok], diff[ok], dist[ok], qmin[ok]
+    kl = _xlog_sums(p, p / q)
+    quad = 0.5 * (diff ** 2 / q).sum(axis=-1)
     lhs = abs(kl - quad)
-    rhs = 5.0 / qmin ** 2 * float((np.abs(diff) ** 3).sum())
-    noise = 16.0 * np.finfo(np.float64).eps * (1.0 + abs(kl) + quad)
-    return LocalExpansionResult(lhs, rhs, lhs <= rhs + noise, True)
+    # float_power rounds as Python's ``**`` (libm pow) does; numpy's square differs
+    rhs = 5.0 / np.float_power(qmin, 2.0) * (dist ** 3).sum(axis=-1)
+    holds = lhs <= rhs + _EPS16 * (1.0 + abs(kl) + quad)
+    if not stacked:
+        return LocalExpansionResult(float(lhs), float(rhs), bool(holds), True)
+    lhs_all = np.full(len(failed), math.nan)
+    rhs_all = np.full(len(failed), math.nan)
+    holds_all = np.full(len(failed), None, dtype=object)
+    lhs_all[~failed], rhs_all[~failed], holds_all[~failed] = lhs, rhs, holds.tolist()
+    return LocalExpansionResult(lhs_all, rhs_all, holds_all, ~failed)
 
 
 def potts_row_objective(v, beta: float) -> float:
@@ -218,56 +289,73 @@ class GapResult:
     source: str  # 'descent' or 'grid'
 
 
-def _objective(r: np.ndarray, kappa: int, beta: float) -> float:
-    return _kl_matrix(r, kappa) - beta ** 2 * float(((r - 1.0 / kappa ** 2) ** 2).sum())
+def _sq_gaps(r: np.ndarray, kappa: int) -> np.ndarray:
+    """Squared Frobenius gap to the uniform table of each matrix in a stack."""
+    return ((r - 1.0 / kappa ** 2) ** 2).reshape(len(r), -1).sum(axis=1)
+
+
+def _objective(r: np.ndarray, kappa: int, beta: float) -> np.ndarray:
+    return _kl_rows(r, kappa) - beta ** 2 * _sq_gaps(r, kappa)
 
 
 def _tangent_gradient(r: np.ndarray, kappa: int, beta: float) -> np.ndarray:
     u = 1.0 / kappa ** 2
     grad = np.log(kappa ** 2 * np.maximum(r, 1e-12)) + 1.0 - 2.0 * beta ** 2 * (r - u)
     # project onto the zero-margin tangent space
+    grad = grad - grad.mean(axis=2, keepdims=True)
     grad = grad - grad.mean(axis=1, keepdims=True)
-    grad = grad - grad.mean(axis=0, keepdims=True)
     return grad
 
 
 def _push_to_shell(r: np.ndarray, kappa: int, delta: float, rng: np.random.Generator) -> np.ndarray:
     """Radially rescale toward the shell boundary; margins are preserved
-    exactly because r - u has zero row and column sums."""
+    exactly because r - u has zero row and column sums.
+
+    Each matrix of the stack is rescaled until it is on the shell with no
+    negative entry, refitting it after every rescale that clipped, for at
+    most 50 rounds.  A matrix with no direction away from u (gap below
+    1e-30) takes a random one; those draws go in ascending stack order.
+    """
     u = 1.0 / kappa ** 2
+    out = np.empty_like(r)
+    idx = np.arange(len(r))
+    work = r
     for _ in range(50):
-        gap = float(((r - u) ** 2).sum())
-        if gap >= delta * (1.0 - 1e-12):
-            return r
-        if gap < 1e-30:
-            d = rng.standard_normal((kappa, kappa))
+        gap = _sq_gaps(work, kappa)
+        on_shell = gap >= delta * (1.0 - 1e-12)
+        work, idx = _retire(out, work, idx, on_shell)
+        if not idx.size:
+            break
+        gap = gap[~on_shell]
+        tiny = gap < 1e-30
+        scale = np.sqrt(delta / np.where(tiny, delta, gap))[:, None, None]
+        work = u + (work - u) * scale * (1.0 + 1e-12)
+        if tiny.any():
+            d = rng.standard_normal((int(tiny.sum()), kappa, kappa))
+            d -= d.mean(axis=2, keepdims=True)
             d -= d.mean(axis=1, keepdims=True)
-            d -= d.mean(axis=0, keepdims=True)
-            d /= math.sqrt(float((d ** 2).sum()))
-            r = u + math.sqrt(delta) * d
-        else:
-            r = u + (r - u) * math.sqrt(delta / gap) * (1.0 + 1e-12)
-        if r.min() < 0.0:
-            r = margin_fit(r, kappa)
-        else:
-            return r
-    return r
+            d /= np.sqrt((d ** 2).reshape(len(d), -1).sum(axis=1))[:, None, None]
+            work[tiny] = u + math.sqrt(delta) * d
+        work, idx = _retire(out, work, idx, ~(work.min(axis=(1, 2)) < 0.0))
+        if not idx.size:
+            break
+        work = margin_fit(work, kappa)
+    out[idx] = work
+    return out
 
 
-def _permutation_line_points(kappa: int) -> list[np.ndarray]:
+def _permutation_line_points(kappa: int) -> np.ndarray:
     """Points along u -> (permutation matrix)/kappa directions.
 
     These are the low-entropy candidates where the objective first turns
     negative in the first-order-transition regime.
     """
-    u = np.full((kappa, kappa), 1.0 / kappa ** 2)
-    pts = []
-    for perm in islice(permutations(range(kappa)), _PERMUTATION_LIMIT):
-        p = np.zeros((kappa, kappa))
-        p[np.arange(kappa), list(perm)] = 1.0 / kappa
-        for alpha in (0.2, 0.4, 0.6, 0.8, 0.92, 0.98, 0.999):
-            pts.append(u + alpha * (p - u))
-    return pts
+    u = 1.0 / kappa ** 2
+    perms = np.array(list(islice(permutations(range(kappa)), _PERMUTATION_LIMIT)))
+    p = np.zeros((len(perms), kappa, kappa))
+    p[np.arange(len(perms))[:, None], np.arange(kappa), perms] = 1.0 / kappa
+    alphas = np.array([0.2, 0.4, 0.6, 0.8, 0.92, 0.98, 0.999])
+    return (u + alphas[:, None, None] * (p[:, None] - u)).reshape(-1, kappa, kappa)
 
 
 def dense_grid_minimum(beta: float, delta: float, pitch: float) -> float:
@@ -331,35 +419,35 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
             f"delta must lie in (0, {max_gap:.6g}], the polytope's maximal squared gap"
         )
     rng = philox_generator(seed, RESTART_NAMESPACE)
-    starts: list[np.ndarray] = [random_polytope_point(kappa, rng).r for _ in range(restarts)]
-    starts.extend(_permutation_line_points(kappa))
+    raw = rng.dirichlet(np.ones(kappa), size=(restarts, kappa)) / kappa
+    starts = np.concatenate([margin_fit(raw, kappa), _permutation_line_points(kappa)])
 
-    best_val = math.inf
-    best_pt: np.ndarray | None = None
+    # All starts descend in lockstep; each keeps its own step, acceptance
+    # and stop rule, so each ends where a descent of it alone would.
+    r = _push_to_shell(margin_fit(starts, kappa), kappa, delta, rng)
+    val = _objective(r, kappa, beta)
+    step = np.full(len(r), 0.05)
+    active = np.arange(len(r))
     total_iter = 0
-    converged = True
-    for start in starts:
-        r = _push_to_shell(margin_fit(start, kappa), kappa, delta, rng)
-        val = _objective(r, kappa, beta)
-        step = 0.05
-        for _ in range(_DESCENT_ITER):
-            total_iter += 1
-            cand = r - step * _tangent_gradient(r, kappa, beta)
-            cand = margin_fit(cand, kappa)
-            cand = _push_to_shell(cand, kappa, delta, rng)
-            cval = _objective(cand, kappa, beta)
-            if cval < val - 1e-15:
-                r, val = cand, cval
-                step = min(step * 1.2, 0.2)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        else:
-            converged = False
-        if val < best_val:
-            best_val, best_pt = val, r
+    for _ in range(_DESCENT_ITER):
+        total_iter += active.size
+        cur = r[active]
+        cand = cur - step[active, None, None] * _tangent_gradient(cur, kappa, beta)
+        cand = _push_to_shell(margin_fit(cand, kappa), kappa, delta, rng)
+        cval = _objective(cand, kappa, beta)
+        better = cval < val[active] - 1e-15
+        won = active[better]
+        r[won], val[won] = cand[better], cval[better]
+        step[won] = np.minimum(step[won] * 1.2, 0.2)
+        step[active[~better]] *= 0.5
+        active = active[better | ~(step[active] < 1e-12)]
+        if not active.size:
+            break
+    converged = not active.size
 
+    # the first start holding the minimum, as a strict-< scan finds it
+    best = int(np.argmin(np.where(np.isnan(val), math.inf, val)))
+    best_val = float(val[best])
     source = "descent"
     if kappa == 3:
         grid_val = dense_grid_minimum(beta, delta, _GRID_PITCH)
@@ -367,10 +455,9 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
             # keep the grid value; its argmin is not tracked, flag the source
             best_val = grid_val
             source = "grid"
-    assert best_pt is not None
     return GapResult(
         value=best_val,
-        argmin=best_pt,
+        argmin=r[best].copy(),
         delta=delta,
         beta=beta,
         kappa=kappa,

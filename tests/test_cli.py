@@ -307,6 +307,23 @@ def test_rate_gap_writes_one_row_per_beta(tmp_path):
     assert rows[0] == row
 
 
+# kl-check's row at --trials 3000 as v0.1.5 wrote it, per seed
+KL_CHECK_ROWS = {
+    0: "3000,3000,3000,0,2.4301153136064694e-14",
+    1: "3000,3000,3000,0,6.251981899336163e-12",
+    2: "3000,3000,3000,0,1.3097541228535177e-13",
+    3: "3000,3000,3000,0,7.9189609470774685e-11",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(KL_CHECK_ROWS))
+def test_kl_check_rows_pinned(seed, tmp_path):
+    out = str(tmp_path / "kl.csv")
+    assert run(["kl-check", "--trials", "3000", "--seed", str(seed), "--out", out]) == 0
+    with open(out) as fh:
+        assert fh.read().splitlines()[-1] == KL_CHECK_ROWS[seed]
+
+
 def test_round_trip_from_embedded_spec(tmp_path):
     out = str(tmp_path / "roundtrip.csv")
     assert run(["uncentered-ratio", "--kappa", "2", "--n", "2,4,6", "--beta", "0.8",

@@ -36,6 +36,19 @@ class TestPolytope:
             p = rate.random_polytope_point(4, rng)
             assert p.r.min() >= 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+    def test_stack_fits_each_matrix_as_alone(self, kappa, size, seed):
+        # negative entries are clipped to 0 before fitting; some rows vanish entirely
+        gen = np.random.default_rng(seed)
+        stack = gen.standard_normal((size, kappa, kappa)) * gen.choice([0.01, 0.3, 1.0], (size, 1, 1))
+        stack += gen.choice([0.0, 0.3, 1.0], (size, 1, 1))
+        stack[gen.random((size, kappa, kappa)) < 0.1] = 0.0
+        fitted = rate.margin_fit(stack, kappa)
+        assert fitted.shape == stack.shape
+        for one, alone in zip(fitted, stack):
+            assert one.tobytes() == rate.margin_fit(alone, kappa).tobytes()
+
 
 class TestKl:
     def test_zero_at_reference(self):
@@ -96,6 +109,28 @@ class TestLocalExpansion:
         assert res.holds is None
         res2 = rate.local_expansion_check([1.0, 0.0], [1.0, 0.0])
         assert not res2.precondition_ok  # min q = 0
+
+    def test_stack_matches_single_checks(self, rng):
+        fields = rate.LocalExpansionResult._fields
+        for dim in (2, 5, 8, 9, 12):
+            q = rng.dirichlet(np.ones(dim), size=300)
+            direction = rng.standard_normal((300, dim))
+            direction -= direction.mean(axis=1, keepdims=True)
+            reach = q.min(axis=1) / np.abs(direction).max(axis=1)
+            p = q + (rng.random(300) * reach)[:, None] * direction
+            p[::7] = q[::7] + 0.5 * direction[::7]  # max |p - q| above (min q)/2
+            q[::11, 0] = 0.0  # min q = 0
+            p[::13, 1] = 0.0  # an entry dropped from the KL sum
+            stacked = rate.local_expansion_check(p, q)
+            assert not stacked.precondition_ok.all() and stacked.precondition_ok.any()
+            for i in range(len(p)):
+                alone = rate.local_expansion_check(p[i], q[i])
+                for name, column, value in zip(fields, stacked, alone):
+                    cell = column[i]
+                    if value is None or isinstance(value, bool):
+                        assert (None if cell is None else bool(cell)) is value, (dim, i, name)
+                    else:  # bitwise, so NaN matches NaN
+                        assert np.float64(cell).tobytes() == np.float64(value).tobytes(), (dim, i, name)
 
     def test_random_sweep(self, rng):
         checked = 0
@@ -165,6 +200,34 @@ class TestExponentGap:
         res = rate.exponent_gap(3, 1.0, 0.01, restarts=8)
         assert np.abs(res.argmin.sum(axis=0) - 1 / 3).max() < 1e-9
         assert rate.frobenius_gap(res.argmin) >= res.delta - 1e-9
+
+    # Each GapResult as v0.1.5 computed it, the argmin as float.hex per cell.
+    PINNED = {
+        (3, 1.835, 0.01): (
+            "0x1.26c5c899cfc50p-7", 6379, 106, True, "descent",
+            ["0x1.441965438b5dep-3", "0x1.669145671f4cap-4", "0x1.669145671f4cbp-4",
+             "0x1.669145671f4cbp-4", "0x1.669145671f4cap-4", "0x1.441965438b5dfp-3",
+             "0x1.669145671f4cbp-4", "0x1.441965438b5dfp-3", "0x1.669145671f4cap-4"],
+        ),
+        (4, 2.2, 0.005): (
+            "0x1.973a417632b20p-7", 11934, 232, True, "descent",
+            ["0x1.7d69f3b36e2b0p-4", "0x1.ac6408330be32p-5", "0x1.ac6408330be37p-5",
+             "0x1.ac6408330be37p-5", "0x1.ac6408330be32p-5", "0x1.7d69f3b36e2b0p-4",
+             "0x1.ac6408330be37p-5", "0x1.ac6408330be37p-5", "0x1.ac6408330be32p-5",
+             "0x1.ac6408330be32p-5", "0x1.ac6408330be2ep-5", "0x1.7d69f3b36e2b0p-4",
+             "0x1.ac6408330be34p-5", "0x1.ac6408330be34p-5", "0x1.7d69f3b36e2b2p-4",
+             "0x1.ac6408330be37p-5"],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED), ids=str)
+    def test_result_pinned(self, case):
+        value, iterations, restarts, converged, source, argmin = self.PINNED[case]
+        res = rate.exponent_gap(*case, seed=0)
+        assert res.value.hex() == value
+        assert (res.iterations, res.restarts, res.converged, res.source) == (
+            iterations, restarts, converged, source)
+        assert [v.hex() for v in res.argmin.ravel().tolist()] == argmin
 
     def test_infeasible_delta(self):
         with pytest.raises(ValueError):
