@@ -294,8 +294,11 @@ def _sq_gaps(r: np.ndarray, kappa: int) -> np.ndarray:
     return ((r - 1.0 / kappa ** 2) ** 2).reshape(len(r), -1).sum(axis=1)
 
 
-def _objective(r: np.ndarray, kappa: int, beta: float) -> np.ndarray:
-    return _kl_rows(r, kappa) - beta ** 2 * _sq_gaps(r, kappa)
+def _objective(r: np.ndarray, kappa: int, beta: float, delta: float) -> np.ndarray:
+    """``D(r||u) - beta^2 ||r-u||_F^2`` of each matrix in a stack, +inf for a
+    matrix that the shell push left below ``||r-u||_F^2 >= delta``."""
+    gap = _sq_gaps(r, kappa)
+    return np.where(gap < delta * (1.0 - 1e-12), math.inf, _kl_rows(r, kappa) - beta ** 2 * gap)
 
 
 def _tangent_gradient(r: np.ndarray, kappa: int, beta: float) -> np.ndarray:
@@ -410,6 +413,11 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
     minima.  Below the coupling bound
     ``beta^2 < kappa (kappa-1) log(kappa-1) / (kappa-2)`` the minimum is
     positive; well above it the minimum turns negative.
+
+    The shell push gives up after 50 rounds of rescaling and refitting; a
+    point it leaves with ``||r-u||_F^2 < delta (1 - 1e-12)`` never counts as
+    an improvement, and a start that never reaches the shell keeps the
+    value +inf.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
@@ -425,7 +433,7 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
     # All starts descend in lockstep; each keeps its own step, acceptance
     # and stop rule, so each ends where a descent of it alone would.
     r = _push_to_shell(margin_fit(starts, kappa), kappa, delta, rng)
-    val = _objective(r, kappa, beta)
+    val = _objective(r, kappa, beta, delta)
     step = np.full(len(r), 0.05)
     active = np.arange(len(r))
     total_iter = 0
@@ -434,7 +442,7 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
         cur = r[active]
         cand = cur - step[active, None, None] * _tangent_gradient(cur, kappa, beta)
         cand = _push_to_shell(margin_fit(cand, kappa), kappa, delta, rng)
-        cval = _objective(cand, kappa, beta)
+        cval = _objective(cand, kappa, beta, delta)
         better = cval < val[active] - 1e-15
         won = active[better]
         r[won], val[won] = cand[better], cval[better]

@@ -197,9 +197,12 @@ class TestExponentGap:
         assert res.value <= 0
 
     def test_argmin_feasible(self):
-        res = rate.exponent_gap(3, 1.0, 0.01, restarts=8)
-        assert np.abs(res.argmin.sum(axis=0) - 1 / 3).max() < 1e-9
-        assert rate.frobenius_gap(res.argmin) >= res.delta - 1e-9
+        # on the wide shells the shell push can give up below the shell
+        for kappa, delta in ((3, 0.01), (3, 0.1), (3, 0.15), (3, 0.2), (4, 0.15)):
+            res = rate.exponent_gap(kappa, 1.0, delta, restarts=8)
+            assert np.abs(res.argmin.sum(axis=0) - 1 / kappa).max() < 1e-9
+            assert np.abs(res.argmin.sum(axis=1) - 1 / kappa).max() < 1e-9
+            assert rate.frobenius_gap(res.argmin) >= res.delta - 1e-9, (kappa, delta)
 
     # Each GapResult as v0.1.5 computed it, the argmin as float.hex per cell.
     PINNED = {
