@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
+
+import numpy as np
 
 from .core import count_configs
 from .exact import DEFAULT_CAP
@@ -162,15 +165,15 @@ class ExperimentSpec:
 def _int_tuple(value) -> tuple[int, ...]:
     if value is None:
         return ()
-    if isinstance(value, (int,)):
-        return (int(value),)
+    if np.ndim(value) == 0:  # one number, which must be an integer (Python or numpy)
+        return (operator.index(value),)
     return tuple(int(v) for v in value)
 
 
 def _float_tuple(value) -> tuple[float, ...]:
     if value is None:
         return ()
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if np.ndim(value) == 0 and not isinstance(value, (bool, np.bool_)):
         return (float(value),)
     return tuple(float(v) for v in value)
 

@@ -4,6 +4,7 @@ import os
 import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -203,6 +204,16 @@ def test_list_fields_become_tuples():
     assert [type(b) for b in spec.beta] == [float, float]
     with pytest.raises(TypeError):
         ExperimentSpec(command="tail-bound", n=8.0)  # a lone size must be an int
+
+
+def test_numpy_scalars_are_single_values():
+    spec = ExperimentSpec(command="thresholds", n=np.int64(6), beta=np.float32(1.0), epsilon=np.float64(0.5))
+    assert (spec.n, spec.beta, spec.epsilon) == ((6,), (1.0,), (0.5,))
+    assert [type(v) for v in spec.n + spec.beta + spec.epsilon] == [int, float, float]
+    assert ExperimentSpec(command="thresholds", n=np.array(6), beta=np.array(1.0)) == ExperimentSpec(
+        command="thresholds", n=6, beta=1.0)
+    with pytest.raises(TypeError):
+        ExperimentSpec(command="thresholds", n=np.float64(6.0))  # a lone size must be an integer
 
 
 def test_empty_moments_validated_as_run():
