@@ -78,10 +78,12 @@ def margin_fit(matrix: np.ndarray, kappa: int) -> np.ndarray:
         work = np.where(rows > 0, work * (target / np.maximum(rows, _ZERO_FLOOR)), target / kappa)
         cols = work.sum(axis=1, keepdims=True)
         work = np.where(cols > 0, work * (target / np.maximum(cols, _ZERO_FLOOR)), target / kappa)
-        rows = work.sum(axis=2, keepdims=True)  # checked now, rescaled by in the next sweep
+        rows = work.sum(axis=2, keepdims=True)  # checked here, scaled by in the next sweep
         row_err = np.abs(rows - target).max(axis=(1, 2))
-        if np.fmin.reduce(row_err, initial=math.inf) < _MARGIN_TOL:  # some row passes (fmin skips NaN)
-            done = (row_err < _MARGIN_TOL) & (np.abs(work.sum(axis=1) - target).max(axis=1) < _MARGIN_TOL)
+        # the column check runs only once some matrix passes the row check (fmin skips NaN)
+        if np.fmin.reduce(row_err, initial=math.inf) < _MARGIN_TOL:
+            col_err = np.abs(work.sum(axis=1) - target).max(axis=1)
+            done = (row_err < _MARGIN_TOL) & (col_err < _MARGIN_TOL)
             work, idx = _retire(out, work, idx, done)
             if not idx.size:
                 return out.reshape(r.shape)
@@ -182,6 +184,11 @@ def _kl_rows(r: np.ndarray, kappa: int) -> np.ndarray:
     return _xlog_sums(flat, kappa ** 2 * flat)
 
 
+def _sq_gaps(r: np.ndarray, kappa: int) -> np.ndarray:
+    """Squared Frobenius gap to the uniform table of each matrix in a stack."""
+    return ((r - 1.0 / kappa ** 2) ** 2).reshape(len(r), -1).sum(axis=1)
+
+
 def kl_to_uniform(point) -> float:
     """``sum_ab r_ab log(kappa^2 r_ab)`` with the 0 log 0 = 0 convention."""
     r, kappa = _as_matrix(point)
@@ -197,7 +204,7 @@ def kl_to_uniform(point) -> float:
 def frobenius_gap(point) -> float:
     """Squared Frobenius distance to the uniform table ``kappa^{-2} 11^T``."""
     r, kappa = _as_matrix(point)
-    return float(((r - 1.0 / kappa ** 2) ** 2).sum())
+    return float(_sq_gaps(r[None], kappa)[0])
 
 
 class LocalExpansionResult(NamedTuple):
@@ -267,9 +274,7 @@ def potts_row_objective(v, beta: float) -> float:
     if abs(float(v.sum()) - 1.0) > 1e-9 or float(v.min()) < -1e-15:
         raise ValueError("v must lie on the probability simplex")
     v = np.clip(v, 0.0, None)
-    pos = v > _ZERO_FLOOR
-    ent = float((v[pos] * np.log(kappa * v[pos])).sum())
-    return ent - beta ** 2 / kappa * float((v ** 2).sum())
+    return float(_xlog_sums(v, kappa * v)) - beta ** 2 / kappa * float((v ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +292,6 @@ class GapResult:
     iterations: int
     converged: bool
     source: str  # 'descent' or 'grid'
-
-
-def _sq_gaps(r: np.ndarray, kappa: int) -> np.ndarray:
-    """Squared Frobenius gap to the uniform table of each matrix in a stack."""
-    return ((r - 1.0 / kappa ** 2) ** 2).reshape(len(r), -1).sum(axis=1)
 
 
 def _objective(r: np.ndarray, kappa: int, beta: float, delta: float) -> np.ndarray:
@@ -453,8 +453,7 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
             break
     converged = not active.size
 
-    # the first start holding the minimum, as a strict-< scan finds it
-    best = int(np.argmin(np.where(np.isnan(val), math.inf, val)))
+    best = int(np.argmin(val))  # the first start holding the minimum
     best_val = float(val[best])
     source = "descent"
     if kappa == 3:

@@ -67,6 +67,17 @@ class TestKl:
         with pytest.raises(ValueError):
             rate.kl_to_uniform(np.full((3, 3), 0.2))
 
+    def test_sums_the_positive_entries_alone(self, rng):
+        # bitwise against the sum over the positive entries, zeros dropped
+        # rather than added (numpy's pairwise sum groups by position)
+        for kappa in (3, 4):
+            for _ in range(50):
+                raw = rng.random((kappa, kappa))
+                raw[rng.random((kappa, kappa)) < 0.3] = 0.0
+                r = rate.margin_fit(raw, kappa)
+                vals = r[r > 1e-300]
+                assert rate.kl_to_uniform(r) == float((vals * np.log(kappa ** 2 * vals)).sum())
+
 
 class TestFrobeniusGap:
     def test_values(self):
@@ -90,6 +101,21 @@ class TestFrobeniusGap:
         rhs = float((p.r ** 2).sum()) - 1.0 / kappa ** 2
         assert abs(lhs - rhs) <= 1e-12
         assert rate.kl_to_uniform(p) >= 0.0
+
+
+def reference_expansion_check(p, q):
+    """The one-pair check written out with Python floats, as v0.1.5 computed it."""
+    qmin = float(q.min())
+    diff = p - q
+    if qmin <= 0.0 or float(np.abs(diff).max()) > 0.5 * qmin:
+        return rate.LocalExpansionResult(math.nan, math.nan, None, False)
+    pos = p > 1e-300
+    kl = float((p[pos] * np.log(p[pos] / q[pos])).sum())
+    quad = 0.5 * float((diff ** 2 / q).sum())
+    lhs = abs(kl - quad)
+    rhs = 5.0 / qmin ** 2 * float((np.abs(diff) ** 3).sum())
+    noise = 16.0 * np.finfo(np.float64).eps * (1.0 + abs(kl) + quad)
+    return rate.LocalExpansionResult(lhs, rhs, bool(lhs <= rhs + noise), True)
 
 
 class TestLocalExpansion:
@@ -125,6 +151,9 @@ class TestLocalExpansion:
             assert not stacked.precondition_ok.all() and stacked.precondition_ok.any()
             for i in range(len(p)):
                 alone = rate.local_expansion_check(p[i], q[i])
+                ref = reference_expansion_check(p[i], q[i])
+                assert alone.precondition_ok == ref.precondition_ok
+                assert alone == ref or not ref.precondition_ok
                 for name, column, value in zip(fields, stacked, alone):
                     cell = column[i]
                     if value is None or isinstance(value, bool):
