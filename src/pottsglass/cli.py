@@ -115,13 +115,13 @@ def _run_uncentered_ratio(spec: ExperimentSpec):
           delta=0.01)
 def _run_rate_gap(spec: ExperimentSpec):
     kappa = spec.kappa
-    cols = ["kappa", "beta", "delta", "minimum", "source", "converged", "restarts", "iterations"]
+    cols = ["kappa", "beta", "delta", "minimum", "converged", "restarts", "iterations"]
     cols += [f"argmin_{a}{b}" for a in range(kappa) for b in range(kappa)]
     rows = []
     for beta in spec.beta:
         result = rate.exponent_gap(kappa, beta, spec.delta, seed=spec.seed)
-        row = [kappa, beta, spec.delta, result.value, result.source, result.converged,
-               result.restarts, result.iterations]
+        row = [kappa, beta, spec.delta, result.value, result.converged, result.restarts,
+               result.iterations]
         rows.append(row + [float(v) for v in result.argmin.ravel()])
     return cols, rows
 

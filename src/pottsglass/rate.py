@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -35,7 +34,6 @@ __all__ = [
     "local_expansion_check",
     "potts_row_objective",
     "exponent_gap",
-    "dense_grid_minimum",
     "high_temperature_threshold",
     "annealed_free_energy_limit",
     "ferro_reduction_applies",
@@ -50,8 +48,7 @@ _MARGIN_TOL = 1e-12
 _ZERO_FLOOR = 1e-300
 _FIT_ITER = 400  # proportional-fitting sweeps in margin_fit
 _DESCENT_ITER = 400  # descent steps per start in exponent_gap
-_PERMUTATION_LIMIT = 720  # permutation directions tried by exponent_gap (all of them up to kappa = 6)
-_GRID_PITCH = 1.0 / 60.0  # pitch of exponent_gap's kappa = 3 grid scan
+_LINE_ALPHAS = np.array([0.2, 0.4, 0.6, 0.8, 0.92, 0.98, 0.999])  # exponent_gap's permutation-line starts
 _EPS16 = 16.0 * np.finfo(np.float64).eps  # noise floor factor of local_expansion_check
 
 
@@ -291,7 +288,6 @@ class GapResult:
     restarts: int
     iterations: int
     converged: bool
-    source: str  # 'descent' or 'grid'
 
 
 def _objective(r: np.ndarray, kappa: int, beta: float, delta: float) -> np.ndarray:
@@ -347,72 +343,16 @@ def _push_to_shell(r: np.ndarray, kappa: int, delta: float, rng: np.random.Gener
     return out
 
 
-def _permutation_line_points(kappa: int) -> np.ndarray:
-    """Points along u -> (permutation matrix)/kappa directions.
-
-    These are the low-entropy candidates where the objective first turns
-    negative in the first-order-transition regime.
-    """
-    u = 1.0 / kappa ** 2
-    perms = np.array(list(islice(permutations(range(kappa)), _PERMUTATION_LIMIT)))
-    p = np.zeros((len(perms), kappa, kappa))
-    p[np.arange(len(perms))[:, None], np.arange(kappa), perms] = 1.0 / kappa
-    alphas = np.array([0.2, 0.4, 0.6, 0.8, 0.92, 0.98, 0.999])
-    return (u + alphas[:, None, None] * (p[:, None] - u)).reshape(-1, kappa, kappa)
-
-
-def dense_grid_minimum(beta: float, delta: float, pitch: float) -> float:
-    """Grid scan of the kappa=3 objective over the 4-dimensional polytope.
-
-    The free block (r11, r12, r21, r22) ranges over multiples of ``pitch``
-    in [0, 1/3]; the remaining five entries are forced by the margins.
-    """
-    third = 1.0 / 3.0
-    npts = int(round(third / pitch)) + 1
-    ax = np.linspace(0.0, third, npts)
-    u = 1.0 / 9.0
-    best = math.inf
-    g12, g21, g22 = np.meshgrid(ax, ax, ax, indexing="ij")
-    g12, g21, g22 = g12.ravel(), g21.ravel(), g22.ravel()
-    for r11 in ax:
-        r13 = third - r11 - g12
-        r23 = third - g21 - g22
-        r31 = third - r11 - g21
-        r32 = third - g12 - g22
-        r33 = r11 + g12 + g21 + g22 - third
-        stack = np.stack(
-            [np.full_like(g12, r11), g12, r13, g21, g22, r23, r31, r32, r33], axis=1
-        )
-        feasible = np.all(stack >= -1e-12, axis=1)
-        if not feasible.any():
-            continue
-        pts = np.clip(stack[feasible], 0.0, None)
-        gap = ((pts - u) ** 2).sum(axis=1)
-        on_shell = gap >= delta
-        if not on_shell.any():
-            continue
-        pts, gap = pts[on_shell], gap[on_shell]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = pts * np.log(9.0 * pts)
-        ent[pts == 0.0] = 0.0
-        vals = ent.sum(axis=1) - beta ** 2 * gap
-        low = float(vals.min())
-        if low < best:
-            best = low
-    return best
-
-
 def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed: int = 0) -> GapResult:
     """Minimize ``D(r||u) - beta^2 ||r-u||_F^2`` over margins 1/kappa with
     ``||r-u||_F^2 >= delta``.
 
     Multi-start projected descent (margin refit by proportional fitting,
-    shell enforcement by radial rescale) plus candidate points along the
-    permutation-matrix directions; at kappa=3 a dense grid scan at
-    pitch 1/60 is folded in as an extra safeguard against missed symmetric
-    minima.  Below the coupling bound
-    ``beta^2 < kappa (kappa-1) log(kappa-1) / (kappa-2)`` the minimum is
-    positive; well above it the minimum turns negative.
+    shell enforcement by radial rescale) from ``restarts`` Dirichlet starts
+    and 7 points on the line from u toward a permutation table; ``value`` is
+    the objective at ``argmin``.  Below the coupling bound ``beta^2 < kappa
+    (kappa-1) log(kappa-1) / (kappa-2)`` the minimum is positive; well above
+    it the minimum turns negative.
 
     The shell push gives up after 50 rounds of rescaling and refitting; a
     point it leaves with ``||r-u||_F^2 < delta (1 - 1e-12)`` never counts as
@@ -428,11 +368,14 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
         )
     rng = philox_generator(seed, RESTART_NAMESPACE)
     raw = rng.dirichlet(np.ones(kappa), size=(restarts, kappa)) / kappa
-    starts = np.concatenate([margin_fit(raw, kappa), _permutation_line_points(kappa)])
-
+    # The line from u toward I/kappa, where the objective first turns negative in the
+    # first-order regime; a column permutation, which leaves the objective unchanged,
+    # maps it onto the line toward any other permutation table.
+    u = 1.0 / kappa ** 2
+    line = u + _LINE_ALPHAS[:, None, None] * (np.eye(kappa) / kappa - u)
     # All starts descend in lockstep; each keeps its own step, acceptance
     # and stop rule, so each ends where a descent of it alone would.
-    r = _push_to_shell(margin_fit(starts, kappa), kappa, delta, rng)
+    r = _push_to_shell(margin_fit(np.concatenate([raw, line]), kappa), kappa, delta, rng)
     val = _objective(r, kappa, beta, delta)
     step = np.full(len(r), 0.05)
     active = np.arange(len(r))
@@ -454,24 +397,15 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
     converged = not active.size
 
     best = int(np.argmin(val))  # the first start holding the minimum
-    best_val = float(val[best])
-    source = "descent"
-    if kappa == 3:
-        grid_val = dense_grid_minimum(beta, delta, _GRID_PITCH)
-        if grid_val < best_val:
-            # keep the grid value; its argmin is not tracked, flag the source
-            best_val = grid_val
-            source = "grid"
     return GapResult(
-        value=best_val,
+        value=float(val[best]),
         argmin=r[best].copy(),
         delta=delta,
         beta=beta,
         kappa=kappa,
-        restarts=len(starts),
+        restarts=len(r),
         iterations=total_iter,
         converged=converged,
-        source=source,
     )
 
 

@@ -17,7 +17,7 @@ import pytest
 
 from pottsglass import core, exact, montecarlo as mc, rate
 
-from conftest import match_matrix_flat
+from conftest import independent_grid_oracle, match_matrix_flat
 
 
 @contextmanager
@@ -138,44 +138,6 @@ def test_criterion_3_second_moment():
 
 # ---------------------------------------------------------------------------
 # 4. Rate function
-
-
-def independent_grid_oracle(beta, delta, pitch=1.0 / 120.0):
-    """Plain nested-loop grid scan over the kappa=3 margin polytope."""
-    third = 1.0 / 3.0
-    steps = int(round(third / pitch))
-    axis = [i * third / steps for i in range(steps + 1)]
-    u = 1.0 / 9.0
-    best = math.inf
-    b2 = beta ** 2
-    block = np.array([[x, y, z] for x in axis for y in axis for z in axis])
-    for r11 in axis:
-        r12, r21, r22 = block[:, 0], block[:, 1], block[:, 2]
-        rest = np.stack(
-            [
-                third - r11 - r12,
-                third - r21 - r22,
-                third - r11 - r21,
-                third - r12 - r22,
-                r11 + r12 + r21 + r22 - third,
-            ],
-            axis=1,
-        )
-        ok = np.all(rest >= -1e-12, axis=1)
-        if not ok.any():
-            continue
-        full = np.concatenate(
-            [np.full((ok.sum(), 1), r11), block[ok], np.clip(rest[ok], 0.0, None)], axis=1
-        )
-        gap = ((full - u) ** 2).sum(axis=1)
-        sel = gap >= delta
-        if not sel.any():
-            continue
-        pts, gap = full[sel], gap[sel]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ent = np.where(pts > 0, pts * np.log(9.0 * pts), 0.0)
-        best = min(best, float((ent.sum(axis=1) - b2 * gap).min()))
-    return best
 
 
 def test_criterion_4_rate_function():
