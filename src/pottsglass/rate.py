@@ -306,41 +306,21 @@ def _tangent_gradient(r: np.ndarray, kappa: int, beta: float) -> np.ndarray:
     return grad
 
 
-def _push_to_shell(r: np.ndarray, kappa: int, delta: float, rng: np.random.Generator) -> np.ndarray:
-    """Radially rescale toward the shell boundary; margins are preserved
-    exactly because r - u has zero row and column sums.
-
-    Each matrix of the stack is rescaled until it is on the shell with no
-    negative entry, refitting it after every rescale that clipped, for at
-    most 50 rounds.  A matrix with no direction away from u (gap below
-    1e-30) takes a random one; those draws go in ascending stack order.
-    """
+def _push_to_shell(r: np.ndarray, kappa: int, delta: float) -> np.ndarray:
+    """One radial step ``u + t (r - u)`` per matrix of the stack, with ``t =
+    max(1, min(sqrt(delta / gap) (1 + 1e-12), reach))`` and ``reach`` the
+    largest scale that keeps every entry nonnegative, then a clip at 0.  The
+    margins hold, as r - u has zero row and column sums.  A matrix on the
+    shell or at u (gap below 1e-30) comes back unchanged; one whose ray leaves
+    the polytope first stops there, off the shell, with an entry at 0."""
     u = 1.0 / kappa ** 2
-    out = np.empty_like(r)
-    idx = np.arange(len(r))
-    work = r
-    for _ in range(50):
-        gap = _sq_gaps(work, kappa)
-        on_shell = gap >= delta * (1.0 - 1e-12)
-        work, idx = _retire(out, work, idx, on_shell)
-        if not idx.size:
-            break
-        gap = gap[~on_shell]
-        tiny = gap < 1e-30
-        scale = np.sqrt(delta / np.where(tiny, delta, gap))[:, None, None]
-        work = u + (work - u) * scale * (1.0 + 1e-12)
-        if tiny.any():
-            d = rng.standard_normal((int(tiny.sum()), kappa, kappa))
-            d -= d.mean(axis=2, keepdims=True)
-            d -= d.mean(axis=1, keepdims=True)
-            d /= np.sqrt((d ** 2).reshape(len(d), -1).sum(axis=1))[:, None, None]
-            work[tiny] = u + math.sqrt(delta) * d
-        work, idx = _retire(out, work, idx, ~(work.min(axis=(1, 2)) < 0.0))
-        if not idx.size:
-            break
-        work = margin_fit(work, kappa)
-    out[idx] = work
-    return out
+    d = r - u
+    gap = _sq_gaps(r, kappa)
+    reach = u / np.maximum(-d.min(axis=(1, 2)), _ZERO_FLOOR)
+    over = 1.0 + 1e-12  # applied last, so a step that stays inside rounds as v0.1.7's did
+    t = np.maximum(np.minimum(np.sqrt(delta / np.maximum(gap, _ZERO_FLOOR)), reach / over), 1.0 / over)
+    keep = (gap >= delta * (1.0 - 1e-12)) | (gap < 1e-30)
+    return np.where(keep[:, None, None], r, np.clip(u + d * t[:, None, None] * over, 0.0, None))
 
 
 def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed: int = 0) -> GapResult:
@@ -348,19 +328,19 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
     ``||r-u||_F^2 >= delta``.
 
     Multi-start projected descent (margin refit by proportional fitting,
-    shell enforcement by radial rescale) from ``restarts`` Dirichlet starts
+    then one radial step out to the shell) from ``restarts`` Dirichlet starts
     and 7 points on the line from u toward a permutation table; ``value`` is
     the objective at ``argmin``.  Below the coupling bound ``beta^2 < kappa
     (kappa-1) log(kappa-1) / (kappa-2)`` the minimum is positive; well above
     it the minimum turns negative.
 
-    The shell push gives up after 50 rounds of rescaling and refitting; a
-    point it leaves with ``||r-u||_F^2 < delta (1 - 1e-12)`` never counts as
-    an improvement, and a start that never reaches the shell keeps the
-    value +inf.
+    A point whose ray leaves the polytope before the shell never counts as
+    an improvement, and a start that never reaches the shell keeps +inf.
     """
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     max_gap = (kappa - 1) / kappa ** 2
     if not 0.0 < delta <= max_gap + 1e-15:
         raise ValueError(
@@ -375,7 +355,7 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
     line = u + _LINE_ALPHAS[:, None, None] * (np.eye(kappa) / kappa - u)
     # All starts descend in lockstep; each keeps its own step, acceptance
     # and stop rule, so each ends where a descent of it alone would.
-    r = _push_to_shell(margin_fit(np.concatenate([raw, line]), kappa), kappa, delta, rng)
+    r = _push_to_shell(margin_fit(np.concatenate([raw, line]), kappa), kappa, delta)
     val = _objective(r, kappa, beta, delta)
     step = np.full(len(r), 0.05)
     active = np.arange(len(r))
@@ -384,7 +364,7 @@ def exponent_gap(kappa: int, beta: float, delta: float, restarts: int = 64, seed
         total_iter += active.size
         cur = r[active]
         cand = cur - step[active, None, None] * _tangent_gradient(cur, kappa, beta)
-        cand = _push_to_shell(margin_fit(cand, kappa), kappa, delta, rng)
+        cand = _push_to_shell(margin_fit(cand, kappa), kappa, delta)
         cval = _objective(cand, kappa, beta, delta)
         better = cval < val[active] - 1e-15
         won = active[better]

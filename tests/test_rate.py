@@ -217,7 +217,7 @@ class TestExponentGap:
         assert res.value > 0
         assert abs(res.value - independent_grid_oracle(0.0, 0.02, 1.0 / 120.0)) < 1e-3
 
-    @pytest.mark.parametrize("delta", (0.005, 0.02))
+    @pytest.mark.parametrize("delta", (0.005, 0.02, 0.1, 0.2))
     @pytest.mark.parametrize("beta", (0.0, 1.0, 1.835, math.sqrt(6 * math.log(2)), 2.6))
     def test_no_grid_point_beats_the_descent(self, beta, delta):
         res = rate.exponent_gap(3, beta, delta)
@@ -240,10 +240,12 @@ class TestExponentGap:
     @pytest.mark.parametrize("kappa", (3, 4, 5, 6))
     def test_no_permutation_line_point_beats_the_descent(self, kappa, factor):
         # at the bound (factor 1) the Dirichlet starts alone miss the zero on
-        # the line at kappa = 6: they stop at 0.0197
+        # the line at kappa = 6: they stop at 0.0197; the second shell is half
+        # the polytope's maximal squared gap
         beta = factor * math.sqrt(rate.second_moment_coupling_bound(kappa))
-        res = rate.exponent_gap(kappa, beta, 0.01)
-        assert res.value <= self.permutation_line_minimum(kappa, beta, 0.01) + 1e-9
+        for delta in (0.01, (kappa - 1) / (2 * kappa ** 2)):
+            res = rate.exponent_gap(kappa, beta, delta)
+            assert res.value <= self.permutation_line_minimum(kappa, beta, delta) + 1e-9, delta
 
     @pytest.mark.parametrize(
         "case", ((3, 1.835, 0.01), (4, 2.2, 0.005), (3, 0.5, 0.2), (2, 1.0, 0.01)), ids=str)
@@ -262,14 +264,16 @@ class TestExponentGap:
         assert res.value <= 0
 
     def test_argmin_feasible(self):
-        # on the wide shells the shell push can give up below the shell
+        # on the wide shells many candidates' rays leave the polytope before
+        # the shell; none of them may be returned
         for kappa, delta in ((3, 0.01), (3, 0.1), (3, 0.15), (3, 0.2), (4, 0.15)):
             res = rate.exponent_gap(kappa, 1.0, delta, restarts=8)
             assert np.abs(res.argmin.sum(axis=0) - 1 / kappa).max() < 1e-9
             assert np.abs(res.argmin.sum(axis=1) - 1 / kappa).max() < 1e-9
             assert rate.frobenius_gap(res.argmin) >= res.delta - 1e-9, (kappa, delta)
 
-    # Each GapResult as v0.1.7 computed it, the argmin as float.hex per cell.
+    # Each GapResult as v0.1.8 computed it (v0.1.7 gave the same bytes), the
+    # argmin as float.hex per cell.
     PINNED = {
         (3, 1.835, 0.01): (
             "0x1.26c5c899cfc5cp-7", 4886, 71, True,
@@ -299,6 +303,43 @@ class TestExponentGap:
     def test_infeasible_delta(self):
         with pytest.raises(ValueError):
             rate.exponent_gap(3, 1.0, 0.5)  # above (kappa-1)/kappa^2
+
+    @pytest.mark.parametrize("beta", (math.nan, math.inf, -math.inf))
+    def test_non_finite_beta_rejected_before_compute(self, beta, monkeypatch):
+        def no_compute(*args):
+            raise AssertionError("margin_fit ran before beta was checked")
+
+        monkeypatch.setattr(rate, "margin_fit", no_compute)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            rate.exponent_gap(3, beta, 0.01)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 8), st.floats(0.0, 1.0, exclude_min=True),
+           st.integers(0, 2 ** 32 - 1))
+    def test_shell_push_is_one_radial_step(self, kappa, size, frac, seed):
+        gen = np.random.default_rng(seed)
+        stack = gen.standard_normal((size, kappa, kappa)) * gen.choice([0.01, 0.3, 1.0], (size, 1, 1))
+        stack += gen.choice([0.0, 0.3, 1.0], (size, 1, 1))
+        stack[gen.random((size, kappa, kappa)) < 0.1] = 0.0
+        stack = rate.margin_fit(stack, kappa)
+        delta = frac * (kappa - 1) / kappa ** 2
+        out = rate._push_to_shell(stack, kappa, delta)
+        assert out.min() >= 0.0
+        before = ((stack - 1 / kappa ** 2) ** 2).sum(axis=(1, 2))
+        after = ((out - 1 / kappa ** 2) ** 2).sum(axis=(1, 2))
+        # r - u has zero margins, so the step adds no margin error of its own: it
+        # scales the residual that margin_fit left by the step's t
+        t = np.sqrt(after / np.maximum(before, 1e-300))
+        for axis in (1, 2):
+            residual = np.abs(stack.sum(axis=axis) - 1 / kappa).max(axis=1)
+            assert np.all(np.abs(out.sum(axis=axis) - 1 / kappa).max(axis=1) <= t * (residual + 1e-15) + 1e-15)
+        on_shell = before >= delta * (1 - 1e-12)
+        assert np.array_equal(out[on_shell], stack[on_shell])
+        # off the shell: pushed onto it, or stopped where the ray leaves the polytope
+        # (an entry at 0, to rounding), or left at u, which has no ray
+        at_u = before < 1e-30
+        assert np.all((after >= delta * (1 - 1e-12)) | (out.min(axis=(1, 2)) <= 1e-15) | at_u)
+        assert np.array_equal(out[at_u], stack[at_u])
 
 
 class TestThresholds:
