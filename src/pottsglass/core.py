@@ -8,6 +8,9 @@ Conventions used throughout the package:
   diagonal; here it is kept.
 * Magnetization and overlap counts are exact integers over ``n``; floating
   point enters only at the energy/covariance layer.
+* :func:`hamiltonian_raw` sums one configuration's energy by a mask gather and
+  one numpy sum, never BLAS, so a configuration and its color images get
+  bit-identical energies.  The Monte Carlo chains take their energies from it.
 * All types are immutable after construction and safe to share across
   threads.  Enumeration streams are single-consumer.
 
@@ -65,11 +68,9 @@ __all__ = [
     "enumerate_configs",
     "config_array",
     "max_deviation",
-    "batch_energies_raw",
 ]
 
 _MASK64 = (1 << 64) - 1
-_ENERGY_CHUNK = 4096  # rows per mask block in batch_energies_raw
 
 # Stream namespaces for the seed-splitting rule (see module docstring).
 CHAIN_NAMESPACE = 1 << 32
@@ -465,19 +466,3 @@ def max_deviation(colors: np.ndarray, kappa: int):
     counts = (colors[..., None] == np.arange(1, kappa + 1)).sum(axis=-2)
     return np.abs(counts / colors.shape[-1] - 1.0 / kappa).max(axis=-1)
 
-
-def batch_energies_raw(colors: np.ndarray, g: CouplingMatrix) -> np.ndarray:
-    """Raw Hamiltonian of every row of a ``(m, n)`` color matrix."""
-    colors = np.asarray(colors, dtype=np.int64)
-    m, n = colors.shape
-    if n != g.n:
-        raise DimensionMismatchError(f"configs have {n} sites, coupling is {g.n}x{g.n}")
-    flat = g.g.reshape(-1)
-    sqn = math.sqrt(n)
-    out = np.empty(m, dtype=np.float64)
-    for lo in range(0, m, _ENERGY_CHUNK):
-        hi = min(m, lo + _ENERGY_CHUNK)
-        blk = colors[lo:hi]
-        mask = (blk[:, :, None] == blk[:, None, :]).reshape(hi - lo, -1)
-        out[lo:hi] = mask.astype(np.float64) @ flat / sqn
-    return out

@@ -13,9 +13,11 @@ equilibration guarantee exists at beta = inf.
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
 ``CHAIN_NAMESPACE | c`` of ``s``; the per-sweep randomness is drawn in fixed-
 size blocks so trajectories are bit-for-bit reproducible and independent of
-the worker count used to farm out disorder replicas.  Each sweep's cached
-energy is audited against a full recomputation every ``audit_interval``
-sweeps to guard against incremental drift.
+the worker count used to farm out disorder replicas.  A chain's energy is
+computed from scratch by :func:`pottsglass.core.hamiltonian_raw` at its start
+and every ``AUDIT_INTERVAL`` sweeps, which guards the cached running sum
+against drift; so a configuration and its color images get bit-identical
+energies there.
 """
 
 from __future__ import annotations
@@ -33,9 +35,10 @@ from .core import (
     TEMPER_NAMESPACE,
     CouplingMatrix,
     SectorError,
-    batch_energies_raw,
+    SpinConfig,
     centering_shift,
     count_configs,
+    hamiltonian_raw,
     map_replicas,
     max_deviation,
     mean_stderr,
@@ -63,7 +66,8 @@ __all__ = [
     "load_ladder",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
 
 
 @dataclass
@@ -83,18 +87,18 @@ class ChainState:
     energy: float
     rng: np.random.Generator
     sweeps: int = 0
-    audit_interval: int = 100
     seed: int | None = None
     chain_id: int | None = None
 
     def __post_init__(self):
         if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError("chain beta must be finite and nonnegative")
+        if not math.isfinite(self.energy):
+            raise ValueError(f"chain energy must be finite, got {self.energy!r}")
         if self.sector not in ("all", "balanced"):
             raise SectorError(f"unsupported chain sector {self.sector!r}")
-        if self.audit_interval < 1:
-            raise ValueError(f"audit_interval must be >= 1, got {self.audit_interval}")
         self.colors = np.ascontiguousarray(self.colors, dtype=np.int64)
+        SpinConfig(self.colors.copy(), self.kappa)  # 1-d, non-empty, kappa >= 2, colors in [1, kappa]
         if self.sector == "balanced":
             counts = np.bincount(self.colors - 1, minlength=self.kappa)
             if not np.all(counts == self.colors.size // self.kappa):
@@ -113,7 +117,6 @@ class ChainState:
         sector: str = "all",
         seed: int = 0,
         chain_id: int = 0,
-        audit_interval: int = 100,
     ) -> "ChainState":
         rng = philox_generator(seed, CHAIN_NAMESPACE | chain_id)
         n = g.n
@@ -123,21 +126,13 @@ class ChainState:
             rng.shuffle(colors)
         else:
             colors = rng.integers(1, kappa + 1, size=n)
-        energy = float(batch_energies_raw(colors[None, :], g)[0])
-        return cls(
-            colors=colors,
-            kappa=kappa,
-            beta=beta,
-            sector=sector,
-            energy=energy,
-            rng=rng,
-            seed=seed,
-            chain_id=chain_id,
-            audit_interval=audit_interval,
-        )
+        energy = hamiltonian_raw(SpinConfig(colors.copy(), kappa), g)
+        return cls(colors=colors, kappa=kappa, beta=beta, sector=sector, energy=energy, rng=rng,
+                   seed=seed, chain_id=chain_id)
 
     def _audit(self, g: CouplingMatrix) -> None:
-        recomputed = float(batch_energies_raw(self.colors[None, :], g)[0])
+        # a copy: SpinConfig freezes the array it is given, and the sweeps write into the colors
+        recomputed = hamiltonian_raw(SpinConfig(self.colors.copy(), self.kappa), g)
         scale = max(1.0, abs(recomputed))
         if abs(self.energy - recomputed) > 1e-6 * scale:
             raise RuntimeError(
@@ -149,7 +144,7 @@ class ChainState:
         """Store a sweep's running energy, count the sweep, and audit on schedule."""
         self.energy = energy
         self.sweeps += 1
-        if self.sweeps % self.audit_interval == 0:
+        if self.sweeps % AUDIT_INTERVAL == 0:
             self._audit(g)
         return self
 
@@ -277,6 +272,8 @@ class TemperingLadder:
         betas = [r.beta for r in self.rungs]
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("rung betas must be nondecreasing")
+        if not len(self.swap_attempts) == len(self.swap_accepts) == len(betas) - 1:
+            raise ValueError(f"a ladder of {len(betas)} rungs needs {len(betas) - 1} swap counters")
 
     @property
     def betas(self) -> tuple[float, ...]:

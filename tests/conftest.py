@@ -32,6 +32,31 @@ def gram_pair_covariances(colors: np.ndarray) -> np.ndarray:
     return m @ m.T / colors.shape[1]
 
 
+_ENERGY_CHUNK = 4096  # rows per mask block in batch_energies_raw
+
+
+def batch_energies_raw(colors: np.ndarray, g: core.CouplingMatrix) -> np.ndarray:
+    """Raw Hamiltonian of every row of a ``(m, n)`` color matrix.
+
+    The BLAS mask kernel: each row's site-match mask times the flattened
+    couplings.  BLAS picks the summation order, so a configuration and its
+    color image may differ in the last bits; an oracle route, not a library one.
+    """
+    colors = np.asarray(colors, dtype=np.int64)
+    m, n = colors.shape
+    if n != g.n:
+        raise core.DimensionMismatchError(f"configs have {n} sites, coupling is {g.n}x{g.n}")
+    flat = g.g.reshape(-1)
+    sqn = math.sqrt(n)
+    out = np.empty(m, dtype=np.float64)
+    for lo in range(0, m, _ENERGY_CHUNK):
+        hi = min(m, lo + _ENERGY_CHUNK)
+        blk = colors[lo:hi]
+        mask = (blk[:, :, None] == blk[:, None, :]).reshape(hi - lo, -1)
+        out[lo:hi] = mask.astype(np.float64) @ flat / sqn
+    return out
+
+
 def brute_force_energy(colors: np.ndarray, g: np.ndarray) -> float:
     """Scalar double-loop Hamiltonian, the slowest possible oracle."""
     n = colors.size

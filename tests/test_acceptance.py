@@ -17,7 +17,7 @@ import pytest
 
 from pottsglass import core, exact, montecarlo as mc, rate
 
-from conftest import independent_grid_oracle, match_matrix_flat
+from conftest import batch_energies_raw, independent_grid_oracle, match_matrix_flat
 
 
 @contextmanager
@@ -331,7 +331,7 @@ def test_criterion_7_ldp_and_shells():
 
 def exact_state_probs(g, kappa, beta, sector):
     colors = core.config_array(g.n, kappa, sector)
-    energies = core.batch_energies_raw(colors, g)
+    energies = batch_energies_raw(colors, g)
     w = np.exp(beta * (energies - energies.max()))
     return colors, energies, w / w.sum()
 

@@ -1,15 +1,17 @@
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pottsglass import cli, core, exact, montecarlo as mc
+from pottsglass import __version__, cli, core, exact, montecarlo as mc
 from pottsglass.experiment import ExperimentSpec, ValidationError
 
 
@@ -26,6 +28,12 @@ def read_rows(path):
         lines = [l for l in fh.read().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return header, [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib: the floors job runs Python 3.10
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [__version__]
 
 
 SMOKE_COMMANDS = [

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pottsglass import core
 
-from conftest import brute_force_energy, indicator_inner_product, random_config
+from conftest import batch_energies_raw, brute_force_energy, indicator_inner_product, random_config
 
 
 def cfg(colors, kappa):
@@ -99,6 +99,7 @@ class TestHamiltonians:
         colors = np.array([c % kappa + 1 for c in color_seed])
         g = coupling(g_rows)
         expected = brute_force_energy(colors, g.g)
+        assert batch_energies_raw(colors[None, :], g)[0] == pytest.approx(expected, abs=1e-10)
         assert core.hamiltonian_raw(core.SpinConfig(colors, kappa), g) == pytest.approx(expected, abs=1e-10)
 
 

@@ -10,10 +10,12 @@ from scipy.stats import chisquare
 
 from pottsglass import core, exact, montecarlo as mc
 
+from conftest import batch_energies_raw
+
 
 def exact_gibbs_weights(g, kappa, beta, sector):
     colors = core.config_array(g.n, kappa, sector)
-    energies = core.batch_energies_raw(colors, g)
+    energies = batch_energies_raw(colors, g)
     w = np.exp(beta * (energies - energies.max()))
     return colors, w / w.sum()
 
@@ -21,7 +23,7 @@ def exact_gibbs_weights(g, kappa, beta, sector):
 def single_proposal_kernel(g, kappa, beta, sector):
     """Transition matrix of one proposal, mirroring the sweep acceptance rule."""
     colors, _ = exact_gibbs_weights(g, kappa, beta, sector)
-    energies = core.batch_energies_raw(colors, g)
+    energies = batch_energies_raw(colors, g)
     index = {tuple(row): i for i, row in enumerate(colors)}
     m = len(colors)
     n = g.n
@@ -80,7 +82,7 @@ def reference_metropolis_sweep(state, g):
             colors[t] = new
             state.energy += d
     state.sweeps += 1
-    if state.sweeps % state.audit_interval == 0:
+    if state.sweeps % mc.AUDIT_INTERVAL == 0:
         state._audit(g)
 
 
@@ -105,7 +107,7 @@ def reference_swap_sweep(state, g):
             colors[i], colors[j] = b, a
             state.energy += d1 + d2
     state.sweeps += 1
-    if state.sweeps % state.audit_interval == 0:
+    if state.sweeps % mc.AUDIT_INTERVAL == 0:
         state._audit(g)
 
 
@@ -398,11 +400,12 @@ class TestEquilibrationFlag:
 class TestChainInternals:
     def test_energy_audit_catches_corruption(self):
         g = core.CouplingMatrix.from_seed(4, 4)
-        chain = mc.ChainState.start(g, 2, 0.5, "all", seed=1, audit_interval=5)
+        chain = mc.ChainState.start(g, 2, 0.5, "all", seed=1)
         chain.energy += 1.0  # simulate drift
         with pytest.raises(RuntimeError, match="drifted"):
-            for _ in range(5):
+            for _ in range(mc.AUDIT_INTERVAL):
                 mc.metropolis_sweep(chain, g)
+        assert chain.sweeps == mc.AUDIT_INTERVAL  # caught by the first audit, not before
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
         g = core.CouplingMatrix.from_seed(5, 8)
@@ -453,74 +456,106 @@ class TestChainInternals:
         ladder_path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unsupported checkpoint version"):
             mc.load_ladder(str(ladder_path))
-
-    @pytest.mark.parametrize("interval", [0, -3])
-    def test_audit_interval_must_be_positive(self, interval, tmp_path):
-        g = core.CouplingMatrix.from_seed(4, 4)
-        with pytest.raises(ValueError, match="audit_interval"):
-            mc.ChainState.start(g, 2, 0.5, "all", seed=1, audit_interval=interval)
-        path = tmp_path / "chain.json"
-        mc.save_checkpoint(mc.ChainState.start(g, 2, 0.5, "all", seed=1), str(path))
-        payload = json.loads(path.read_text())
-        payload["audit_interval"] = interval
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="audit_interval"):
-            mc.load_chain(str(path))
+        chain_path.write_text(V1_CHAIN)  # version 1 carried the audit_interval field
+        with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+            mc.load_chain(str(chain_path))
 
     def test_cached_energy_matches_recomputation(self):
+        # the start and audit energies are core.hamiltonian_raw's, bit for bit (the mask
+        # kernel that v0.1.8 used differed from it in the last bits at 76 of these 100 starts)
+        for n, kappa in ((6, 3), (12, 3), (8, 2), (30, 4), (256, 3)):
+            g = core.CouplingMatrix.from_seed(n, 6)
+
+            def recomputed(chain):
+                return core.hamiltonian_raw(core.SpinConfig(chain.colors.copy(), kappa), g)
+
+            for seed in range(20):
+                chain = mc.ChainState.start(g, kappa, 1.2, "all", seed=seed)
+                assert chain.energy == recomputed(chain)
+            mc.run_sweeps(chain, g, mc.AUDIT_INTERVAL)
+            assert chain.energy == recomputed(chain)
         g = core.CouplingMatrix.from_seed(6, 6)
         chain = mc.ChainState.start(g, 3, 1.2, "all", seed=4)
         mc.run_sweeps(chain, g, 333)
-        full = float(core.batch_energies_raw(chain.colors[None, :], g)[0])
+        full = float(batch_energies_raw(chain.colors[None, :], g)[0])
         assert chain.energy == pytest.approx(full, rel=1e-6)
 
+    @pytest.mark.parametrize("kind, edit, match", [
+        # colors 0 used to run on garbage: h.item(-1, t) wraps to the last color's row
+        pytest.param("chain", {"colors": [0, 1, 1, 1, 2]}, r"colors must lie in \[1, 3\]", id="color-0"),
+        pytest.param("chain", {"colors": [[2, 1], [1, 2]]}, "non-empty 1-d", id="colors-2d"),
+        pytest.param("chain", {"colors": []}, "non-empty 1-d", id="colors-empty"),
+        pytest.param("chain", {"kappa": 1, "colors": [1, 1, 1, 1, 1]}, "kappa must be >= 2", id="kappa-1"),
+        pytest.param("chain", {"energy": math.nan}, "energy must be finite", id="energy-nan"),
+        pytest.param("chain", {"energy": -math.inf}, "energy must be finite", id="energy-inf"),
+        # short counters used to raise IndexError only inside tempering_step
+        pytest.param("ladder", {"swap_attempts": [4]}, "needs 2 swap counters", id="attempts-short"),
+        pytest.param("ladder", {"swap_accepts": [3, 2, 0]}, "needs 2 swap counters", id="accepts-long"),
+    ])
+    def test_malformed_checkpoint_rejected(self, kind, edit, match, tmp_path):
+        path = tmp_path / "edited.json"
+        payload = json.loads(PINNED_CHECKPOINTS["ladder" if kind == "ladder" else "chain-all"])
+        payload.update(edit)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=match):
+            (mc.load_ladder if kind == "ladder" else mc.load_chain)(str(path))
 
-# Checkpoints as v0.1.5 saved them, with the run that reaches each one afresh.
-V015_CHECKPOINTS = {
+
+# A chain checkpoint as v0.1.5 to v0.1.8 saved it (version 1).
+V1_CHAIN = (
+    '{"audit_interval": 100, "beta": 0.7, "chain_id": 1, "colors": [2, 1, 1, 1, 2]'
+    ', "energy": -1.2972297041501357, "kappa": 3, "kind": "chain"'
+    ', "rng": {"bit_generator": "Philox", "buffer": [1256477096058323303, 16052574837747377924'
+    ', 1352686618695844241, 10689723240430104699], "buffer_pos": 1, "has_uint32": 1'
+    ', "state": {"counter": [19, 0, 0, 0], "key": [2, 4294967297]}, "uinteger": 1608830103}'
+    ', "sector": "all", "seed": 2, "sweeps": 7, "version": 1}'
+)
+
+# Checkpoints as v0.1.9 saved them (format version 2), with the run that reaches each one afresh.
+PINNED_CHECKPOINTS = {
     "chain-all": (
-        '{"audit_interval": 100, "beta": 0.7, "chain_id": 1, "colors": [2, 1, 1, 1, 2]'
-        ', "energy": -1.2972297041501357, "kappa": 3, "kind": "chain"'
-        ', "rng": {"bit_generator": "Philox", "buffer": [1256477096058323303, 16052574837747377924'
-        ', 1352686618695844241, 10689723240430104699], "buffer_pos": 1, "has_uint32": 1'
-        ', "state": {"counter": [19, 0, 0, 0], "key": [2, 4294967297]}, "uinteger": 1608830103}'
-        ', "sector": "all", "seed": 2, "sweeps": 7, "version": 1}'
+        '{"beta": 0.7, "chain_id": 1, "colors": [2, 1, 1, 1, 2], "energy": -1.2972297041501357'
+        ', "kappa": 3, "kind": "chain", "rng": {"bit_generator": "Philox"'
+        ', "buffer": [1256477096058323303, 16052574837747377924, 1352686618695844241'
+        ', 10689723240430104699], "buffer_pos": 1, "has_uint32": 1, "state": {"counter": [19, 0, 0'
+        ', 0], "key": [2, 4294967297]}, "uinteger": 1608830103}, "sector": "all", "seed": 2'
+        ', "sweeps": 7, "version": 2}'
     ),
     "chain-balanced": (
-        '{"audit_interval": 3, "beta": 1.1, "chain_id": 0, "colors": [3, 1, 2, 2, 1, 3]'
-        ', "energy": 0.5264777413406962, "kappa": 3, "kind": "chain"'
-        ', "rng": {"bit_generator": "Philox", "buffer": [1605601404264999370, 13773455935482142290'
-        ', 376198958316483285, 12413823728648783626], "buffer_pos": 3, "has_uint32": 0'
-        ', "state": {"counter": [16, 0, 0, 0], "key": [4, 4294967296]}, "uinteger": 2425324650}'
-        ', "sector": "balanced", "seed": 4, "sweeps": 5, "version": 1}'
+        '{"beta": 1.1, "chain_id": 0, "colors": [3, 1, 3, 1, 2, 2], "energy": 0.0634690871608447'
+        ', "kappa": 3, "kind": "chain", "rng": {"bit_generator": "Philox"'
+        ', "buffer": [8368988977850714613, 1335974377257027396, 6047897165846359333'
+        ', 9629098307931538444], "buffer_pos": 3, "has_uint32": 0, "state": {"counter": [310, 0, 0'
+        ', 0], "key": [4, 4294967296]}, "uinteger": 462478635}, "sector": "balanced", "seed": 4'
+        ', "sweeps": 103, "version": 2}'
     ),
     "ladder": (
         '{"kind": "ladder", "ladder_id": 2, "rng": {"bit_generator": "Philox"'
         ', "buffer": [15803601742490975237, 18071095372905398312, 13205400030976850009'
         ', 12030535612457570053], "buffer_pos": 4, "has_uint32": 0, "state": {"counter": [2, 0, 0, 0]'
-        ', "key": [3, 12884901890]}, "uinteger": 0}, "rungs": [{"audit_interval": 100, "beta": 0.2'
-        ', "chain_id": 512, "colors": [2, 2, 1, 1], "energy": 1.1852334582506545, "kappa": 2'
-        ', "kind": "chain", "rng": {"bit_generator": "Philox", "buffer": [3226315916901363934'
-        ', 17404446605203780051, 10421364169892632037, 8521753649629161660], "buffer_pos": 2'
-        ', "has_uint32": 0, "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967808]}'
-        ', "uinteger": 1397780935}, "sector": "all", "seed": 3, "sweeps": 4, "version": 1}'
-        ', {"audit_interval": 100, "beta": 0.6, "chain_id": 513, "colors": [2, 1, 2, 2]'
-        ', "energy": 2.3406681960056233, "kappa": 2, "kind": "chain"'
+        ', "key": [3, 12884901890]}, "uinteger": 0}, "rungs": [{"beta": 0.2, "chain_id": 512'
+        ', "colors": [2, 2, 1, 1], "energy": 1.1852334582506545, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [3226315916901363934, 17404446605203780051'
+        ', 10421364169892632037, 8521753649629161660], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967808]}, "uinteger": 1397780935}'
+        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}, {"beta": 0.6, "chain_id": 513'
+        ', "colors": [2, 1, 2, 2], "energy": 2.340668196005623, "kappa": 2, "kind": "chain"'
         ', "rng": {"bit_generator": "Philox", "buffer": [5923454264388582796, 9478309074172290355'
         ', 3521249823446407668, 13230404717880578564], "buffer_pos": 2, "has_uint32": 0'
         ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967809]}, "uinteger": 3429044939}'
-        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 1}, {"audit_interval": 100'
-        ', "beta": 1.0, "chain_id": 514, "colors": [2, 1, 2, 2], "energy": 2.340668196005623'
-        ', "kappa": 2, "kind": "chain", "rng": {"bit_generator": "Philox"'
-        ', "buffer": [17934980336109432999, 15134219465551973680, 14281583553931393285'
-        ', 15602445382894683932], "buffer_pos": 2, "has_uint32": 0, "state": {"counter": [9, 0, 0, 0]'
-        ', "key": [3, 4294967810]}, "uinteger": 648697900}, "sector": "all", "seed": 3, "sweeps": 4'
-        ', "version": 1}], "seed": 3, "swap_accepts": [3, 2], "swap_attempts": [4, 4], "version": 1}'
+        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}, {"beta": 1.0, "chain_id": 514'
+        ', "colors": [2, 1, 2, 2], "energy": 2.340668196005623, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [17934980336109432999, 15134219465551973680'
+        ', 14281583553931393285, 15602445382894683932], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967810]}, "uinteger": 648697900}'
+        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}], "seed": 3, "swap_accepts": [3, 2]'
+        ', "swap_attempts": [4, 4], "version": 2}'
     ),
 }
 
 
-def _v015_run(name):
-    """The state ``V015_CHECKPOINTS[name]`` holds, run afresh, and its step."""
+def _pinned_run(name):
+    """The state ``PINNED_CHECKPOINTS[name]`` holds, run afresh, and its step."""
     if name == "ladder":
         g = core.CouplingMatrix.from_seed(4, 3)
         ladder = mc.TemperingLadder.start(g, 2, [0.2, 0.6, 1.0], "all", seed=3, ladder_id=2)
@@ -532,7 +567,8 @@ def _v015_run(name):
         chain, sweeps = mc.ChainState.start(g, 3, 0.7, "all", seed=2, chain_id=1), 7
     else:
         g = core.CouplingMatrix.from_seed(6, 4)
-        chain, sweeps = mc.ChainState.start(g, 3, 1.1, "balanced", seed=4, chain_id=0, audit_interval=3), 5
+        # past the first audit, so the saved energy is a running sum on an audited one
+        chain, sweeps = mc.ChainState.start(g, 3, 1.1, "balanced", seed=4, chain_id=0), mc.AUDIT_INTERVAL + 3
     return mc.run_sweeps(chain, g, sweeps), lambda state: mc.sweep(state, g)
 
 
@@ -542,14 +578,14 @@ class TestCheckpointFormat:
         mc.save_checkpoint(obj, str(path))
         return path.read_text()
 
-    @pytest.mark.parametrize("name", sorted(V015_CHECKPOINTS))
+    @pytest.mark.parametrize("name", sorted(PINNED_CHECKPOINTS))
     def test_v015_checkpoint_loads_resumes_and_saves_back(self, name, tmp_path):
-        text = V015_CHECKPOINTS[name]
+        text = PINNED_CHECKPOINTS[name]
         path = tmp_path / "v015.json"
         path.write_text(text)
         restored = (mc.load_ladder if name == "ladder" else mc.load_chain)(str(path))
         assert self.saved(restored, tmp_path / "back.json") == text
-        fresh, step = _v015_run(name)
+        fresh, step = _pinned_run(name)
         assert self.saved(fresh, tmp_path / "fresh.json") == text
         for _ in range(13):
             step(fresh)
@@ -557,9 +593,9 @@ class TestCheckpointFormat:
         assert self.saved(restored, tmp_path / "a.json") == self.saved(fresh, tmp_path / "b.json")
 
     def test_payload_keys_are_the_dataclass_fields(self, tmp_path):
-        ladder, _ = _v015_run("ladder")
+        ladder, _ = _pinned_run("ladder")
         payload = json.loads(self.saved(ladder, tmp_path / "ladder.json"))
         assert set(payload) == {f.name for f in fields(mc.TemperingLadder)} | {"kind", "version"}
-        chain, _ = _v015_run("chain-balanced")
+        chain, _ = _pinned_run("chain-balanced")
         for rung in payload["rungs"] + [json.loads(self.saved(chain, tmp_path / "chain.json"))]:
             assert set(rung) == {f.name for f in fields(mc.ChainState)} | {"kind", "version"}
