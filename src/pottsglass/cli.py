@@ -136,26 +136,18 @@ def _run_kl_check(spec: ExperimentSpec):
     violations = 0
     worst = math.inf
     for first in range(0, spec.trials, _KL_CHUNK):
-        # Each trial draws in order: dim, q, and (when min q > 0) a direction
-        # and a uniform; the trials are then evaluated per dimension.
-        drawn = {}
-        for _ in range(min(_KL_CHUNK, spec.trials - first)):
-            dim = int(rng.integers(2, 10))
-            q = rng.dirichlet(np.ones(dim))
-            if q.min() <= 0:
-                continue
-            trials = drawn.setdefault(dim, ([], [], []))
-            trials[0].append(q)
-            trials[1].append(rng.standard_normal(dim))
-            trials[2].append(rng.random())
-        for qs, directions, uniforms in drawn.values():
-            q = np.array(qs)
-            direction = np.array(directions)
+        # A chunk draws its dimensions, then per dimension in ascending order
+        # its q, directions and the uniforms that set the scales.
+        dims = rng.integers(2, 10, size=min(_KL_CHUNK, spec.trials - first))
+        for dim in range(2, 10):
+            count = int(np.count_nonzero(dims == dim))
+            q = rng.dirichlet(np.ones(dim), size=count)
+            direction = rng.standard_normal((count, dim))
             direction -= direction.mean(axis=1, keepdims=True)
             reach = np.maximum(np.abs(direction).max(axis=1), 1e-300)
-            scale = np.array(uniforms) * 0.5 * q.min(axis=1) / reach
-            p = q + scale[:, None] * direction
-            inside = ~(p.min(axis=1) < 0)
+            qmin = q.min(axis=1)
+            p = q + (rng.random(count) * 0.5 * qmin / reach)[:, None] * direction
+            inside = (qmin > 0) & ~(p.min(axis=1) < 0)
             res = rate.local_expansion_check(p[inside], q[inside])
             ok = res.precondition_ok
             if ok.any():

@@ -30,7 +30,6 @@ from .core import (
     SpinConfig,
     _lex_extend,
     centering_shift,
-    config_array,
     count_configs,
     map_replicas,
     mean_stderr,
@@ -243,37 +242,40 @@ def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
     """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
 
-    A fixed sector is enumerated one count group at a time: each A count
-    vector c that fits under its d, in lexicographic order, pairs the A rows
-    with counts c and the B rows with counts d - c.
+    Each half is every lexicographic row that fits under the sector's
+    budget (d, or n per color for ``all``), grouped by its counts.  In a
+    fixed sector the A rows with counts c, for c in lexicographic order,
+    pair with the B rows with counts d - c only.
     """
     total = count_configs(n, kappa, sector)
     if total > cap:
         raise EnumerationCapError(f"sector has {total} configurations, exceeding the cap of {cap}")
     d = sector_counts(n, kappa, sector)
+    budget = np.full(kappa, n) if d is None else d
+    enumerated = {}
+    for m in {n // 2, n - n // 2}:
+        picks, left = _lex_extend(np.eye(kappa, dtype=np.int64), budget, m)
+        groups, key = np.unique(budget - left, axis=0, return_inverse=True)
+        enumerated[m] = picks, groups, key.reshape(-1)
+    (picks_a, groups_a, key_a), (picks_b, groups_b, key_b) = enumerated[n // 2], enumerated[n - n // 2]
     if d is None:
-        enumerated = {m: config_array(m, kappa, "all") for m in {n // 2, n - n // 2}}
-        rows_a, rows_b = enumerated[n // 2], enumerated[n - n // 2]
-        (groups_a, key_a), (groups_b, key_b) = (
-            np.unique((rows[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1), axis=0, return_inverse=True)
-            for rows in (rows_a, rows_b))
         counts, label = np.unique((groups_a[:, None] + groups_b).reshape(-1, kappa), axis=0, return_inverse=True)
-        key_a, key_b = key_a.reshape(-1) * len(groups_b), key_b.reshape(-1)
-        parts = [(rows_a, rows_b)]
-    else:
-        parts = [(config_array(n // 2, kappa, tuple(c)), config_array(n - n // 2, kappa, tuple(d - c)))
-                 for c in _compositions(n // 2, kappa) if (c <= d).all()]
-        rows_a, rows_b = (np.concatenate(half) for half in zip(*parts))
+        key_a = key_a * len(groups_b)
+        parts = [(len(picks_a), len(picks_b))]
+    else:  # the counts d - c of B run in reverse lexicographic order as c of A runs forward
+        picks_a, picks_b = picks_a[np.argsort(key_a, kind="stable")], picks_b[np.argsort(-key_b, kind="stable")]
+        parts = list(zip(np.bincount(key_a), np.bincount(key_b)[::-1]))
         counts, label = d[None], np.zeros(1, dtype=np.int64)  # every pair has counts d
-        key_a, key_b = np.zeros(len(rows_a), dtype=np.int64), np.zeros(len(rows_b), dtype=np.int64)
+        key_a, key_b = np.zeros(len(picks_a), dtype=np.int64), np.zeros(len(picks_b), dtype=np.int64)
+    rows_a, rows_b = picks_a.astype(np.int64) + 1, picks_b.astype(np.int64) + 1  # after the reorder of uint8 picks
     pairs = []
     for offset, rows in ((0, rows_a), (n // 2, rows_b)):  # offset: site of column 0 of the half
         i, j = np.triu_indices(rows.shape[1], 1)
         pairs.append(((i + offset) * n + j + offset, (rows[:, i] == rows[:, j]).astype(np.float64)))
     blocks, a0, b0 = [], 0, 0
-    for part_a, part_b in parts:  # chunks of A rows share the B rows and their prefix tree
-        a1, b1 = a0 + len(part_a), b0 + len(part_b)
-        pb, levels, step = np.arange(b0, b1), _prefix_tree(part_b), max(1, _BLOCK // (b1 - b0))
+    for size_a, size_b in parts:  # chunks of A rows share the B rows and their prefix tree
+        a1, b1 = a0 + size_a, b0 + size_b
+        pb, levels, step = np.arange(b0, b1), _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
         blocks += [(np.arange(r, min(r + step, a1))[:, None], pb, levels) for r in range(a0, a1, step)]
         a0, b0 = a1, b1
     flat = total <= _BLOCK

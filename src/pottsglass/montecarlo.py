@@ -274,6 +274,9 @@ class TemperingLadder:
             raise ValueError("rung betas must be nondecreasing")
         if not len(self.swap_attempts) == len(self.swap_accepts) == len(betas) - 1:
             raise ValueError(f"a ladder of {len(betas)} rungs needs {len(betas) - 1} swap counters")
+        first = self.rungs[0]
+        if any((r.kappa, r.sector, r.n) != (first.kappa, first.sector, first.n) for r in self.rungs):
+            raise ValueError("ladder rungs must share kappa, sector and n")
 
     @property
     def betas(self) -> tuple[float, ...]:

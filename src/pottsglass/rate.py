@@ -224,40 +224,36 @@ def local_expansion_check(p, q) -> LocalExpansionResult:
     would report roundoff, not mathematics.
 
     Two ``(m, dim)`` stacks are checked row by row: each field is then an
-    array of length m, equal entry by entry to the m single checks, with
-    NaN bounds and a ``holds`` of None (an object array) where a row's
-    precondition fails.  Any other shape is flattened to one distribution.
+    array of length m, with NaN bounds and a ``holds`` of None (an object
+    array) where a row's precondition fails.  Any other shape is one
+    distribution, checked as a stack of one and returned as ``float``,
+    ``float``, ``bool`` or None, and ``bool``, so a single check equals the
+    matching row of a stacked one by construction.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    stacked = p.ndim == 2
-    if not stacked:
-        p, q = p.ravel(), q.ravel()
+    if p.ndim != 2:
+        single = local_expansion_check(p.reshape(1, -1), q.reshape(1, -1))
+        return LocalExpansionResult(float(single.lhs_gap[0]), float(single.rhs_bound[0]),
+                                    single.holds[0], bool(single.precondition_ok[0]))
     if p.shape != q.shape:
         raise ValueError("p and q must have the same shape")
     qmin = q.min(axis=-1)
     diff = p - q
     dist = np.abs(diff)
-    failed = (qmin <= 0.0) | (dist.max(axis=-1) > 0.5 * qmin)
-    if not stacked:
-        if failed:
-            return LocalExpansionResult(math.nan, math.nan, None, False)
-    elif failed.any():
-        ok = ~failed
-        p, q, diff, dist, qmin = p[ok], q[ok], diff[ok], dist[ok], qmin[ok]
+    ok = ~((qmin <= 0.0) | (dist.max(axis=-1) > 0.5 * qmin))
+    p, q, diff, dist, qmin = p[ok], q[ok], diff[ok], dist[ok], qmin[ok]
     kl = _xlog_sums(p, p / q)
     quad = 0.5 * (diff ** 2 / q).sum(axis=-1)
     lhs = abs(kl - quad)
     # float_power rounds as Python's ``**`` (libm pow) does; numpy's square differs
     rhs = 5.0 / np.float_power(qmin, 2.0) * (dist ** 3).sum(axis=-1)
     holds = lhs <= rhs + _EPS16 * (1.0 + abs(kl) + quad)
-    if not stacked:
-        return LocalExpansionResult(float(lhs), float(rhs), bool(holds), True)
-    lhs_all = np.full(len(failed), math.nan)
-    rhs_all = np.full(len(failed), math.nan)
-    holds_all = np.full(len(failed), None, dtype=object)
-    lhs_all[~failed], rhs_all[~failed], holds_all[~failed] = lhs, rhs, holds.tolist()
-    return LocalExpansionResult(lhs_all, rhs_all, holds_all, ~failed)
+    lhs_all = np.full(len(ok), math.nan)
+    rhs_all = np.full(len(ok), math.nan)
+    holds_all = np.full(len(ok), None, dtype=object)
+    lhs_all[ok], rhs_all[ok], holds_all[ok] = lhs, rhs, holds.tolist()
+    return LocalExpansionResult(lhs_all, rhs_all, holds_all, ok)
 
 
 def potts_row_objective(v, beta: float) -> float:

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shlex
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -34,6 +35,17 @@ def test_pyproject_version_is_the_package_version():
     # a regex, not tomllib: the floors job runs Python 3.10
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
     assert re.findall(r'^version = "([^"]*)"$', text, flags=re.M) == [__version__]
+
+
+def test_readme_commands_parse_and_validate():
+    # every example line of the README parses and validates; nothing is computed
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^pottsglass (.+)$", text, flags=re.M)
+    parser = cli.build_parser()
+    specs = [ExperimentSpec(**vars(parser.parse_args(shlex.split(line)))) for line in lines]
+    for spec in specs:
+        spec.validate()
+    assert sorted(spec.command for spec in specs) == sorted(cli._HANDLERS)
 
 
 SMOKE_COMMANDS = [
@@ -326,12 +338,12 @@ def test_rate_gap_writes_one_row_per_beta(tmp_path):
     assert rows[0] == row
 
 
-# kl-check's row at --trials 3000 as v0.1.5 wrote it, per seed
+# kl-check's row at --trials 3000 as v0.1.10 wrote it, per seed
 KL_CHECK_ROWS = {
-    0: "3000,3000,3000,0,2.4301153136064694e-14",
-    1: "3000,3000,3000,0,6.251981899336163e-12",
-    2: "3000,3000,3000,0,1.3097541228535177e-13",
-    3: "3000,3000,3000,0,7.9189609470774685e-11",
+    0: "3000,3000,3000,0,1.5737370136160744e-14",
+    1: "3000,3000,3000,0,7.8530098864933257e-15",
+    2: "3000,3000,3000,0,6.462463112355733e-12",
+    3: "3000,3000,3000,0,1.8068764572834018e-13",
 }
 
 
@@ -341,6 +353,15 @@ def test_kl_check_rows_pinned(seed, tmp_path):
     assert run(["kl-check", "--trials", "3000", "--seed", str(seed), "--out", out]) == 0
     with open(out) as fh:
         assert fh.read().splitlines()[-1] == KL_CHECK_ROWS[seed]
+
+
+def test_kl_check_across_chunks(tmp_path):
+    # three chunks of draws, the last with a single trial
+    out = str(tmp_path / "kl.csv")
+    trials = 2 * cli._KL_CHUNK + 1
+    assert run(["kl-check", "--trials", str(trials), "--out", out]) == 0
+    _, [row] = read_rows(out)
+    assert [int(row[c]) for c in ("trials", "checked", "holds", "violations")] == [trials] * 3 + [0]
 
 
 def test_round_trip_from_embedded_spec(tmp_path):

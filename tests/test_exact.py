@@ -400,7 +400,8 @@ class TestSplitEngine:
             assert {tuple(np.array((0,) + perm)[row]) for row in res.maximizers} == found
         assert res.maximizers.tolist() == sorted(res.maximizers.tolist())  # lexicographic
 
-    @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 9, (4, 5))])
+    @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 9, (4, 5)),
+                                                (3, 10, (2, 3, 5))])
     def test_flat_and_tree_blocks_agree_bitwise(self, kappa, n, sector, monkeypatch):
         g = core.CouplingMatrix.from_seed(n, 12, 3)
         flat_rows, flat = split_energies(n, kappa, sector, g)
@@ -415,7 +416,7 @@ class TestSplitEngine:
         def refuse(*args, **kwargs):
             raise AssertionError("enumerated past the cap")
 
-        monkeypatch.setattr(exact, "config_array", refuse)
+        monkeypatch.setattr(exact, "_lex_extend", refuse)
         with pytest.raises(core.EnumerationCapError):
             exact.tail_probability_exact(20, 1.0, 0.25, replicas=2, cap=1000)
         with pytest.raises(core.EnumerationCapError):

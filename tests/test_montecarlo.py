@@ -491,14 +491,19 @@ class TestChainInternals:
         # short counters used to raise IndexError only inside tempering_step
         pytest.param("ladder", {"swap_attempts": [4]}, "needs 2 swap counters", id="attempts-short"),
         pytest.param("ladder", {"swap_accepts": [3, 2, 0]}, "needs 2 swap counters", id="accepts-long"),
+        # a top rung unlike the others used to load; a balanced one ended in IndexError in swap_sweep
+        pytest.param("top-rung", {"sector": "balanced", "colors": [1, 2, 1, 2]}, "must share",
+                     id="top-rung-balanced"),
+        pytest.param("top-rung", {"kappa": 3}, "must share", id="top-rung-kappa-3"),
+        pytest.param("top-rung", {"colors": [2, 1, 2]}, "must share", id="top-rung-n-3"),
     ])
     def test_malformed_checkpoint_rejected(self, kind, edit, match, tmp_path):
         path = tmp_path / "edited.json"
-        payload = json.loads(PINNED_CHECKPOINTS["ladder" if kind == "ladder" else "chain-all"])
-        payload.update(edit)
+        payload = json.loads(PINNED_CHECKPOINTS["chain-all" if kind == "chain" else "ladder"])
+        (payload["rungs"][-1] if kind == "top-rung" else payload).update(edit)
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=match):
-            (mc.load_ladder if kind == "ladder" else mc.load_chain)(str(path))
+            (mc.load_chain if kind == "chain" else mc.load_ladder)(str(path))
 
 
 # A chain checkpoint as v0.1.5 to v0.1.8 saved it (version 1).
