@@ -186,10 +186,6 @@ def _run_shell_count(spec: ExperimentSpec):
     return cols, rows
 
 
-def _gauge_trial(split, beta: float, trial_sites, g: core.CouplingMatrix):
-    return exact._gauge_pair(split, g, beta, trial_sites[g.stream])  # trial r uses stream r
-
-
 @_command("gauge-check", "two-color gauge antisymmetry over random cases", n=(6,), beta=(1.0,),
           trials=1000, cap=exact.DEFAULT_CAP)
 def _run_gauge_check(spec: ExperimentSpec):
@@ -203,8 +199,9 @@ def _run_gauge_check(spec: ExperimentSpec):
             sites.append(int(rng.integers(0, n)))  # force an odd-degree site
         trial_sites.append(sites)
     split = exact._split(n, 2, "all", spec.cap)  # shared by every trial
-    results = core.map_replicas(
-        partial(_gauge_trial, split, spec.beta[0], trial_sites), n, spec.seed, spec.trials, spec.workers
+    results = core.map_replicas(  # trial r uses stream r
+        partial(exact._gauge_pair, split, spec.beta[0], trial_sites), n, spec.seed, spec.trials, spec.workers,
+        split.stack,
     )
     worst = max([0.0] + [abs(res.pair_sum) for res in results])
     print(f"max |pair sum| = {worst:.3e}", file=sys.stderr)

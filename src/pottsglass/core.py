@@ -28,10 +28,11 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Callable, Iterator
 
@@ -99,10 +100,18 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
 
 
+_DRAWS = threading.local()  # the thread's generator, re-keyed per draw: cheaper than a new one, same numbers
+
+
 def _standard_normal(n_rows: int, n_cols: int, seed: int, stream: int) -> np.ndarray:
-    """Inverse-CDF normals from Philox 53-bit uniforms (platform stable)."""
-    rng = philox_generator(seed, stream)
-    k = rng.integers(0, 1 << 53, size=(n_rows, n_cols))
+    """Inverse-CDF normals from Philox 53-bit uniforms (platform stable), drawn from the state of
+    a fresh ``philox_generator(seed, stream)``: counter 0, key as Philox converts it, empty buffer."""
+    if not hasattr(_DRAWS, "rng"):
+        _DRAWS.rng = philox_generator(0)
+    zeros, key = np.zeros(4, dtype=np.uint64), np.asarray([seed & _MASK64, stream & _MASK64]).astype(np.uint64)
+    _DRAWS.rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    k = _DRAWS.rng.integers(0, 1 << 53, size=(n_rows, n_cols))
     return ndtri((k + 0.5) * 2.0 ** -53)
 
 
@@ -222,20 +231,31 @@ class CouplingMatrix:
         return CouplingMatrix(g)
 
 
-def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1) -> list:
+def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int | None = None) -> list:
     """``[fn(g_r) for r in range(replicas)]`` with ``g_r = CouplingMatrix.from_seed(n, seed, r)``.
 
     Every disorder loop runs through here: replica ``r`` uses stream ``r``
     (``g_r.stream``) and results come back in index order for any
-    ``workers``.  With ``workers > 1`` a process pool gets one contiguous
-    chunk per worker, so ``fn`` (which must then pickle, with any array it
-    carries) is sent once per worker.
+    ``workers``.  With ``stack``, ``fn`` maps the couplings of the replicas
+    ``[s, s + stack)``, s a multiple of ``stack``, drawn just before the call,
+    to their results.  A process pool gets one run of stacks per worker, so
+    ``fn`` (which must then pickle) is sent once per worker.
     """
-    gs = (CouplingMatrix.from_seed(n, seed, r) for r in range(replicas))
-    if workers > 1 and replicas > 1:
-        with ProcessPoolExecutor(min(workers, replicas)) as ex:
-            return list(ex.map(fn, gs, chunksize=-(-replicas // workers)))
-    return list(map(fn, gs))
+    if stack is None:
+        fn, stack = partial(_each, fn), 1
+    task, starts = partial(_draw_stack, fn, n, seed, stack, replicas), range(0, replicas, stack)
+    if workers > 1 and len(starts) > 1:
+        with ProcessPoolExecutor(min(workers, len(starts))) as ex:
+            return [x for part in ex.map(task, starts, chunksize=-(-len(starts) // workers)) for x in part]
+    return [x for start in starts for x in task(start)]
+
+
+def _draw_stack(fn: Callable, n: int, seed: int, stack: int, replicas: int, start: int) -> list:
+    return fn([CouplingMatrix.from_seed(n, seed, r) for r in range(start, min(start + stack, replicas))])
+
+
+def _each(fn: Callable, gs: list) -> list:
+    return [fn(g) for g in gs]
 
 
 def mean_stderr(values) -> tuple[float, float]:

@@ -210,7 +210,7 @@ class _Split(NamedTuple):
     steps)`` covers the pairs ``(pa, pb)`` (broadcast).  A flat block lists
     them, and ``steps[j]`` locates ``U_A[a, j, sigma_B(b)_j]`` in the flat
     ``U_A``; a tree block pairs the A rows ``pa[:, 0]`` with the lexicographic
-    B rows ``pb``, whose distinct prefixes of length j + 1 have (parent, color
+    B rows ``pb[0]``, whose distinct prefixes of length j + 1 have (parent, color
     index) ``steps[j]``.
     """
 
@@ -226,6 +226,12 @@ class _Split(NamedTuple):
     pairs_b: tuple
     flat: bool
     blocks: list
+
+    @property
+    def stack(self) -> int:
+        """Couplings per :func:`_mass` stack: as many as keep the flat block within ``_BLOCK / 2`` elements
+        (fastest from 256 to 4,096 states: a stack's temporaries stay cache-sized)."""
+        return max(1, _BLOCK // (2 * self.blocks[0][0].size)) if self.flat else 1
 
 
 def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -275,79 +281,100 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
     blocks, a0, b0 = [], 0, 0
     for size_a, size_b in parts:  # chunks of A rows share the B rows and their prefix tree
         a1, b1 = a0 + size_a, b0 + size_b
-        pb, levels, step = np.arange(b0, b1), _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
+        pb, levels, step = np.arange(b0, b1)[None], _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
         blocks += [(np.arange(r, min(r + step, a1))[:, None], pb, levels) for r in range(a0, a1, step)]
         a0, b0 = a1, b1
     flat = total <= _BLOCK
-    if flat:  # one block listing every pair: a fixed, small number of array calls per replica
-        pa = np.concatenate([np.repeat(ra[:, 0], len(rb)) for ra, rb, _ in blocks])
-        pb = np.concatenate([np.tile(rb, len(ra)) for ra, rb, _ in blocks])
+    if flat:  # one block listing every pair: a fixed, small number of array calls per stack
+        pa = np.concatenate([np.repeat(ra[:, 0], rb.size) for ra, rb, _ in blocks])
+        pb = np.concatenate([np.tile(rb[0], len(ra)) for ra, rb, _ in blocks])
         nb = rows_b.shape[1]
         blocks = [(pa, pb, (pa * nb + np.arange(nb)[:, None]) * kappa + rows_b[pb].T - 1)]
     return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label.reshape(-1), *pairs, flat, blocks)
 
 
-def _energy_blocks(split: _Split, g: CouplingMatrix, kind: str) -> Iterator[tuple]:
-    """Energies under ``g`` of every sector configuration, one block at a time.
+def _energy_blocks(split: _Split, gs: Sequence[CouplingMatrix], kind: str) -> Iterator[tuple]:
+    """Energies under each of the couplings ``gs`` of every sector configuration, one block at a time.
 
-    Yields ``(energies, pa, pb)``: ``energies[...]`` is the energy of the
-    configuration ``(rows_a[pa], rows_b[pb])``, with ``pa`` and ``pb``
-    broadcast to its shape.
+    Yields ``(energies, pa, pb)``: ``energies[r, ...]`` is the energy under
+    ``gs[r]`` of the configuration ``(rows_a[pa], rows_b[pb])``, with ``pa``
+    and ``pb`` broadcast to its shape.  It is bitwise the same in any stack:
+    ``H_A`` and ``H_B`` reduce along the last axis of one coupling's terms,
+    ``U_A`` adds the sites of A in order, and every other step is elementwise.
     """
     if kind not in ("raw", "centered"):
         raise ValueError(f"hamiltonian kind must be 'raw' or 'centered', got {kind!r}")
-    s, na = g.sym, split.rows_a.shape[1]
-    (index_a, eq_a), (index_b, eq_b) = split.pairs_a, split.pairs_b
-    h_a = g.g.trace() + (eq_a * s.ravel()[index_a]).sum(axis=1)
-    h_b = (eq_b * s.ravel()[index_b]).sum(axis=1)
-    onehot = split.rows_a[:, :, None, None] == np.arange(1, split.kappa + 1)
-    u = (onehot * s[:na, na:, None]).sum(axis=1)  # U_A, shape (rows, |B|, kappa)
-    shift = centering_shift(g, split.kappa) if kind == "centered" else 0.0
+    na, (index_a, eq_a), (index_b, eq_b) = split.rows_a.shape[1], split.pairs_a, split.pairs_b
+    g = np.stack([c.g for c in gs])
+    s = g + g.transpose(0, 2, 1)
+    flat_s = s.reshape(len(gs), -1)
+    h_a = np.trace(g, axis1=1, axis2=2)[:, None] + (eq_a * flat_s[:, None, index_a]).sum(axis=2)
+    h_b = (eq_b * flat_s[:, None, index_b]).sum(axis=2)
+    u = np.zeros((len(gs), len(split.rows_a), split.n - na, split.kappa))  # U_A
+    for i in range(na):
+        u += (split.rows_a[:, i, None, None] == np.arange(1, split.kappa + 1)) * s[:, None, i, na:, None]
+    shift = np.array([centering_shift(c, split.kappa) if kind == "centered" else 0.0 for c in gs])
     for pa, pb, steps in split.blocks:
         if split.flat:  # sum over the sites j of B in order
-            cross = sum(u.ravel()[index] for index in steps)
+            cross = sum(np.take(u.reshape(len(gs), -1), index, axis=1) for index in steps)
         else:  # the same sums, shared along the prefix tree
-            cross = 0.0
+            cross, u_pa = 0.0, u[:, pa[:, 0]]
             for j, (parent, color) in enumerate(steps):
-                cross = (cross[:, parent] if j else cross) + u[pa[:, 0], j][:, color]
-        yield ((h_a[pa] + h_b[pb]) + cross) / math.sqrt(split.n) - shift, pa, pb
+                cross = (cross[:, :, parent] if j else cross) + u_pa[:, :, j, color]
+        energies = np.take(h_a, pa, axis=1) + np.take(h_b, pb, axis=1)
+        energies += cross
+        energies /= math.sqrt(split.n)
+        energies -= shift.reshape((-1,) + (1,) * pa.ndim)
+        yield energies, pa, pb
 
 
-def _mass(split: _Split, g: CouplingMatrix, beta: float, kind: str = "raw",
-          factors: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[float, np.ndarray]:
-    """Gibbs mass of the sector under ``g``, resolved by color counts.
+def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = "raw",
+          factors: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs mass of the sector under each of the couplings ``gs``, resolved by color counts.
 
-    Returns ``(top, w)``: ``top`` is the largest energy and ``w[k, 0]`` the sum
-    of ``exp(beta (H - top))`` over the configurations with color counts
-    ``split.counts[k]`` -- at beta = inf, how many of them reach ``top`` -- so
-    ``log Z_g(beta, d_k) = beta top + log w[k, 0]``.  Column ``1 + f`` also
-    weighs each pair (a, b) by ``fa[a] fb[b]`` for ``(fa, fb) = factors[f]``.
+    Returns ``(top, w)``: ``top[r]`` is the largest energy under ``gs[r]`` and
+    ``w[r, k, 0]`` the sum of ``exp(beta (H - top[r]))`` over the
+    configurations with color counts ``split.counts[k]`` -- at beta = inf, how
+    many of them reach ``top[r]`` -- so ``log Z(beta, d_k) = beta top[r] + log
+    w[r, k, 0]``.  Column ``1 + f`` also weighs each pair (a, b) by ``fa[r, a]
+    fb[r, b]`` for ``(fa, fb) = factors[f]``.  The couplings go through the
+    blocks ``split.stack`` at a time, and every sum over one coupling's pairs
+    runs in the same order as in a stack of one.
     """
-    top, mass = -np.inf, np.zeros((len(split.counts), 1 + len(factors)))
-    for energies, pa, pb in _energy_blocks(split, g, kind):
-        peak = energies.max()
-        if peak > top:  # a running maximum keeps every weight <= 1
-            mass, top = mass * gibbs_weights(top, beta, peak), peak
-        w = gibbs_weights(energies, beta, top)
-        label = split.label[split.key_a[pa] + split.key_b[pb]].ravel()
-        cols = [w] + [w * fa[pa] * fb[pb] for fa, fb in factors]
-        mass = mass + np.stack([np.bincount(label, c.ravel(), len(mass)) for c in cols], axis=1)
-    return float(top), mass
+    k = len(split.counts)
+    top, mass = np.full(len(gs), -np.inf), np.zeros((len(gs), k, 1 + len(factors)))
+    for lo in range(0, len(gs), split.stack):
+        part = slice(lo, lo + split.stack)
+        stack, stack_top, stack_mass = gs[part], top[part], mass[part]  # views: updates land in top, mass
+        for energies, pa, pb in _energy_blocks(split, stack, kind):
+            peak = energies.reshape(len(stack), -1).max(axis=1)
+            up = peak > stack_top
+            if up.any():  # a running maximum per coupling keeps every weight <= 1
+                stack_mass[up] *= gibbs_weights(stack_top[up], beta, peak[up])[:, None, None]
+                stack_top[up] = peak[up]
+            shape = (len(stack),) + (1,) * pa.ndim
+            w = gibbs_weights(energies, beta, stack_top.reshape(shape))
+            label = np.take(split.label + k * np.arange(len(stack))[:, None], split.key_a[pa] + split.key_b[pb], axis=1)
+            cols = [w] + [w * np.take(fa[part], pa, axis=1) * np.take(fb[part], pb, axis=1) for fa, fb in factors]
+            stack_mass += np.stack([np.bincount(label.ravel(), c.ravel(), len(stack) * k) for c in cols],
+                                   axis=1).reshape(stack_mass.shape)
+    return top, mass
 
 
 def log_partition(g: CouplingMatrix, beta: float, kappa: int, sector="all", kind: str = "centered",
                   cap: int = DEFAULT_CAP) -> FreeEnergySample:
     """Exact ``log sum_sigma exp(beta * H(sigma))`` over the sector."""
-    return _log_partition(_split(g.n, kappa, sector, cap), beta, kind, sector, g)
+    return _log_partition(_split(g.n, kappa, sector, cap), beta, kind, sector, [g])[0]
 
 
-def _log_partition(split: _Split, beta: float, kind: str, sector, g: CouplingMatrix) -> FreeEnergySample:
-    """:func:`log_partition` over a split sector."""
+def _log_partition(split: _Split, beta: float, kind: str, sector,
+                   gs: Sequence[CouplingMatrix]) -> list[FreeEnergySample]:
+    """:func:`log_partition` under each of the couplings ``gs``, over a split sector."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    top, w = _mass(split, g, beta, kind)
-    return FreeEnergySample(beta * top + math.log(w[:, 0].sum()), g.n, split.kappa, beta, g.seed, g.stream,
-                            _sector_label(sector), kind)
+    top, mass = _mass(split, gs, beta, kind)
+    return [FreeEnergySample(beta * float(t) + math.log(w[:, 0].sum()), g.n, split.kappa, beta, g.seed, g.stream,
+                             _sector_label(sector), kind) for g, t, w in zip(gs, top, mass)]
 
 
 def quenched_free_energy(
@@ -362,9 +389,8 @@ def quenched_free_energy(
     """
     if replicas < 2:
         raise ValueError("quenched averaging needs at least 2 replicas")
-    samples = map_replicas(
-        partial(_log_partition, _split(n, kappa, sector, cap), beta, kind, sector), n, seed, replicas, workers
-    )
+    split = _split(n, kappa, sector, cap)
+    samples = map_replicas(partial(_log_partition, split, beta, kind, sector), n, seed, replicas, workers, split.stack)
     mean, stderr = mean_stderr([s.free_energy for s in samples])
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
 
@@ -375,8 +401,8 @@ def _sector_energies(split: _Split, g: CouplingMatrix, kind: str) -> tuple[np.nd
     Returns ``(energies, rows)``, where ``rows(mask)`` rebuilds the color rows of
     the configurations selected by the boolean ``mask`` over ``energies``.
     """
-    parts = [[np.broadcast_to(x, e.shape).ravel() for x in (e, pa, pb)]
-             for e, pa, pb in _energy_blocks(split, g, kind)]
+    parts = [[np.broadcast_to(x, e[0].shape).ravel() for x in (e[0], pa, pb)]
+             for e, pa, pb in _energy_blocks(split, [g], kind)]
     energies, pa, pb = (np.concatenate(x) for x in zip(*parts))
     return energies, lambda mask: np.hstack((split.rows_a[pa[mask]], split.rows_b[pb[mask]]))
 
@@ -400,11 +426,18 @@ def ground_state(g: CouplingMatrix, kappa: int, sector="all", kind: str = "raw",
 
     Float ties are kept as-is: configurations related by a global color
     permutation produce bit-identical energies, so the structural degeneracy
-    is exact.  Maximizers come in lexicographic order.
+    is exact.  Maximizers come in lexicographic order; the blocks fold into a
+    running maximum that keeps the ``(pa, pb)`` of the maximizers so far.
     """
-    energies, rows = _sector_energies(_split(g.n, kappa, sector, cap), g, kind)
-    top = float(energies.max())
-    maximizers = rows(energies == top)
+    split, top, best = _split(g.n, kappa, sector, cap), -math.inf, []
+    for energies, pa, pb in _energy_blocks(split, [g], kind):
+        peak = float(energies.max())
+        if peak >= top:
+            hit = energies[0] == peak
+            best = (best if peak == top else []) + [[np.broadcast_to(x, hit.shape)[hit] for x in (pa, pb)]]
+            top = peak
+    pa, pb = (np.concatenate(x) for x in zip(*best))
+    maximizers = np.hstack((split.rows_a[pa], split.rows_b[pb]))
     return GroundStateResult(top, maximizers[np.lexsort(maximizers.T[::-1])], g.n, kappa,
                              _sector_label(sector), kind)
 
@@ -647,16 +680,6 @@ class GaugePairResult:
     flip_site: int | None
 
 
-def _spin_product(split: _Split, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> float:
-    """Gibbs average under ``g`` of ``prod_{s in sites} tau_s`` (tau = +1 on color 1, -1 on color 2),
-    a separable product: its A part times its B part."""
-    na = split.rows_a.shape[1]
-    tau_a = 3.0 - 2 * split.rows_a[:, [s for s in sites if s < na]]
-    tau_b = 3.0 - 2 * split.rows_b[:, [s - na for s in sites if s >= na]]
-    _, w = _mass(split, g, beta, "raw", [(tau_a.prod(axis=1), tau_b.prod(axis=1))])
-    return float(w[:, 1].sum() / w[:, 0].sum())
-
-
 def gauge_pair_check(
     g: CouplingMatrix, beta: float, sites: Sequence[int], cap: int = DEFAULT_CAP
 ) -> GaugePairResult:
@@ -672,26 +695,32 @@ def gauge_pair_check(
     With no odd-multiplicity site the result carries parity='even' (the
     correlation is then flip-invariant, e.g. ``<tau_i^2> = 1``).
     """
-    return _gauge_pair(_split(g.n, 2, "all", cap), g, beta, sites)
+    return _gauge_pair(_split(g.n, 2, "all", cap), beta, {g.stream: sites}, [g])[0]
 
 
-def _gauge_pair(split: _Split, g: CouplingMatrix, beta: float, sites: Sequence[int]) -> GaugePairResult:
-    """:func:`gauge_pair_check` over the split two-color sector, shared by g and its flip."""
-    sites = [int(s) for s in sites]
-    if not sites:
-        raise ValueError("sites multiset must be non-empty")
-    if any(not 0 <= s < g.n for s in sites):
-        raise IndexError(f"site indices must lie in [0, {g.n})")
-    degrees: dict[int, int] = {}
-    for s in sites:
-        degrees[s] = degrees.get(s, 0) + 1
-    odd = sorted(s for s, d in degrees.items() if d % 2 == 1)
-    value = _spin_product(split, g, beta, sites)
-    if not odd:
-        return GaugePairResult(value, value, 2.0 * value, "even", None)
-    flip = odd[0]
-    value_flipped = _spin_product(split, g.flipped_at(flip), beta, sites)
-    return GaugePairResult(value, value_flipped, value + value_flipped, "odd", flip)
+def _gauge_pair(split: _Split, beta: float, sites_of, gs: Sequence[CouplingMatrix]) -> list[GaugePairResult]:
+    """:func:`gauge_pair_check` for each g of ``gs`` at the sites ``sites_of[g.stream]``, with every g
+    and its flip in one stack."""
+    stack, odd, flips = [], [], []
+    for g in gs:
+        sites = [int(s) for s in sites_of[g.stream]]
+        if not sites:
+            raise ValueError("sites multiset must be non-empty")
+        if any(not 0 <= s < g.n for s in sites):
+            raise IndexError(f"site indices must lie in [0, {g.n})")
+        parity = np.bincount(sites, minlength=g.n) % 2 == 1  # tau_s^2 = 1: only odd multiplicities count
+        flips.append(int(parity.argmax()) if parity.any() else None)  # the smallest odd site
+        stack += [g] if flips[-1] is None else [g, g.flipped_at(flips[-1])]
+        odd += [parity] * (1 if flips[-1] is None else 2)
+    na, odd = split.rows_a.shape[1], np.array(odd)
+    tau = [np.where(odd[:, None, lo:hi], 3.0 - 2 * rows, 1.0).prod(axis=2)  # tau = +1 on color 1, -1 on color 2
+           for rows, lo, hi in ((split.rows_a, 0, na), (split.rows_b, na, split.n))]
+    _, mass = _mass(split, stack, beta, "raw", [tuple(tau)])  # the product is separable: A part times B part
+    values, results = iter(float(w[:, 1].sum() / w[:, 0].sum()) for w in mass), []
+    for flip, value in zip(flips, values):
+        flipped = value if flip is None else next(values)
+        results.append(GaugePairResult(value, flipped, value + flipped, "even" if flip is None else "odd", flip))
+    return results
 
 
 @dataclass(frozen=True)
@@ -709,10 +738,12 @@ class MomentEstimate:
         return self.value <= self.bound + 3.0 * self.stderr
 
 
-def _count_averages(split: _Split, observables: np.ndarray, beta: float, g: CouplingMatrix) -> np.ndarray:
-    """Gibbs averages under ``g`` of statistics of the color counts, ``observables[:, k]`` at ``split.counts[k]``."""
-    _, w = _mass(split, g, beta)
-    return (observables * w[:, 0]).sum(axis=1) / w[:, 0].sum()
+def _count_averages(split: _Split, observables: np.ndarray, beta: float,
+                    gs: Sequence[CouplingMatrix]) -> list[np.ndarray]:
+    """Gibbs averages under each of ``gs`` of statistics of the color counts, ``observables[:, k]``
+    at ``split.counts[k]``."""
+    _, mass = _mass(split, gs, beta)
+    return [(observables * w[:, 0]).sum(axis=1) / w[:, 0].sum() for w in mass]
 
 
 def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.ndarray], beta: float,
@@ -726,7 +757,7 @@ def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.n
     """
     split = _split(n, kappa, "all", cap)
     observables = np.asarray(statistics(split.counts / n), dtype=np.float64)
-    rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers)
+    rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers, split.stack)
     return [mean_stderr(col) for col in np.array(rows).T]
 
 

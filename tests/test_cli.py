@@ -306,6 +306,11 @@ def test_worker_count_invariance(tmp_path):
      "--sweeps", "40", "--burn-in", "10", "--thinning", "2", "--seed", "7"],
     ["moment-check", "--n", "4", "--beta", "0.5", "--m", "1,2,4", "--replicas", "5", "--seed", "7"],
     ["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "7", "--seed", "7"],
+    # replica counts that do not divide evenly into stacks (of 4 replicas at n = 12)
+    pytest.param(["gauge-check", "--n", "12", "--beta", "1.0", "--trials", "13", "--seed", "7"],
+                 id="gauge-check-uneven-stacks"),
+    pytest.param(["exact-free-energy", "--kappa", "2", "--n", "12", "--beta", "0.9", "--replicas", "11",
+                  "--sector", "all", "--seed", "7"], id="exact-free-energy-uneven-stacks"),
 ], ids=lambda a: a[0])
 def test_replica_loop_worker_count_invariance(base, tmp_path):
     assert_worker_count_invariant(base, tmp_path)

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from pottsglass import core
 
@@ -315,6 +318,10 @@ def _replica_record(g):
     return g.stream, g.g
 
 
+def _stack_record(gs):
+    return [(g.stream, gs[0].stream, len(gs)) for g in gs]
+
+
 class TestMapReplicas:
     def test_replica_r_gets_stream_r_in_index_order(self):
         out = core.map_replicas(_replica_record, 4, 11, 5)
@@ -327,6 +334,11 @@ class TestMapReplicas:
         parallel = core.map_replicas(_replica_record, 4, 11, 5, workers=2)
         assert [s for s, _ in parallel] == [s for s, _ in serial]
         assert all(np.array_equal(a[1], b[1]) for a, b in zip(serial, parallel))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stacks_are_consecutive_replicas_from_multiples_of_the_stack(self, workers):
+        out = core.map_replicas(_stack_record, 4, 11, 7, workers=workers, stack=3)
+        assert out == [(r, r - r % 3, min(3, 7 - r + r % 3)) for r in range(7)]
 
     def test_mean_stderr(self):
         assert core.mean_stderr([2.5]) == (2.5, 0.0)
@@ -351,6 +363,38 @@ class TestCouplingMatrix:
         flat = g.g.ravel()
         assert abs(flat.mean()) < 0.02
         assert abs(flat.std() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("n,seed,stream", [
+        (1, 0, 0), (8, 0, 5), (5, 123, 7), (8, 1, core.CHAIN_NAMESPACE | 3),
+        (12, 2 ** 40, core.RESTART_NAMESPACE), (6, 7, core.TEMPER_NAMESPACE | 9),
+    ])
+    def test_rekeyed_draw_equals_a_fresh_generator(self, n, seed, stream):
+        core.CouplingMatrix.from_seed(3, 99, 1)  # leaves the re-keyed generator mid-buffer
+        fresh = core.philox_generator(seed, stream).integers(0, 1 << 53, size=(n, n))
+        assert np.array_equal(core.CouplingMatrix.from_seed(n, seed, stream).g, ndtri((fresh + 0.5) * 2.0 ** -53))
+
+    def test_threads_draw_their_own_streams(self):
+        want = [core.CouplingMatrix.from_seed(5, 2, r).g for r in range(40)]
+        bad = []
+
+        def draw(offset):
+            for k in range(400):
+                r = (offset + k) % 40
+                if not np.array_equal(core.CouplingMatrix.from_seed(5, 2, r).g, want[r]):
+                    bad.append(r)
+
+        threads = [threading.Thread(target=draw, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a shared generator would be re-keyed mid-draw
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert bad == []
 
     def test_flipped_at(self):
         g = core.CouplingMatrix.from_seed(4, 3)

@@ -1,8 +1,11 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pottsglass import core, exact
 
@@ -411,6 +414,39 @@ class TestSplitEngine:
         key = lambda rows: np.lexsort(rows.T[::-1])
         assert np.array_equal(flat_rows[key(flat_rows)], tree_rows[key(tree_rows)])
         assert np.array_equal(flat[key(flat_rows)], tree[key(tree_rows)])
+
+    @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
+    def test_ground_state_agrees_over_small_blocks(self, kappa, n, sector, seed, monkeypatch):
+        g = core.CouplingMatrix.from_seed(n, seed, 0)
+        want = exact.ground_state(g, kappa, sector, "raw")
+        monkeypatch.setattr(exact, "_BLOCK", 7)  # tree blocks of a few pairs: the running top moves often
+        got = exact.ground_state(g, kappa, sector, "raw")
+        assert got.energy == want.energy
+        assert np.array_equal(got.maximizers, want.maximizers)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stacked_mass_equals_stacks_of_one_bitwise(self, data):
+        kappa = data.draw(st.sampled_from((2, 3, 4)))
+        n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[kappa]))
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=kappa - 1, max_size=kappa - 1)))
+        fixed = tuple(np.diff([0, *cuts, n]))
+        sector = data.draw(st.sampled_from(["all", fixed] + (["balanced"] if n % kappa == 0 else [])))
+        kind = data.draw(st.sampled_from(("raw", "centered")))
+        beta = data.draw(st.sampled_from((0.0, math.inf)) | st.floats(0.1, 4.0))
+        block = data.draw(st.sampled_from((5, 64, 1000, exact._BLOCK)))  # tree or flat; stacks cut or whole
+        size, seed = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 2 ** 32 - 1))
+        gs = [core.CouplingMatrix.from_seed(n, seed, r) for r in range(size)]
+        with mock.patch.object(exact, "_BLOCK", block):
+            split = exact._split(n, kappa, sector)
+            rng = np.random.default_rng(seed)
+            factors = [(rng.standard_normal((size, len(split.rows_a))), rng.standard_normal((size, len(split.rows_b))))
+                       for _ in range(data.draw(st.integers(0, 2)))]
+            top, mass = exact._mass(split, gs, beta, kind, factors)
+            for r, g in enumerate(gs):
+                one_top, one_mass = exact._mass(split, [g], beta, kind, [(fa[[r]], fb[[r]]) for fa, fb in factors])
+                assert np.array_equal(top[[r]], one_top)
+                assert np.array_equal(mass[[r]], one_mass)
 
     def test_cap_is_checked_before_any_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
