@@ -67,7 +67,6 @@ __all__ = [
     "sector_counts",
     "count_configs",
     "enumerate_configs",
-    "config_array",
     "max_deviation",
 ]
 
@@ -434,9 +433,9 @@ def count_configs(n: int, kappa: int, constraint="all") -> int:
 def enumerate_configs(n: int, kappa: int, constraint="all") -> Iterator[SpinConfig]:
     """Lazily yield each configuration of the sector once, in lexicographic order.
 
-    Fixed sectors filter the full product by color counts, so this stream is
-    an independent (and, on constrained sectors, O(kappa^n)) reference for
-    :func:`config_array`.
+    Fixed sectors filter the full product by color counts, so the stream
+    costs O(kappa^n) on any sector.  The exact engines never materialize a
+    sector: they pair the rows of its two halves (``exact._split``).
     """
     counts = sector_counts(n, kappa, constraint)
     for colors in product(range(1, kappa + 1), repeat=n):
@@ -461,24 +460,6 @@ def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np
         picks = np.hstack((picks[rows], pick.astype(picks.dtype)[:, None]))
         left = left[rows] - choices[pick]
     return picks, left
-
-
-def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
-    """All sector configurations as one ``(count, n)`` int array.
-
-    Rows are in lexicographic order, matching :func:`enumerate_configs`:
-    each site takes every color that still has sites left in the sector
-    (any color, for ``"all"``).  Raises :class:`EnumerationCapError` before
-    materializing anything too large.
-    """
-    total = count_configs(n, kappa, constraint)
-    if cap is not None and total > cap:
-        raise EnumerationCapError(
-            f"sector has {total} configurations, exceeding the cap of {cap}"
-        )
-    counts = sector_counts(n, kappa, constraint)
-    picks, _ = _lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
-    return picks.astype(np.int64) + 1
 
 
 def max_deviation(colors: np.ndarray, kappa: int):

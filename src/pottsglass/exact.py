@@ -51,13 +51,11 @@ __all__ = [
     "quenched_free_energy",
     "gibbs_expectation",
     "ground_state",
-    "enumerate_admissible",
     "admissible_array",
     "overlap_law_exact",
     "log_overlap_law",
     "second_moment_ratio",
     "ldp_log_probability",
-    "shell_count",
     "shell_histogram",
     "uncentered_ratio",
     "uncentered_lower_bound",
@@ -90,13 +88,13 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def gibbs_weights(energies, beta: float, top=None) -> np.ndarray:
-    """Unnormalized weights ``exp(beta (H - top))``, by default ``top = max H``.
+def gibbs_weights(energies, beta: float, top) -> np.ndarray:
+    """Unnormalized weights ``exp(beta (H - top))``.
 
     beta = inf marks the energies equal to ``top``; beta = 0 weighs every
     energy by 1, ``-inf`` included.
     """
-    gap = energies - (np.max(energies) if top is None else top)
+    gap = energies - top
     if math.isinf(beta):
         return (gap == 0).astype(np.float64)
     return np.exp(beta * gap) if beta else np.ones(np.shape(gap))
@@ -328,6 +326,23 @@ def _energy_blocks(split: _Split, gs: Sequence[CouplingMatrix], kind: str) -> It
         yield energies, pa, pb
 
 
+def _fold(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str, top: np.ndarray) -> Iterator[tuple]:
+    """Gibbs weights of every block under each of the couplings ``gs``, below a running top energy.
+
+    ``top[r]`` enters at ``-inf`` and is raised in place to the largest energy
+    under ``gs[r]`` so far.  Yields ``(carry, w, pa, pb)``: ``w[r, ...] =
+    gibbs_weights(H, beta, top[r])`` over the block of :func:`_energy_blocks`,
+    and ``carry[r] = gibbs_weights(old top, beta, top[r])`` lifts a sum over
+    the earlier blocks to the new top -- exactly 1.0 where the top held, and 0
+    or 1 at beta = inf -- so every weight stays <= 1.
+    """
+    for energies, pa, pb in _energy_blocks(split, gs, kind):
+        peak = np.maximum(top, energies.reshape(len(gs), -1).max(axis=1))
+        carry = gibbs_weights(top, beta, peak)
+        top[:] = peak
+        yield carry, gibbs_weights(energies, beta, top.reshape((-1,) + (1,) * pa.ndim)), pa, pb
+
+
 def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = "raw",
           factors: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs mass of the sector under each of the couplings ``gs``, resolved by color counts.
@@ -345,15 +360,9 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
     top, mass = np.full(len(gs), -np.inf), np.zeros((len(gs), k, 1 + len(factors)))
     for lo in range(0, len(gs), split.stack):
         part = slice(lo, lo + split.stack)
-        stack, stack_top, stack_mass = gs[part], top[part], mass[part]  # views: updates land in top, mass
-        for energies, pa, pb in _energy_blocks(split, stack, kind):
-            peak = energies.reshape(len(stack), -1).max(axis=1)
-            up = peak > stack_top
-            if up.any():  # a running maximum per coupling keeps every weight <= 1
-                stack_mass[up] *= gibbs_weights(stack_top[up], beta, peak[up])[:, None, None]
-                stack_top[up] = peak[up]
-            shape = (len(stack),) + (1,) * pa.ndim
-            w = gibbs_weights(energies, beta, stack_top.reshape(shape))
+        stack, stack_mass = gs[part], mass[part]  # views: updates land in mass, and _fold raises top in place
+        for carry, w, pa, pb in _fold(split, stack, beta, kind, top[part]):
+            stack_mass *= carry[:, None, None]
             label = np.take(split.label + k * np.arange(len(stack))[:, None], split.key_a[pa] + split.key_b[pb], axis=1)
             cols = [w] + [w * np.take(fa[part], pa, axis=1) * np.take(fb[part], pb, axis=1) for fa, fb in factors]
             stack_mass += np.stack([np.bincount(label.ravel(), c.ravel(), len(stack) * k) for c in cols],
@@ -395,29 +404,26 @@ def quenched_free_energy(
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
 
 
-def _sector_energies(split: _Split, g: CouplingMatrix, kind: str) -> tuple[np.ndarray, Callable]:
-    """Every energy of the split sector under ``g``, and a builder of its configurations.
-
-    Returns ``(energies, rows)``, where ``rows(mask)`` rebuilds the color rows of
-    the configurations selected by the boolean ``mask`` over ``energies``.
-    """
-    parts = [[np.broadcast_to(x, e[0].shape).ravel() for x in (e[0], pa, pb)]
-             for e, pa, pb in _energy_blocks(split, [g], kind)]
-    energies, pa, pb = (np.concatenate(x) for x in zip(*parts))
-    return energies, lambda mask: np.hstack((split.rows_a[pa[mask]], split.rows_b[pb[mask]]))
-
-
 def gibbs_expectation(g: CouplingMatrix, beta: float, kappa: int, observable: Callable[[SpinConfig], float],
                       sector="all", kind: str = "raw", cap: int = DEFAULT_CAP) -> float:
-    """Exact Gibbs average of an observable, stabilized by the max energy.
+    """Exact Gibbs average of an observable, stabilized by a running top energy.
 
-    ``beta = inf`` uses the uniform distribution on the energy maximizers.
-    The observable sees each configuration of nonzero weight once.
+    ``beta = inf`` uses the uniform distribution on the energy maximizers of
+    :func:`ground_state`.  The observable sees each configuration of nonzero
+    weight once; the blocks fold ``sum w f`` and ``sum w`` below the running
+    top, so memory stays one block however large the sector.
     """
-    energies, rows = _sector_energies(_split(g.n, kappa, sector, cap), g, kind)
-    w = gibbs_weights(energies, beta)
-    values = [observable(SpinConfig(row, kappa)) for row in rows(w > 0)]
-    return float((w[w > 0] * np.array(values, dtype=np.float64)).sum() / w.sum())
+    if math.isinf(beta):
+        rows = ground_state(g, kappa, sector, kind, cap).maximizers
+        return float(np.mean([observable(SpinConfig(row, kappa)) for row in rows]))
+    split, top, total, norm = _split(g.n, kappa, sector, cap), np.full(1, -np.inf), 0.0, 0.0
+    for (carry,), (w,), pa, pb in _fold(split, [g], beta, kind, top):
+        keep = w > 0
+        pa, pb = (np.broadcast_to(x, keep.shape)[keep] for x in (pa, pb))
+        values = [observable(SpinConfig(row, kappa)) for row in np.hstack((split.rows_a[pa], split.rows_b[pb]))]
+        total = total * carry + float((w[keep] * np.array(values, dtype=np.float64)).sum())
+        norm = norm * carry + float(w.sum())
+    return float(total / norm)
 
 
 def ground_state(g: CouplingMatrix, kappa: int, sector="all", kind: str = "raw",
@@ -426,26 +432,19 @@ def ground_state(g: CouplingMatrix, kappa: int, sector="all", kind: str = "raw",
 
     Float ties are kept as-is: configurations related by a global color
     permutation produce bit-identical energies, so the structural degeneracy
-    is exact.  Maximizers come in lexicographic order; the blocks fold into a
-    running maximum that keeps the ``(pa, pb)`` of the maximizers so far.
+    is exact.  Maximizers come in lexicographic order; the blocks fold at
+    beta = inf, keeping the ``(pa, pb)`` of the hits so far until a carry of
+    0 (a higher top) drops them.
     """
-    split, top, best = _split(g.n, kappa, sector, cap), -math.inf, []
-    for energies, pa, pb in _energy_blocks(split, [g], kind):
-        peak = float(energies.max())
-        if peak >= top:
-            hit = energies[0] == peak
-            best = (best if peak == top else []) + [[np.broadcast_to(x, hit.shape)[hit] for x in (pa, pb)]]
-            top = peak
+    split, top, best = _split(g.n, kappa, sector, cap), np.full(1, -np.inf), []
+    for (carry,), (w,), pa, pb in _fold(split, [g], math.inf, kind, top):
+        if not carry:
+            best = []
+        best.append([np.broadcast_to(x, w.shape)[w > 0] for x in (pa, pb)])
     pa, pb = (np.concatenate(x) for x in zip(*best))
     maximizers = np.hstack((split.rows_a[pa], split.rows_b[pb]))
-    return GroundStateResult(top, maximizers[np.lexsort(maximizers.T[::-1])], g.n, kappa,
+    return GroundStateResult(float(top[0]), maximizers[np.lexsort(maximizers.T[::-1])], g.n, kappa,
                              _sector_label(sector), kind)
-
-
-def enumerate_admissible(n: int, kappa: int) -> Iterator[AdmissibleMatrix]:
-    """All kappa-by-kappa tables with margins n/kappa, in :func:`admissible_array` order."""
-    for counts in admissible_array(n, kappa):
-        yield AdmissibleMatrix(counts, n)
 
 
 def admissible_array(n: int, kappa: int) -> np.ndarray:
@@ -536,12 +535,6 @@ def shell_histogram(n: int, kappa: int) -> np.ndarray:
     gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
     shells = np.floor(gap * n).astype(np.int64)  # shell l-1 holds gap in [(l-1)/n, l/n)
     return np.bincount(shells, minlength=n)[:n]
-
-
-def shell_count(n: int, kappa: int, l: int) -> int:
-    if not 1 <= l <= n:
-        raise ValueError(f"shell index l must lie in [1, {n}]")
-    return int(shell_histogram(n, kappa)[l - 1])
 
 
 def _fan_out(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

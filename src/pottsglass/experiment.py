@@ -105,6 +105,8 @@ class ExperimentSpec:
             raise ValidationError(f"a ladder needs a finite beta (beta = inf is exact), got {self.beta}")
         if self.command == "gauge-check" and (len(self.n) != 1 or len(self.beta) != 1):
             raise ValidationError(f"gauge-check takes one size and one beta, got n={self.n}, beta={self.beta}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValidationError(f"seed must lie in [0, 2^64), got {self.seed}")
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
         if self.trials < 1:

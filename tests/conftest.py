@@ -2,7 +2,9 @@
 
 These deliberately re-derive quantities through independent routes (indicator
 inner products, configuration-pair double sums, materialized projections) so
-the library code is never checked against itself.
+the library code is never checked against itself.  The one exception,
+``split_energies``, lists the engine's own block energies in full, for the
+bitwise and block-fold tests.
 """
 
 import math
@@ -10,7 +12,32 @@ import math
 import numpy as np
 import pytest
 
-from pottsglass import core
+from pottsglass import core, exact
+
+
+def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
+    """All sector configurations as one ``(count, n)`` int array, the brute-force route.
+
+    Rows are in lexicographic order, matching :func:`pottsglass.core.enumerate_configs`:
+    each site takes every color that still has sites left in the sector (any
+    color, for ``"all"``).  Raises :class:`pottsglass.core.EnumerationCapError` before
+    materializing anything too large.
+    """
+    total = core.count_configs(n, kappa, constraint)
+    if cap is not None and total > cap:
+        raise core.EnumerationCapError(f"sector has {total} configurations, exceeding the cap of {cap}")
+    counts = core.sector_counts(n, kappa, constraint)
+    picks, _ = core._lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
+    return picks.astype(np.int64) + 1
+
+
+def split_energies(n, kappa, sector, g):
+    """Every configuration of the split sector with its raw energy from the engine's blocks, all materialized."""
+    split = exact._split(n, kappa, sector)
+    parts = [[np.broadcast_to(x, e[0].shape).ravel() for x in (e[0], pa, pb)]
+             for e, pa, pb in exact._energy_blocks(split, [g], "raw")]
+    energies, pa, pb = (np.concatenate(x) for x in zip(*parts))
+    return np.hstack((split.rows_a[pa], split.rows_b[pb])), energies
 
 
 def indicator_inner_product(sig: np.ndarray, tau: np.ndarray) -> float:

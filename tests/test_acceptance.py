@@ -17,7 +17,7 @@ import pytest
 
 from pottsglass import core, exact, montecarlo as mc, rate
 
-from conftest import batch_energies_raw, independent_grid_oracle, match_matrix_flat
+from conftest import batch_energies_raw, config_array, independent_grid_oracle, match_matrix_flat
 
 
 @contextmanager
@@ -78,7 +78,7 @@ def test_criterion_2_covariance_identities():
     with criterion(2, "covariance identities, exhaustive", 10.0):
         rng = np.random.default_rng(2)
         for kappa, n in ((3, 6), (2, 8)):
-            colors = core.config_array(n, kappa, "all")
+            colors = config_array(n, kappa, "all")
             mask = match_matrix_flat(colors).astype(np.float64)
 
             # raw: indicator inner product vs the overlap-matrix formula
@@ -118,7 +118,7 @@ def test_criterion_3_second_moment():
     with criterion(3, "second moment: oracle grid, trend, uncentered divergence", 300.0):
         for kappa in (2, 3):
             for n in range(kappa, 10, kappa):
-                colors = core.config_array(n, kappa, "balanced")
+                colors = config_array(n, kappa, "balanced")
                 for beta in (0.0, 0.5, 1.0, 2.0):
                     got = exact.second_moment_ratio(n, beta, kappa)
                     want = pair_sum_second_moment(colors, n, kappa, beta)
@@ -215,7 +215,7 @@ def test_criterion_5_trend_and_first_moment(quenched_trend):
 
         # first-moment identity against the enumeration oracle, to 1e-10
         closed = exact.annealed_log_partition_balanced(9, 1.0, 3)
-        colors = core.config_array(9, 3, "balanced")
+        colors = config_array(9, 3, "balanced")
         variances = [
             core.covariance_centered(core.SpinConfig(c, 3), core.SpinConfig(c, 3)) for c in colors
         ]
@@ -330,7 +330,7 @@ def test_criterion_7_ldp_and_shells():
 
 
 def exact_state_probs(g, kappa, beta, sector):
-    colors = core.config_array(g.n, kappa, sector)
+    colors = config_array(g.n, kappa, sector)
     energies = batch_energies_raw(colors, g)
     w = np.exp(beta * (energies - energies.max()))
     return colors, energies, w / w.sum()

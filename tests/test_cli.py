@@ -124,6 +124,8 @@ INVALID_COMMANDS = {
     "kl-negative-trials": ["kl-check", "--trials", "-5"],
     "gauge-negative-trials": ["gauge-check", "--n", "4", "--trials", "-2"],
     "thresholds-small-kappa-max": ["thresholds", "--kappa-max", "2"],
+    "negative-seed": ["thresholds", "--seed", "-1"],
+    "seed-past-64-bits": ["thresholds", "--seed", "18446744073709551617"],
     "moment-over-cap": ["moment-check", "--n", "4", "--cap", "2"],
     "gauge-over-cap": ["gauge-check", "--n", "4", "--cap", "2"],
     "tail-inf-beta-over-cap": ["tail-bound", "--n", "4", "--beta", "inf", "--cap", "2"],

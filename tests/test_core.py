@@ -10,7 +10,7 @@ from scipy.special import ndtri
 
 from pottsglass import core
 
-from conftest import batch_energies_raw, brute_force_energy, indicator_inner_product, random_config
+from conftest import batch_energies_raw, brute_force_energy, config_array, indicator_inner_product, random_config
 
 
 def cfg(colors, kappa):
@@ -250,7 +250,7 @@ class TestCovariance:
     def test_centered_equals_shifted_frobenius_for_balanced(self):
         # exhaustive over all balanced pairs at kappa=3, n=6
         kappa, n = 3, 6
-        colors = core.config_array(n, kappa, "balanced")
+        colors = config_array(n, kappa, "balanced")
         configs = [core.SpinConfig(c, kappa) for c in colors]
         for s in configs:
             for t in configs:
@@ -277,15 +277,15 @@ class TestEnumeration:
             core.sector_counts(5, 2, "balanced")
 
     def test_config_array_matches_stream(self):
-        arr = core.config_array(3, 3, "balanced")
+        arr = config_array(3, 3, "balanced")
         stream = [s.as_tuple() for s in core.enumerate_configs(3, 3, "balanced")]
         assert [tuple(row) for row in arr] == stream
-        arr_all = core.config_array(3, 2, "all")
+        arr_all = config_array(3, 2, "all")
         stream_all = [s.as_tuple() for s in core.enumerate_configs(3, 2, "all")]
         assert [tuple(row) for row in arr_all] == stream_all
         for n, kappa, sector in [(5, 2, (3, 2)), (6, 3, (2, 1, 3)), (6, 3, (0, 3, 3)),
                                  (8, 4, "balanced"), (1, 3, "all"), (5, 3, "all"), (4, 4, "all")]:
-            arr = core.config_array(n, kappa, sector)
+            arr = config_array(n, kappa, sector)
             assert arr.dtype == np.int64
             stream = [s.as_tuple() for s in core.enumerate_configs(n, kappa, sector)]
             assert [tuple(row) for row in arr] == stream
@@ -293,7 +293,7 @@ class TestEnumeration:
 
     def test_cap(self):
         with pytest.raises(core.EnumerationCapError):
-            core.config_array(10, 3, "all", cap=100)
+            config_array(10, 3, "all", cap=100)
 
 
 class TestIdentities:

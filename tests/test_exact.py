@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pottsglass import core, exact
 
-from conftest import gram_pair_covariances, match_matrix_flat
+from conftest import config_array, gram_pair_covariances, match_matrix_flat, split_energies
 
 
 def coupling(matrix):
@@ -22,7 +22,7 @@ def pair_sum_ratio_oracle(n, beta, kappa, kind):
     Uses only the Gaussian moment identity E e^X = e^{Var X / 2} and the
     covariance operations; independent of the table-law machinery.
     """
-    colors = core.config_array(n, kappa, "balanced")
+    colors = config_array(n, kappa, "balanced")
     cov = gram_pair_covariances(colors)  # n ||R||_F^2 for every pair
     if kind == "centered":
         cov = cov - n / kappa ** 2  # balanced identity: n ||P R P||^2
@@ -56,7 +56,7 @@ class TestLogPartition:
     @pytest.mark.parametrize("kappa, counts", [(2, (2, 2)), (3, (1, 0, 4))])
     def test_array_sector_matches_tuple(self, kappa, counts):
         n = sum(counts)
-        assert np.array_equal(core.config_array(n, kappa, np.array(counts)), core.config_array(n, kappa, counts))
+        assert np.array_equal(config_array(n, kappa, np.array(counts)), config_array(n, kappa, counts))
         g = core.CouplingMatrix.from_seed(n, 6)
         fs = exact.log_partition(g, 1.0, kappa, np.array(counts))
         assert fs.log_z == exact.log_partition(g, 1.0, kappa, counts).log_z
@@ -150,10 +150,6 @@ class TestAdmissible:
         assert (arr.sum(axis=1) == 2).all() and (arr.sum(axis=2) == 2).all()
         assert len(np.unique(arr.reshape(len(arr), -1), axis=0)) == len(arr)
 
-    def test_stream_matches_array(self):
-        stream = [m.counts.tolist() for m in exact.enumerate_admissible(4, 2)]
-        assert stream == exact.admissible_array(4, 2).tolist()
-
     @pytest.mark.parametrize("n,kappa", [(8, 2), (6, 3), (4, 4)])
     def test_array_matches_brute_force_in_order(self, n, kappa):
         # every cell vector in lexicographic order, kept when all margins hold
@@ -189,7 +185,7 @@ class TestOverlapLaw:
 
     def test_law_matches_counting_oracle(self):
         # direct count over all balanced pairs at kappa=2, n=4
-        colors = core.config_array(4, 2, "balanced")
+        colors = config_array(4, 2, "balanced")
         fixed = colors[0]
         for table in exact.admissible_array(4, 2):
             hits = sum(
@@ -254,9 +250,6 @@ class TestShells:
     def test_kappa2_n4(self):
         hist = exact.shell_histogram(4, 2)
         assert hist.sum() == 3
-        assert exact.shell_count(4, 2, 1) == int(hist[0])
-        with pytest.raises(ValueError):
-            exact.shell_count(4, 2, 0)
 
 
 class TestUncenteredRatio:
@@ -268,7 +261,7 @@ class TestUncenteredRatio:
         # literal double sum over configs via the covariance operation
         for kappa, n, beta, sector in ((2, 4, 1.0, "all"), (3, 4, 0.8, "all"), (2, 4, 1.0, "balanced"), (3, 6, 0.6, "balanced"),
                                        (4, 4, 0.7, "all"), (3, 5, 1.3, "all"), (2, 7, 2.0, "all")):
-            colors = core.config_array(n, kappa, sector)
+            colors = config_array(n, kappa, sector)
             cov = gram_pair_covariances(colors)
             diag = np.diag(cov)
             log_ez2 = exact.logsumexp(0.5 * beta ** 2 * (diag[:, None] + diag[None, :] + 2 * cov))
@@ -289,7 +282,7 @@ class TestUncenteredRatio:
 class TestAnnealedIdentity:
     def test_closed_form_matches_enumeration(self):
         n, kappa, beta = 6, 3, 1.1
-        colors = core.config_array(n, kappa, "balanced")
+        colors = config_array(n, kappa, "balanced")
         variances = [
             core.covariance_centered(core.SpinConfig(c, kappa), core.SpinConfig(c, kappa))
             for c in colors
@@ -358,12 +351,6 @@ class TestKappa2Moments:
 # Split-half engine: bitwise color symmetry and an independent oracle
 
 
-def split_energies(n, kappa, sector, g):
-    """Every configuration of the split sector with its raw energy from the engine's blocks."""
-    energies, rows = exact._sector_energies(exact._split(n, kappa, sector), g, "raw")
-    return rows(np.ones(energies.size, dtype=bool)), energies
-
-
 def color_images(rows, kappa):
     """For every permutation of the colors: the position of each permuted row among ``rows``."""
     weights = kappa ** np.arange(rows.shape[1])[::-1]
@@ -423,6 +410,26 @@ class TestSplitEngine:
         got = exact.ground_state(g, kappa, sector, "raw")
         assert got.energy == want.energy
         assert np.array_equal(got.maximizers, want.maximizers)
+
+    @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
+    def test_folded_gibbs_expectation_matches_unfolded_sum(self, kappa, n, sector, seed, monkeypatch):
+        g = core.CouplingMatrix.from_seed(n, seed, 0)
+        rows, energies = split_energies(n, kappa, sector, g)
+        f = lambda colors: (colors == 1).sum(axis=-1) + 0.5 * colors[..., 0] * colors[..., -1]
+        calls = []
+
+        def observable(s):
+            calls.append(1)
+            return float(f(s.colors))
+
+        monkeypatch.setattr(exact, "_BLOCK", 7)  # tree blocks of a few pairs: the running top moves often
+        for beta in (0.0, 1.0, math.inf):
+            w = exact.gibbs_weights(energies, beta, energies.max())
+            want = (w * f(rows)).sum() / w.sum()
+            calls.clear()
+            got = exact.gibbs_expectation(g, beta, kappa, observable, sector)
+            assert math.isclose(got, want, rel_tol=1e-12), beta
+        assert len(calls) == exact.ground_state(g, kappa, sector).degeneracy  # beta = inf: each maximizer once
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -503,7 +510,7 @@ class TestSplitOracle:
         for sector in sectors:
             if core.count_configs(n, kappa, sector) > 70_000:
                 continue
-            colors = core.config_array(n, kappa, sector)
+            colors = config_array(n, kappa, sector)
             for stream in range(2):
                 g = core.CouplingMatrix.from_seed(n, 17, stream)
                 energies = oracle_energies(colors, g)
@@ -520,7 +527,7 @@ class TestSplitOracle:
     def test_tails(self, n, kappa):
         if kappa ** n > 70_000:
             pytest.skip("sector too large for the mask oracle")
-        colors = core.config_array(n, kappa, "all")
+        colors = config_array(n, kappa, "all")
         deviation = np.abs((colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / n - 1 / kappa).max(axis=1)
         epsilons = (0.1, 0.25, 0.5)
         for beta in BETAS:
@@ -534,7 +541,7 @@ class TestSplitOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
     def test_two_color_moments_mgf_and_gauge(self, n):
-        colors = core.config_array(n, 2, "all")
+        colors = config_array(n, 2, "all")
         x = (colors == 1).sum(axis=1) / n - 0.5
         tau = 3 - 2 * colors
         for beta in BETAS:

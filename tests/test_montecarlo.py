@@ -10,11 +10,11 @@ from scipy.stats import chisquare
 
 from pottsglass import core, exact, montecarlo as mc
 
-from conftest import batch_energies_raw
+from conftest import batch_energies_raw, config_array
 
 
 def exact_gibbs_weights(g, kappa, beta, sector):
-    colors = core.config_array(g.n, kappa, sector)
+    colors = config_array(g.n, kappa, sector)
     energies = batch_energies_raw(colors, g)
     w = np.exp(beta * (energies - energies.max()))
     return colors, w / w.sum()
@@ -237,7 +237,7 @@ class TestSwap:
     def test_uniform_over_balanced_at_infinite_temperature(self):
         g = core.CouplingMatrix.from_seed(4, 9)
         chain = mc.ChainState.start(g, 2, 0.0, "balanced", seed=3)
-        colors = core.config_array(4, 2, "balanced")
+        colors = config_array(4, 2, "balanced")
         index = {tuple(row): i for i, row in enumerate(colors)}
         visits = np.zeros(6)
         for _ in range(30000):
