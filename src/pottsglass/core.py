@@ -96,7 +96,8 @@ class SectorError(ValueError):
 
 def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic generator for the given (seed, stream) pair."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)  # a list would cast keys >= 2^63 via float64
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 _DRAWS = threading.local()  # the thread's generator, re-keyed per draw: cheaper than a new one, same numbers
@@ -104,10 +105,10 @@ _DRAWS = threading.local()  # the thread's generator, re-keyed per draw: cheaper
 
 def _standard_normal(n_rows: int, n_cols: int, seed: int, stream: int) -> np.ndarray:
     """Inverse-CDF normals from Philox 53-bit uniforms (platform stable), drawn from the state of
-    a fresh ``philox_generator(seed, stream)``: counter 0, key as Philox converts it, empty buffer."""
+    a fresh ``philox_generator(seed, stream)``: counter 0, the same key, empty buffer."""
     if not hasattr(_DRAWS, "rng"):
         _DRAWS.rng = philox_generator(0)
-    zeros, key = np.zeros(4, dtype=np.uint64), np.asarray([seed & _MASK64, stream & _MASK64]).astype(np.uint64)
+    zeros, key = np.zeros(4, dtype=np.uint64), np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     _DRAWS.rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
                                       "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     k = _DRAWS.rng.integers(0, 1 << 53, size=(n_rows, n_cols))

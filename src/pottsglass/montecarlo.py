@@ -11,20 +11,19 @@ exact ground-state measure in :mod:`pottsglass.exact`, since no
 equilibration guarantee exists at beta = inf.
 
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
-``CHAIN_NAMESPACE | c`` of ``s``; the per-sweep randomness is drawn in fixed-
-size blocks so trajectories are bit-for-bit reproducible and independent of
-the worker count used to farm out disorder replicas.  A chain's energy is
-computed from scratch by :func:`pottsglass.core.hamiltonian_raw` at its start
-and every ``AUDIT_INTERVAL`` sweeps, which guards the cached running sum
-against drift; so a configuration and its color images get bit-identical
-energies there.
+``CHAIN_NAMESPACE | c`` of ``s``, one ``random((3, n))`` call per sweep, so
+trajectories are bit-for-bit reproducible and independent of the worker count
+used to farm out disorder replicas.  A chain's energy is computed from
+scratch by :func:`pottsglass.core.hamiltonian_raw` at its start and every
+``AUDIT_INTERVAL`` sweeps, which guards the cached running sum against drift;
+so a configuration and its color images get bit-identical energies there.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -155,44 +154,44 @@ def _local_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
     return onehot.astype(np.float64) @ s
 
 
-def _partner(own: list[int], rank: int) -> int:
-    """``np.flatnonzero(colors != a)[rank]`` from the sorted sites ``own`` of color ``a``.
-
-    ``own[k] - k`` other-color sites precede ``own[k]``, so the partner is
-    ``rank`` plus the number of own-color sites before it: O(log n).
-    """
-    return rank + bisect_right(range(len(own)), rank, key=lambda k: own[k] - k)
+def _partner(own: list[list[int]], a: int, rank: int) -> int:
+    """Swap partner of rank ``rank`` for color ``a``: with ``(c, p) = divmod(rank, per)``, site ``p``
+    of the sorted sites ``own`` of the ``c``-th color other than ``a``.  O(1); in the balanced
+    sector ranks ``0 .. n - per - 1`` name each other-color site exactly once."""
+    c, p = divmod(rank, len(own[0]))
+    return own[c + (c + 1 >= a)][p]
 
 
 def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     """n single-site recoloring proposals with acceptance min(1, e^{beta dH}).
 
-    Proposals draw the new color uniformly over all kappa colors, so a
-    proposal equal to the current color is always accepted as a no-op.  The
-    local fields are rebuilt once per sweep, so a proposal costs O(1) and an
-    accepted move O(n).
+    One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
+    as ``(u0, u1, u)``, recolors site ``int(u0 * n)`` to color
+    ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
+    equal to the current color is a no-op.  The local fields are rebuilt once
+    per sweep, so a proposal costs O(1) and an accepted move O(n).
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
     n, kappa, beta = state.n, state.kappa, state.beta
     s = g.sym
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n).tolist()
-    props = state.rng.integers(1, kappa + 1, size=n).tolist()
-    us = state.rng.random(size=n).tolist()
+    draws = state.rng.random((3, n))
+    # the map in numpy: at large n a Python int(u * n) per proposal costs more than the saved draw calls
+    sites, props = (draws[:2] * [[n], [kappa]]).astype(np.int64).tolist()
     colors = state.colors
     h = _local_fields(colors, s, kappa)
     energy = state.energy
-    for t, new, u in zip(sites, props, us):
-        old = colors.item(t)
+    for t, new, u in zip(sites, props, draws[2].tolist()):  # colors 0-based here
+        old = colors.item(t) - 1
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
-        d = (h.item(new - 1, t) - h.item(old - 1, t) + s.item(t, t)) / sqn
+        d = (h.item(new, t) - h.item(old, t) + s.item(t, t)) / sqn
         if d >= 0.0 or u < math.exp(beta * d):
-            colors[t] = new
+            colors[t] = new + 1
             row = s[t]
-            h[old - 1] -= row
-            h[new - 1] += row
+            h[old] -= row
+            h[new] += row
             energy += d
     return state._end_sweep(g, energy)
 
@@ -200,12 +199,12 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
 def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     """n proposed transpositions of two differing-color sites (balanced sector).
 
-    The first site is uniform over all sites, the second uniform over the
-    sites of any other color; in the balanced sector that count is constant,
-    so the proposal is uniform over ordered differing-color pairs and
-    symmetric.  Color counts are conserved exactly.  The partner of rank
-    ``r`` is the ``r``-th other-color site in index order, found from sorted
-    per-color site lists.
+    One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
+    as ``(u0, u1, u)``, swaps site ``int(u0 * n)`` with its partner of rank
+    ``int(u1 * (n - per))`` (:func:`_partner`) and accepts if
+    ``u < e^{beta dH}``.  The partner is uniform over the sites of the other
+    colors, whose count is constant in the balanced sector, so the proposal is
+    symmetric.  Color counts are conserved exactly.
     """
     if state.sector != "balanced":
         raise SectorError("swap_sweep serves the balanced sector")
@@ -216,16 +215,15 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
         raise SectorError("no differing-color pair exists")
     s = g.sym
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n).tolist()
-    ranks = state.rng.integers(0, n_other, size=n).tolist()
-    us = state.rng.random(size=n).tolist()
+    draws = state.rng.random((3, n))
+    sites, ranks = (draws[:2] * [[n], [n_other]]).astype(np.int64).tolist()
     colors = state.colors
     h = _local_fields(colors, s, kappa)
     own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
     energy = state.energy
-    for i, rank, u in zip(sites, ranks, us):
+    for i, rank, u in zip(sites, ranks, draws[2].tolist()):
         a = colors.item(i)
-        j = _partner(own[a - 1], rank)
+        j = _partner(own, a, rank)
         b = colors.item(j)
         sij = s.item(i, j)
         d1 = (h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)) / sqn

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -372,6 +373,25 @@ class TestCouplingMatrix:
         core.CouplingMatrix.from_seed(3, 99, 1)  # leaves the re-keyed generator mid-buffer
         fresh = core.philox_generator(seed, stream).integers(0, 1 << 53, size=(n, n))
         assert np.array_equal(core.CouplingMatrix.from_seed(n, seed, stream).g, ndtri((fresh + 0.5) * 2.0 ** -53))
+
+    @pytest.mark.parametrize("n,seed,stream", [
+        (4, 0, 0), (8, 2, core.CHAIN_NAMESPACE | 1), (6, 2 ** 62 + 3, core.TEMPER_NAMESPACE | 2),
+        (5, 2 ** 63 - 1, 2 ** 63 - 1),
+    ])
+    def test_keys_below_2_63_draw_as_a_hand_built_philox(self, n, seed, stream):
+        hand = np.random.Generator(np.random.Philox(key=[seed, stream])).integers(0, 1 << 53, size=(n, n))
+        assert np.array_equal(core.philox_generator(seed, stream).integers(0, 1 << 53, size=(n, n)), hand)
+        assert np.array_equal(core.CouplingMatrix.from_seed(n, seed, stream).g, ndtri((hand + 0.5) * 2.0 ** -53))
+
+    @pytest.mark.parametrize("seed", [2 ** 63, 2 ** 64 - 2])
+    def test_large_keys_stay_exact(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert core.philox_generator(seed + 1, 5).bit_generator.state["state"]["key"].tolist() == [seed + 1, 5]
+            a, b = core.CouplingMatrix.from_seed(4, seed), core.CouplingMatrix.from_seed(4, seed + 1)
+            c = core.CouplingMatrix.from_seed(4, 7, seed)
+        assert not np.array_equal(a.g, b.g)
+        assert not np.array_equal(c.g, core.CouplingMatrix.from_seed(4, 7, seed + 1).g)
 
     def test_threads_draw_their_own_streams(self):
         want = [core.CouplingMatrix.from_seed(5, 2, r).g for r in range(40)]

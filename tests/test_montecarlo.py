@@ -57,7 +57,9 @@ def single_proposal_kernel(g, kappa, beta, sector):
 
 # The O(n)-per-proposal sweeps of v0.1.3, kept as the reference that the
 # local-field kernels must follow move for move: a weighted bincount over all
-# sites per proposal, and a flatnonzero scan for the swap partner.
+# sites per proposal, and a flatnonzero scan for the swap partner.  Their
+# draws follow the kernels' documented map (v0.1.11): one random((3, n)) per
+# sweep, site int(u0 n), color 1 + int(u1 kappa) or swap rank int(u1 (n - per)).
 
 
 def _reference_site_delta(colors, srow, site, old, new, kappa, sqn):
@@ -69,12 +71,11 @@ def reference_metropolis_sweep(state, g):
     n, kappa, beta = state.n, state.kappa, state.beta
     s = g.g + g.g.T
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n)
-    props = state.rng.integers(1, kappa + 1, size=n)
-    us = state.rng.random(size=n)
+    u0, u1, us = state.rng.random((3, n))
     colors = state.colors
     for k in range(n):
-        t, new, old = int(sites[k]), int(props[k]), int(colors[sites[k]])
+        t, new = int(u0[k] * n), 1 + int(u1[k] * kappa)
+        old = int(colors[t])
         if new == old:
             continue
         d = _reference_site_delta(colors, s[t], t, old, new, kappa, sqn)
@@ -90,15 +91,15 @@ def reference_swap_sweep(state, g):
     n, kappa, beta = state.n, state.kappa, state.beta
     s = g.g + g.g.T
     sqn = math.sqrt(n)
-    sites = state.rng.integers(0, n, size=n)
-    ranks = state.rng.integers(0, n - n // kappa, size=n)
-    us = state.rng.random(size=n)
+    per = n // kappa
+    u0, u1, us = state.rng.random((3, n))
     colors = state.colors
     for k in range(n):
-        i = int(sites[k])
+        i = int(u0[k] * n)
         a = int(colors[i])
-        j = int(np.flatnonzero(colors != a)[ranks[k]])
-        b = int(colors[j])
+        c, p = divmod(int(u1[k] * (n - per)), per)
+        b = c + 1 if c + 1 < a else c + 2
+        j = int(np.flatnonzero(colors == b)[p])
         d1 = _reference_site_delta(colors, s[i], i, a, b, kappa, sqn)
         colors[i] = b
         d2 = _reference_site_delta(colors, s[j], j, b, a, kappa, sqn)
@@ -161,12 +162,47 @@ class TestKernelsMatchReference:
 
 
 @given(st.integers(2, 4), st.integers(1, 12), st.data())
-def test_partner_is_rank_th_other_color_site(kappa, per, data):
+def test_partner_ranks_cover_other_color_sites_once(kappa, per, data):
     colors = np.array(data.draw(st.permutations(np.repeat(np.arange(1, kappa + 1), per).tolist())))
     a = data.draw(st.integers(1, kappa))
-    rank = data.draw(st.integers(0, colors.size - per - 1))
-    own = np.flatnonzero(colors == a).tolist()
-    assert mc._partner(own, rank) == np.flatnonzero(colors != a)[rank]
+    own = [np.flatnonzero(colors == b).tolist() for b in range(1, kappa + 1)]
+    partners = [mc._partner(own, a, rank) for rank in range(colors.size - per)]
+    assert sorted(partners) == np.flatnonzero(colors != a).tolist()
+
+
+class _TopEdgeGenerator:
+    """Stands in for a chain's generator: every uniform is the largest double below 1."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+class TestTopEdgeOfDrawMap:
+    """Uniforms just below 1 map to the last site, color and rank, never one past them."""
+
+    @pytest.mark.parametrize("n, kappa", [(1, 2), (5, 3), (8, 2), (257, 4)])
+    def test_metropolis_proposes_last_site_and_color(self, n, kappa):
+        g = core.CouplingMatrix.from_seed(n, 34)
+        chain = mc.ChainState.start(g, kappa, 0.0, "all", seed=11)
+        chain.rng = _TopEdgeGenerator()
+        expected = chain.colors.copy()
+        expected[n - 1] = kappa  # beta = 0 accepts every proposal
+        mc.metropolis_sweep(chain, g)
+        assert np.array_equal(chain.colors, expected)
+
+    @pytest.mark.parametrize("n, kappa", [(2, 2), (6, 3), (12, 3), (192, 3)])
+    def test_swap_proposes_last_rank(self, n, kappa):
+        g = core.CouplingMatrix.from_seed(n, 35)
+        new, ref = (mc.ChainState.start(g, kappa, 0.0, "balanced", seed=12) for _ in range(2))
+        new.rng = ref.rng = _TopEdgeGenerator()
+        colors = new.colors.copy()
+        own = [np.flatnonzero(colors == b).tolist() for b in range(1, kappa + 1)]
+        last = own[kappa - 1][-1] if colors[n - 1] != kappa else own[kappa - 2][-1]
+        assert mc._partner(own, int(colors[n - 1]), n - n // kappa - 1) == last
+        # every proposal pairs site n - 1 with the last rank, and beta = 0 accepts it
+        mc.swap_sweep(new, g)
+        reference_swap_sweep(ref, g)
+        assert_same_chain(new, ref)
 
 
 class TestMetropolis:
@@ -516,22 +552,22 @@ V1_CHAIN = (
     ', "sector": "all", "seed": 2, "sweeps": 7, "version": 1}'
 )
 
-# Checkpoints as v0.1.9 saved them (format version 2), with the run that reaches each one afresh.
+# Checkpoints as v0.1.11 saved them (format version 2), with the run that reaches each one afresh.
 PINNED_CHECKPOINTS = {
     "chain-all": (
-        '{"beta": 0.7, "chain_id": 1, "colors": [2, 1, 1, 1, 2], "energy": -1.2972297041501357'
+        '{"beta": 0.7, "chain_id": 1, "colors": [1, 1, 3, 3, 2], "energy": -1.3324953211564068'
         ', "kappa": 3, "kind": "chain", "rng": {"bit_generator": "Philox"'
-        ', "buffer": [1256477096058323303, 16052574837747377924, 1352686618695844241'
-        ', 10689723240430104699], "buffer_pos": 1, "has_uint32": 1, "state": {"counter": [19, 0, 0'
-        ', 0], "key": [2, 4294967297]}, "uinteger": 1608830103}, "sector": "all", "seed": 2'
+        ', "buffer": [7028720698002719311, 2004213160001063103, 17796596325536789351'
+        ', 14619114732973239025], "buffer_pos": 4, "has_uint32": 1, "state": {"counter": [27, 0, 0'
+        ', 0], "key": [2, 4294967297]}, "uinteger": 1713663079}, "sector": "all", "seed": 2'
         ', "sweeps": 7, "version": 2}'
     ),
     "chain-balanced": (
-        '{"beta": 1.1, "chain_id": 0, "colors": [3, 1, 3, 1, 2, 2], "energy": 0.0634690871608447'
+        '{"beta": 1.1, "chain_id": 0, "colors": [3, 2, 2, 3, 1, 1], "energy": -0.031979352872448574'
         ', "kappa": 3, "kind": "chain", "rng": {"bit_generator": "Philox"'
-        ', "buffer": [8368988977850714613, 1335974377257027396, 6047897165846359333'
-        ', 9629098307931538444], "buffer_pos": 3, "has_uint32": 0, "state": {"counter": [310, 0, 0'
-        ', 0], "key": [4, 4294967296]}, "uinteger": 462478635}, "sector": "balanced", "seed": 4'
+        ', "buffer": [16999385605001807902, 6269155169665324258, 15572276232625003615'
+        ', 16732531859924243977], "buffer_pos": 1, "has_uint32": 0, "state": {"counter": [465, 0, 0'
+        ', 0], "key": [4, 4294967296]}, "uinteger": 216909385}, "sector": "balanced", "seed": 4'
         ', "sweeps": 103, "version": 2}'
     ),
     "ladder": (
@@ -539,21 +575,21 @@ PINNED_CHECKPOINTS = {
         ', "buffer": [15803601742490975237, 18071095372905398312, 13205400030976850009'
         ', 12030535612457570053], "buffer_pos": 4, "has_uint32": 0, "state": {"counter": [2, 0, 0, 0]'
         ', "key": [3, 12884901890]}, "uinteger": 0}, "rungs": [{"beta": 0.2, "chain_id": 512'
-        ', "colors": [2, 2, 1, 1], "energy": 1.1852334582506545, "kappa": 2, "kind": "chain"'
-        ', "rng": {"bit_generator": "Philox", "buffer": [3226315916901363934, 17404446605203780051'
-        ', 10421364169892632037, 8521753649629161660], "buffer_pos": 2, "has_uint32": 0'
-        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967808]}, "uinteger": 1397780935}'
+        ', "colors": [2, 2, 2, 2], "energy": 0.17722958615537432, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [13272061709010187033, 6155700892867239059'
+        ', 3336045680236367539, 10997801417544078440], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [13, 0, 0, 0], "key": [3, 4294967808]}, "uinteger": 1339433064}'
         ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}, {"beta": 0.6, "chain_id": 513'
-        ', "colors": [2, 1, 2, 2], "energy": 2.340668196005623, "kappa": 2, "kind": "chain"'
-        ', "rng": {"bit_generator": "Philox", "buffer": [5923454264388582796, 9478309074172290355'
-        ', 3521249823446407668, 13230404717880578564], "buffer_pos": 2, "has_uint32": 0'
-        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967809]}, "uinteger": 3429044939}'
+        ', "colors": [2, 1, 1, 2], "energy": 1.1760557039483104, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [9826638139487843714, 6340931704362504078'
+        ', 4095798652938071381, 5666253497478099922], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [13, 0, 0, 0], "key": [3, 4294967809]}, "uinteger": 2756699029}'
         ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}, {"beta": 1.0, "chain_id": 514'
-        ', "colors": [2, 1, 2, 2], "energy": 2.340668196005623, "kappa": 2, "kind": "chain"'
-        ', "rng": {"bit_generator": "Philox", "buffer": [17934980336109432999, 15134219465551973680'
-        ', 14281583553931393285, 15602445382894683932], "buffer_pos": 2, "has_uint32": 0'
-        ', "state": {"counter": [9, 0, 0, 0], "key": [3, 4294967810]}, "uinteger": 648697900}'
-        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}], "seed": 3, "swap_accepts": [3, 2]'
+        ', "colors": [1, 2, 1, 1], "energy": 2.340668196005623, "kappa": 2, "kind": "chain"'
+        ', "rng": {"bit_generator": "Philox", "buffer": [6278736764048362555, 1199169832032416641'
+        ', 13214539018572044369, 13284566307333472793], "buffer_pos": 2, "has_uint32": 0'
+        ', "state": {"counter": [13, 0, 0, 0], "key": [3, 4294967810]}, "uinteger": 2287199711}'
+        ', "sector": "all", "seed": 3, "sweeps": 4, "version": 2}], "seed": 3, "swap_accepts": [4, 3]'
         ', "swap_attempts": [4, 4], "version": 2}'
     ),
 }
