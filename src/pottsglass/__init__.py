@@ -20,7 +20,6 @@ from .core import (
     CouplingMatrix,
     MagnetizationVector,
     OverlapMatrix,
-    Projection,
     SpinConfig,
     covariance_centered,
     covariance_raw,
@@ -39,7 +38,6 @@ __all__ = [
     "ExperimentSpec",
     "MagnetizationVector",
     "OverlapMatrix",
-    "Projection",
     "SpinConfig",
     "covariance_centered",
     "covariance_raw",

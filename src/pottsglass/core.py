@@ -51,7 +51,6 @@ __all__ = [
     "MagnetizationVector",
     "CouplingMatrix",
     "OverlapMatrix",
-    "Projection",
     "philox_generator",
     "map_replicas",
     "mean_stderr",
@@ -311,17 +310,6 @@ class OverlapMatrix:
         return MagnetizationVector(self.counts.sum(axis=0), self.n)
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Orthogonal projection onto the complement of the all-ones direction."""
-
-    kappa: int
-
-    def materialize(self) -> np.ndarray:
-        k = self.kappa
-        return np.eye(k) - np.full((k, k), 1.0 / k)
-
-
 def _check_pair(sigma: SpinConfig, g: CouplingMatrix) -> None:
     if sigma.n != g.n:
         raise DimensionMismatchError(f"config has {sigma.n} sites, coupling is {g.n}x{g.n}")
@@ -391,7 +379,8 @@ def covariance_raw(sigma: SpinConfig, tau: SpinConfig) -> float:
 def covariance_centered(sigma: SpinConfig, tau: SpinConfig) -> float:
     """Centered-Hamiltonian covariance ``n * ||P R P||_F^2``."""
     r = overlap(sigma, tau).asarray()
-    p = Projection(sigma.kappa).materialize()
+    k = sigma.kappa
+    p = np.eye(k) - np.full((k, k), 1.0 / k)  # projection onto the complement of the all-ones direction
     m = p @ r @ p
     return float(sigma.n * (m ** 2).sum())
 

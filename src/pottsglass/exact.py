@@ -52,7 +52,6 @@ __all__ = [
     "gibbs_expectation",
     "ground_state",
     "admissible_array",
-    "overlap_law_exact",
     "log_overlap_law",
     "second_moment_ratio",
     "ldp_log_probability",
@@ -485,15 +484,6 @@ def log_overlap_law(tables: np.ndarray, n: int, kappa: int) -> np.ndarray:
     return lp[0] if squeeze else lp
 
 
-def overlap_law_exact(n: int, kappa: int, table) -> float:
-    """Probability of one admissible overlap table (validates admissibility)."""
-    if not isinstance(table, AdmissibleMatrix):
-        table = AdmissibleMatrix(np.asarray(table, dtype=np.int64), n)
-    elif table.n != n or table.kappa != kappa:
-        raise ValueError("table does not match the requested (n, kappa)")
-    return float(math.exp(log_overlap_law(table.counts, n, kappa)))
-
-
 def second_moment_ratio(n: int, beta: float, kappa: int) -> float:
     """Exact ``E (Z^bal)^2 / (E Z^bal)^2`` for the centered balanced model.
 
@@ -517,10 +507,13 @@ def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
 
     The asymptotic value is ``-n D(r||u) - ((kappa-1)^2/2) log n
     - (1/2) sum_{r_ab != 0} log r_ab`` with ``u`` the uniform table; the
-    difference of the two stays O(1) as n grows at fixed rational r.
+    difference of the two stays O(1) as n grows at fixed rational r.  The
+    table is validated as admissible and must match ``(n, kappa)``.
     """
     if not isinstance(table, AdmissibleMatrix):
         table = AdmissibleMatrix(np.asarray(table, dtype=np.int64), n)
+    if table.n != n or table.kappa != kappa:
+        raise ValueError(f"table is for (n, kappa) = ({table.n}, {table.kappa}), not ({n}, {kappa})")
     exact = float(log_overlap_law(table.counts, n, kappa))
     r = table.counts / n
     pos = r > 0

@@ -75,13 +75,13 @@ class ExperimentSpec:
             values = value if isinstance(value, tuple) else (value,)
             if any(math.isnan(v) or v == -math.inf for v in values):
                 raise ValidationError(f"{name} must be finite or inf, got {value}")
+            if name != "delta" and any(v < 0 for v in values):  # rate-gap checks delta's own range below
+                raise ValidationError(f"{name} must be nonnegative, got {value}")
             if (name in ("beta", "beta_max") and self.command not in _INFINITE_BETA_COMMANDS
                     and math.inf in values):
                 raise ValidationError(f"{name} must be finite for {self.command}, got {value}")
         if any(n < 1 for n in self.n):
             raise ValidationError(f"sizes must be positive, got {self.n}")
-        if any(b < 0 for b in self.beta):
-            raise ValidationError(f"betas must be nonnegative, got {self.beta}")
         if self.sector not in ("all", "balanced"):
             raise ValidationError(f"sector must be 'all' or 'balanced', got {self.sector!r}")
         if self.kind not in ("raw", "centered"):

@@ -479,6 +479,8 @@ def free_energy_ti(
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8 for a usable trapezoid rule")
+    if beta_max < 0:
+        raise ValueError(f"beta_max must be nonnegative, got {beta_max}")
     n = g.n
     log_size = math.log(count_configs(n, kappa, sector))
     if kind not in ("raw", "centered"):

@@ -36,12 +36,10 @@ __all__ = [
     "exponent_gap",
     "high_temperature_threshold",
     "annealed_free_energy_limit",
-    "ferro_reduction_applies",
     "ferro_potts_critical_coupling",
     "second_moment_coupling_bound",
     "zero_temperature_bounds",
     "min_breaking_colors",
-    "uniform_shell_log_bound",
 ]
 
 _MARGIN_TOL = 1e-12
@@ -437,50 +435,6 @@ def second_moment_coupling_bound(kappa: int) -> float:
     if kappa < 3:
         raise ValueError("defined for kappa >= 3")
     return kappa * (kappa - 1) * math.log(kappa - 1) / (kappa - 2)
-
-
-def ferro_reduction_applies(kappa: int, beta: float) -> bool:
-    """Whether ``beta^2 a_kappa`` sits below the ferro-Potts critical coupling.
-
-    Equivalent to ``beta < sqrt(2 kappa (kappa-1) log(kappa-1)) / (kappa-2)``;
-    both forms are evaluated and must agree.
-    """
-    if kappa < 3:
-        raise ValueError("defined for kappa >= 3")
-    a = 1.0 - 2.0 / kappa
-    lhs = beta ** 2 * a < ferro_potts_critical_coupling(kappa)
-    rhs = beta < math.sqrt(2.0 * kappa * (kappa - 1) * math.log(kappa - 1)) / (kappa - 2)
-    if lhs != rhs:  # algebraically identical; disagreement means float trouble
-        raise AssertionError("ferro-reduction branch forms disagree")
-    return lhs
-
-
-def uniform_shell_log_bound(
-    kappa: int, delta: float, samples: int = 2000, seed: int = 0
-) -> float:
-    """Empirical ceiling for ``sum_ab |log r_ab|`` within a Frobenius shell.
-
-    The constant is existential (any small enough shell admits one); this
-    reports the observed maximum over random polytope directions at squared
-    radius up to ``delta``, for use as a concrete working value.
-    """
-    rng = philox_generator(seed, RESTART_NAMESPACE | 1)
-    u = 1.0 / kappa ** 2
-    worst = float(kappa ** 2 * abs(math.log(u)))  # attained at the center
-    found = 0
-    while found < samples:
-        d = rng.standard_normal((kappa, kappa))
-        d -= d.mean(axis=1, keepdims=True)
-        d -= d.mean(axis=0, keepdims=True)
-        norm = math.sqrt(float((d ** 2).sum()))
-        if norm == 0.0:
-            continue
-        r = u + math.sqrt(float(rng.random()) * delta) / norm * d
-        if r.min() <= 0.0:
-            continue
-        found += 1
-        worst = max(worst, float(np.abs(np.log(r)).sum()))
-    return worst
 
 
 class ZeroTempBounds(NamedTuple):

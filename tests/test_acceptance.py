@@ -89,7 +89,7 @@ def test_criterion_2_covariance_identities():
             # centered: projected-indicator inner product vs n ||P R P||_F^2
             centered_mask = mask - 1.0 / kappa
             gram_cen = centered_mask @ centered_mask.T / n
-            p = core.Projection(kappa).materialize()
+            p = np.eye(kappa) - 1.0 / kappa  # projection onto the complement of the all-ones direction
             formula_cen = pairwise_overlap_route(colors, kappa, projection=p)
             assert np.abs(gram_cen - formula_cen).max() <= 1e-10
 

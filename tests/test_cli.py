@@ -99,6 +99,9 @@ INVALID_COMMANDS = {
     "nan-epsilon": ["tail-bound", "--epsilon", "nan"],
     "nan-delta": ["rate-gap", "--delta", "nan"],
     "nan-beta-max": ["mc-free-energy", "--beta-max", "nan"],
+    "negative-beta-max": ["mc-free-energy", "--n", "6", "--beta-max", "-1"],
+    "negative-ladder-rung": ["tail-bound", "--ladder=-1,1"],
+    "negative-epsilon": ["tail-bound", "--epsilon", "-0.5"],
     "one-replica": ["exact-free-energy", "--replicas", "1"],
     "short-grid": ["mc-free-energy", "--n-grid", "3"],
     "inf-beta-uncentered": ["uncentered-ratio", "--n", "3", "--beta", "inf"],

@@ -173,9 +173,10 @@ class TestAdmissible:
 
 class TestOverlapLaw:
     def test_hand_values(self):
-        assert exact.overlap_law_exact(4, 2, [[2, 0], [0, 2]]) == pytest.approx(1 / 6, abs=1e-12)
-        assert exact.overlap_law_exact(4, 2, [[1, 1], [1, 1]]) == pytest.approx(4 / 6, abs=1e-12)
-        assert exact.overlap_law_exact(3, 3, np.eye(3, dtype=int)) == pytest.approx(1 / 6, abs=1e-12)
+        for n, kappa, table, probability in ((4, 2, [[2, 0], [0, 2]], 1 / 6), (4, 2, [[1, 1], [1, 1]], 4 / 6),
+                                             (3, 3, np.eye(3, dtype=int), 1 / 6)):
+            exact_lp, _ = exact.ldp_log_probability(n, kappa, table)
+            assert math.exp(exact_lp) == pytest.approx(probability, abs=1e-12)
 
     def test_law_normalizes(self):
         for kappa, n in ((2, 8), (3, 9), (4, 8)):
@@ -195,11 +196,12 @@ class TestOverlapLaw:
                     core.overlap(core.SpinConfig(fixed, 2), core.SpinConfig(other, 2)).counts, table
                 )
             )
-            assert exact.overlap_law_exact(4, 2, table) == pytest.approx(hits / len(colors), abs=1e-12)
+            exact_lp, _ = exact.ldp_log_probability(4, 2, table)
+            assert math.exp(exact_lp) == pytest.approx(hits / len(colors), abs=1e-12)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
-            exact.overlap_law_exact(4, 2, [[2, 1], [0, 1]])
+            exact.ldp_log_probability(4, 2, [[2, 1], [0, 1]])
 
 
 class TestSecondMoment:
@@ -213,6 +215,16 @@ class TestSecondMoment:
         for beta in (0.0, 0.7, 1.5):
             got = exact.second_moment_ratio(3, beta, 3)
             assert got == pytest.approx(pair_sum_ratio_oracle(3, beta, 3, "centered"), rel=1e-12)
+
+    @pytest.mark.parametrize("n,kappa,beta,replicas", [(6, 3, 0.5, 4000), (6, 3, 1.0, 4000), (4, 2, 1.0, 4000),
+                                                       (8, 4, 0.5, 1000)])
+    def test_matches_sampled_disorder_mean(self, n, kappa, beta, replicas):
+        # E (Z^bal / E Z^bal)^2 over exact log Z of the engine's own couplings, against the table law:
+        # checks the Philox draws, the kept diagonal and the centering shift by an independent route
+        qfe = exact.quenched_free_energy(n, beta, kappa, "balanced", "centered", replicas=replicas, seed=0)
+        log_ez = exact.annealed_log_partition_balanced(n, beta, kappa)
+        mean, stderr = core.mean_stderr([math.exp(2.0 * (s.log_z - log_ez)) for s in qfe.samples])
+        assert abs(mean - exact.second_moment_ratio(n, beta, kappa)) <= 4.0 * stderr
 
 
 class TestLdp:
@@ -228,6 +240,14 @@ class TestLdp:
     def test_exact_value(self):
         exact_lp, _ = exact.ldp_log_probability(4, 2, [[2, 0], [0, 2]])
         assert exact_lp == pytest.approx(math.log(1 / 6), abs=1e-12)
+
+    @pytest.mark.parametrize("n,kappa", [(9, 3), (6, 4), (6, 2)])
+    def test_table_must_match_n_and_kappa(self, n, kappa):
+        table = exact.AdmissibleMatrix(2 * np.eye(3, dtype=np.int64), 6)
+        for given in (table, table.counts):  # an array is read at the requested n
+            with pytest.raises(ValueError):
+                exact.ldp_log_probability(n, kappa, given)
+        exact.ldp_log_probability(6, 3, table)
 
     def test_gap_stays_bounded(self):
         gaps = []

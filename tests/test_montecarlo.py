@@ -423,6 +423,11 @@ class TestFreeEnergyTi:
         with pytest.raises(ValueError):
             mc.free_energy_ti(g, 2, 1.0, 4, "all", seed=1)
 
+    def test_negative_beta_max(self):
+        g = core.CouplingMatrix.from_seed(4, 1)
+        with pytest.raises(ValueError, match="beta_max"):
+            mc.free_energy_ti(g, 2, -1.0, 8, "all", seed=1, sweeps=2, burn_in=0)
+
 
 class TestEquilibrationFlag:
     def test_stationary_series_not_flagged(self, rng):

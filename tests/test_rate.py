@@ -376,20 +376,25 @@ class TestAnnealedLimit:
 
 
 class TestFerroReduction:
+    # the ferromagnetic-Potts (EW90) reduction applies below the threshold's ferro branch
     def test_examples(self):
-        assert rate.ferro_reduction_applies(3, 2.0)
-        assert not rate.ferro_reduction_applies(3, 3.0)
-        assert rate.ferro_reduction_applies(7, 0.0)
+        assert 2.0 < rate.high_temperature_threshold(3).ferro_branch
+        assert rate.high_temperature_threshold(3).ferro_branch <= 3.0
+        assert 0.0 < rate.high_temperature_threshold(7).ferro_branch
 
     def test_threshold_value(self):
         limit = math.sqrt(12 * math.log(2))
-        assert rate.ferro_reduction_applies(3, limit - 1e-9)
-        assert not rate.ferro_reduction_applies(3, limit + 1e-9)
+        assert limit - 1e-9 < rate.high_temperature_threshold(3).ferro_branch
+        assert rate.high_temperature_threshold(3).ferro_branch <= limit + 1e-9
 
     def test_matches_threshold_second_branch(self):
+        # the branch is beta^2 (1 - 2/kappa) < ferro_potts_critical_coupling(kappa), solved for beta
         for kappa in range(3, 40):
-            th = rate.high_temperature_threshold(kappa)
-            assert rate.ferro_reduction_applies(kappa, th.ferro_branch * (1 - 1e-12))
+            branch = rate.high_temperature_threshold(kappa).ferro_branch
+            for scale in (0.0, 0.25, 0.5, 0.9, 0.999, 1 - 1e-12, 1.001, 1.1, 2.0, 4.0):
+                beta = branch * scale
+                coupling_form = beta ** 2 * (1 - 2 / kappa) < rate.ferro_potts_critical_coupling(kappa)
+                assert (beta < branch) == coupling_form == (scale < 1)
 
 
 class TestZeroTemperature:
@@ -405,15 +410,6 @@ class TestZeroTemperature:
         assert rate.min_breaking_colors() == 56
         assert all(not rate.zero_temperature_bounds(k).breaks for k in range(2, 56))
         assert all(rate.zero_temperature_bounds(k).breaks for k in range(56, 201))
-
-
-class TestShellLogBound:
-    def test_finite_and_shrinks_with_the_shell(self):
-        wide = rate.uniform_shell_log_bound(3, 0.02, samples=500)
-        narrow = rate.uniform_shell_log_bound(3, 0.001, samples=500)
-        center = 9 * abs(math.log(1 / 9))
-        assert math.isfinite(wide)
-        assert center <= narrow <= wide
 
 
 class TestCurvatureFloor:
