@@ -35,8 +35,9 @@ def scan(kappa, betas, sizes, eps, replicas, seed):
         ns, logs = [], []
         for n in sizes:
             est = exact.tail_probability_exact(n, beta, eps, replicas=replicas, seed=seed, kappa=kappa)
+            bound = math.inf if est.bound is None else est.bound  # no closed-form ceiling at kappa >= 3
             print(f"{kappa:>5} {beta:>8.4f} {n:>4} {eps:>5} {est.value:>12.6e} {est.stderr:>10.3e}"
-                  f" {est.bound:>10.4f}")
+                  f" {bound:>10.4f}")
             if est.value > 0:
                 ns.append(n)
                 logs.append(math.log(est.value))

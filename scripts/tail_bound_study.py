@@ -56,7 +56,7 @@ def main():
             )
             for est in estimates:
                 flag = " (slow-mixing flag)" if est.flagged else ""
-                print(f"{n:>4} {beta:>6} {est.epsilon:>5} {est.estimate:>10.6f} {est.stderr:>9.6f}"
+                print(f"{n:>4} {beta:>6} {est.epsilon:>5} {est.value:>10.6f} {est.stderr:>9.6f}"
                       f" {est.bound:>9.6f} {'mc':>8}{flag}")
 
 

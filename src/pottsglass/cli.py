@@ -235,17 +235,15 @@ def _run_tail_bound(spec: ExperimentSpec):
     for n in spec.n:
         for beta in spec.beta:
             estimates = montecarlo.estimate_tail(
-                n, beta, spec.epsilon or (0.25,), kappa=spec.kappa, sector=spec.sector,
-                replicas=spec.replicas, sweeps=spec.sweeps, burn_in=spec.burn_in,
-                thinning=spec.thinning, ladder=spec.ladder, seed=spec.seed, cap=spec.cap,
-                workers=spec.workers,
+                n, beta, spec.epsilon or (0.25,), kappa=spec.kappa, replicas=spec.replicas,
+                sweeps=spec.sweeps, burn_in=spec.burn_in, thinning=spec.thinning, ladder=spec.ladder,
+                seed=spec.seed, cap=spec.cap, workers=spec.workers,
             )
             if estimates[0].swap_rates:
                 rates = " ".join(f"{rate:.4f}" for rate in estimates[0].swap_rates)
                 print(f"ladder swap acceptance (n={n}, beta={beta:g}) = {rates}", file=sys.stderr)
-            for est in estimates:
-                ok = est.bound is None or est.estimate <= est.bound + 3.0 * est.stderr
-                rows.append([n, beta, est.epsilon, est.estimate, est.stderr, est.bound, ok, est.flagged])
+            rows += [[n, beta, est.epsilon, est.value, est.stderr, est.bound, est.satisfied, est.flagged]
+                     for est in estimates]
     return cols, rows
 
 

@@ -230,18 +230,16 @@ class CouplingMatrix:
         return CouplingMatrix(g)
 
 
-def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int | None = None) -> list:
-    """``[fn(g_r) for r in range(replicas)]`` with ``g_r = CouplingMatrix.from_seed(n, seed, r)``.
+def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int = 1) -> list:
+    """``fn`` over the couplings ``g_r = CouplingMatrix.from_seed(n, seed, r)``, ``r < replicas``.
 
     Every disorder loop runs through here: replica ``r`` uses stream ``r``
     (``g_r.stream``) and results come back in index order for any
-    ``workers``.  With ``stack``, ``fn`` maps the couplings of the replicas
+    ``workers``.  ``fn`` maps the list of couplings of the replicas
     ``[s, s + stack)``, s a multiple of ``stack``, drawn just before the call,
-    to their results.  A process pool gets one run of stacks per worker, so
-    ``fn`` (which must then pickle) is sent once per worker.
+    to the list of their results.  A process pool gets one run of stacks per
+    worker, so ``fn`` (which must then pickle) is sent once per worker.
     """
-    if stack is None:
-        fn, stack = partial(_each, fn), 1
     task, starts = partial(_draw_stack, fn, n, seed, stack, replicas), range(0, replicas, stack)
     if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(min(workers, len(starts))) as ex:
@@ -251,10 +249,6 @@ def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 
 
 def _draw_stack(fn: Callable, n: int, seed: int, stack: int, replicas: int, start: int) -> list:
     return fn([CouplingMatrix.from_seed(n, seed, r) for r in range(start, min(start + stack, replicas))])
-
-
-def _each(fn: Callable, gs: list) -> list:
-    return [fn(g) for g in gs]
 
 
 def mean_stderr(values) -> tuple[float, float]:
@@ -452,8 +446,6 @@ def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np
     return picks, left
 
 
-def max_deviation(colors: np.ndarray, kappa: int):
-    """``max_a |d_a - 1/kappa|`` of one configuration, or of each row of many."""
-    counts = (colors[..., None] == np.arange(1, kappa + 1)).sum(axis=-2)
-    return np.abs(counts / colors.shape[-1] - 1.0 / kappa).max(axis=-1)
-
+def max_deviation(fractions: np.ndarray):
+    """``max_a |d_a - 1/kappa|`` of color fractions ``d`` of shape ``(..., kappa)``."""
+    return np.abs(fractions - 1.0 / fractions.shape[-1]).max(axis=-1)

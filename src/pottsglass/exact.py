@@ -32,6 +32,7 @@ from .core import (
     centering_shift,
     count_configs,
     map_replicas,
+    max_deviation,
     mean_stderr,
     sector_counts,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "GroundStateResult",
     "GaugePairResult",
     "MomentEstimate",
+    "TailEstimate",
     "logsumexp",
     "exp_or_inf",
     "gibbs_weights",
@@ -724,6 +726,30 @@ class MomentEstimate:
         return self.value <= self.bound + 3.0 * self.stderr
 
 
+@dataclass(frozen=True)
+class TailEstimate:
+    """Disorder mean and stderr of the Gibbs mass of ``max_a |d_a - 1/kappa| >= epsilon``, against the
+    ceiling :func:`_tail_bound` (None: no closed form).  Chains add whether any replica was flagged as
+    slow-mixing and a ladder's swap acceptance rate per adjacent rung pair, summed over replicas."""
+
+    epsilon: float
+    value: float
+    stderr: float
+    bound: float | None
+    replicas: int
+    flagged: bool = False
+    swap_rates: tuple[float, ...] = ()
+
+    @property
+    def satisfied(self) -> bool:
+        return self.bound is None or self.value <= self.bound + 3.0 * self.stderr
+
+
+def _tail_bound(n: int, epsilon: float, kappa: int) -> float | None:
+    """The tail ceiling ``2 e^{-eps^2 n}`` at kappa = 2; None (no closed form) otherwise."""
+    return 2.0 * math.exp(-epsilon ** 2 * n) if kappa == 2 else None
+
+
 def _count_averages(split: _Split, observables: np.ndarray, beta: float,
                     gs: Sequence[CouplingMatrix]) -> list[np.ndarray]:
     """Gibbs averages under each of ``gs`` of statistics of the color counts, ``observables[:, k]``
@@ -741,6 +767,8 @@ def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.n
     ``k``.  Replica ``r`` draws its coupling from stream ``r`` of ``seed``; a
     single replica reports stderr 0.
     """
+    if replicas < 1:
+        raise ValueError(f"need replicas >= 1, got {replicas}")
     split = _split(n, kappa, "all", cap)
     observables = np.asarray(statistics(split.counts / n), dtype=np.float64)
     rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers, split.stack)
@@ -787,15 +815,13 @@ def tail_probability_exact(
     n: int, beta: float, epsilon, replicas: int = 200, seed: int = 0,
     cap: int = DEFAULT_CAP, kappa: int = 2, workers: int = 1,
 ):
-    """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``.
+    """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``, as :class:`TailEstimate`.
 
-    The bound is ``2 e^{-eps^2 n}`` for kappa = 2 and ``inf`` (no closed
-    form) otherwise.  One ``epsilon`` gives one estimate; a sequence gives a
-    list of estimates sharing the enumeration and the disorder draws.
+    One ``epsilon`` gives one estimate; a sequence gives a list of estimates
+    sharing the enumeration and the disorder draws.
     """
-    eps = np.array([float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon])
-    tails = _replica_average(n, kappa, lambda f: np.abs(f - 1.0 / kappa).max(axis=1) >= eps[:, None],
-                             beta, replicas, seed, cap, workers)
-    out = [MomentEstimate(mean, se, 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else math.inf, 0, n, beta, replicas)
-           for e, (mean, se) in zip(eps, tails)]
+    eps = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
+    tails = _replica_average(n, kappa, lambda f: max_deviation(f) >= np.array(eps)[:, None], beta, replicas, seed,
+                             cap, workers)
+    out = [TailEstimate(e, mean, se, _tail_bound(n, e, kappa), replicas) for e, (mean, se) in zip(eps, tails)]
     return out[0] if np.isscalar(epsilon) else out

@@ -84,6 +84,8 @@ class ExperimentSpec:
             raise ValidationError(f"sizes must be positive, got {self.n}")
         if self.sector not in ("all", "balanced"):
             raise ValidationError(f"sector must be 'all' or 'balanced', got {self.sector!r}")
+        if self.command == "tail-bound" and self.sector != "all":
+            raise ValidationError(f"tail-bound runs the 'all' sector, got {self.sector!r}")
         if self.kind not in ("raw", "centered"):
             raise ValidationError(f"kind must be 'raw' or 'centered', got {self.kind!r}")
         if self.fmt not in ("csv", "json"):
@@ -99,10 +101,10 @@ class ExperimentSpec:
             raise ValidationError("ladder betas must be nondecreasing")
         if len(self.ladder) == 1:
             raise ValidationError("a tempering ladder needs at least 2 rungs")
-        if self.ladder and any(math.isfinite(b) and b != self.ladder[-1] for b in self.beta):
+        if self.ladder and math.inf in self.beta:
+            raise ValidationError(f"a ladder needs every beta finite (beta = inf is exact), got {self.beta}")
+        if self.ladder and any(b != self.ladder[-1] for b in self.beta):
             raise ValidationError(f"the ladder must end at beta: top {self.ladder[-1]}, beta {self.beta}")
-        if self.ladder and not any(math.isfinite(b) for b in self.beta):
-            raise ValidationError(f"a ladder needs a finite beta (beta = inf is exact), got {self.beta}")
         if self.command == "gauge-check" and (len(self.n) != 1 or len(self.beta) != 1):
             raise ValidationError(f"gauge-check takes one size and one beta, got n={self.n}, beta={self.beta}")
         if not 0 <= self.seed < 1 << 64:
@@ -135,7 +137,7 @@ class ExperimentSpec:
             "exact-free-energy": (self.kappa, self.sector),
             "gauge-check": (2, "all"),
             "moment-check": (2, "all") if even else None,
-            "tail-bound": (self.kappa, "all") if math.inf in self.beta and self.sector == "all" else None,
+            "tail-bound": (self.kappa, "all") if math.inf in self.beta else None,
         }.get(self.command)
         if sector is not None:
             for n in self.n:

@@ -45,12 +45,11 @@ from .core import (
     sector_counts,
     write_atomic,
 )
-from .exact import DEFAULT_CAP, tail_probability_exact
+from .exact import DEFAULT_CAP, TailEstimate, _tail_bound, tail_probability_exact
 
 __all__ = [
     "ChainState",
     "TemperingLadder",
-    "TailEstimate",
     "TiResult",
     "metropolis_sweep",
     "swap_sweep",
@@ -169,7 +168,8 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     as ``(u0, u1, u)``, recolors site ``int(u0 * n)`` to color
     ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
     equal to the current color is a no-op.  The local fields are rebuilt once
-    per sweep, so a proposal costs O(1) and an accepted move O(n).
+    per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
+    accepted move O(n).
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
@@ -341,58 +341,31 @@ def equilibration_flagged(series: np.ndarray) -> bool:
 # Estimators
 
 
-@dataclass(frozen=True)
-class TailEstimate:
-    epsilon: float
-    estimate: float
-    stderr: float
-    bound: float | None
-    replicas: int
-    flagged: bool
-    swap_rates: tuple[float, ...] = ()  # per adjacent ladder pair, summed over replicas
-
-
 def estimate_tail(
-    n: int, beta: float, epsilon, kappa: int = 2, sector: str = "all", replicas: int = 8,
-    sweeps: int = 2000, burn_in: int = 1000, thinning: int = 10, ladder=(), seed: int = 0,
-    cap: int = DEFAULT_CAP, workers: int = 1,
+    n: int, beta: float, epsilon, kappa: int = 2, replicas: int = 8, sweeps: int = 2000,
+    burn_in: int = 1000, thinning: int = 10, ladder=(), seed: int = 0, cap: int = DEFAULT_CAP,
+    workers: int = 1,
 ) -> list[TailEstimate]:
     """Disorder-and-Gibbs double average of ``1{max_a |d_a - 1/kappa| >= eps}``.
 
     Accepts one epsilon or a sequence; all epsilons share the same chains.
-    For the balanced sector the deviation is identically zero.  beta = inf
-    is served by :func:`pottsglass.exact.tail_probability_exact`; finite
-    beta runs Metropolis chains, or a tempering ladder when ``ladder`` is
-    set (recommended for large beta).  For kappa = 2 the closed-form ceiling
-    ``2 e^{-eps^2 n}`` is attached to each estimate.  Replica ``r`` samples
+    beta = inf returns :func:`pottsglass.exact.tail_probability_exact`
+    itself; finite beta runs Metropolis chains, or a tempering ladder when
+    ``ladder`` is set (recommended for large beta).  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     """
-    if sweeps < 1 or thinning < 1 or burn_in < 0:
-        raise ValueError(
-            f"need sweeps >= 1, thinning >= 1 and burn_in >= 0, got {sweeps}, {thinning}, {burn_in}"
-        )
+    if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
+        raise ValueError(f"need replicas >= 1, sweeps >= 1, thinning >= 1 and burn_in >= 0, "
+                         f"got {replicas}, {sweeps}, {thinning}, {burn_in}")
     if ladder and (math.isinf(beta) or ladder[-1] != beta):  # beta = inf is exact: no chains to temper
-        raise ValueError(
-            f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}"
-        )
+        raise ValueError(f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}")
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
-
-    def bound(e: float) -> float | None:
-        return 2.0 * math.exp(-e ** 2 * n) if kappa == 2 else None
-
-    if sector == "balanced":
-        return [TailEstimate(e, 0.0, 0.0, bound(e), 0, False) for e in epsilons]
     if math.isinf(beta):
-        exact_estimates = tail_probability_exact(
-            n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa, workers=workers
-        )
-        return [
-            TailEstimate(e, est.value, est.stderr, bound(e), replicas, False)
-            for e, est in zip(epsilons, exact_estimates)
-        ]
+        return tail_probability_exact(n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa,
+                                      workers=workers)
 
     results = map_replicas(
-        partial(_tail_replica, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),
+        partial(_tail_replicas, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),
         n, seed, replicas, workers,
     )
     fractions = np.array([f for f, _, _ in results])
@@ -402,28 +375,32 @@ def estimate_tail(
         attempts, accepts = np.sum([swaps for _, _, swaps in results], axis=0)
         swap_rates = tuple((accepts / attempts).tolist())
     return [
-        TailEstimate(e, *mean_stderr(fractions[:, idx]), bound(e), replicas, flagged, swap_rates)
+        TailEstimate(e, *mean_stderr(fractions[:, idx]), _tail_bound(n, e, kappa), replicas, flagged, swap_rates)
         for idx, e in enumerate(epsilons)
     ]
 
 
-def _tail_replica(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
-                  g: CouplingMatrix) -> tuple[list[float], bool, np.ndarray | None]:
-    """One replica of :func:`estimate_tail`: tail fractions per epsilon, its flag,
-    and the ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
+def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
+                   gs: list[CouplingMatrix]) -> list[tuple[list[float], bool, np.ndarray | None]]:
+    """Replicas of :func:`estimate_tail`, one per coupling of ``gs``: each one's tail fractions per
+    epsilon, its flag, and its ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
     Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.
     """
-    temper = None
-    if ladder:
-        temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream)
-        target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
-    else:
-        target = ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream)
-        step = lambda: metropolis_sweep(target, g)
-    devs = _series(step, lambda: max_deviation(target.colors, kappa), burn_in, sweeps, thinning)
-    swaps = None if temper is None else np.stack((temper.swap_attempts, temper.swap_accepts))
-    return [(devs >= e).mean() for e in epsilons], equilibration_flagged(devs), swaps
+    out = []
+    for g in gs:
+        temper = None
+        if ladder:
+            temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream)
+            target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
+        else:
+            target = ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream)
+            step = lambda: metropolis_sweep(target, g)
+        devs = _series(step, lambda: max_deviation(np.bincount(target.colors - 1, minlength=kappa) / g.n),
+                       burn_in, sweeps, thinning)
+        swaps = None if temper is None else np.stack((temper.swap_attempts, temper.swap_accepts))
+        out.append(([(devs >= e).mean() for e in epsilons], equilibration_flagged(devs), swaps))
+    return out
 
 
 @dataclass(frozen=True)
@@ -479,6 +456,8 @@ def free_energy_ti(
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8 for a usable trapezoid rule")
+    if sweeps < 2 or burn_in < 0:  # a batch stderr needs 2 batches
+        raise ValueError(f"need sweeps >= 2 and burn_in >= 0, got {sweeps}, {burn_in}")
     if beta_max < 0:
         raise ValueError(f"beta_max must be nonnegative, got {beta_max}")
     n = g.n

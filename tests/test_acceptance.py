@@ -288,7 +288,7 @@ def test_criterion_6_gauge_suite():
                         sweeps=900, burn_in=300, thinning=3, seed=68,
                     )
                 for est in mc.estimate_tail(epsilon=(0.25, 0.5), **spec):
-                    assert est.estimate <= est.bound + 3 * est.stderr, (n, beta, est)
+                    assert est.value <= est.bound + 3 * est.stderr, (n, beta, est)
 
 
 # ---------------------------------------------------------------------------

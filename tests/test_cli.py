@@ -120,6 +120,8 @@ INVALID_COMMANDS = {
     "one-rung-ladder": ["tail-bound", "--beta", "1", "--ladder", "1"],
     "ladder-without-finite-beta": ["tail-bound", "--n", "4", "--beta", "inf", "--ladder", "0,1",
                                    "--epsilon", "0.25", "--replicas", "2"],
+    "ladder-with-an-infinite-beta": ["tail-bound", "--n", "6", "--beta", "1,inf", "--ladder", "0,1",
+                                     "--replicas", "2", "--sweeps", "50", "--burn-in", "10"],
     "gauge-two-sizes": ["gauge-check", "--n", "4,6", "--trials", "3"],
     "gauge-two-betas": ["gauge-check", "--n", "4", "--beta", "1,2", "--trials", "3"],
     "cap-on-thresholds": ["thresholds", "--cap", "5"],
@@ -246,6 +248,13 @@ def test_empty_moments_validated_as_run():
     with pytest.raises(ValidationError):
         ExperimentSpec(command="moment-check", n=(4,), replicas=1).validate()
     ExperimentSpec(command="moment-check", n=(4,), replicas=1, moments=(1,)).validate()
+
+
+def test_tail_bound_runs_the_all_sector():
+    # tail-bound has no --sector option; a spec read from JSON must not name another sector
+    with pytest.raises(ValidationError, match="'all' sector"):
+        ExperimentSpec(command="tail-bound", n=(4,), sector="balanced").validate()
+    ExperimentSpec(command="tail-bound", n=(4,)).validate()
 
 
 def test_prevalidated_cap_exits_2(tmp_path):

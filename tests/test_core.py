@@ -207,6 +207,20 @@ class TestMagnetizationOverlap:
         with pytest.raises(core.DimensionMismatchError):
             core.overlap(cfg([1, 2], 2), cfg([1, 2, 1], 2))
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5).flatmap(
+        lambda k: st.lists(st.lists(st.integers(1, k), min_size=1, max_size=12), min_size=1, max_size=4)
+        .map(lambda configs: (k, configs))))
+    def test_max_deviation_matches_a_loop(self, data):
+        kappa, configs = data
+        for colors in configs:
+            n = len(colors)
+            want = max(abs(colors.count(a) / n - 1 / kappa) for a in range(1, kappa + 1))
+            got = core.max_deviation(np.bincount(np.array(colors) - 1, minlength=kappa) / n)
+            assert got == want
+        stack = np.array([core.magnetization(cfg(c, kappa)).asarray() for c in configs])
+        assert core.max_deviation(stack).tolist() == [core.max_deviation(row) for row in stack]
+
 
 class TestCovariance:
     def test_balanced_self(self):
@@ -309,8 +323,8 @@ class TestIdentities:
                 assert lhs == pytest.approx(rhs, abs=1e-15)
 
 
-def _replica_record(g):
-    return g.stream, g.g
+def _replica_record(gs):
+    return [(g.stream, g.g) for g in gs]
 
 
 def _stack_record(gs):

@@ -366,6 +366,13 @@ class TestKappa2Moments:
         assert est.value == pytest.approx(2 / 256, abs=1e-12)
         assert est.satisfied
 
+    def test_replica_engines_need_a_replica(self):
+        # zero replicas used to fail deep in the engines (IndexError, or while unpacking)
+        for run in (lambda: exact.tail_probability_exact(4, 1.0, 0.25, replicas=0),
+                    lambda: exact.magnetization_mgf_exact(4, 1.0, 0.5, replicas=0)):
+            with pytest.raises(ValueError, match="replicas"):
+                run()
+
 
 # ---------------------------------------------------------------------------
 # Split-half engine: bitwise color symmetry and an independent oracle

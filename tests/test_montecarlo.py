@@ -338,11 +338,6 @@ class TestTempering:
 
 
 class TestEstimators:
-    def test_balanced_tail_is_zero(self):
-        spec = dict(n=4, beta=1.0, kappa=2, sector="balanced")
-        (est,) = mc.estimate_tail(epsilon=0.25, **spec)
-        assert est.estimate == 0.0 and est.stderr == 0.0
-
     def test_zero_temperature_routes_to_ground_state(self):
         spec = dict(
             n=6, beta=math.inf, kappa=2, replicas=8, seed=9
@@ -357,7 +352,17 @@ class TestEstimators:
                 np.stack([(gs.maximizers == a).sum(axis=1) for a in (1, 2)], axis=1) / 6 - 0.5
             ).max(axis=1)
             vals.append((dev >= 0.25).mean())
-        assert est.estimate == pytest.approx(np.mean(vals), abs=1e-14)
+        assert est.value == pytest.approx(np.mean(vals), abs=1e-14)
+
+    @pytest.mark.parametrize("kappa", [2, 3])
+    def test_zero_temperature_is_the_exact_record(self, kappa):
+        got = mc.estimate_tail(6, math.inf, (0.1, 0.3), kappa=kappa, replicas=3, seed=2)
+        assert got == exact.tail_probability_exact(6, math.inf, (0.1, 0.3), replicas=3, seed=2, kappa=kappa)
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_needs_a_replica(self, beta):
+        with pytest.raises(ValueError, match="replicas >= 1"):
+            mc.estimate_tail(4, beta, 0.25, replicas=0)
 
     def test_infinite_temperature_matches_counting(self):
         # at beta=0 only the two monochrome configs reach deviation 0.5
@@ -366,7 +371,7 @@ class TestEstimators:
             sweeps=800, burn_in=100, thinning=2, seed=14,
         )
         (est,) = mc.estimate_tail(epsilon=0.5, **spec)
-        assert abs(est.estimate - 2 / 256) <= 3 * est.stderr + 1e-3
+        assert abs(est.value - 2 / 256) <= 3 * est.stderr + 1e-3
 
     def test_ladder_must_end_at_target_beta(self):
         spec = dict(
@@ -394,7 +399,7 @@ class TestEstimators:
         )
         a = mc.estimate_tail(epsilon=(0.25, 0.5), **spec)
         b = mc.estimate_tail(epsilon=(0.25, 0.5), **spec)
-        assert [(e.estimate, e.stderr) for e in a] == [(e.estimate, e.stderr) for e in b]
+        assert [(e.value, e.stderr) for e in a] == [(e.value, e.stderr) for e in b]
 
     def test_ladder_path(self):
         spec = dict(
@@ -402,7 +407,7 @@ class TestEstimators:
             sweeps=100, burn_in=30, thinning=2, seed=13, ladder=(0.5, 1.0, 2.0),
         )
         (est,) = mc.estimate_tail(epsilon=0.5, **spec)
-        assert 0.0 <= est.estimate <= 1.0 and est.bound == pytest.approx(2 * math.exp(-0.25 * 6))
+        assert 0.0 <= est.value <= 1.0 and est.bound == pytest.approx(2 * math.exp(-0.25 * 6))
 
 
 class TestFreeEnergyTi:
@@ -427,6 +432,13 @@ class TestFreeEnergyTi:
         g = core.CouplingMatrix.from_seed(4, 1)
         with pytest.raises(ValueError, match="beta_max"):
             mc.free_energy_ti(g, 2, -1.0, 8, "all", seed=1, sweeps=2, burn_in=0)
+
+    @pytest.mark.parametrize("sweeps, burn_in", [(1, 0), (0, 0), (10, -3)])
+    def test_chain_lengths_must_be_valid(self, sweeps, burn_in):
+        # sweeps=1 used to give a nan stderr with a RuntimeWarning, and burn_in=-3 ran silently
+        g = core.CouplingMatrix.from_seed(4, 1)
+        with pytest.raises(ValueError, match="sweeps >= 2"):
+            mc.free_energy_ti(g, 2, 1.0, 8, "all", seed=1, sweeps=sweeps, burn_in=burn_in)
 
 
 class TestEquilibrationFlag:

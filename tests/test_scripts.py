@@ -1,0 +1,55 @@
+"""Each experiment script runs end to end at its smallest sizes."""
+
+import math
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys) -> list[str]:
+    """Run ``scripts/<name>`` as ``__main__`` with ``args``; return its stdout lines."""
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_tail_bound_study(monkeypatch, capsys):
+    # n = 4 is exact at every beta; n = 14 runs chains at beta = 1 and 3 (with a ladder) and is exact at inf
+    lines = run_script("tail_bound_study.py", ["--sizes", "4,14", "--betas", "1,3,inf", "--epsilons", "0.5",
+                                               "--replicas", "1"], monkeypatch, capsys)
+    rows = [line.split() for line in lines[1:]]
+    assert [(row[0], row[1], row[6]) for row in rows] == [
+        ("4", "1.0", "exact"), ("4", "3.0", "exact"), ("4", "inf", "exact"),
+        ("14", "1.0", "mc"), ("14", "3.0", "mc"), ("14", "inf", "exact"),
+    ]
+    for row in rows:
+        assert 0.0 <= float(row[3]) <= 1.0
+        assert float(row[5]) == pytest.approx(2 * math.exp(-0.25 * int(row[0])), abs=1e-6)
+
+
+def test_color_symmetry_scan(monkeypatch, capsys):
+    lines = run_script("color_symmetry_scan.py", ["--replicas", "2", "--sizes3", "3,4", "--sizes2", "4,5"],
+                       monkeypatch, capsys)
+    rows = [line.split() for line in lines[1:] if line and line[0] == " " and not line.startswith("  kappa")]
+    assert [row[0] for row in rows] == ["3"] * 6 + ["2"] * 6
+    assert all(row[6] == "inf" for row in rows[:6])  # no closed-form ceiling at kappa = 3
+    assert [float(row[6]) for row in rows[6:]] == pytest.approx([2 * math.exp(-0.0625 * n) for n in (4, 5)] * 3,
+                                                                abs=1e-4)
+    assert sum(line.startswith("  kappa=") for line in lines) == 6  # one fitted rate per (kappa, beta)
+
+
+def test_free_energy_trend(monkeypatch, capsys):
+    lines = run_script("free_energy_trend.py", ["--sizes", "3,6", "--replicas", "2"], monkeypatch, capsys)
+    assert [line.split()[0] for line in lines[3:]] == ["3", "6"]
+
+
+def test_threshold_table(monkeypatch, capsys, tmp_path):
+    out = tmp_path / "thresholds.csv"
+    lines = run_script("threshold_table.py", ["--kappa-max", "4", "--out", str(out)], monkeypatch, capsys)
+    assert lines[0] == f"wrote {out}"
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[-2:]] == ["3", "4"]
+    assert lines[1].startswith("zero-temperature breaking first certified at kappa = ")
