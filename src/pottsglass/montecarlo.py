@@ -13,7 +13,8 @@ equilibration guarantee exists at beta = inf.
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
 ``CHAIN_NAMESPACE | c`` of ``s``, one ``random((3, n))`` call per sweep, so
 trajectories are bit-for-bit reproducible and independent of the worker count
-used to farm out disorder replicas.  A chain's energy is computed from
+used to farm out disorder replicas, and of whether a chain sweeps alone or in
+lockstep with a stack of others.  A chain's energy is computed from
 scratch by :func:`pottsglass.core.hamiltonian_raw` at its start and every
 ``AUDIT_INTERVAL`` sweeps, which guards the cached running sum against drift;
 so a configuration and its color images get bit-identical energies there.
@@ -26,6 +27,7 @@ import math
 from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Integral
 
 import numpy as np
 
@@ -66,6 +68,9 @@ __all__ = [
 
 CHECKPOINT_VERSION = 2
 AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
+LOCKSTEP_MIN = 24  # chains of an estimate_tail stack from which they sweep in lockstep (BENCH_mc_lockstep.json)
+_STACK_ELEMS = 1 << 21  # coupling elements per estimate_tail stack: its stacked g + g^T stays within 16 MiB
+_EXP_SLACK = 1e-12  # a lockstep uniform this close (relative) to np.exp's threshold is decided by math.exp
 
 
 @dataclass
@@ -95,7 +100,13 @@ class ChainState:
             raise ValueError(f"chain energy must be finite, got {self.energy!r}")
         if self.sector not in ("all", "balanced"):
             raise SectorError(f"unsupported chain sector {self.sector!r}")
-        self.colors = np.ascontiguousarray(self.colors, dtype=np.int64)
+        # a fractional count would never meet the audit schedule of _end_sweep
+        if isinstance(self.sweeps, bool) or not isinstance(self.sweeps, Integral) or self.sweeps < 0:
+            raise ValueError(f"chain sweeps must be a nonnegative integer, got {self.sweeps!r}")
+        colors = np.asarray(self.colors)
+        self.colors = np.ascontiguousarray(colors, dtype=np.int64)
+        if not np.array_equal(self.colors, colors):
+            raise ValueError(f"chain colors must be integers, got {colors.tolist()!r}")
         SpinConfig(self.colors.copy(), self.kappa)  # 1-d, non-empty, kappa >= 2, colors in [1, kappa]
         if self.sector == "balanced":
             counts = np.bincount(self.colors - 1, minlength=self.kappa)
@@ -153,6 +164,18 @@ def _local_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
     return onehot.astype(np.float64) @ s
 
 
+def _stack_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
+    """:func:`_local_fields` of every row of ``colors`` (0-based, shape ``(R, n)``), one batched matmul.
+
+    The rows come in ``len(s)`` equal groups, group ``g`` on the couplings ``s[g]``; a group's rows
+    share its matrix, not copies.  The batch runs the same BLAS product per chain as a stack of one,
+    so a chain's fields do not depend on the stack it sweeps in.
+    """
+    rows, n = colors.shape
+    onehot = (colors[:, None] == np.arange(kappa)[:, None]).astype(np.float64)
+    return (onehot.reshape(len(s), -1, kappa, n) @ s[:, None]).reshape(rows, kappa, n)
+
+
 def _partner(own: list[list[int]], a: int, rank: int) -> int:
     """Swap partner of rank ``rank`` for color ``a``: with ``(c, p) = divmod(rank, per)``, site ``p``
     of the sorted sites ``own`` of the ``c``-th color other than ``a``.  O(1); in the balanced
@@ -169,7 +192,9 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
     equal to the current color is a no-op.  The local fields are rebuilt once
     per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
-    accepted move O(n).
+    accepted move O(n).  :func:`_metropolis_lockstep` makes this sweep for a
+    stack of chains at once, with the same bytes; :func:`estimate_tail` uses
+    it for stacks of ``LOCKSTEP_MIN`` chains or more.
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
@@ -194,6 +219,81 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
             h[new] += row
             energy += d
     return state._end_sweep(g, energy)
+
+
+def _metropolis_lockstep(chains: list[ChainState], gs: list[CouplingMatrix], s: np.ndarray) -> None:
+    """One :func:`metropolis_sweep` of every chain of a stack, all chains at once, with the same bytes.
+
+    ``chains`` holds ``len(chains) // len(gs)`` chains per coupling of ``gs``, in coupling order (a
+    replica's chain, or its ladder's rungs), and ``s`` stacks their ``g.sym``.  Each chain draws its
+    own ``random((3, n))``, gets its fields from :func:`_stack_fields` and has proposal ``k``
+    decided together with every other chain's by the per-chain kernel's elementwise arithmetic
+    (:func:`_lockstep_moves`).  It then ends the sweep through :meth:`ChainState._end_sweep`, so it
+    is audited on its own schedule and is authoritative between sweeps.
+    """
+    n, kappa, per = chains[0].n, chains[0].kappa, len(chains) // len(gs)
+    draws = np.concatenate([c.rng.random((3, n)) for c in chains]).reshape(len(chains), 3, n)
+    start = (np.concatenate([c.colors for c in chains]).reshape(len(chains), n) - 1,
+             np.array([c.energy for c in chains]), np.array([c.beta for c in chains]), s, draws, kappa)
+    moved = _lockstep_moves(*start, exact=False)
+    if moved is None:  # some uniform lies within rounding of its threshold: decide with math.exp
+        moved = _lockstep_moves(*start, exact=True)
+    for c, g, row, energy in zip(chains, [g for g in gs for _ in range(per)], moved[0] + 1, moved[1].tolist()):
+        c.colors = row
+        c._end_sweep(g, energy)
+
+
+def _lockstep_moves(colors, energy, betas, s, draws, kappa, exact):
+    """The ``n`` proposals of :func:`_metropolis_lockstep`; returns the new colors (0-based) and energies.
+
+    Proposal ``k`` of chain ``r`` reads ``d = (h[r, new, t] - h[r, old, t] + S[r, t, t]) / sqrt(n)``;
+    an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and ``h[r, new] += S[r, t]``,
+    elementwise, as :func:`metropolis_sweep` does.  Each energy then adds its accepted ``d`` in
+    proposal order (one sequential ``accumulate``; a rejected proposal adds ``-0.0``, which leaves
+    every float as it is).  The test ``u < e^{beta d}`` uses ``np.exp``, which may differ from that
+    kernel's ``math.exp`` in the last bit; so this fast pass returns None when any ``u`` of the sweep
+    lies within ``_EXP_SLACK`` of its threshold.  ``exact`` applies the kernel's own rule instead.
+    """
+    rows, n = colors.shape
+    colors = colors.copy()
+    h = _stack_fields(colors, s, kappa)
+    flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
+    # step-major tables: entry [k, r] belongs to proposal k of chain r
+    sites, props = (draws[:, :2] * [[n], [kappa]]).astype(np.int64).transpose(1, 2, 0)
+    r = np.arange(rows)
+    base = r * kappa  # row of h[r, 0] in hrows
+    srow = sites + r // (rows // len(s)) * n  # row S[r, t] in srows
+    diag = s.reshape(-1)[srow * n + sites]
+    at = sites + r * n  # site t of chain r in cells
+    hcol = sites + base * n  # h[r, 0, t] in flat
+    hnew = hcol + props * n
+    us = draws[:, 2].T
+    steps, moves, thresholds = np.empty_like(us), np.empty(us.shape, dtype=bool), np.empty_like(us)
+    sqn, zero = np.full(rows, math.sqrt(n)), np.zeros(rows)
+    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, u, d, move, e in zip(
+            at, srow, diag, hcol, hnew, props, us, steps, moves, thresholds):
+        old = cells[at_k]
+        np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=d)
+        d += diag_k
+        d /= sqn
+        if exact:
+            move[:] = [dd >= 0.0 or uu < math.exp(b * dd)
+                       for dd, uu, b in zip(d.tolist(), u.tolist(), betas.tolist())]
+        else:  # e = 1 > u when d >= 0
+            x = betas * d
+            np.less(u, np.exp(np.minimum(x, zero, out=x), out=e), out=move)
+        move &= new != old
+        idx = move.nonzero()[0]
+        if idx.size:
+            now, row, at_base = new[idx], srows.take(srow_k[idx], axis=0), base[idx]
+            cells[at_k[idx]] = now
+            for sink, sign in ((at_base + old[idx], np.subtract), (at_base + now, np.add)):
+                hrows[sink] = sign(hrows.take(sink, axis=0), row)
+    # the absolute 1e-300 covers thresholds that underflow, where the two exps may part by a subnormal
+    if not exact and (np.abs(us - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
+        return None
+    steps[~moves] = -0.0
+    return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
 
 
 def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
@@ -301,22 +401,30 @@ class TemperingLadder:
 
 
 def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
-    """One sweep per rung, then adjacent swap proposals from the bottom up.
+    """One sweep per rung, then :func:`_ladder_swaps`.
 
-    A swap of rungs (i, j) is accepted with probability
-    min(1, exp((beta_i - beta_j)(H_j - H_i))); configurations and cached
-    energies travel, the rung temperatures stay put.
+    :func:`estimate_tail` makes the same step for a stack of ladders with the
+    sweeps of all their rungs in lockstep (:func:`_metropolis_lockstep`).
     """
     if len(ladder.rungs) < 2:
         raise ValueError("tempering needs at least 2 rungs")
     for rung in ladder.rungs:
         sweep(rung, g)
-    us = ladder.rng.random(size=len(ladder.rungs) - 1)
-    for k in range(len(ladder.rungs) - 1):
-        lo, hi = ladder.rungs[k], ladder.rungs[k + 1]
-        ladder.swap_attempts[k] += 1
+    return _ladder_swaps(ladder)
+
+
+def _ladder_swaps(ladder: TemperingLadder) -> TemperingLadder:
+    """Adjacent swap proposals from the bottom up, one ``random(rungs - 1)`` draw.
+
+    A swap of rungs (i, j) is accepted with probability
+    min(1, exp((beta_i - beta_j)(H_j - H_i))); configurations and cached
+    energies travel, the rung temperatures stay put.
+    """
+    rungs = ladder.rungs
+    ladder.swap_attempts += 1
+    for k, (lo, hi, u) in enumerate(zip(rungs, rungs[1:], ladder.rng.random(size=len(rungs) - 1).tolist())):
         log_acc = (lo.beta - hi.beta) * (hi.energy - lo.energy)
-        if log_acc >= 0.0 or us[k] < math.exp(log_acc):
+        if log_acc >= 0.0 or u < math.exp(log_acc):
             lo.colors, hi.colors = hi.colors, lo.colors
             lo.energy, hi.energy = hi.energy, lo.energy
             ladder.swap_accepts[k] += 1
@@ -353,10 +461,16 @@ def estimate_tail(
     itself; finite beta runs Metropolis chains, or a tempering ladder when
     ``ladder`` is set (recommended for large beta).  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
+    The replicas go in ``ceil(replicas / workers)`` per stack, at most
+    ``_STACK_ELEMS`` coupling elements, and a stack of ``LOCKSTEP_MIN`` or
+    more chains sweeps in lockstep (:func:`_metropolis_lockstep`): the same
+    bytes as one chain at a time, in less time.
     """
     if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
         raise ValueError(f"need replicas >= 1, sweeps >= 1, thinning >= 1 and burn_in >= 0, "
                          f"got {replicas}, {sweeps}, {thinning}, {burn_in}")
+    if len(ladder) == 1:  # the lockstep path never reaches tempering_step's own check
+        raise ValueError(f"a tempering ladder needs at least 2 rungs, got {tuple(ladder)}")
     if ladder and (math.isinf(beta) or ladder[-1] != beta):  # beta = inf is exact: no chains to temper
         raise ValueError(f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}")
     epsilons = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
@@ -364,9 +478,10 @@ def estimate_tail(
         return tail_probability_exact(n, beta, epsilons, replicas=replicas, seed=seed, cap=cap, kappa=kappa,
                                       workers=workers)
 
+    stack = max(1, min(-(-replicas // max(workers, 1)), _STACK_ELEMS // (n * n)))  # a stack per worker
     results = map_replicas(
         partial(_tail_replicas, beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed),
-        n, seed, replicas, workers,
+        n, seed, replicas, workers, stack,
     )
     fractions = np.array([f for f, _, _ in results])
     flagged = any(flag for _, flag, _ in results)
@@ -385,22 +500,38 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     """Replicas of :func:`estimate_tail`, one per coupling of ``gs``: each one's tail fractions per
     epsilon, its flag, and its ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
-    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.
+    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.  From ``LOCKSTEP_MIN``
+    chains on, all chains of the stack sweep in lockstep; else each replica runs on its own.
     """
-    out = []
-    for g in gs:
-        temper = None
-        if ladder:
-            temper = TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream)
-            target, step = temper.rungs[-1], lambda: tempering_step(temper, g)
-        else:
-            target = ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream)
-            step = lambda: metropolis_sweep(target, g)
-        devs = _series(step, lambda: max_deviation(np.bincount(target.colors - 1, minlength=kappa) / g.n),
-                       burn_in, sweeps, thinning)
-        swaps = None if temper is None else np.stack((temper.swap_attempts, temper.swap_accepts))
-        out.append(([(devs >= e).mean() for e in epsilons], equilibration_flagged(devs), swaps))
-    return out
+    if ladder:
+        tempers = [TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream) for g in gs]
+        chains = [rung for temper in tempers for rung in temper.rungs]
+        targets = [temper.rungs[-1] for temper in tempers]
+    else:
+        tempers = []
+        chains = targets = [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
+    if len(chains) >= LOCKSTEP_MIN:
+        s = np.stack([g.sym for g in gs])
+
+        def step():
+            _metropolis_lockstep(chains, gs, s)
+            for temper in tempers:
+                _ladder_swaps(temper)
+
+        runs = [(step, targets)]
+    else:  # replica by replica, each one's couplings alone in cache
+        step_one = tempering_step if ladder else metropolis_sweep
+        runs = [(partial(step_one, unit, g), [target]) for unit, g, target in zip(tempers or chains, gs, targets)]
+    devs = np.vstack([_series(step, partial(_deviations, group, kappa), burn_in, sweeps, thinning).T
+                      for step, group in runs])  # one row per replica
+    swaps = [np.stack((t.swap_attempts, t.swap_accepts)) for t in tempers] or [None] * len(gs)
+    return [([(row >= e).mean() for e in epsilons], equilibration_flagged(row), sw) for row, sw in zip(devs, swaps)]
+
+
+def _deviations(chains: list[ChainState], kappa: int) -> np.ndarray:
+    """``max_a |d_a - 1/kappa|`` of each chain's color fractions ``d``."""
+    colors = np.stack([c.colors for c in chains])
+    return max_deviation((colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / colors.shape[1])
 
 
 @dataclass(frozen=True)
@@ -535,7 +666,7 @@ def save_checkpoint(obj, path: str) -> None:
 
 # Fields whose JSON value is not the field value itself; every other field loads as stored.
 _DECODE = {
-    "colors": partial(np.array, dtype=np.int64),
+    "colors": np.array,  # ChainState rejects colors that an integer cast would change
     "swap_attempts": partial(np.array, dtype=np.int64),
     "swap_accepts": partial(np.array, dtype=np.int64),
     "rng": _restore_rng,

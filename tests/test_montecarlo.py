@@ -160,6 +160,56 @@ class TestKernelsMatchReference:
             for a, b in zip(new.rungs, ref.rungs):
                 assert_same_chain(a, b)
 
+    @pytest.mark.parametrize("n, kappa", [(5, 3), (8, 2), (64, 3)])
+    def test_lockstep(self, n, kappa):
+        # 16 chains on distinct couplings and betas; 250 sweeps cross two audits
+        betas = np.linspace(0.0, 4.0, 16)
+        gs = [core.CouplingMatrix.from_seed(n, 36, r) for r in range(16)]
+        stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
+                           for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
+        s = np.stack([g.sym for g in gs])
+        for _ in range(250):
+            mc._metropolis_lockstep(stacked, gs, s)
+            for chain, g in zip(alone, gs):
+                mc.metropolis_sweep(chain, g)
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
+
+    def test_lockstep_math_exp_pass(self, monkeypatch):
+        # a slack of 1 puts every uniform near its threshold: every sweep is decided by math.exp
+        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
+        self.test_lockstep(8, 2)
+
+    def test_lockstep_ladders(self):
+        # four 5-rung ladders in one stack: the rungs of a ladder share their replica's couplings
+        gs = [core.CouplingMatrix.from_seed(8, 37, r) for r in range(4)]
+        stacked, alone = ([mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 3.0, 4.0], "all", seed=14, ladder_id=r)
+                           for r, g in enumerate(gs)] for _ in range(2))
+        chains, s = [rung for ladder in stacked for rung in ladder.rungs], np.stack([g.sym for g in gs])
+        for _ in range(250):
+            mc._metropolis_lockstep(chains, gs, s)
+            for ladder in stacked:
+                mc._ladder_swaps(ladder)
+            for ladder, g in zip(alone, gs):
+                mc.tempering_step(ladder, g)
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a.swap_attempts, b.swap_attempts) and np.array_equal(a.swap_accepts, b.swap_accepts)
+            assert a.swap_accepts.sum() > 0
+            for x, y in zip(a.rungs, b.rungs):
+                assert np.array_equal(x.colors, y.colors) and x.energy == y.energy
+
+
+@pytest.mark.parametrize("n, kappa, couplings, per", [(1, 2, 3, 1), (8, 2, 16, 1), (8, 2, 4, 5), (64, 3, 5, 3),
+                                                      (257, 4, 2, 2)])
+def test_stack_fields_are_each_chains_own_product(n, kappa, couplings, per):
+    """A chain's fields in a stack equal its fields alone, so no result depends on the stack size."""
+    gs = [core.CouplingMatrix.from_seed(n, 38, r) for r in range(couplings)]
+    colors = np.random.default_rng(15).integers(0, kappa, size=(couplings * per, n))
+    fields = mc._stack_fields(colors, np.stack([g.sym for g in gs]), kappa)
+    for r, row in enumerate(colors):
+        assert np.array_equal(fields[r], mc._local_fields(row + 1, gs[r // per].sym, kappa))
+        assert np.array_equal(fields[r], mc._stack_fields(row[None], gs[r // per].sym[None], kappa)[0])
+
 
 @given(st.integers(2, 4), st.integers(1, 12), st.data())
 def test_partner_ranks_cover_other_color_sites_once(kappa, per, data):
@@ -189,6 +239,19 @@ class TestTopEdgeOfDrawMap:
         expected[n - 1] = kappa  # beta = 0 accepts every proposal
         mc.metropolis_sweep(chain, g)
         assert np.array_equal(chain.colors, expected)
+
+    @pytest.mark.parametrize("n, kappa", [(1, 2), (5, 3), (8, 2), (257, 4)])
+    def test_lockstep_proposes_last_site_and_color(self, n, kappa):
+        gs = [core.CouplingMatrix.from_seed(n, 34, r) for r in range(3)]
+        chains = [mc.ChainState.start(g, kappa, 0.0, "all", seed=11, chain_id=r) for r, g in enumerate(gs)]
+        expected = []
+        for chain in chains:
+            chain.rng = _TopEdgeGenerator()
+            expected.append(chain.colors.copy())
+            expected[-1][n - 1] = kappa
+        mc._metropolis_lockstep(chains, gs, np.stack([g.sym for g in gs]))
+        for chain, colors in zip(chains, expected):
+            assert np.array_equal(chain.colors, colors)
 
     @pytest.mark.parametrize("n, kappa", [(2, 2), (6, 3), (12, 3), (192, 3)])
     def test_swap_proposes_last_rank(self, n, kappa):
@@ -381,6 +444,24 @@ class TestEstimators:
         with pytest.raises(ValueError, match="ladder"):
             mc.estimate_tail(epsilon=0.25, **spec)
 
+    def test_one_rung_ladder_fails_before_compute(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a ladder was started")
+
+        monkeypatch.setattr(mc.TemperingLadder, "start", never)
+        with pytest.raises(ValueError, match="at least 2 rungs"):
+            mc.estimate_tail(4, 2.0, 0.25, replicas=2, ladder=(2.0,))
+
+    @pytest.mark.parametrize("ladder", [(), (0.0, 0.5, 1.0)])
+    def test_records_independent_of_lockstep_and_workers(self, ladder, monkeypatch):
+        spec = dict(n=6, beta=1.0, kappa=2, replicas=6, sweeps=150, burn_in=20, thinning=2, seed=15, ladder=ladder)
+        records = []
+        for threshold in (1, 10**6):  # every stack in lockstep, then none
+            monkeypatch.setattr(mc, "LOCKSTEP_MIN", threshold)
+            for workers in (1, 2):
+                records.append(mc.estimate_tail(epsilon=(0.25, 0.5), workers=workers, **spec))
+        assert all(r == records[0] for r in records)
+
     def test_ladder_needs_finite_beta(self):
         # beta = inf used to return the exact tail and silently drop the ladder
         with pytest.raises(ValueError, match="finite target beta"):
@@ -459,6 +540,16 @@ class TestChainInternals:
             for _ in range(mc.AUDIT_INTERVAL):
                 mc.metropolis_sweep(chain, g)
         assert chain.sweeps == mc.AUDIT_INTERVAL  # caught by the first audit, not before
+
+    def test_energy_audit_catches_corruption_in_lockstep(self):
+        gs = [core.CouplingMatrix.from_seed(4, 4, r) for r in range(3)]
+        chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
+        chains[1].energy += 1.0  # simulate drift in one chain of the stack
+        s = np.stack([g.sym for g in gs])
+        with pytest.raises(RuntimeError, match="drifted"):
+            for _ in range(mc.AUDIT_INTERVAL):
+                mc._metropolis_lockstep(chains, gs, s)
+        assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
         g = core.CouplingMatrix.from_seed(5, 8)
@@ -541,6 +632,14 @@ class TestChainInternals:
         pytest.param("chain", {"kappa": 1, "colors": [1, 1, 1, 1, 1]}, "kappa must be >= 2", id="kappa-1"),
         pytest.param("chain", {"energy": math.nan}, "energy must be finite", id="energy-nan"),
         pytest.param("chain", {"energy": -math.inf}, "energy must be finite", id="energy-inf"),
+        # a fractional sweep count used to load and switch off the energy audit
+        pytest.param("chain", {"sweeps": 1.5}, "sweeps must be a nonnegative integer", id="sweeps-fraction"),
+        # used to raise TypeError
+        pytest.param("chain", {"sweeps": "7"}, "sweeps must be a nonnegative integer", id="sweeps-string"),
+        pytest.param("chain", {"sweeps": True}, "sweeps must be a nonnegative integer", id="sweeps-bool"),
+        pytest.param("chain", {"sweeps": -1}, "sweeps must be a nonnegative integer", id="sweeps-negative"),
+        # used to load as [1, 1, 3, 3, 2]: the int64 cast truncated it
+        pytest.param("chain", {"colors": [1.5, 1, 3, 3, 2]}, "colors must be integers", id="colors-fraction"),
         # short counters used to raise IndexError only inside tempering_step
         pytest.param("ladder", {"swap_attempts": [4]}, "needs 2 swap counters", id="attempts-short"),
         pytest.param("ladder", {"swap_accepts": [3, 2, 0]}, "needs 2 swap counters", id="accepts-long"),
