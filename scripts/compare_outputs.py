@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the five ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the six ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -32,7 +32,8 @@ from workloads import WORKLOADS, Job, job_argv  # noqa: E402
 SEEDS = (0, 1)
 CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # tail-bound at beta = inf (kappa = 2 and 3) and in JSON, mc-free-energy's Metropolis ('all') sector, and
-# Metropolis chains in lockstep without a ladder at kappa = 3 (24 replicas reach montecarlo.LOCKSTEP_MIN)
+# kappa = 3 stacks in lockstep (montecarlo._run_stack; 24 chains, at or above montecarlo.LOCKSTEP_MIN): chains
+# without a ladder, and 3-rung ladders over 300 sweeps, which cross three audits and three draw blocks
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -42,6 +43,8 @@ EXTRA_JOBS = (
                            "--sweeps", "200", "--burn-in", "50")),
     Job("tail-k3-n9-lockstep", ("tail-bound", "--kappa", "3", "--n", "9", "--beta", "0.5,1.5", "--replicas", "24",
                                 "--sweeps", "300", "--burn-in", "100")),
+    Job("tail-k3-n9-ladder-lockstep", ("tail-bound", "--kappa", "3", "--n", "9", "--beta", "1.5", "--ladder",
+                                       "0.5,1,1.5", "--replicas", "8", "--sweeps", "250", "--burn-in", "50")),
 )
 
 

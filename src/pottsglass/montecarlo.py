@@ -11,11 +11,12 @@ exact ground-state measure in :mod:`pottsglass.exact`, since no
 equilibration guarantee exists at beta = inf.
 
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
-``CHAIN_NAMESPACE | c`` of ``s``, one ``random((3, n))`` call per sweep, so
+``CHAIN_NAMESPACE | c`` of ``s`` the same 3n uniforms per sweep, drawn per
+sweep (``random((3, n))``) or per block of ``b`` (``random((b, 3, n))``), so
 trajectories are bit-for-bit reproducible and independent of the worker count
 used to farm out disorder replicas, and of whether a chain sweeps alone or in
-lockstep with a stack of others.  A chain's energy is computed from
-scratch by :func:`pottsglass.core.hamiltonian_raw` at its start and every
+lockstep with others (:func:`_run_stack`).  Its energy is computed from scratch
+by :func:`pottsglass.core.hamiltonian_raw` at its start and every
 ``AUDIT_INTERVAL`` sweeps, which guards the cached running sum against drift;
 so a configuration and its color images get bit-identical energies there.
 """
@@ -68,7 +69,7 @@ __all__ = [
 
 CHECKPOINT_VERSION = 2
 AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
-LOCKSTEP_MIN = 24  # chains of an estimate_tail stack from which they sweep in lockstep (BENCH_mc_lockstep.json)
+LOCKSTEP_MIN = 24  # chains of an estimate_tail stack from which they sweep in lockstep (BENCH_mc_stack.json)
 _STACK_ELEMS = 1 << 21  # coupling elements per estimate_tail stack: its stacked g + g^T stays within 16 MiB
 _EXP_SLACK = 1e-12  # a lockstep uniform this close (relative) to np.exp's threshold is decided by math.exp
 
@@ -192,7 +193,7 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
     equal to the current color is a no-op.  The local fields are rebuilt once
     per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
-    accepted move O(n).  :func:`_metropolis_lockstep` makes this sweep for a
+    accepted move O(n), in place.  :func:`_run_stack` makes this sweep for a
     stack of chains at once, with the same bytes; :func:`estimate_tail` uses
     it for stacks of ``LOCKSTEP_MIN`` chains or more.
     """
@@ -206,6 +207,7 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     sites, props = (draws[:2] * [[n], [kappa]]).astype(np.int64).tolist()
     colors = state.colors
     h = _local_fields(colors, s, kappa)
+    hrows, srows = list(h), list(s)  # row views, made once per sweep
     energy = state.energy
     for t, new, u in zip(sites, props, draws[2].tolist()):  # colors 0-based here
         old = colors.item(t) - 1
@@ -214,39 +216,77 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
         d = (h.item(new, t) - h.item(old, t) + s.item(t, t)) / sqn
         if d >= 0.0 or u < math.exp(beta * d):
             colors[t] = new + 1
-            row = s[t]
-            h[old] -= row
-            h[new] += row
+            np.subtract(hrows[old], srows[t], out=hrows[old])
+            np.add(hrows[new], srows[t], out=hrows[new])
             energy += d
     return state._end_sweep(g, energy)
 
 
-def _metropolis_lockstep(chains: list[ChainState], gs: list[CouplingMatrix], s: np.ndarray) -> None:
-    """One :func:`metropolis_sweep` of every chain of a stack, all chains at once, with the same bytes.
+def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
+               burn_in: int, sweeps: int, thinning: int) -> np.ndarray:
+    """``burn_in + sweeps`` :func:`metropolis_sweep` steps of a stack's chains at once, each followed by
+    every ladder's :func:`_ladder_swaps`, with the same bytes; returns the :func:`_deviations` of each
+    replica's chain (its ladder's top rung) after every ``thinning``-th measured sweep, a row per replica.
 
-    ``chains`` holds ``len(chains) // len(gs)`` chains per coupling of ``gs``, in coupling order (a
-    replica's chain, or its ladder's rungs), and ``s`` stacks their ``g.sym``.  Each chain draws its
-    own ``random((3, n))``, gets its fields from :func:`_stack_fields` and has proposal ``k``
-    decided together with every other chain's by the per-chain kernel's elementwise arithmetic
-    (:func:`_lockstep_moves`).  It then ends the sweep through :meth:`ChainState._end_sweep`, so it
-    is audited on its own schedule and is authoritative between sweeps.
+    ``chains``: ``len(chains) // len(gs)`` per coupling of ``gs`` (a chain, or a ladder's rungs), in
+    coupling order, at one sweep count; their colors, energies and betas live in arrays for the run.  A
+    chain draws ``random((b, 3, n))``, the values of ``b`` calls ``random((3, n))``, and a ladder
+    ``random((b, rungs - 1))``, in blocks ending at the run's end or the next audit, within ``_STACK_ELEMS``
+    (ten numbers a proposal).  A block's last sweep ends through :meth:`ChainState._end_sweep`, chain
+    by chain, so each keeps its audit schedule; the chains then hold the stack's state.
     """
-    n, kappa, per = chains[0].n, chains[0].kappa, len(chains) // len(gs)
-    draws = np.concatenate([c.rng.random((3, n)) for c in chains]).reshape(len(chains), 3, n)
-    start = (np.concatenate([c.colors for c in chains]).reshape(len(chains), n) - 1,
-             np.array([c.energy for c in chains]), np.array([c.beta for c in chains]), s, draws, kappa)
-    moved = _lockstep_moves(*start, exact=False)
-    if moved is None:  # some uniform lies within rounding of its threshold: decide with math.exp
-        moved = _lockstep_moves(*start, exact=True)
-    for c, g, row, energy in zip(chains, [g for g in gs for _ in range(per)], moved[0] + 1, moved[1].tolist()):
-        c.colors = row
-        c._end_sweep(g, energy)
+    rows, n, per = len(chains), chains[0].n, len(chains) // len(gs)
+    s, colors = np.stack([g.sym for g in gs]), np.stack([c.colors for c in chains]) - 1
+    energy, betas = np.array([c.energy for c in chains]), [c.beta for c in chains]
+    consts = (np.array(betas), np.arange(rows) * kappa, np.full(rows, math.sqrt(n)), np.zeros(rows))
+    owners, targets = [g for g in gs for _ in range(per)], np.arange(per - 1, rows, per)
+    lows = [k for k in range(rows - 1) if (k + 1) % per]  # lower rung of each adjacent pair of a ladder
+    dbetas, accepts = [betas[k] - betas[k + 1] for k in lows], [0] * len(lows)
+    devs, done, total = [], 0, burn_in + sweeps
+    while done < total:
+        b = min(total - done, AUDIT_INTERVAL - chains[0].sweeps % AUDIT_INTERVAL,
+                max(1, _STACK_ELEMS // (10 * rows * n)))
+        tables = _proposal_tables([c.rng for c in chains], b, s, kappa, per)
+        ladder_us = np.hstack([t.rng.random((b, per - 1)) for t in tempers]).tolist() if tempers else None
+        for k, step in enumerate(zip(*tables)):
+            # None: some uniform lies within rounding of its threshold, so the sweep is decided with math.exp
+            colors, energy = (_lockstep_moves(colors, energy, s, step, consts, kappa, exact=False)
+                              or _lockstep_moves(colors, energy, s, step, consts, kappa, exact=True))
+            if k == b - 1:
+                for c, row in zip(chains, colors + 1):
+                    c.colors, c.sweeps = row, c.sweeps + b - 1
+                energy = np.array([c._end_sweep(g, e).energy for c, g, e in zip(chains, owners, energy.tolist())])
+            if tempers:
+                colors, energy = _stack_swaps(colors, energy, lows, dbetas, ladder_us[k], accepts)
+            if (measured := done + k - burn_in) >= 0 and measured % thinning == 0:
+                devs.append(_deviations(colors[targets], kappa))
+        done += b
+        del tables, step  # freed before the next block draws
+    for c, row, e in zip(chains, colors + 1, energy.tolist()):  # after the last ladder swaps
+        c.colors, c.energy = row, e
+    for temper, acc in zip(tempers, np.reshape(accepts, (len(tempers), per - 1))):
+        temper.swap_attempts, temper.swap_accepts = temper.swap_attempts + total, temper.swap_accepts + acc
+    return np.stack(devs, axis=1)
 
 
-def _lockstep_moves(colors, energy, betas, s, draws, kappa, exact):
-    """The ``n`` proposals of :func:`_metropolis_lockstep`; returns the new colors (0-based) and energies.
+def _proposal_tables(rngs, b: int, s: np.ndarray, kappa: int, per: int) -> tuple[np.ndarray, ...]:
+    """Entry ``[k, j, r]``: proposal ``j`` of chain ``r`` (drawing from ``rngs[r]``) in sweep ``k`` of a block:
+    its site ``t`` in the flat colors, row ``S[r, t]`` of ``s``, ``S[r, t, t]``, the flat positions of
+    ``h[r, 0, t]`` and ``h[r, new, t]``, ``new`` and ``u``, read as in :func:`metropolis_sweep`."""
+    r, n = np.arange(len(rngs)), s.shape[-1]
+    draws = np.stack([rng.random((b, 3, n)) for rng in rngs], axis=-1)  # [k, :, j, r]
+    sites, props = (draws[:, :2] * [[[n]], [[kappa]]]).astype(np.int64).swapaxes(0, 1)
+    srow = sites + r // per * n
+    hcol = sites + r * kappa * n
+    diag = np.diagonal(s, axis1=1, axis2=2).reshape(-1)  # S[g, t, t] at row g * n + t: gathered in cache
+    return sites + r * n, srow, diag[srow], hcol, hcol + props * n, props.copy(), draws[:, 2].copy()
 
-    Proposal ``k`` of chain ``r`` reads ``d = (h[r, new, t] - h[r, old, t] + S[r, t, t]) / sqrt(n)``;
+
+def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
+    """The ``n`` proposals of one :func:`_run_stack` sweep, from its tables ``step``; returns the new
+    colors (0-based) and energies.
+
+    Proposal ``j`` of chain ``r`` reads ``d = (h[r, new, t] - h[r, old, t] + S[r, t, t]) / sqrt(n)``;
     an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and ``h[r, new] += S[r, t]``,
     elementwise, as :func:`metropolis_sweep` does.  Each energy then adds its accepted ``d`` in
     proposal order (one sequential ``accumulate``; a rejected proposal adds ``-0.0``, which leaves
@@ -254,24 +294,13 @@ def _lockstep_moves(colors, energy, betas, s, draws, kappa, exact):
     kernel's ``math.exp`` in the last bit; so this fast pass returns None when any ``u`` of the sweep
     lies within ``_EXP_SLACK`` of its threshold.  ``exact`` applies the kernel's own rule instead.
     """
-    rows, n = colors.shape
+    n = colors.shape[1]
+    betas, base, sqn, zero = consts
     colors = colors.copy()
     h = _stack_fields(colors, s, kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
-    # step-major tables: entry [k, r] belongs to proposal k of chain r
-    sites, props = (draws[:, :2] * [[n], [kappa]]).astype(np.int64).transpose(1, 2, 0)
-    r = np.arange(rows)
-    base = r * kappa  # row of h[r, 0] in hrows
-    srow = sites + r // (rows // len(s)) * n  # row S[r, t] in srows
-    diag = s.reshape(-1)[srow * n + sites]
-    at = sites + r * n  # site t of chain r in cells
-    hcol = sites + base * n  # h[r, 0, t] in flat
-    hnew = hcol + props * n
-    us = draws[:, 2].T
-    steps, moves, thresholds = np.empty_like(us), np.empty(us.shape, dtype=bool), np.empty_like(us)
-    sqn, zero = np.full(rows, math.sqrt(n)), np.zeros(rows)
-    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, u, d, move, e in zip(
-            at, srow, diag, hcol, hnew, props, us, steps, moves, thresholds):
+    steps, moves, thresholds = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool), np.empty_like(step[-1])
+    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, u, d, move, e in zip(*step, steps, moves, thresholds):
         old = cells[at_k]
         np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=d)
         d += diag_k
@@ -287,10 +316,13 @@ def _lockstep_moves(colors, energy, betas, s, draws, kappa, exact):
         if idx.size:
             now, row, at_base = new[idx], srows.take(srow_k[idx], axis=0), base[idx]
             cells[at_k[idx]] = now
-            for sink, sign in ((at_base + old[idx], np.subtract), (at_base + now, np.add)):
-                hrows[sink] = sign(hrows.take(sink, axis=0), row)
+            sink = np.concatenate((at_base + old[idx], at_base + now))
+            rows = hrows.take(sink, axis=0)  # one gather and one scatter for both rows of every move
+            rows[:idx.size] -= row
+            rows[idx.size:] += row
+            hrows[sink] = rows
     # the absolute 1e-300 covers thresholds that underflow, where the two exps may part by a subnormal
-    if not exact and (np.abs(us - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
+    if not exact and (np.abs(step[-1] - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
         return None
     steps[~moves] = -0.0
     return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
@@ -320,6 +352,7 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     colors = state.colors
     h = _local_fields(colors, s, kappa)
     own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
+    hrows, srows, shift = list(h), list(s), np.empty(n)
     energy = state.energy
     for i, rank, u in zip(sites, ranks, draws[2].tolist()):
         a = colors.item(i)
@@ -333,9 +366,9 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
         if d >= 0.0 or u < math.exp(beta * d):
             colors[i] = b
             colors[j] = a
-            shift = s[i] - s[j]
-            h[a - 1] -= shift
-            h[b - 1] += shift
+            np.subtract(srows[i], srows[j], out=shift)
+            np.subtract(hrows[a - 1], shift, out=hrows[a - 1])
+            np.add(hrows[b - 1], shift, out=hrows[b - 1])
             for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
                 del sites_of[bisect_left(sites_of, out)]
                 insort(sites_of, into)
@@ -372,6 +405,10 @@ class TemperingLadder:
             raise ValueError("rung betas must be nondecreasing")
         if not len(self.swap_attempts) == len(self.swap_accepts) == len(betas) - 1:
             raise ValueError(f"a ladder of {len(betas)} rungs needs {len(betas) - 1} swap counters")
+        given = [np.asarray(c) for c in (self.swap_attempts, self.swap_accepts)]  # as a checkpoint holds them
+        self.swap_attempts, self.swap_accepts = tried, taken = [np.array(c, dtype=np.int64) for c in given]
+        if not all(map(np.array_equal, (tried, taken), given)) or (taken < 0).any() or (taken > tried).any():
+            raise ValueError(f"swap counters must be integers, 0 <= accepts <= attempts: {[c.tolist() for c in given]}")
         first = self.rungs[0]
         if any((r.kappa, r.sector, r.n) != (first.kappa, first.sector, first.n) for r in self.rungs):
             raise ValueError("ladder rungs must share kappa, sector and n")
@@ -403,8 +440,8 @@ class TemperingLadder:
 def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
     """One sweep per rung, then :func:`_ladder_swaps`.
 
-    :func:`estimate_tail` makes the same step for a stack of ladders with the
-    sweeps of all their rungs in lockstep (:func:`_metropolis_lockstep`).
+    :func:`estimate_tail` makes it for a stack of ladders at once, all rungs
+    in lockstep and all swaps in one pass (:func:`_run_stack`).
     """
     if len(ladder.rungs) < 2:
         raise ValueError("tempering needs at least 2 rungs")
@@ -429,6 +466,18 @@ def _ladder_swaps(ladder: TemperingLadder) -> TemperingLadder:
             lo.energy, hi.energy = hi.energy, lo.energy
             ladder.swap_accepts[k] += 1
     return ladder
+
+
+def _stack_swaps(colors, energy, lows, dbetas, us, accepts):
+    """:func:`_ladder_swaps` of a :func:`_run_stack` stack's ladders in one pass, with the same floats: pair
+    ``p`` may exchange rows ``k = lows[p]`` and ``k + 1`` (betas ``dbetas[p]`` apart) with uniform ``us[p]``."""
+    e, order = energy.tolist(), list(range(len(energy)))
+    for p, (k, dbeta, u) in enumerate(zip(lows, dbetas, us)):
+        log_acc = dbeta * (e[k + 1] - e[k])
+        if log_acc >= 0.0 or u < math.exp(log_acc):
+            order[k], order[k + 1], e[k], e[k + 1] = order[k + 1], order[k], e[k + 1], e[k]
+            accepts[p] += 1
+    return colors[order], np.array(e)
 
 
 def equilibration_flagged(series: np.ndarray) -> bool:
@@ -463,7 +512,7 @@ def estimate_tail(
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     The replicas go in ``ceil(replicas / workers)`` per stack, at most
     ``_STACK_ELEMS`` coupling elements, and a stack of ``LOCKSTEP_MIN`` or
-    more chains sweeps in lockstep (:func:`_metropolis_lockstep`): the same
+    more chains sweeps in lockstep (:func:`_run_stack`): the same
     bytes as one chain at a time, in less time.
     """
     if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
@@ -501,7 +550,7 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     epsilon, its flag, and its ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
     Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.  From ``LOCKSTEP_MIN``
-    chains on, all chains of the stack sweep in lockstep; else each replica runs on its own.
+    chains on, all chains of the stack sweep in lockstep (:func:`_run_stack`); else each runs alone.
     """
     if ladder:
         tempers = [TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream) for g in gs]
@@ -511,27 +560,18 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
         tempers = []
         chains = targets = [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
     if len(chains) >= LOCKSTEP_MIN:
-        s = np.stack([g.sym for g in gs])
-
-        def step():
-            _metropolis_lockstep(chains, gs, s)
-            for temper in tempers:
-                _ladder_swaps(temper)
-
-        runs = [(step, targets)]
+        devs = _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning)
     else:  # replica by replica, each one's couplings alone in cache
         step_one = tempering_step if ladder else metropolis_sweep
-        runs = [(partial(step_one, unit, g), [target]) for unit, g, target in zip(tempers or chains, gs, targets)]
-    devs = np.vstack([_series(step, partial(_deviations, group, kappa), burn_in, sweeps, thinning).T
-                      for step, group in runs])  # one row per replica
+        devs = np.vstack([_series(partial(step_one, unit, g), lambda c=c: _deviations(c.colors[None] - 1, kappa),
+                                  burn_in, sweeps, thinning).T for unit, g, c in zip(tempers or chains, gs, targets)])
     swaps = [np.stack((t.swap_attempts, t.swap_accepts)) for t in tempers] or [None] * len(gs)
     return [([(row >= e).mean() for e in epsilons], equilibration_flagged(row), sw) for row, sw in zip(devs, swaps)]
 
 
-def _deviations(chains: list[ChainState], kappa: int) -> np.ndarray:
-    """``max_a |d_a - 1/kappa|`` of each chain's color fractions ``d``."""
-    colors = np.stack([c.colors for c in chains])
-    return max_deviation((colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / colors.shape[1])
+def _deviations(colors: np.ndarray, kappa: int) -> np.ndarray:
+    """``max_a |d_a - 1/kappa|`` of each row's color fractions ``d`` (0-based colors, shape ``(R, n)``)."""
+    return max_deviation((colors[:, :, None] == np.arange(kappa)).sum(axis=1) / colors.shape[1])
 
 
 @dataclass(frozen=True)
@@ -667,8 +707,8 @@ def save_checkpoint(obj, path: str) -> None:
 # Fields whose JSON value is not the field value itself; every other field loads as stored.
 _DECODE = {
     "colors": np.array,  # ChainState rejects colors that an integer cast would change
-    "swap_attempts": partial(np.array, dtype=np.int64),
-    "swap_accepts": partial(np.array, dtype=np.int64),
+    "swap_attempts": np.array,  # TemperingLadder rejects counters that an integer cast would change
+    "swap_accepts": np.array,
     "rng": _restore_rng,
     "rungs": lambda payloads: [_from_payload(p, ChainState) for p in payloads],
 }

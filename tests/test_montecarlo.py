@@ -167,9 +167,8 @@ class TestKernelsMatchReference:
         gs = [core.CouplingMatrix.from_seed(n, 36, r) for r in range(16)]
         stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
                            for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
-        s = np.stack([g.sym for g in gs])
         for _ in range(250):
-            mc._metropolis_lockstep(stacked, gs, s)
+            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1)
             for chain, g in zip(alone, gs):
                 mc.metropolis_sweep(chain, g)
             for a, b in zip(stacked, alone):
@@ -185,11 +184,9 @@ class TestKernelsMatchReference:
         gs = [core.CouplingMatrix.from_seed(8, 37, r) for r in range(4)]
         stacked, alone = ([mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 3.0, 4.0], "all", seed=14, ladder_id=r)
                            for r, g in enumerate(gs)] for _ in range(2))
-        chains, s = [rung for ladder in stacked for rung in ladder.rungs], np.stack([g.sym for g in gs])
+        chains = [rung for ladder in stacked for rung in ladder.rungs]
         for _ in range(250):
-            mc._metropolis_lockstep(chains, gs, s)
-            for ladder in stacked:
-                mc._ladder_swaps(ladder)
+            mc._run_stack(chains, stacked, gs, 2, 0, 1, 1)
             for ladder, g in zip(alone, gs):
                 mc.tempering_step(ladder, g)
         for a, b in zip(stacked, alone):
@@ -197,6 +194,57 @@ class TestKernelsMatchReference:
             assert a.swap_accepts.sum() > 0
             for x, y in zip(a.rungs, b.rungs):
                 assert np.array_equal(x.colors, y.colors) and x.energy == y.energy
+
+    @staticmethod
+    def run_ladders(n, kappa, betas, replicas, burn_in, sweeps, thinning, seed):
+        """A stack of ``replicas`` ladders run by ``_run_stack``, and the same ladders stepped alone."""
+        gs = [core.CouplingMatrix.from_seed(n, 39, r) for r in range(replicas)]
+        stacked, alone = ([mc.TemperingLadder.start(g, kappa, betas, "all", seed=seed, ladder_id=r)
+                           for r, g in enumerate(gs)] for _ in range(2))
+        records = mc._run_stack([rung for ladder in stacked for rung in ladder.rungs], stacked, gs, kappa,
+                                burn_in, sweeps, thinning)
+        for ladder, g in zip(alone, gs):
+            for _ in range(burn_in + sweeps):
+                mc.tempering_step(ladder, g)
+        return records, stacked, alone
+
+    @staticmethod
+    def assert_same_ladders(stacked, alone):
+        def state(rng):
+            return json.dumps(rng.bit_generator.state, sort_keys=True, default=np.ndarray.tolist)
+
+        for a, b in zip(stacked, alone):
+            assert state(a.rng) == state(b.rng)
+            assert np.array_equal(a.swap_attempts, b.swap_attempts) and np.array_equal(a.swap_accepts, b.swap_accepts)
+            for x, y in zip(a.rungs, b.rungs):
+                assert state(x.rng) == state(y.rng)
+                assert np.array_equal(x.colors, y.colors) and x.energy == y.energy and x.sweeps == y.sweeps
+
+    def test_stack_run_leaves_every_stream_where_alone(self):
+        # 250 sweeps from sweep 0 make draw blocks of 100, 100 and 50: none may draw past an audit or the run
+        self.assert_same_ladders(*self.run_ladders(9, 3, [0.0, 1.0, 2.5], 3, 50, 200, 7, seed=16)[1:])
+
+    def test_records_independent_of_draw_block(self, monkeypatch):
+        runs = [self.run_ladders(8, 2, [0.5, 1.5, 3.0], 4, 30, 220, 3, seed=17)]
+        monkeypatch.setattr(mc, "_STACK_ELEMS", 1)  # one sweep per draw block
+        runs.append(self.run_ladders(8, 2, [0.5, 1.5, 3.0], 4, 30, 220, 3, seed=17))
+        (records, stacked, alone), (one_sweep_records, one_sweep_stacked, _) = runs
+        assert records.shape == (4, 74) and np.array_equal(records, one_sweep_records)
+        self.assert_same_ladders(stacked, alone)
+        self.assert_same_ladders(one_sweep_stacked, alone)
+
+    def test_math_exp_pass_inside_a_block(self, monkeypatch):
+        # a slack of 1 sends every sweep of the ladder stack to math.exp, sweeps 2 to 99 of a block included
+        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
+        passes, moves = [], mc._lockstep_moves
+
+        def spy(*args, exact):
+            passes.append(exact)
+            return moves(*args, exact=exact)
+
+        monkeypatch.setattr(mc, "_lockstep_moves", spy)
+        self.assert_same_ladders(*self.run_ladders(8, 2, [0.0, 2.0, 4.0], 3, 20, 130, 5, seed=18)[1:])
+        assert passes == [False, True] * 150
 
 
 @pytest.mark.parametrize("n, kappa, couplings, per", [(1, 2, 3, 1), (8, 2, 16, 1), (8, 2, 4, 5), (64, 3, 5, 3),
@@ -249,7 +297,7 @@ class TestTopEdgeOfDrawMap:
             chain.rng = _TopEdgeGenerator()
             expected.append(chain.colors.copy())
             expected[-1][n - 1] = kappa
-        mc._metropolis_lockstep(chains, gs, np.stack([g.sym for g in gs]))
+        mc._run_stack(chains, [], gs, kappa, 0, 1, 1)
         for chain, colors in zip(chains, expected):
             assert np.array_equal(chain.colors, colors)
 
@@ -545,10 +593,8 @@ class TestChainInternals:
         gs = [core.CouplingMatrix.from_seed(4, 4, r) for r in range(3)]
         chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
         chains[1].energy += 1.0  # simulate drift in one chain of the stack
-        s = np.stack([g.sym for g in gs])
         with pytest.raises(RuntimeError, match="drifted"):
-            for _ in range(mc.AUDIT_INTERVAL):
-                mc._metropolis_lockstep(chains, gs, s)
+            mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1)  # one block, ended by the audits
         assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
@@ -643,6 +689,13 @@ class TestChainInternals:
         # short counters used to raise IndexError only inside tempering_step
         pytest.param("ladder", {"swap_attempts": [4]}, "needs 2 swap counters", id="attempts-short"),
         pytest.param("ladder", {"swap_accepts": [3, 2, 0]}, "needs 2 swap counters", id="accepts-long"),
+        # used to load as [4, 4] and [3, 3]: the int64 cast truncated them
+        pytest.param("ladder", {"swap_attempts": [4.5, 4]}, "0 <= accepts <= attempts", id="attempts-fraction"),
+        pytest.param("ladder", {"swap_accepts": [3.9, 3]}, "0 <= accepts <= attempts", id="accepts-fraction"),
+        # used to load, and to report a negative or above-one swap rate
+        pytest.param("ladder", {"swap_accepts": [-1, 3]}, "0 <= accepts <= attempts", id="accepts-negative"),
+        pytest.param("ladder", {"swap_attempts": [-4, 4]}, "0 <= accepts <= attempts", id="attempts-negative"),
+        pytest.param("ladder", {"swap_accepts": [5, 3]}, "0 <= accepts <= attempts", id="accepts-above-attempts"),
         # a top rung unlike the others used to load; a balanced one ended in IndexError in swap_sweep
         pytest.param("top-rung", {"sector": "balanced", "colors": [1, 2, 1, 2]}, "must share",
                      id="top-rung-balanced"),
