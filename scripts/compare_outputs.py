@@ -2,14 +2,15 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the six ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the eight ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
 checkout only.  Each output file gets one line:
 
 * ``same``: byte-identical;
-* ``version-line-only``: only the first line (``# pottsglass <version>``) differs;
+* ``version-line-only``: only the version line differs (a CSV's first line
+  ``# pottsglass <version>``, a JSON file's ``"version": "<version>"`` in ``meta``);
 * ``DIFF``: anything else, including a job that failed or wrote no file.
 
 Exits 1 when any file is ``DIFF``, else 0.
@@ -19,6 +20,7 @@ Usage: python scripts/compare_outputs.py PARENT_CHECKOUT
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -31,9 +33,11 @@ from workloads import WORKLOADS, Job, job_argv  # noqa: E402
 
 SEEDS = (0, 1)
 CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
-# tail-bound at beta = inf (kappa = 2 and 3) and in JSON, mc-free-energy's Metropolis ('all') sector, and
-# kappa = 3 stacks in lockstep (montecarlo._run_stack; 24 chains, at or above montecarlo.LOCKSTEP_MIN): chains
-# without a ladder, and 3-rung ladders over 300 sweeps, which cross three audits and three draw blocks
+# tail-bound at beta = inf (kappa = 2 and 3) and in JSON, mc-free-energy's Metropolis ('all') sector and its
+# beta_max = 0 entropy row, and kappa = 3 stacks in lockstep (montecarlo._run_stack, from montecarlo._lockstep's
+# crossover on): tail-bound's 24 Metropolis chains without a ladder and with 3-rung ladders, and mc-free-energy's
+# 13-rung balanced grid ladder (the pair-swap kernel); the last three run 300 sweeps, which cross three audits
+# and three draw blocks
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -45,6 +49,10 @@ EXTRA_JOBS = (
                                 "--sweeps", "300", "--burn-in", "100")),
     Job("tail-k3-n9-ladder-lockstep", ("tail-bound", "--kappa", "3", "--n", "9", "--beta", "1.5", "--ladder",
                                        "0.5,1,1.5", "--replicas", "8", "--sweeps", "250", "--burn-in", "50")),
+    Job("mcfe-k3-n6-beta-max-0", ("mc-free-energy", "--kappa", "3", "--n", "6", "--beta-max", "0", "--n-grid", "8",
+                                  "--sweeps", "200", "--burn-in", "50")),
+    Job("mcfe-k3-n9-balanced-lockstep", ("mc-free-energy", "--kappa", "3", "--n", "9", "--sector", "balanced",
+                                         "--sweeps", "250", "--burn-in", "50")),
 )
 
 
@@ -64,15 +72,17 @@ def run_jobs(checkout: Path, out_dir: Path) -> dict:
     return codes
 
 
+VERSION_LINE = re.compile(rb'# pottsglass |    "version": "')  # where a CSV and a JSON file name their version
+
+
 def verdict(old: Path, new: Path) -> str:
     if not (old.exists() and new.exists()):
         return "DIFF"
     a, b = old.read_bytes(), new.read_bytes()
     if a == b:
         return "same"
-    a_first, _, a_rest = a.partition(b"\n")
-    b_first, _, b_rest = b.partition(b"\n")
-    same_rest = a_rest == b_rest and a_first.startswith(b"# pottsglass ") and b_first.startswith(b"# pottsglass ")
+    a, b = a.split(b"\n"), b.split(b"\n")
+    same_rest = len(a) == len(b) and all(x == y or VERSION_LINE.match(x) and VERSION_LINE.match(y) for x, y in zip(a, b))
     return "version-line-only" if same_rest else "DIFF"
 
 

@@ -259,6 +259,8 @@ def _run_mc_free_energy(spec: ExperimentSpec):
             g, spec.kappa, spec.beta_max, spec.n_grid, spec.sector, spec.kind,
             seed=spec.seed, sweeps=spec.sweeps, burn_in=spec.burn_in,
         )
+        rates = " ".join(f"{rate:.4f}" for rate in res.swap_rates)
+        print(f"ladder swap acceptance (n={n}, beta_max={spec.beta_max:g}) = {rates}", file=sys.stderr)
         exact_val = math.nan
         if not spec.exceeds_cap(n, spec.kappa, spec.sector):
             exact_val = exact.log_partition(

@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import count_configs
 from .exact import DEFAULT_CAP
+from .montecarlo import MAX_RUNGS
 
 __all__ = ["ExperimentSpec", "ValidationError"]
 
@@ -101,6 +102,9 @@ class ExperimentSpec:
             raise ValidationError("ladder betas must be nondecreasing")
         if len(self.ladder) == 1:
             raise ValidationError("a tempering ladder needs at least 2 rungs")
+        rungs = self.n_grid if self.command == "mc-free-energy" else len(self.ladder)  # the TI grid is a ladder
+        if rungs > MAX_RUNGS:
+            raise ValidationError(f"a tempering ladder has at most {MAX_RUNGS} rungs, got {rungs}")
         if self.ladder and math.inf in self.beta:
             raise ValidationError(f"a ladder needs every beta finite (beta = inf is exact), got {self.beta}")
         if self.ladder and any(b != self.ladder[-1] for b in self.beta):

@@ -3,8 +3,9 @@
 Single-site Metropolis targets the unconstrained Gibbs measure; pair-swap
 dynamics target the balanced sector while conserving the magnetization
 exactly; parallel tempering couples chains across an inverse-temperature
-ladder.  Estimators (magnetization tails, thermodynamic integration) ride on
-top of these kernels.
+ladder.  Estimators (magnetization tails, thermodynamic integration over a
+tempering ladder) ride on top of these kernels, through one runner
+(:func:`_run_chains`).
 
 Zero temperature is never sampled here: beta = inf claims route to the
 exact ground-state measure in :mod:`pottsglass.exact`, since no
@@ -69,8 +70,11 @@ __all__ = [
 
 CHECKPOINT_VERSION = 2
 AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
-LOCKSTEP_MIN = 24  # chains of an estimate_tail stack from which they sweep in lockstep (BENCH_mc_stack.json)
+# per sector (kernel), tiers (largest n, rows): from that many rows a stack of chains of size n, in the first tier
+# that covers n, sweeps faster in lockstep than chain by chain (BENCH_mc_stack.json, BENCH_mc_swap_lockstep.json)
+LOCKSTEP_ROWS = {"all": ((12, 12), (math.inf, 24)), "balanced": ((9, 8), (96, 13), (math.inf, 24))}
 _STACK_ELEMS = 1 << 21  # coupling elements per estimate_tail stack: its stacked g + g^T stays within 16 MiB
+MAX_RUNGS = 256  # rungs of a tempering ladder: its chain ids keep 8 bits for the rung
 _EXP_SLACK = 1e-12  # a lockstep uniform this close (relative) to np.exp's threshold is decided by math.exp
 
 
@@ -194,8 +198,8 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     equal to the current color is a no-op.  The local fields are rebuilt once
     per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
     accepted move O(n), in place.  :func:`_run_stack` makes this sweep for a
-    stack of chains at once, with the same bytes; :func:`estimate_tail` uses
-    it for stacks of ``LOCKSTEP_MIN`` chains or more.
+    stack of chains at once, with the same bytes, from the crossover
+    :func:`_lockstep` on.
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
@@ -222,11 +226,34 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     return state._end_sweep(g, energy)
 
 
+def _lockstep(rows: int, n: int, sector: str) -> bool:
+    """Whether a stack of ``rows`` chains of size ``n`` sweeps faster in :func:`_run_stack` than chain by chain."""
+    return rows >= next(need for top, need in LOCKSTEP_ROWS[sector] if n <= top)
+
+
+def _run_chains(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
+                burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
+    """:func:`_run_stack` from the crossover (:func:`_lockstep`) on; below it :func:`sweep` or :func:`tempering_step`
+    runs each replica alone, with the same bytes and records (``observe`` then sees that replica's chains)."""
+    if _lockstep(len(chains), chains[0].n, chains[0].sector):
+        return _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning, observe)
+    per, step_one, records = len(chains) // len(gs), tempering_step if tempers else sweep, []
+    for r, (unit, g) in enumerate(zip(tempers or chains, gs)):  # replica by replica, its couplings alone in cache
+        own, series = chains[r * per:(r + 1) * per], []
+        for t in range(burn_in + sweeps):
+            step_one(unit, g)
+            if t >= burn_in and (t - burn_in) % thinning == 0:
+                series.append(observe(np.stack([c.colors for c in own]) - 1, np.array([c.energy for c in own])))
+        records.append(np.array(series).T)
+    return np.vstack(records)
+
+
 def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
-               burn_in: int, sweeps: int, thinning: int) -> np.ndarray:
-    """``burn_in + sweeps`` :func:`metropolis_sweep` steps of a stack's chains at once, each followed by
-    every ladder's :func:`_ladder_swaps`, with the same bytes; returns the :func:`_deviations` of each
-    replica's chain (its ladder's top rung) after every ``thinning``-th measured sweep, a row per replica.
+               burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
+    """``burn_in + sweeps`` :func:`sweep` steps of a stack's chains at once (:func:`_lockstep_moves`, or
+    :func:`_swap_moves` in the balanced sector), each followed by every ladder's :func:`_ladder_swaps`, with the
+    same bytes; returns ``observe(colors, energies)`` of the stack (0-based colors, a row per chain) after every
+    ``thinning``-th measured sweep, as columns.
 
     ``chains``: ``len(chains) // len(gs)`` per coupling of ``gs`` (a chain, or a ladder's rungs), in
     coupling order, at one sweep count; their colors, energies and betas live in arrays for the run.  A
@@ -237,21 +264,25 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
     """
     rows, n, per = len(chains), chains[0].n, len(chains) // len(gs)
     s, colors = np.stack([g.sym for g in gs]), np.stack([c.colors for c in chains]) - 1
-    energy, betas = np.array([c.energy for c in chains]), [c.beta for c in chains]
-    consts = (np.array(betas), np.arange(rows) * kappa, np.full(rows, math.sqrt(n)), np.zeros(rows))
-    owners, targets = [g for g in gs for _ in range(per)], np.arange(per - 1, rows, per)
+    energy, betas, r = np.array([c.energy for c in chains]), [c.beta for c in chains], np.arange(rows)
+    # per row: beta, sqrt(n), 0, and the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
+    consts = (np.array(betas), np.full(rows, math.sqrt(n)), np.zeros(rows), r * kappa, r * n, r // per * n,
+              np.diagonal(s, axis1=1, axis2=2).reshape(-1))
+    swap = chains[0].sector == "balanced"
+    moves = _swap_moves if swap else _lockstep_moves
+    owners = [g for g in gs for _ in range(per)]
     lows = [k for k in range(rows - 1) if (k + 1) % per]  # lower rung of each adjacent pair of a ladder
     dbetas, accepts = [betas[k] - betas[k + 1] for k in lows], [0] * len(lows)
-    devs, done, total = [], 0, burn_in + sweeps
+    records, done, total = [], 0, burn_in + sweeps
     while done < total:
         b = min(total - done, AUDIT_INTERVAL - chains[0].sweeps % AUDIT_INTERVAL,
                 max(1, _STACK_ELEMS // (10 * rows * n)))
-        tables = _proposal_tables([c.rng for c in chains], b, s, kappa, per)
+        tables = _proposal_tables([c.rng for c in chains], b, n, consts, kappa, swap)
         ladder_us = np.hstack([t.rng.random((b, per - 1)) for t in tempers]).tolist() if tempers else None
         for k, step in enumerate(zip(*tables)):
             # None: some uniform lies within rounding of its threshold, so the sweep is decided with math.exp
-            colors, energy = (_lockstep_moves(colors, energy, s, step, consts, kappa, exact=False)
-                              or _lockstep_moves(colors, energy, s, step, consts, kappa, exact=True))
+            colors, energy = (moves(colors, energy, s, step, consts, kappa, exact=False)
+                              or moves(colors, energy, s, step, consts, kappa, exact=True))
             if k == b - 1:
                 for c, row in zip(chains, colors + 1):
                     c.colors, c.sweeps = row, c.sweeps + b - 1
@@ -259,43 +290,64 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
             if tempers:
                 colors, energy = _stack_swaps(colors, energy, lows, dbetas, ladder_us[k], accepts)
             if (measured := done + k - burn_in) >= 0 and measured % thinning == 0:
-                devs.append(_deviations(colors[targets], kappa))
+                records.append(observe(colors, energy))
         done += b
         del tables, step  # freed before the next block draws
     for c, row, e in zip(chains, colors + 1, energy.tolist()):  # after the last ladder swaps
         c.colors, c.energy = row, e
     for temper, acc in zip(tempers, np.reshape(accepts, (len(tempers), per - 1))):
         temper.swap_attempts, temper.swap_accepts = temper.swap_attempts + total, temper.swap_accepts + acc
-    return np.stack(devs, axis=1)
+    return np.stack(records, axis=1)
 
 
-def _proposal_tables(rngs, b: int, s: np.ndarray, kappa: int, per: int) -> tuple[np.ndarray, ...]:
+def _proposal_tables(rngs, b: int, n: int, consts, kappa: int, swap: bool) -> tuple[np.ndarray, ...]:
     """Entry ``[k, j, r]``: proposal ``j`` of chain ``r`` (drawing from ``rngs[r]``) in sweep ``k`` of a block:
-    its site ``t`` in the flat colors, row ``S[r, t]`` of ``s``, ``S[r, t, t]``, the flat positions of
-    ``h[r, 0, t]`` and ``h[r, new, t]``, ``new`` and ``u``, read as in :func:`metropolis_sweep`."""
-    r, n = np.arange(len(rngs)), s.shape[-1]
+    its site ``t`` in the flat colors, row ``S[r, t]`` of the stacked couplings, ``S[r, t, t]``, the flat
+    position of ``h[r, 0, t]``, then those of ``h[r, new, t]`` and ``new`` (Metropolis) or the partner's
+    ``divmod(rank, n // kappa)`` (swap), and ``u``, read as in :func:`metropolis_sweep` or :func:`swap_sweep`."""
+    fields0, cells0, srows0, diag = consts[3:]
     draws = np.stack([rng.random((b, 3, n)) for rng in rngs], axis=-1)  # [k, :, j, r]
-    sites, props = (draws[:, :2] * [[[n]], [[kappa]]]).astype(np.int64).swapaxes(0, 1)
-    srow = sites + r // per * n
-    hcol = sites + r * kappa * n
-    diag = np.diagonal(s, axis1=1, axis2=2).reshape(-1)  # S[g, t, t] at row g * n + t: gathered in cache
-    return sites + r * n, srow, diag[srow], hcol, hcol + props * n, props.copy(), draws[:, 2].copy()
+    scale = n - n // kappa if swap else kappa
+    sites, props = (draws[:, :2] * [[[n]], [[scale]]]).astype(np.int64).swapaxes(0, 1)
+    srow, hcol = sites + srows0, sites + fields0 * n
+    if swap:  # the partner's other-color index c, and its place r * per + p among the stack's sites of its color
+        c, p = np.divmod(props, n // kappa)
+        return sites + cells0, srow, diag[srow], hcol, c, p + cells0 // kappa, draws[:, 2].copy()
+    return sites + cells0, srow, diag[srow], hcol, hcol + props * n, props.copy(), draws[:, 2].copy()
+
+
+def _accept(d, u, consts, move, e, exact) -> None:
+    """``move = d >= 0 or u < e^{beta d}`` per row, by ``math.exp`` if ``exact``, else ``np.exp`` (thresholds in e)."""
+    betas, _, zero = consts[:3]
+    if exact:
+        move[:] = [dd >= 0.0 or uu < math.exp(b * dd) for dd, uu, b in zip(d.tolist(), u.tolist(), betas.tolist())]
+    else:  # e = 1 > u when d >= 0
+        x = betas * d
+        np.less(u, np.exp(np.minimum(x, zero, out=x), out=e), out=move)
+
+
+def _settle(colors, energy, steps, moves, us, thresholds, exact):
+    """A sweep's colors and energies, or None if not ``exact`` and some ``u`` is within ``_EXP_SLACK`` of its threshold.
+    Each energy adds its accepted ``d`` in proposal order (a rejected one adds ``-0.0``, which changes no float)."""
+    # the absolute 1e-300 covers thresholds that underflow, where the two exps may part by a subnormal
+    if not exact and (np.abs(us - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
+        return None
+    steps[~moves] = -0.0
+    return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
 
 
 def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
-    """The ``n`` proposals of one :func:`_run_stack` sweep, from its tables ``step``; returns the new
-    colors (0-based) and energies.
+    """The ``n`` proposals of one :func:`_run_stack` sweep of Metropolis chains, from its tables ``step``;
+    returns the new colors (0-based) and energies (:func:`_settle`).
 
     Proposal ``j`` of chain ``r`` reads ``d = (h[r, new, t] - h[r, old, t] + S[r, t, t]) / sqrt(n)``;
     an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and ``h[r, new] += S[r, t]``,
-    elementwise, as :func:`metropolis_sweep` does.  Each energy then adds its accepted ``d`` in
-    proposal order (one sequential ``accumulate``; a rejected proposal adds ``-0.0``, which leaves
-    every float as it is).  The test ``u < e^{beta d}`` uses ``np.exp``, which may differ from that
-    kernel's ``math.exp`` in the last bit; so this fast pass returns None when any ``u`` of the sweep
-    lies within ``_EXP_SLACK`` of its threshold.  ``exact`` applies the kernel's own rule instead.
+    elementwise, as :func:`metropolis_sweep` does.  The test ``u < e^{beta d}`` uses ``np.exp``, which
+    may differ from that kernel's ``math.exp`` in the last bit; so this fast pass returns None when any
+    ``u`` of the sweep lies within ``_EXP_SLACK`` of its threshold.  ``exact`` applies the kernel's own rule.
     """
     n = colors.shape[1]
-    betas, base, sqn, zero = consts
+    sqn, base = consts[1], consts[3]
     colors = colors.copy()
     h = _stack_fields(colors, s, kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
@@ -305,12 +357,7 @@ def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
         np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=d)
         d += diag_k
         d /= sqn
-        if exact:
-            move[:] = [dd >= 0.0 or uu < math.exp(b * dd)
-                       for dd, uu, b in zip(d.tolist(), u.tolist(), betas.tolist())]
-        else:  # e = 1 > u when d >= 0
-            x = betas * d
-            np.less(u, np.exp(np.minimum(x, zero, out=x), out=e), out=move)
+        _accept(d, u, consts, move, e, exact)
         move &= new != old
         idx = move.nonzero()[0]
         if idx.size:
@@ -321,11 +368,46 @@ def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
             rows[:idx.size] -= row
             rows[idx.size:] += row
             hrows[sink] = rows
-    # the absolute 1e-300 covers thresholds that underflow, where the two exps may part by a subnormal
-    if not exact and (np.abs(step[-1] - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
-        return None
-    steps[~moves] = -0.0
-    return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
+    return _settle(colors, energy, steps, moves, step[-1], thresholds, exact)
+
+
+def _swap_moves(colors, energy, s, step, consts, kappa, exact):
+    """:func:`_lockstep_moves` for balanced chains, as :func:`swap_sweep` makes them: proposal ``j`` of chain ``r``
+    pairs site ``i`` (color ``a``) with the ``(p + 1)``-th site of color ``b = c + (c >= a)`` in index order, the
+    site :func:`_partner` names, and reads the same ``d1 + d2``; an accepted one swaps the two colors and moves
+    ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``."""
+    n = colors.shape[1]
+    sqn, base, cells0, srows0, diag = consts[1], *consts[3:]
+    colors = colors.copy()
+    h = _stack_fields(colors, s, kappa)
+    flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
+    sflat, hbase = s.reshape(-1), base * n
+    steps, moves, thresholds = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool), np.empty_like(step[-1])
+    for at_i, srow_i, diag_i, hcol_i, c, p, u, d, move, e in zip(*step, steps, moves, thresholds):
+        a = cells[at_i]
+        b = c + (c >= a)
+        j = (colors == b[:, None]).nonzero()[1][p]  # every row holds n // kappa sites of each color
+        srow_j, hcol_j, an, bn = srows0 + j, hbase + j, a * n, b * n
+        sij = sflat[srow_i * n + j]
+        d1 = flat[hcol_i + bn] - flat[hcol_i + an]
+        d1 += diag_i
+        d1 /= sqn
+        np.subtract(flat[hcol_j + an] - sij, flat[hcol_j + bn] + sij, out=d)  # site j's once site i holds b
+        d += diag[srow_j]
+        d /= sqn
+        d += d1
+        _accept(d, u, consts, move, e, exact)
+        idx = move.nonzero()[0]
+        if idx.size:
+            now, was = b[idx], a[idx]
+            cells[at_i[idx]], cells[cells0[idx] + j[idx]] = now, was
+            shift = srows.take(srow_i[idx], axis=0) - srows.take(srow_j[idx], axis=0)
+            sink = np.concatenate((base[idx] + was, base[idx] + now))
+            rows = hrows.take(sink, axis=0)
+            rows[:idx.size] -= shift
+            rows[idx.size:] += shift
+            hrows[sink] = rows
+    return _settle(colors, energy, steps, moves, step[-1], thresholds, exact)
 
 
 def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
@@ -336,7 +418,9 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     ``int(u1 * (n - per))`` (:func:`_partner`) and accepts if
     ``u < e^{beta dH}``.  The partner is uniform over the sites of the other
     colors, whose count is constant in the balanced sector, so the proposal is
-    symmetric.  Color counts are conserved exactly.
+    symmetric.  Color counts are conserved exactly.  :func:`_run_stack` makes
+    this sweep for a stack of chains at once (:func:`_swap_moves`), with the
+    same bytes.
     """
     if state.sector != "balanced":
         raise SectorError("swap_sweep serves the balanced sector")
@@ -427,6 +511,8 @@ class TemperingLadder:
         seed: int = 0,
         ladder_id: int = 0,
     ) -> "TemperingLadder":
+        if len(betas) > MAX_RUNGS:  # rung k runs chain (ladder_id << 8) | k: one more would be the next ladder's
+            raise ValueError(f"a tempering ladder has at most {MAX_RUNGS} rungs, got {len(betas)}")
         rungs = [
             ChainState.start(g, kappa, float(b), sector, seed, chain_id=(ladder_id << 8) | k)
             for k, b in enumerate(betas)
@@ -440,8 +526,9 @@ class TemperingLadder:
 def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
     """One sweep per rung, then :func:`_ladder_swaps`.
 
-    :func:`estimate_tail` makes it for a stack of ladders at once, all rungs
-    in lockstep and all swaps in one pass (:func:`_run_stack`).
+    :func:`estimate_tail` and :func:`free_energy_ti` make it for a stack of
+    ladders at once, all rungs in lockstep and all swaps in one pass
+    (:func:`_run_stack`).
     """
     if len(ladder.rungs) < 2:
         raise ValueError("tempering needs at least 2 rungs")
@@ -511,8 +598,8 @@ def estimate_tail(
     ``ladder`` is set (recommended for large beta).  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     The replicas go in ``ceil(replicas / workers)`` per stack, at most
-    ``_STACK_ELEMS`` coupling elements, and a stack of ``LOCKSTEP_MIN`` or
-    more chains sweeps in lockstep (:func:`_run_stack`): the same
+    ``_STACK_ELEMS`` coupling elements, and a stack from the crossover
+    :func:`_lockstep` on sweeps in lockstep (:func:`_run_stack`): the same
     bytes as one chain at a time, in less time.
     """
     if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
@@ -549,22 +636,16 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     """Replicas of :func:`estimate_tail`, one per coupling of ``gs``: each one's tail fractions per
     epsilon, its flag, and its ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
-    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``.  From ``LOCKSTEP_MIN``
-    chains on, all chains of the stack sweep in lockstep (:func:`_run_stack`); else each runs alone.
+    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``, all of them through :func:`_run_chains`.
     """
     if ladder:
         tempers = [TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream) for g in gs]
         chains = [rung for temper in tempers for rung in temper.rungs]
-        targets = [temper.rungs[-1] for temper in tempers]
     else:
-        tempers = []
-        chains = targets = [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
-    if len(chains) >= LOCKSTEP_MIN:
-        devs = _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning)
-    else:  # replica by replica, each one's couplings alone in cache
-        step_one = tempering_step if ladder else metropolis_sweep
-        devs = np.vstack([_series(partial(step_one, unit, g), lambda c=c: _deviations(c.colors[None] - 1, kappa),
-                                  burn_in, sweeps, thinning).T for unit, g, c in zip(tempers or chains, gs, targets)])
+        tempers, chains = [], [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
+    top = len(chains) // len(gs) - 1  # each replica's chain: its ladder's top rung
+    devs = _run_chains(chains, tempers, gs, kappa, burn_in, sweeps, thinning,
+                       lambda colors, energy: _deviations(colors[top::top + 1], kappa))
     swaps = [np.stack((t.swap_attempts, t.swap_accepts)) for t in tempers] or [None] * len(gs)
     return [([(row >= e).mean() for e in epsilons], equilibration_flagged(row), sw) for row, sw in zip(devs, swaps)]
 
@@ -584,19 +665,7 @@ class TiResult:
     energy_stderrs: np.ndarray
     log_sector_size: float
     flagged: bool
-
-
-def _series(step, observe, burn_in: int, sweeps: int, thinning: int = 1) -> np.ndarray:
-    """``burn_in`` discarded steps, then ``sweeps`` steps with ``observe()`` recorded
-    after every ``thinning``-th (the first included)."""
-    for _ in range(burn_in):
-        step()
-    values = []
-    for t in range(sweeps):
-        step()
-        if t % thinning == 0:
-            values.append(observe())
-    return np.asarray(values, dtype=np.float64)
+    swap_rates: tuple[float, ...] = ()  # the grid ladder's swap acceptance per adjacent pair of grid points
 
 
 def _batch_stats(series: np.ndarray, n_batches: int = 20) -> tuple[float, float]:
@@ -621,9 +690,12 @@ def free_energy_ti(
 
     ``d(log Z)/d(beta) = <H>``, so the trapezoid rule over Monte Carlo
     estimates of the mean energy, anchored at ``log |sector|`` for beta = 0,
-    reconstructs ``n^{-1} log Z(beta_max)``.  The reported uncertainty is the
-    propagated sampling stderr; the quadrature error is estimated from
-    second differences of the integrand.
+    reconstructs ``n^{-1} log Z(beta_max)``.  The grid is one tempering ladder
+    (Hukushima and Nemoto 1996; ``ladder_id`` 0): rung ``k`` sits at grid point
+    ``k``, and its energies after each measured sweep and swap pass are that
+    point's series.  The reported uncertainty is the propagated batch-means
+    stderr; the quadrature error is estimated from second differences of the
+    integrand.
     """
     if n_grid < 8:
         raise ValueError("need n_grid >= 8 for a usable trapezoid rule")
@@ -637,17 +709,13 @@ def free_energy_ti(
         raise ValueError(f"unknown hamiltonian kind {kind!r}")
     shift = centering_shift(g, kappa) if kind == "centered" else 0.0
     grid = np.linspace(0.0, beta_max, n_grid)
-    means = np.empty(n_grid)
-    errs = np.empty(n_grid)
-    flagged = False
-    chain = ChainState.start(g, kappa, 0.0, sector, seed, chain_id=0)
-    for idx, b in enumerate(grid):
-        chain.beta = float(b)
-        series = _series(lambda: sweep(chain, g), lambda: chain.energy - shift, burn_in, sweeps)
-        flagged = flagged or equilibration_flagged(series)
-        means[idx], errs[idx] = _batch_stats(series)
+    ladder = TemperingLadder.start(g, kappa, grid, sector, seed)
+    energies = _run_chains(ladder.rungs, [ladder], [g], kappa, burn_in, sweeps, 1, lambda _, energy: energy - shift)
+    means, errs = np.array([_batch_stats(series) for series in energies]).T
+    flagged = any(equilibration_flagged(series) for series in energies)
+    swap_rates = tuple((ladder.swap_accepts / ladder.swap_attempts).tolist())
     if beta_max == 0.0:
-        return TiResult(log_size / n, 0.0, 0.0, grid, means, errs, log_size, flagged)
+        return TiResult(log_size / n, 0.0, 0.0, grid, means, errs, log_size, flagged, swap_rates)
     h = grid[1] - grid[0]
     integral = float(np.trapezoid(means, grid))
     weights = np.full(n_grid, h)
@@ -664,6 +732,7 @@ def free_energy_ti(
         energy_stderrs=errs,
         log_sector_size=log_size,
         flagged=flagged,
+        swap_rates=swap_rates,
     )
 
 

@@ -118,6 +118,10 @@ INVALID_COMMANDS = {
     "even-moment-one-replica": ["moment-check", "--n", "4", "--m", "2", "--replicas", "1"],
     "ladder-top-not-beta": ["tail-bound", "--beta", "4", "--ladder", "0,1,2"],
     "one-rung-ladder": ["tail-bound", "--beta", "1", "--ladder", "1"],
+    # rung 256 of a ladder would run the chain of the next ladder's rung 0
+    "ladder-257-rungs": ["tail-bound", "--n", "2", "--beta", "1", "--ladder", ",".join(["1"] * 257),
+                         "--replicas", "2", "--sweeps", "1", "--burn-in", "0"],
+    "grid-257-points": ["mc-free-energy", "--n", "3", "--n-grid", "257", "--sweeps", "2", "--burn-in", "0"],
     "ladder-without-finite-beta": ["tail-bound", "--n", "4", "--beta", "inf", "--ladder", "0,1",
                                    "--epsilon", "0.25", "--replicas", "2"],
     "ladder-with-an-infinite-beta": ["tail-bound", "--n", "6", "--beta", "1,inf", "--ladder", "0,1",
@@ -450,6 +454,19 @@ def test_tail_bound_prints_ladder_swap_rates(tmp_path, capsys):
         attempts, accepts = attempts + ladder.swap_attempts, accepts + ladder.swap_accepts
     assert rates == pytest.approx(accepts / attempts, abs=5e-5)
     assert attempts.tolist() == [replicas * (burn_in + sweeps)] * 2
+
+
+def test_mc_free_energy_prints_ladder_swap_rates(tmp_path, capsys):
+    argv = ["--kappa", "3", "--n", "6", "--beta-max", "2", "--n-grid", "9", "--sweeps", "40", "--burn-in", "10",
+            "--seed", "3"]
+    assert run(["mc-free-energy", *argv, "--out", str(tmp_path / "ti.csv")]) == 0
+    lines = [l for l in capsys.readouterr().err.splitlines() if l.startswith("ladder swap acceptance")]
+    assert lines and lines[0].startswith("ladder swap acceptance (n=6, beta_max=2) = ")
+    rates = [float(v) for v in lines[0].rsplit("=", 1)[1].split()]
+    # oracle: the record of the same run, whose grid is the ladder
+    res = mc.free_energy_ti(core.CouplingMatrix.from_seed(6, 3, 0), 3, 2.0, 9, "balanced", seed=3, sweeps=40,
+                            burn_in=10)
+    assert len(lines) == 1 and rates == pytest.approx(res.swap_rates, abs=5e-5) and len(rates) == 8
 
 
 def test_moment_check_rows(tmp_path):

@@ -124,6 +124,11 @@ def reference_tempering_step(ladder, g):
             lo.energy, hi.energy = hi.energy, lo.energy
 
 
+def energies(colors, energy):
+    """The record of a stack run that tests only its chains: every chain's energy."""
+    return energy
+
+
 def assert_same_chain(new, ref):
     assert np.array_equal(new.colors, ref.colors)
     assert abs(new.energy - ref.energy) <= 1e-9 * max(1.0, abs(ref.energy))
@@ -168,7 +173,7 @@ class TestKernelsMatchReference:
         stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
                            for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
         for _ in range(250):
-            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1)
+            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
             for chain, g in zip(alone, gs):
                 mc.metropolis_sweep(chain, g)
             for a, b in zip(stacked, alone):
@@ -186,7 +191,7 @@ class TestKernelsMatchReference:
                            for r, g in enumerate(gs)] for _ in range(2))
         chains = [rung for ladder in stacked for rung in ladder.rungs]
         for _ in range(250):
-            mc._run_stack(chains, stacked, gs, 2, 0, 1, 1)
+            mc._run_stack(chains, stacked, gs, 2, 0, 1, 1, energies)
             for ladder, g in zip(alone, gs):
                 mc.tempering_step(ladder, g)
         for a, b in zip(stacked, alone):
@@ -195,14 +200,38 @@ class TestKernelsMatchReference:
             for x, y in zip(a.rungs, b.rungs):
                 assert np.array_equal(x.colors, y.colors) and x.energy == y.energy
 
+    @pytest.mark.parametrize("n, kappa", [(6, 3), (8, 2), (12, 4)])
+    def test_swap_lockstep(self, n, kappa):
+        # two 4-rung balanced ladders in one stack, one sweep a run: 250 sweeps cross two audits
+        gs = [core.CouplingMatrix.from_seed(n, 40, r) for r in range(2)]
+        stacked, alone = ([mc.TemperingLadder.start(g, kappa, [0.0, 0.7, 1.5, 3.0], "balanced", seed=19, ladder_id=r)
+                           for r, g in enumerate(gs)] for _ in range(2))
+        chains = [rung for ladder in stacked for rung in ladder.rungs]
+        for _ in range(250):
+            mc._run_stack(chains, stacked, gs, kappa, 0, 1, 1, energies)
+            for ladder, g in zip(alone, gs):
+                mc.tempering_step(ladder, g)
+            for a, b in zip(chains, (rung for ladder in alone for rung in ladder.rungs)):
+                assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
+        for a, b in zip(stacked, alone):
+            assert np.array_equal(a.swap_accepts, b.swap_accepts) and a.swap_accepts.sum() > 0
+
+    def test_swap_lockstep_math_exp_pass(self, monkeypatch):
+        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)  # every sweep is decided by math.exp
+        self.test_swap_lockstep(6, 3)
+
     @staticmethod
-    def run_ladders(n, kappa, betas, replicas, burn_in, sweeps, thinning, seed):
+    def run_ladders(n, kappa, betas, replicas, burn_in, sweeps, thinning, seed, sector="all"):
         """A stack of ``replicas`` ladders run by ``_run_stack``, and the same ladders stepped alone."""
         gs = [core.CouplingMatrix.from_seed(n, 39, r) for r in range(replicas)]
-        stacked, alone = ([mc.TemperingLadder.start(g, kappa, betas, "all", seed=seed, ladder_id=r)
+        stacked, alone = ([mc.TemperingLadder.start(g, kappa, betas, sector, seed=seed, ladder_id=r)
                            for r, g in enumerate(gs)] for _ in range(2))
+
+        def top_deviations(colors, energy):  # each ladder's top rung, as estimate_tail records it
+            return mc._deviations(colors[len(betas) - 1::len(betas)], kappa)
+
         records = mc._run_stack([rung for ladder in stacked for rung in ladder.rungs], stacked, gs, kappa,
-                                burn_in, sweeps, thinning)
+                                burn_in, sweeps, thinning, top_deviations)
         for ladder, g in zip(alone, gs):
             for _ in range(burn_in + sweeps):
                 mc.tempering_step(ladder, g)
@@ -224,6 +253,12 @@ class TestKernelsMatchReference:
         # 250 sweeps from sweep 0 make draw blocks of 100, 100 and 50: none may draw past an audit or the run
         self.assert_same_ladders(*self.run_ladders(9, 3, [0.0, 1.0, 2.5], 3, 50, 200, 7, seed=16)[1:])
 
+    def test_swap_stack_run_leaves_every_stream_where_alone(self):
+        # balanced ladders at n = 12 and 48, in draw blocks of 100, 100 and 50 sweeps
+        for n in (12, 48):
+            self.assert_same_ladders(*self.run_ladders(n, 3, [0.0, 1.0, 2.5], 3, 50, 200, 7, seed=20,
+                                                       sector="balanced")[1:])
+
     def test_records_independent_of_draw_block(self, monkeypatch):
         runs = [self.run_ladders(8, 2, [0.5, 1.5, 3.0], 4, 30, 220, 3, seed=17)]
         monkeypatch.setattr(mc, "_STACK_ELEMS", 1)  # one sweep per draw block
@@ -244,6 +279,19 @@ class TestKernelsMatchReference:
 
         monkeypatch.setattr(mc, "_lockstep_moves", spy)
         self.assert_same_ladders(*self.run_ladders(8, 2, [0.0, 2.0, 4.0], 3, 20, 130, 5, seed=18)[1:])
+        assert passes == [False, True] * 150
+
+    def test_swap_math_exp_pass_inside_a_block(self, monkeypatch):
+        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
+        passes, moves = [], mc._swap_moves
+
+        def spy(*args, exact):
+            passes.append(exact)
+            return moves(*args, exact=exact)
+
+        monkeypatch.setattr(mc, "_swap_moves", spy)
+        self.assert_same_ladders(*self.run_ladders(6, 3, [0.0, 2.0, 4.0], 3, 20, 130, 5, seed=21,
+                                                   sector="balanced")[1:])
         assert passes == [False, True] * 150
 
 
@@ -297,7 +345,7 @@ class TestTopEdgeOfDrawMap:
             chain.rng = _TopEdgeGenerator()
             expected.append(chain.colors.copy())
             expected[-1][n - 1] = kappa
-        mc._run_stack(chains, [], gs, kappa, 0, 1, 1)
+        mc._run_stack(chains, [], gs, kappa, 0, 1, 1, energies)
         for chain, colors in zip(chains, expected):
             assert np.array_equal(chain.colors, colors)
 
@@ -314,6 +362,18 @@ class TestTopEdgeOfDrawMap:
         mc.swap_sweep(new, g)
         reference_swap_sweep(ref, g)
         assert_same_chain(new, ref)
+
+    @pytest.mark.parametrize("n, kappa", [(2, 2), (6, 3), (12, 3), (192, 3)])
+    def test_swap_lockstep_proposes_last_rank(self, n, kappa):
+        gs = [core.CouplingMatrix.from_seed(n, 35, r) for r in range(3)]
+        stacked, alone = ([mc.ChainState.start(g, kappa, 0.0, "balanced", seed=12, chain_id=r)
+                           for r, g in enumerate(gs)] for _ in range(2))
+        for chain in stacked + alone:
+            chain.rng = _TopEdgeGenerator()
+        mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
+        for a, b, g in zip(stacked, alone, gs):
+            mc.swap_sweep(b, g)
+            assert np.array_equal(a.colors, b.colors) and a.energy == b.energy
 
 
 class TestMetropolis:
@@ -441,6 +501,13 @@ class TestTempering:
         assert chisquare(visits[0], probs_hot * sweeps).pvalue > 0.001
         assert chisquare(visits[1], probs_cold * sweeps).pvalue > 0.001
 
+    def test_at_most_256_rungs(self):
+        # rung k of ladder l runs chain (l << 8) | k: rung 256 of ladder 0 would be rung 0 of ladder 1
+        g = core.CouplingMatrix.from_seed(2, 2)
+        assert len(mc.TemperingLadder.start(g, 2, [1.0] * 256, "all", seed=1).rungs) == 256
+        with pytest.raises(ValueError, match="at most 256 rungs"):
+            mc.TemperingLadder.start(g, 2, [1.0] * 257, "all", seed=1)
+
     def test_needs_two_rungs(self):
         g = core.CouplingMatrix.from_seed(4, 2)
         ladder = mc.TemperingLadder.start(g, 2, [0.5], "all", seed=1)
@@ -504,8 +571,8 @@ class TestEstimators:
     def test_records_independent_of_lockstep_and_workers(self, ladder, monkeypatch):
         spec = dict(n=6, beta=1.0, kappa=2, replicas=6, sweeps=150, burn_in=20, thinning=2, seed=15, ladder=ladder)
         records = []
-        for threshold in (1, 10**6):  # every stack in lockstep, then none
-            monkeypatch.setattr(mc, "LOCKSTEP_MIN", threshold)
+        for lockstep in (True, False):  # every stack in lockstep, then none
+            monkeypatch.setattr(mc, "_lockstep", lambda *stack, on=lockstep: on)
             for workers in (1, 2):
                 records.append(mc.estimate_tail(epsilon=(0.25, 0.5), workers=workers, **spec))
         assert all(r == records[0] for r in records)
@@ -552,6 +619,29 @@ class TestFreeEnergyTi:
         target = exact.log_partition(g, 1.0, 3, "balanced", "centered").free_energy
         assert abs(res.value - target) <= 3 * res.stderr + res.quad_error + 1e-3
 
+    @pytest.mark.parametrize("n, kappa, sector", [(9, 3, "balanced"), (12, 4, "balanced"), (6, 2, "all")])
+    def test_records_independent_of_lockstep(self, n, kappa, sector, monkeypatch):
+        g = core.CouplingMatrix.from_seed(n, 22)
+        ladders, start = [], mc.TemperingLadder.start
+
+        def keep(*args, **kwargs):
+            ladders.append(start(*args, **kwargs))
+            return ladders[-1]
+
+        monkeypatch.setattr(mc.TemperingLadder, "start", keep)
+        runs = []
+        for lockstep in (True, False):  # the grid's ladder in one stack, then rung by rung
+            monkeypatch.setattr(mc, "_lockstep", lambda *stack, on=lockstep: on)
+            runs.append(mc.free_energy_ti(g, kappa, 1.5, 13, sector, seed=4, sweeps=230, burn_in=20))
+        a, b = runs
+        assert (a.value, a.stderr, a.quad_error, a.flagged, a.swap_rates) == (
+            b.value, b.stderr, b.quad_error, b.flagged, b.swap_rates)
+        assert len(a.swap_rates) == 12 and 0.0 < min(a.swap_rates)
+        for name in ("grid", "energy_means", "energy_stderrs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        TestKernelsMatchReference.assert_same_ladders(ladders[:1], ladders[1:])
+        assert ladders[0].swap_attempts.tolist() == [250] * 12
+
     def test_grid_too_small(self):
         g = core.CouplingMatrix.from_seed(4, 1)
         with pytest.raises(ValueError):
@@ -594,7 +684,7 @@ class TestChainInternals:
         chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
         chains[1].energy += 1.0  # simulate drift in one chain of the stack
         with pytest.raises(RuntimeError, match="drifted"):
-            mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1)  # one block, ended by the audits
+            mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1, energies)  # one block, ended by the audits
         assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
