@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the eight ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the ten ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -37,7 +37,8 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # beta_max = 0 entropy row, and kappa = 3 stacks in lockstep (montecarlo._run_stack, from montecarlo._lockstep's
 # crossover on): tail-bound's 24 Metropolis chains without a ladder and with 3-rung ladders, and mc-free-energy's
 # 13-rung balanced grid ladder (the pair-swap kernel); the last three run 300 sweeps, which cross three audits
-# and three draw blocks
+# and three draw blocks; and exact-free-energy over color orbits with multiplicities up to 4! = 24 (kappa = 4) and
+# with half A one site shorter than half B (odd n)
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -53,6 +54,8 @@ EXTRA_JOBS = (
                                   "--sweeps", "200", "--burn-in", "50")),
     Job("mcfe-k3-n9-balanced-lockstep", ("mc-free-energy", "--kappa", "3", "--n", "9", "--sector", "balanced",
                                          "--sweeps", "250", "--burn-in", "50")),
+    Job("efe-k4-n8-all", ("exact-free-energy", "--kappa", "4", "--n", "8", "--sector", "all")),
+    Job("efe-k2-n11-all", ("exact-free-energy", "--kappa", "2", "--n", "11", "--sector", "all")),
 )
 
 

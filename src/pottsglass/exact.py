@@ -14,6 +14,7 @@ reproducible in isolation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -203,7 +204,9 @@ class _Split(NamedTuple):
     """A sector as compatible pairs (a, b) of half rows, built once and shared by all replicas.
 
     Pair (a, b) is the configuration ``(rows_a[a], rows_b[b])``, with color
-    counts ``counts[label[key_a[a] + key_b[b]]]``.  ``pairs_a = (index, eq)``
+    counts ``counts[label[key_a[a] + key_b[b]]]``; it stands for ``mult[a]``
+    configurations, its images under the color permutations (1 on a full
+    split).  ``pairs_a = (index, eq)``
     gives the flat index in S of each site pair i < j of half A and which of
     its rows have equal colors there (likewise ``pairs_b``).  Each block ``(pa, pb,
     steps)`` covers the pairs ``(pa, pb)`` (broadcast).  A flat block lists
@@ -221,6 +224,7 @@ class _Split(NamedTuple):
     key_a: np.ndarray
     key_b: np.ndarray
     label: np.ndarray
+    mult: np.ndarray
     pairs_a: tuple
     pairs_b: tuple
     flat: bool
@@ -244,13 +248,18 @@ def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return levels
 
 
-def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
+def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: bool = False) -> _Split:
     """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
 
     Each half is every lexicographic row that fits under the sector's
     budget (d, or n per color for ``all``), grouped by its counts.  In a
     fixed sector the A rows with counts c, for c in lexicographic order,
-    pair with the B rows with counts d - c only.
+    pair with the B rows with counts d - c only.  With ``orbits``, a sector
+    closed under color permutations (all, or equal counts) keeps one A row
+    per color orbit, its restricted-growth string (Knuth, TAOCP 7.2.1.5),
+    weighted by the orbit's size ``kappa! / (kappa - k_A)!`` for its k_A
+    colors: a sum of a color-invariant F over the sector is then the
+    weighted sum over the pairs.  The cap counts the sector's states.
     """
     total = count_configs(n, kappa, sector)
     if total > cap:
@@ -263,13 +272,21 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
         groups, key = np.unique(budget - left, axis=0, return_inverse=True)
         enumerated[m] = picks, groups, key.reshape(-1)
     (picks_a, groups_a, key_a), (picks_b, groups_b, key_b) = enumerated[n // 2], enumerated[n - n // 2]
+    mult = np.ones(len(picks_a))
+    if orbits and (d is None or (d == d[0]).all()):  # each new color of a kept row is the next unused one
+        rows = picks_a.astype(np.int64)
+        seen = np.maximum.accumulate(np.hstack((np.full((len(rows), 1), -1), rows)), axis=1)[:, :-1]
+        keep = (rows <= seen + 1).all(axis=1)
+        picks_a, key_a, colors = picks_a[keep], key_a[keep], (groups_a[key_a[keep]] > 0).sum(axis=1)  # k_A
+        mult = np.array([math.perm(kappa, k) for k in range(kappa + 1)], dtype=np.float64)[colors]
     if d is None:
         counts, label = np.unique((groups_a[:, None] + groups_b).reshape(-1, kappa), axis=0, return_inverse=True)
         key_a = key_a * len(groups_b)
         parts = [(len(picks_a), len(picks_b))]
     else:  # the counts d - c of B run in reverse lexicographic order as c of A runs forward
-        picks_a, picks_b = picks_a[np.argsort(key_a, kind="stable")], picks_b[np.argsort(-key_b, kind="stable")]
-        parts = list(zip(np.bincount(key_a), np.bincount(key_b)[::-1]))
+        order_a = np.argsort(key_a, kind="stable")
+        picks_a, mult, picks_b = picks_a[order_a], mult[order_a], picks_b[np.argsort(-key_b, kind="stable")]
+        parts = list(zip(np.bincount(key_a, minlength=len(groups_a)), np.bincount(key_b)[::-1]))
         counts, label = d[None], np.zeros(1, dtype=np.int64)  # every pair has counts d
         key_a, key_b = np.zeros(len(picks_a), dtype=np.int64), np.zeros(len(picks_b), dtype=np.int64)
     rows_a, rows_b = picks_a.astype(np.int64) + 1, picks_b.astype(np.int64) + 1  # after the reorder of uint8 picks
@@ -283,13 +300,23 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> _Split:
         pb, levels, step = np.arange(b0, b1)[None], _prefix_tree(rows_b[b0:b1]), max(1, _BLOCK // (b1 - b0))
         blocks += [(np.arange(r, min(r + step, a1))[:, None], pb, levels) for r in range(a0, a1, step)]
         a0, b0 = a1, b1
-    flat = total <= _BLOCK
+    flat = sum(size_a * size_b for size_a, size_b in parts) <= _BLOCK  # enumerated pairs
     if flat:  # one block listing every pair: a fixed, small number of array calls per stack
         pa = np.concatenate([np.repeat(ra[:, 0], rb.size) for ra, rb, _ in blocks])
         pb = np.concatenate([np.tile(rb[0], len(ra)) for ra, rb, _ in blocks])
         nb = rows_b.shape[1]
         blocks = [(pa, pb, (pa * nb + np.arange(nb)[:, None]) * kappa + rows_b[pb].T - 1)]
-    return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label.reshape(-1), *pairs, flat, blocks)
+    return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label.reshape(-1), mult, *pairs, flat, blocks)
+
+
+def _pair_sum(eq: np.ndarray, flat_s: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``(eq * flat_s[:, None, index]).sum(axis=2)``, added one pair after the other in a stack of any size (a
+    numpy reduction goes pairwise or not by the memory layout), and one (stack, rows) term at a time."""
+    total = np.zeros((len(flat_s), len(eq)))
+    for p, i in enumerate(index):
+        term = eq[:, p] * flat_s[:, i, None]
+        total = total + term if p else term
+    return total
 
 
 def _energy_blocks(split: _Split, gs: Sequence[CouplingMatrix], kind: str) -> Iterator[tuple]:
@@ -307,8 +334,8 @@ def _energy_blocks(split: _Split, gs: Sequence[CouplingMatrix], kind: str) -> It
     g = np.stack([c.g for c in gs])
     s = g + g.transpose(0, 2, 1)
     flat_s = s.reshape(len(gs), -1)
-    h_a = np.trace(g, axis1=1, axis2=2)[:, None] + (eq_a * flat_s[:, None, index_a]).sum(axis=2)
-    h_b = (eq_b * flat_s[:, None, index_b]).sum(axis=2)
+    h_a = np.trace(g, axis1=1, axis2=2)[:, None] + _pair_sum(eq_a, flat_s, index_a)
+    h_b = _pair_sum(eq_b, flat_s, index_b)
     u = np.zeros((len(gs), len(split.rows_a), split.n - na, split.kappa))  # U_A
     for i in range(na):
         u += (split.rows_a[:, i, None, None] == np.arange(1, split.kappa + 1)) * s[:, None, i, na:, None]
@@ -355,7 +382,10 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
     w[r, k, 0]``.  Column ``1 + f`` also weighs each pair (a, b) by ``fa[r, a]
     fb[r, b]`` for ``(fa, fb) = factors[f]``.  The couplings go through the
     blocks ``split.stack`` at a time, and every sum over one coupling's pairs
-    runs in the same order as in a stack of one.
+    runs in the same order as in a stack of one.  Each pair weighs ``mult[a]``
+    times: on an orbit split, a count vector's mass lands on its canonical
+    representatives, so only the sum over ``k``, or a statistic averaged over
+    the permutations of the count vector, is the sector's.
     """
     k = len(split.counts)
     top, mass = np.full(len(gs), -np.inf), np.zeros((len(gs), k, 1 + len(factors)))
@@ -364,6 +394,7 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
         stack, stack_mass = gs[part], mass[part]  # views: updates land in mass, and _fold raises top in place
         for carry, w, pa, pb in _fold(split, stack, beta, kind, top[part]):
             stack_mass *= carry[:, None, None]
+            w = w * np.take(split.mult, pa)  # each pair stands for its color images
             label = np.take(split.label + k * np.arange(len(stack))[:, None], split.key_a[pa] + split.key_b[pb], axis=1)
             cols = [w] + [w * np.take(fa[part], pa, axis=1) * np.take(fb[part], pb, axis=1) for fa, fb in factors]
             stack_mass += np.stack([np.bincount(label.ravel(), c.ravel(), len(stack) * k) for c in cols],
@@ -374,7 +405,7 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
 def log_partition(g: CouplingMatrix, beta: float, kappa: int, sector="all", kind: str = "centered",
                   cap: int = DEFAULT_CAP) -> FreeEnergySample:
     """Exact ``log sum_sigma exp(beta * H(sigma))`` over the sector."""
-    return _log_partition(_split(g.n, kappa, sector, cap), beta, kind, sector, [g])[0]
+    return _log_partition(_split(g.n, kappa, sector, cap, orbits=True), beta, kind, sector, [g])[0]
 
 
 def _log_partition(split: _Split, beta: float, kind: str, sector,
@@ -399,7 +430,7 @@ def quenched_free_energy(
     """
     if replicas < 2:
         raise ValueError("quenched averaging needs at least 2 replicas")
-    split = _split(n, kappa, sector, cap)
+    split = _split(n, kappa, sector, cap, orbits=True)
     samples = map_replicas(partial(_log_partition, split, beta, kind, sector), n, seed, replicas, workers, split.stack)
     mean, stderr = mean_stderr([s.free_energy for s in samples])
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
@@ -765,12 +796,16 @@ def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.n
     ``statistics`` maps the ``(D, kappa)`` color fractions ``d / n`` of the
     sector's count vectors to a ``(K, D)`` array, row ``k`` holding statistic
     ``k``.  Replica ``r`` draws its coupling from stream ``r`` of ``seed``; a
-    single replica reports stderr 0.
+    single replica reports stderr 0.  The sum runs over color orbits, so each
+    statistic is averaged over the permutations of the count vector, which is
+    exact for any statistic: the Gibbs mass of a count vector is that of its
+    permutations.
     """
     if replicas < 1:
         raise ValueError(f"need replicas >= 1, got {replicas}")
-    split = _split(n, kappa, "all", cap)
-    observables = np.asarray(statistics(split.counts / n), dtype=np.float64)
+    split = _split(n, kappa, "all", cap, orbits=True)
+    observables = np.mean([np.asarray(statistics(split.counts[:, perm] / n), dtype=np.float64)
+                           for perm in itertools.permutations(range(kappa))], axis=0)
     rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers, split.stack)
     return [mean_stderr(col) for col in np.array(rows).T]
 

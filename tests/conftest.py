@@ -4,7 +4,8 @@ These deliberately re-derive quantities through independent routes (indicator
 inner products, configuration-pair double sums, materialized projections) so
 the library code is never checked against itself.  The one exception,
 ``split_energies``, lists the engine's own block energies in full, for the
-bitwise and block-fold tests.
+bitwise and block-fold tests; ``full_split_log_partition`` sums those
+energies, as the oracle of the color-orbit quotient.
 """
 
 import math
@@ -38,6 +39,13 @@ def split_energies(n, kappa, sector, g):
              for e, pa, pb in exact._energy_blocks(split, [g], "raw")]
     energies, pa, pb = (np.concatenate(x) for x in zip(*parts))
     return np.hstack((split.rows_a[pa], split.rows_b[pb])), energies
+
+
+def full_split_log_partition(g, beta, kappa, sector, kind):
+    """log Z by log-sum-exp over every configuration of the full split, one energy each (no color orbits)."""
+    _, energies = split_energies(g.n, kappa, sector, g)
+    shift = core.centering_shift(g, kappa) if kind == "centered" else 0.0
+    return exact.logsumexp(beta * (energies - shift))
 
 
 def indicator_inner_product(sig: np.ndarray, tau: np.ndarray) -> float:

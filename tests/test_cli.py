@@ -319,6 +319,15 @@ def test_worker_count_invariance(tmp_path):
          "--replicas", "4", "--sector", "balanced", "--seed", "7"], tmp_path)
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact-free-energy", "--kappa", "4", "--n", "8", "--sector", "all", "--beta", "1.1", "--replicas", "4"],
+    ["tail-bound", "--kappa", "3", "--n", "7", "--beta", "inf", "--replicas", "4"],
+    ["moment-check", "--n", "7", "--m", "2,4", "--replicas", "4"],
+])
+def test_color_orbit_engines_are_worker_count_invariant(argv, tmp_path):
+    assert_worker_count_invariant(argv + ["--seed", "3"], tmp_path)
+
+
 @pytest.mark.parametrize("base", [
     ["tail-bound", "--n", "4", "--beta", "0.5", "--epsilon", "0.25,0.5", "--replicas", "3",
      "--sweeps", "40", "--burn-in", "10", "--thinning", "2", "--seed", "7"],

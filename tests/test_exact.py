@@ -4,12 +4,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pottsglass import core, exact
 
-from conftest import config_array, gram_pair_covariances, match_matrix_flat, split_energies
+from conftest import config_array, full_split_log_partition, gram_pair_covariances, match_matrix_flat, split_energies
 
 
 def coupling(matrix):
@@ -397,6 +397,16 @@ PERMUTATION_CASES = [  # (kappa, n, sector, seed); the first one broke under the
 ]
 
 
+class Draws:
+    """Replays fixed values, in order, as the draws of a ``st.data()`` example."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 class TestSplitEngine:
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_color_permutations_give_bitwise_equal_energies(self, kappa, n, sector, seed):
@@ -460,6 +470,9 @@ class TestSplitEngine:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
+    # halves of one row each: the half energies once summed in an order that depended on the stack size
+    @example(data=Draws(2, 9, [0], (0, 9), "raw", 0.0, 5, 2, 268, 0))
+    @example(data=Draws(2, 16, [0], (0, 16), "raw", 0.0, 5, 2, 268, 0))
     def test_stacked_mass_equals_stacks_of_one_bitwise(self, data):
         kappa = data.draw(st.sampled_from((2, 3, 4)))
         n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[kappa]))
@@ -499,6 +512,91 @@ class TestSplitEngine:
             return [(t.value, t.stderr) for t in tails] + [(moment.value, moment.stderr)]
 
         assert run(1) == run(2)
+
+
+def orbit_images(rows, kappa):
+    """Every color image of every row, as a set of tuples."""
+    return {tuple(np.array((0,) + perm)[row]) for row in rows for perm in itertools.permutations(range(1, kappa + 1))}
+
+
+class TestOrbitQuotient:
+    @pytest.mark.parametrize("kappa", [2, 3, 4])
+    def test_multiplicities_count_the_sector(self, kappa):
+        for n in range(1, {2: 12, 3: 10, 4: 8}[kappa] + 1):
+            for sector in ["all"] + (["balanced"] if n % kappa == 0 else []):
+                split = exact._split(n, kappa, sector, orbits=True)
+                full = exact._split(n, kappa, sector)
+                assert orbit_images(split.rows_a, kappa) == {tuple(row) for row in full.rows_a}  # one row per orbit
+                sizes = [len(orbit_images([row], kappa)) for row in split.rows_a]
+                assert split.mult.tolist() == sizes  # the orbit's size, kappa!/(kappa - k_A)!
+                represented = sum(int((split.mult[pa] * np.ones(pb.shape)).sum()) for pa, pb, _ in split.blocks)
+                assert represented == core.count_configs(n, kappa, sector), (n, sector)
+
+    @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
+    def test_log_partition_matches_full_split_oracle(self, kappa, n, sector, seed):
+        for stream in range(2):
+            g = core.CouplingMatrix.from_seed(n, seed, stream)
+            for kind in ("raw", "centered"):
+                for beta in (0.0, 0.7, 2.5):
+                    got = exact.log_partition(g, beta, kappa, sector, kind).log_z
+                    assert math.isclose(got, full_split_log_partition(g, beta, kappa, sector, kind), rel_tol=1e-12)
+        for kind in ("raw", "centered"):
+            res = exact.quenched_free_energy(n, 1.3, kappa, sector, kind, replicas=3, seed=seed)
+            for sample in res.samples:
+                g = core.CouplingMatrix.from_seed(n, seed, sample.stream)
+                assert math.isclose(sample.log_z, full_split_log_partition(g, 1.3, kappa, sector, kind), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kappa,n", [(2, 7), (2, 8), (3, 6), (3, 7), (4, 5)])
+    def test_non_invariant_statistic_matches_brute_force(self, kappa, n):
+        colors = config_array(n, kappa, "all")
+        fractions = (colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / n
+        statistic = lambda f: [f[:, 0] - 2.0 * f[:, -1] ** 2, np.exp(1.7 * (f[:, 0] - 0.5))]  # no color symmetry
+        for beta in BETAS:
+            want = []
+            for r in range(3):
+                w = oracle_weights(oracle_energies(colors, core.CouplingMatrix.from_seed(n, 2, r)), beta)
+                want.append([(w * s).sum() / w.sum() for s in statistic(fractions)])
+            got = exact._replica_average(n, kappa, statistic, beta, 3, 2, exact.DEFAULT_CAP)
+            for (mean, _), value in zip(got, np.mean(want, axis=0)):
+                assert close(mean, value, floor=1e-12), (beta, mean, value)
+            if kappa == 2:
+                mgf = exact.magnetization_mgf_exact(n, beta, 1.7, replicas=3, seed=2)
+                assert close(mgf.value, np.mean(want, axis=0)[1]), beta
+
+    @pytest.mark.parametrize("kappa,sector", [(2, (3, 6)), (3, (1, 2, 4)), (3, (0, 3, 5)), (4, (2, 2, 1, 3))])
+    def test_fixed_unequal_sectors_keep_the_full_split(self, kappa, sector):
+        n = sum(sector)
+        split, full = exact._split(n, kappa, sector, orbits=True), exact._split(n, kappa, sector)
+        assert np.array_equal(split.rows_a, full.rows_a) and (split.mult == 1).all()
+        for stream in range(2):
+            g = core.CouplingMatrix.from_seed(n, 3, stream)
+            for beta in (0.0, 1.1):
+                want = exact._log_partition(full, beta, "centered", sector, [g])[0].log_z
+                assert exact.log_partition(g, beta, kappa, sector).log_z == want
+
+    def test_equal_fixed_counts_are_the_balanced_sector(self):
+        split, balanced = exact._split(9, 3, (3, 3, 3), orbits=True), exact._split(9, 3, "balanced", orbits=True)
+        assert np.array_equal(split.rows_a, balanced.rows_a) and np.array_equal(split.mult, balanced.mult)
+        g = core.CouplingMatrix.from_seed(9, 4, 0)
+        assert exact.log_partition(g, 1.2, 3, (3, 3, 3)).log_z == exact.log_partition(g, 1.2, 3, "balanced").log_z
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_stacked_mass_on_orbits_equals_stacks_of_one_bitwise(self, data):
+        kappa = data.draw(st.sampled_from((2, 3, 4)))
+        n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[kappa]))
+        sector = data.draw(st.sampled_from(["all"] + (["balanced"] if n % kappa == 0 else [])))
+        beta = data.draw(st.sampled_from((0.0, math.inf)) | st.floats(0.1, 4.0))
+        block = data.draw(st.sampled_from((5, 64, exact._BLOCK)))
+        size, seed = data.draw(st.integers(1, 7)), data.draw(st.integers(0, 2 ** 32 - 1))
+        gs = [core.CouplingMatrix.from_seed(n, seed, r) for r in range(size)]
+        with mock.patch.object(exact, "_BLOCK", block):
+            split = exact._split(n, kappa, sector, orbits=True)
+            top, mass = exact._mass(split, gs, beta)
+            for r, g in enumerate(gs):
+                one_top, one_mass = exact._mass(split, [g], beta)
+                assert np.array_equal(top[[r]], one_top)
+                assert np.array_equal(mass[[r]], one_mass)
 
 
 def oracle_energies(colors, g):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from pottsglass.core import EnumerationCapError
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -40,6 +42,11 @@ def test_color_symmetry_scan(monkeypatch, capsys):
     assert [float(row[6]) for row in rows[6:]] == pytest.approx([2 * math.exp(-0.0625 * n) for n in (4, 5)] * 3,
                                                                 abs=1e-4)
     assert sum(line.startswith("  kappa=") for line in lines) == 6  # one fitted rate per (kappa, beta)
+
+
+def test_color_symmetry_scan_passes_its_cap(monkeypatch, capsys):
+    with pytest.raises(EnumerationCapError):  # kappa = 3, n = 4 has 81 states
+        run_script("color_symmetry_scan.py", ["--replicas", "2", "--sizes3", "3,4", "--cap", "80"], monkeypatch, capsys)
 
 
 def test_free_energy_trend(monkeypatch, capsys):
