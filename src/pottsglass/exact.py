@@ -14,7 +14,6 @@ reproducible in isolation.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -284,9 +283,12 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
         key_a = key_a * len(groups_b)
         parts = [(len(picks_a), len(picks_b))]
     else:  # the counts d - c of B run in reverse lexicographic order as c of A runs forward
+        sizes_a = np.bincount(key_a, minlength=len(groups_a))
+        used = sizes_a[len(groups_a) - 1 - key_b] > 0  # B rows whose A group kept a row
+        picks_b, key_b = picks_b[used], key_b[used]
         order_a = np.argsort(key_a, kind="stable")
         picks_a, mult, picks_b = picks_a[order_a], mult[order_a], picks_b[np.argsort(-key_b, kind="stable")]
-        parts = list(zip(np.bincount(key_a, minlength=len(groups_a)), np.bincount(key_b)[::-1]))
+        parts = [part for part in zip(sizes_a, np.bincount(key_b, minlength=len(groups_b))[::-1]) if part[0]]
         counts, label = d[None], np.zeros(1, dtype=np.int64)  # every pair has counts d
         key_a, key_b = np.zeros(len(picks_a), dtype=np.int64), np.zeros(len(picks_b), dtype=np.int64)
     rows_a, rows_b = picks_a.astype(np.int64) + 1, picks_b.astype(np.int64) + 1  # after the reorder of uint8 picks
@@ -797,15 +799,22 @@ def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.n
     sector's count vectors to a ``(K, D)`` array, row ``k`` holding statistic
     ``k``.  Replica ``r`` draws its coupling from stream ``r`` of ``seed``; a
     single replica reports stderr 0.  The sum runs over color orbits, so each
-    statistic is averaged over the permutations of the count vector, which is
-    exact for any statistic: the Gibbs mass of a count vector is that of its
-    permutations.
+    statistic is averaged over the distinct permutations of the count vector,
+    which is exact for any statistic: the Gibbs mass of a count vector is that
+    of its permutations.  ``split.counts`` lists every count vector of the
+    sector, so each one's permutations are all among its rows.
     """
     if replicas < 1:
         raise ValueError(f"need replicas >= 1, got {replicas}")
     split = _split(n, kappa, "all", cap, orbits=True)
-    observables = np.mean([np.asarray(statistics(split.counts[:, perm] / n), dtype=np.float64)
-                           for perm in itertools.permutations(range(kappa))], axis=0)
+    # a count vector's orbit is fixed by how many colors hold each count (no np.sort: its SIMD code adds to RSS)
+    size = len(split.counts)
+    shape = np.bincount((np.arange(size)[:, None] * (n + 1) + split.counts).ravel(), minlength=size * (n + 1))
+    _, orbit = np.unique(shape.reshape(size, n + 1), axis=0, return_inverse=True)
+    orbit = orbit.reshape(-1)
+    values = np.asarray(statistics(split.counts / n), dtype=np.float64)
+    # np.take keeps C order, and with it the order in which _count_averages sums each row
+    observables = np.take([np.bincount(orbit, row) / np.bincount(orbit) for row in values], orbit, axis=1)
     rows = map_replicas(partial(_count_averages, split, observables, beta), n, seed, replicas, workers, split.stack)
     return [mean_stderr(col) for col in np.array(rows).T]
 

@@ -531,6 +531,8 @@ class TestOrbitQuotient:
                 assert split.mult.tolist() == sizes  # the orbit's size, kappa!/(kappa - k_A)!
                 represented = sum(int((split.mult[pa] * np.ones(pb.shape)).sum()) for pa, pb, _ in split.blocks)
                 assert represented == core.count_configs(n, kappa, sector), (n, sector)
+                read_b = np.unique(np.concatenate([pb.ravel() for _, pb, _ in split.blocks]))
+                assert np.array_equal(read_b, np.arange(len(split.rows_b))), (n, sector)  # no unread B row
 
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_log_partition_matches_full_split_oracle(self, kappa, n, sector, seed):
@@ -546,17 +548,24 @@ class TestOrbitQuotient:
                 g = core.CouplingMatrix.from_seed(n, seed, sample.stream)
                 assert math.isclose(sample.log_z, full_split_log_partition(g, 1.3, kappa, sector, kind), rel_tol=1e-12)
 
-    @pytest.mark.parametrize("kappa,n", [(2, 7), (2, 8), (3, 6), (3, 7), (4, 5)])
+    @pytest.mark.parametrize("kappa,n", [(2, 7), (2, 8), (3, 6), (3, 7), (4, 5), (5, 6)])
     def test_non_invariant_statistic_matches_brute_force(self, kappa, n):
         colors = config_array(n, kappa, "all")
         fractions = (colors[:, :, None] == np.arange(1, kappa + 1)).sum(axis=1) / n
-        statistic = lambda f: [f[:, 0] - 2.0 * f[:, -1] ** 2, np.exp(1.7 * (f[:, 0] - 0.5))]  # no color symmetry
+        calls = []
+
+        def statistic(f):  # no color symmetry
+            calls.append(len(f))
+            return [f[:, 0] - 2.0 * f[:, -1] ** 2, np.exp(1.7 * (f[:, 0] - 0.5))]
+
         for beta in BETAS:
             want = []
             for r in range(3):
                 w = oracle_weights(oracle_energies(colors, core.CouplingMatrix.from_seed(n, 2, r)), beta)
                 want.append([(w * s).sum() / w.sum() for s in statistic(fractions)])
+            calls.clear()
             got = exact._replica_average(n, kappa, statistic, beta, 3, 2, exact.DEFAULT_CAP)
+            assert calls == [math.comb(n + kappa - 1, kappa - 1)]  # one call, on each count vector once
             for (mean, _), value in zip(got, np.mean(want, axis=0)):
                 assert close(mean, value, floor=1e-12), (beta, mean, value)
             if kappa == 2:
