@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the ten ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the fourteen ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -38,7 +38,8 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # crossover on): tail-bound's 24 Metropolis chains without a ladder and with 3-rung ladders, and mc-free-energy's
 # 13-rung balanced grid ladder (the pair-swap kernel); the last three run 300 sweeps, which cross three audits
 # and three draw blocks; and exact-free-energy over color orbits with multiplicities up to 4! = 24 (kappa = 4) and
-# with half A one site shorter than half B (odd n)
+# with half A one site shorter than half B (odd n); and uncentered-ratio's recursion over color orbits at kappa = 2,
+# 5 and 6, and at beta = 50, where the ratio overflows to inf
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -56,6 +57,10 @@ EXTRA_JOBS = (
                                          "--sweeps", "250", "--burn-in", "50")),
     Job("efe-k4-n8-all", ("exact-free-energy", "--kappa", "4", "--n", "8", "--sector", "all")),
     Job("efe-k2-n11-all", ("exact-free-energy", "--kappa", "2", "--n", "11", "--sector", "all")),
+    Job("unc-k2-n10-20-40", ("uncentered-ratio", "--kappa", "2", "--n", "10,20,40", "--beta", "1.0")),
+    Job("unc-k5-n5-10", ("uncentered-ratio", "--kappa", "5", "--n", "5,10", "--beta", "1.0")),
+    Job("unc-k6-n6", ("uncentered-ratio", "--kappa", "6", "--n", "6", "--beta", "1.0")),
+    Job("unc-k2-n6-beta-50", ("uncentered-ratio", "--kappa", "2", "--n", "6", "--beta", "50")),
 )
 
 

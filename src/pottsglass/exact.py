@@ -247,6 +247,15 @@ def _prefix_tree(rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     return levels
 
 
+def _unique_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` of entries in [0, base), by key: row order is key order."""
+    if base ** rows.shape[1] > 2 ** 63:  # the keys would overflow int64
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        return unique, inverse.reshape(-1)
+    _, first, inverse = np.unique(rows @ base ** np.arange(rows.shape[1])[::-1], return_index=True, return_inverse=True)
+    return rows[first], inverse
+
+
 def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: bool = False) -> _Split:
     """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
 
@@ -268,8 +277,7 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
     enumerated = {}
     for m in {n // 2, n - n // 2}:
         picks, left = _lex_extend(np.eye(kappa, dtype=np.int64), budget, m)
-        groups, key = np.unique(budget - left, axis=0, return_inverse=True)
-        enumerated[m] = picks, groups, key.reshape(-1)
+        enumerated[m] = picks, *_unique_rows(budget - left, n + 1)
     (picks_a, groups_a, key_a), (picks_b, groups_b, key_b) = enumerated[n // 2], enumerated[n - n // 2]
     mult = np.ones(len(picks_a))
     if orbits and (d is None or (d == d[0]).all()):  # each new color of a kept row is the next unused one
@@ -279,7 +287,7 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
         picks_a, key_a, colors = picks_a[keep], key_a[keep], (groups_a[key_a[keep]] > 0).sum(axis=1)  # k_A
         mult = np.array([math.perm(kappa, k) for k in range(kappa + 1)], dtype=np.float64)[colors]
     if d is None:
-        counts, label = np.unique((groups_a[:, None] + groups_b).reshape(-1, kappa), axis=0, return_inverse=True)
+        counts, label = _unique_rows((groups_a[:, None] + groups_b).reshape(-1, kappa), n + 1)
         key_a = key_a * len(groups_b)
         parts = [(len(picks_a), len(picks_b))]
     else:  # the counts d - c of B run in reverse lexicographic order as c of A runs forward
@@ -308,7 +316,7 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
         pb = np.concatenate([np.tile(rb[0], len(ra)) for ra, rb, _ in blocks])
         nb = rows_b.shape[1]
         blocks = [(pa, pb, (pa * nb + np.arange(nb)[:, None]) * kappa + rows_b[pb].T - 1)]
-    return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label.reshape(-1), mult, *pairs, flat, blocks)
+    return _Split(n, kappa, rows_a, rows_b, counts, key_a, key_b, label, mult, *pairs, flat, blocks)
 
 
 def _pair_sum(eq: np.ndarray, flat_s: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -598,44 +606,46 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     Gaussian pair moment is exp(al (sum_a rows_a^2 + sum_b cols_b^2 +
     2 sum C^2)) with al = beta^2 / (2n).  The table sum runs one row r of C
     at a time over the partial column sums s of the rows before it:
-    ``W'(s + r) = LSE_{s,r} [W(s) + phi(r) + 2 al s.r]`` from W(0) = 0,
+    ``W'(t) = LSE_{s+r=t} [W(s) + phi(r) + 2 al s.r]`` from W(0) = 0,
     where ``phi(r) = -sum_b log r_b! + al (|r|^2 + 3 sum_b r_b^2)`` and
-    ``|r| = sum_b r_b``; then log E Z^2 = log n! + LSE_{|s|=n} W(s).  Each
-    target is stabilized by its own maximum, since the cross term alone can
-    overflow exp.
+    ``|r| = sum_b r_b``; then log E Z^2 = log n! + LSE_{|t|=n} W(t).  W is
+    invariant under permuting tau's colors, so it is kept per orbit: each sorted
+    target t takes every s in the box [0, t], reads W at the orbit of s, and the
+    last sum weights t by its orbit size; 2 s.r = |t|_2^2 - |s|_2^2 - |r|_2^2 in
+    exact integers.  Each target is stabilized by its own maximum (the cross
+    term can overflow exp).
     """
     glt = _log_gamma_table(n)
     al = beta ** 2 / (2.0 * n)
     states = _compositions(n, kappa + 1)[:, :-1]  # every s with |s| <= n, lexicographic
-    size = states.sum(axis=1)
-    # Pair each s with every r of |r| <= n - |s|: a prefix of the states sorted by size.
-    src, rank = _fan_out(np.cumsum(np.bincount(size))[n - size])
-    row = np.argsort(size, kind="stable")[rank]
-    # s + r never carries in base n + 1, so its key is the sum of the keys.
-    keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)
-    tgt = np.searchsorted(keys, keys[src] + keys[row])
-    sf = states.astype(np.float64)
-    phi = -glt[states].sum(axis=1) + al * (size ** 2 + 3.0 * (sf ** 2).sum(axis=1))
-    step = phi[row] + 2.0 * al * np.einsum("ij,ij->i", sf[src], sf[row])
-    w = np.full(len(states), -np.inf)
-    w[0] = 0.0
+    reps, orbit = _unique_rows(np.sort(states, axis=1), n + 1)  # one sorted t per orbit, and the orbit of each s
+    keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)  # s + r never carries in base n + 1: keys add
+    place, sq, box = (n + 1) ** np.arange(kappa)[::-1], (states ** 2).sum(axis=1), np.prod(reps + 1, axis=1)
+    tgt, rank = _fan_out(box)  # pairs grouped by target, each box's s in lexicographic order
+    key = 0
+    for b in reversed(range(kappa)):
+        rank, digit = np.divmod(rank, reps[tgt, b] + 1)
+        key = key + digit * place[b]
+    src, row = np.searchsorted(keys, key), np.searchsorted(keys, (reps @ place)[tgt] - key)
+    phi = -glt[states].sum(axis=1) + al * (states.sum(axis=1) ** 2 + 3.0 * sq)
+    step = phi[row] + al * ((reps ** 2).sum(axis=1)[tgt] - sq[src] - sq[row])
+    src, starts = orbit[src], np.cumsum(box) - box
+    w = np.where(np.arange(len(reps)), -np.inf, 0.0)  # 0 at the orbit of s = 0
     for _ in range(kappa):
         x = w[src] + step
-        top = np.full(len(states), -np.inf)
-        np.maximum.at(top, tgt, x)
-        w = top + np.log(np.bincount(tgt, np.exp(x - top[tgt]), minlength=len(states)))
-    return float(glt[n] + logsumexp(w[size == n]))
+        top = np.maximum.reduceat(x, starts)
+        w = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
+    return float(glt[n] + logsumexp((w + np.log(np.bincount(orbit)))[reps.sum(axis=1) == n]))
 
 
 def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
     """Exact ``E Z^2 / (E Z)^2`` for the RAW Hamiltonian.
 
-    Evaluated through the Gaussian pair-moment identity, summed over joint
-    color-count tables one row at a time rather than over configuration
-    pairs, which is exact and reaches n=24 at kappa=3 and n=12 at kappa=4.
-    The cap counts the row recursion's (s, r) pairs.  Diverges with n for
-    any beta > 0; the constrained sectors only slow the divergence.
-    ``inf`` where the ratio overflows a double.
+    Evaluated exactly through the Gaussian pair-moment identity, summed over
+    joint color-count tables one row at a time and over color orbits of the
+    column sums.  The cap counts the C(n+2 kappa, 2 kappa) (s, r) pairs it
+    represents.  Diverges with n for any beta > 0; the constrained sectors
+    only slow the divergence.  ``inf`` where the ratio overflows a double.
     """
     return exp_or_inf(_log_uncentered_ratio(n, beta, kappa, sector, cap))
 

@@ -5,7 +5,9 @@ inner products, configuration-pair double sums, materialized projections) so
 the library code is never checked against itself.  The one exception,
 ``split_energies``, lists the engine's own block energies in full, for the
 bitwise and block-fold tests; ``full_split_log_partition`` sums those
-energies, as the oracle of the color-orbit quotient.
+energies, as the oracle of the color-orbit quotient.  ``log_ez2_raw_all_pairs``
+is the raw E Z^2 row recursion over every column-sum state, the oracle of
+the library's recursion over color orbits.
 """
 
 import math
@@ -46,6 +48,37 @@ def full_split_log_partition(g, beta, kappa, sector, kind):
     _, energies = split_energies(g.n, kappa, sector, g)
     shift = core.centering_shift(g, kappa) if kind == "centered" else 0.0
     return exact.logsumexp(beta * (energies - shift))
+
+
+def log_ez2_raw_all_pairs(n: int, beta: float, kappa: int) -> float:
+    """log E Z^2 for the unconstrained raw model, by the row recursion over every state s (no color orbits).
+
+    ``W'(s + r) = LSE_{s,r} [W(s) + phi(r) + 2 al s.r]`` over every pair of
+    column-sum vectors with |s| + |r| <= n, scattered to its target with
+    ``np.maximum.at`` and ``np.bincount``; then log n! + LSE_{|s|=n} W(s)
+    (see :func:`pottsglass.exact._log_ez2_raw_all`).
+    """
+    glt = exact._log_gamma_table(n)
+    al = beta ** 2 / (2.0 * n)
+    states = exact._compositions(n, kappa + 1)[:, :-1]  # every s with |s| <= n, lexicographic
+    size = states.sum(axis=1)
+    # Pair each s with every r of |r| <= n - |s|: a prefix of the states sorted by size.
+    src, rank = exact._fan_out(np.cumsum(np.bincount(size))[n - size])
+    row = np.argsort(size, kind="stable")[rank]
+    # s + r never carries in base n + 1, so its key is the sum of the keys.
+    keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)
+    tgt = np.searchsorted(keys, keys[src] + keys[row])
+    sf = states.astype(np.float64)
+    phi = -glt[states].sum(axis=1) + al * (size ** 2 + 3.0 * (sf ** 2).sum(axis=1))
+    step = phi[row] + 2.0 * al * np.einsum("ij,ij->i", sf[src], sf[row])
+    w = np.full(len(states), -np.inf)
+    w[0] = 0.0
+    for _ in range(kappa):
+        x = w[src] + step
+        top = np.full(len(states), -np.inf)
+        np.maximum.at(top, tgt, x)
+        w = top + np.log(np.bincount(tgt, np.exp(x - top[tgt]), minlength=len(states)))
+    return float(glt[n] + exact.logsumexp(w[size == n]))
 
 
 def indicator_inner_product(sig: np.ndarray, tau: np.ndarray) -> float:

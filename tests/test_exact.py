@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from pottsglass import core, exact
 
-from conftest import config_array, full_split_log_partition, gram_pair_covariances, match_matrix_flat, split_energies
+from conftest import (config_array, full_split_log_partition, gram_pair_covariances, log_ez2_raw_all_pairs,
+                      match_matrix_flat, split_energies)
 
 
 def coupling(matrix):
@@ -298,6 +300,45 @@ class TestUncenteredRatio:
         for n, v in zip((2, 4, 6, 8), bal):
             assert v >= exact.uncentered_lower_bound(n, beta, kappa, "balanced")
 
+    @pytest.mark.parametrize("kappa,ns", [(2, (1, 2, 5, 10, 20, 40)), (3, (1, 3, 8, 15, 24)), (4, (2, 5, 8, 12)),
+                                          (5, (1, 4, 7, 10)), (6, (2, 3, 6, 8))])
+    def test_orbit_recursion_matches_per_state_oracle(self, kappa, ns):
+        for n in ns:
+            for beta in (0.0, 0.5, 1.0, 3.0, 50.0):
+                got, want = exact._log_ez2_raw_all(n, beta, kappa), log_ez2_raw_all_pairs(n, beta, kappa)
+                assert math.isclose(got, want, rel_tol=1e-13), (n, beta, got, want)
+
+    @pytest.mark.parametrize("kappa,n", [(2, 9), (3, 7), (4, 6), (5, 5), (6, 4)])
+    def test_orbit_recursion_counts(self, kappa, n):
+        seen = {}
+
+        def spy(name, fn):
+            def wrapped(*args):
+                seen[name] = fn(*args)
+                return seen[name]
+            return wrapped
+
+        with mock.patch.object(exact, "_unique_rows", spy("orbits", exact._unique_rows)), \
+                mock.patch.object(exact, "_fan_out", spy("pairs", exact._fan_out)):
+            exact._log_ez2_raw_all(n, 1.0, kappa)
+        reps, orbit = seen["orbits"]
+        multisets = [t for t in itertools.combinations_with_replacement(range(n + 1), kappa) if sum(t) <= n]
+        assert reps.tolist() == [list(t) for t in multisets]  # one sorted target per orbit
+        sizes = np.bincount(orbit)
+        assert sizes.tolist() == [len(set(itertools.permutations(t))) for t in multisets]
+        assert sizes.sum() == math.comb(n + kappa, kappa)  # the orbits cover every state
+        pairs = len(seen["pairs"][0])
+        assert pairs == sum(math.prod(b + 1 for b in t) for t in multisets)  # the box [0, t] of each target
+        box = np.prod(reps + 1, axis=1)
+        assert (sizes * box).sum() == math.comb(n + 2 * kappa, 2 * kappa)  # the represented pairs, as capped
+
+    @pytest.mark.parametrize("kappa,n,beta", [(3, 24, 0.0), (3, 24, 1.0), (4, 12, 1.0), (2, 6, 50.0)])
+    def test_no_runtime_warning(self, kappa, n, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio = exact.uncentered_ratio(n, beta, kappa)
+        assert ratio == math.inf if beta == 50.0 else math.isfinite(ratio)
+
 
 class TestAnnealedIdentity:
     def test_closed_form_matches_enumeration(self):
@@ -494,6 +535,23 @@ class TestSplitEngine:
                 one_top, one_mass = exact._mass(split, [g], beta, kind, [(fa[[r]], fb[[r]]) for fa, fb in factors])
                 assert np.array_equal(top[[r]], one_top)
                 assert np.array_equal(mass[[r]], one_mass)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_unique_rows_by_key_match_unique_by_axis(self, data):
+        base, width = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 6))
+        flat = data.draw(st.lists(st.integers(0, base - 1), min_size=width, max_size=40 * width))
+        rows = np.array(flat[:len(flat) - len(flat) % width], dtype=np.int64).reshape(-1, width)
+        got_rows, got_inverse = exact._unique_rows(rows, base)
+        want_rows, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(got_rows, want_rows)
+        assert np.array_equal(got_inverse, want_inverse.reshape(-1))
+
+    def test_unique_rows_past_int64_keys(self):
+        rows = np.eye(45, dtype=np.int64)  # base 4: a key would need 4^45 > 2^63
+        got_rows, got_inverse = exact._unique_rows(rows, 4)
+        assert np.array_equal(got_rows, rows[::-1]) and np.array_equal(got_inverse, np.arange(45)[::-1])
+        assert len(exact._split(3, 45, "all").counts) == math.comb(47, 3)  # every count vector of the sector
 
     def test_cap_is_checked_before_any_enumeration(self, monkeypatch):
         def refuse(*args, **kwargs):
