@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the fourteen ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the seventeen ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -39,7 +39,10 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # 13-rung balanced grid ladder (the pair-swap kernel); the last three run 300 sweeps, which cross three audits
 # and three draw blocks; and exact-free-energy over color orbits with multiplicities up to 4! = 24 (kappa = 4) and
 # with half A one site shorter than half B (odd n); and uncentered-ratio's recursion over color orbits at kappa = 2,
-# 5 and 6, and at beta = 50, where the ratio overflows to inf
+# 5 and 6, and at beta = 50, where the ratio overflows to inf; and replica or trial counts that leave a partial
+# last disorder stack (core.map_replicas draws each stack at once): gauge-check at n = 8 (64 trials a stack, and
+# every stack's flips from one sign product), exact-free-energy at kappa = 2, n = 8 (128 a stack) and
+# moment-check at n = 12 (8 a stack)
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -61,6 +64,9 @@ EXTRA_JOBS = (
     Job("unc-k5-n5-10", ("uncentered-ratio", "--kappa", "5", "--n", "5,10", "--beta", "1.0")),
     Job("unc-k6-n6", ("uncentered-ratio", "--kappa", "6", "--n", "6", "--beta", "1.0")),
     Job("unc-k2-n6-beta-50", ("uncentered-ratio", "--kappa", "2", "--n", "6", "--beta", "50")),
+    Job("gauge-n8-trials-130", ("gauge-check", "--n", "8", "--trials", "130")),
+    Job("efe-k2-n8-all-130", ("exact-free-energy", "--kappa", "2", "--n", "8", "--sector", "all", "--replicas", "130")),
+    Job("moment-n12-21", ("moment-check", "--n", "12", "--m", "1,2,4", "--replicas", "21")),
 )
 
 

@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = ["main", "rows_for_spec", "render_output", "read_spec"]
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: numpy floats take the isinstance branch below, with the same text
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -381,9 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on a process's first main() call, then reused: every option default is immutable
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         spec = ExperimentSpec(**vars(args))
         columns, rows = rows_for_spec(spec)

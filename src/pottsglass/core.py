@@ -99,19 +99,33 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-_DRAWS = threading.local()  # the thread's generator, re-keyed per draw: cheaper than a new one, same numbers
+_DRAWS = threading.local()  # the thread's generator, re-keyed per stream: cheaper than a new one, same numbers
 
 
-def _standard_normal(n_rows: int, n_cols: int, seed: int, stream: int) -> np.ndarray:
-    """Inverse-CDF normals from Philox 53-bit uniforms (platform stable), drawn from the state of
-    a fresh ``philox_generator(seed, stream)``: counter 0, the same key, empty buffer."""
+def _standard_normal(n: int, seed: int, streams) -> np.ndarray:
+    """The one draw route: read-only ``(len(streams), n, n)`` couplings, row ``r`` the platform-stable normals
+    ``ndtri((integers(0, 2**53) + 0.5) * 2**-53)`` of a fresh ``philox_generator(seed, streams[r])``, drawn
+    into one buffer and converted at once.  ``random()`` is ``(random_raw() >> 11) * 2**-53``, and the shift
+    is what ``integers(0, 2**53)`` returns (Lemire's method rejects nothing at a power-of-two range)."""
     if not hasattr(_DRAWS, "rng"):
         _DRAWS.rng = philox_generator(0)
-    zeros, key = np.zeros(4, dtype=np.uint64), np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    _DRAWS.rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                                      "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    k = _DRAWS.rng.integers(0, 1 << 53, size=(n_rows, n_cols))
-    return ndtri((k + 0.5) * 2.0 ** -53)
+    rng, zeros, g = _DRAWS.rng, np.zeros(4, dtype=np.uint64), np.empty((len(streams), n, n))
+    for r, stream in enumerate(streams):  # counter 0, the stream's key, an empty buffer
+        key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+        rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
+                                   "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        rng.random(out=g[r])
+    g += 2.0 ** -54  # k 2^-53 + 2^-54 rounds as (k + 0.5) 2^-53: scaling by a power of two is exact
+    ndtri(g, out=g)  # elementwise, in place: one buffer per stack
+    g.setflags(write=False)
+    return g
+
+
+def _gauge_flip(g: np.ndarray, sites) -> np.ndarray:
+    """The one flip route: each ``g[r]`` of a stack times ``f[:, None] * f[None, :]``, ``f`` -1 at ``sites[r]`` and 1
+    elsewhere (exact), so every coupling incident to the site flips sign and its diagonal entry is kept."""
+    f = np.where(np.arange(g.shape[-1]) == np.asarray(sites)[:, None], -1.0, 1.0)
+    return g * f[:, :, None] * f[:, None, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,7 +221,7 @@ class CouplingMatrix:
 
     @classmethod
     def from_seed(cls, n: int, seed: int, stream: int = 0) -> "CouplingMatrix":
-        return cls(_standard_normal(n, n, seed, stream), seed=seed, stream=stream)
+        return cls(_standard_normal(n, seed, (stream,))[0], seed=seed, stream=stream)  # a stack of one: same bytes
 
     @property
     def n(self) -> int:
@@ -220,14 +234,16 @@ class CouplingMatrix:
         s.setflags(write=False)
         return s
 
+    @cached_property
+    def sym_rows(self) -> tuple[list[np.ndarray], list[float]]:
+        """The row views of :attr:`sym` and its diagonal as Python floats, once per matrix (per-chain sweeps)."""
+        return list(self.sym), self.sym.diagonal().tolist()
+
     def flipped_at(self, site: int) -> "CouplingMatrix":
-        """Sign-flip every coupling incident to ``site`` (diagonal untouched)."""
+        """Sign-flip every coupling incident to ``site`` (diagonal untouched): :func:`_gauge_flip` of one coupling."""
         if not 0 <= site < self.n:
             raise IndexError(f"site {site} out of range [0, {self.n})")
-        g = self.g.copy()
-        g[site, :] *= -1.0
-        g[:, site] *= -1.0  # the diagonal entry is flipped twice, restoring it
-        return CouplingMatrix(g)
+        return CouplingMatrix(_gauge_flip(self.g[None], [site])[0])
 
 
 def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int = 1) -> list:
@@ -236,9 +252,10 @@ def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 
     Every disorder loop runs through here: replica ``r`` uses stream ``r``
     (``g_r.stream``) and results come back in index order for any
     ``workers``.  ``fn`` maps the list of couplings of the replicas
-    ``[s, s + stack)``, s a multiple of ``stack``, drawn just before the call,
-    to the list of their results.  A process pool gets one run of stacks per
-    worker, so ``fn`` (which must then pickle) is sent once per worker.
+    ``[s, s + stack)``, s a multiple of ``stack``, drawn just before the call
+    as one :func:`_standard_normal` stack (each ``g_r`` a read-only view of
+    its row, bitwise ``from_seed``), to the list of their results.  A process
+    pool gets one run of stacks per worker, so ``fn`` (which must then pickle) is sent once per worker.
     """
     task, starts = partial(_draw_stack, fn, n, seed, stack, replicas), range(0, replicas, stack)
     if workers > 1 and len(starts) > 1:
@@ -248,7 +265,8 @@ def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 
 
 
 def _draw_stack(fn: Callable, n: int, seed: int, stack: int, replicas: int, start: int) -> list:
-    return fn([CouplingMatrix.from_seed(n, seed, r) for r in range(start, min(start + stack, replicas))])
+    streams = range(start, min(start + stack, replicas))
+    return fn([CouplingMatrix(g, seed=seed, stream=r) for g, r in zip(_standard_normal(n, seed, streams), streams)])
 
 
 def mean_stderr(values) -> tuple[float, float]:

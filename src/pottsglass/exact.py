@@ -28,6 +28,7 @@ from .core import (
     EnumerationCapError,
     SectorError,
     SpinConfig,
+    _gauge_flip,
     _lex_extend,
     centering_shift,
     count_configs,
@@ -197,6 +198,7 @@ def _sector_label(constraint) -> str:
 # permutation, get bit-identical energies.
 
 _BLOCK = 1 << 15  # pairs per energy block: bounds working memory at any sector size
+_PAIR_CHUNK = 1 << 18  # (s, r) pairs per chunk of _log_ez2_raw_all's targets: about 20 MiB of working memory
 
 
 class _Split(NamedTuple):
@@ -613,7 +615,9 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     target t takes every s in the box [0, t], reads W at the orbit of s, and the
     last sum weights t by its orbit size; 2 s.r = |t|_2^2 - |s|_2^2 - |r|_2^2 in
     exact integers.  Each target is stabilized by its own maximum (the cross
-    term can overflow exp).
+    term can overflow exp).  Several chunks of targets, each about ``_PAIR_CHUNK``
+    pairs, are rebuilt in every row step, which bounds memory; each target's
+    group reduces alone, so the value does not depend on the chunking.
     """
     glt = _log_gamma_table(n)
     al = beta ** 2 / (2.0 * n)
@@ -621,20 +625,31 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     reps, orbit = _unique_rows(np.sort(states, axis=1), n + 1)  # one sorted t per orbit, and the orbit of each s
     keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)  # s + r never carries in base n + 1: keys add
     place, sq, box = (n + 1) ** np.arange(kappa)[::-1], (states ** 2).sum(axis=1), np.prod(reps + 1, axis=1)
-    tgt, rank = _fan_out(box)  # pairs grouped by target, each box's s in lexicographic order
-    key = 0
-    for b in reversed(range(kappa)):
-        rank, digit = np.divmod(rank, reps[tgt, b] + 1)
-        key = key + digit * place[b]
-    src, row = np.searchsorted(keys, key), np.searchsorted(keys, (reps @ place)[tgt] - key)
     phi = -glt[states].sum(axis=1) + al * (states.sum(axis=1) ** 2 + 3.0 * sq)
-    step = phi[row] + al * ((reps ** 2).sum(axis=1)[tgt] - sq[src] - sq[row])
-    src, starts = orbit[src], np.cumsum(box) - box
+    rep_key, rep_sq, first = reps @ place, (reps ** 2).sum(axis=1), np.cumsum(box) - box  # first: a target's first pair
+
+    def pairs(lo: int, hi: int) -> tuple:  # source orbit, step, local target, group starts of targets lo .. hi - 1
+        tgt, rank = _fan_out(box[lo:hi])  # pairs grouped by target, each box's s in lexicographic order
+        tgt += lo
+        key = 0
+        for b in reversed(range(kappa)):
+            rank, digit = np.divmod(rank, reps[tgt, b] + 1)
+            key = key + digit * place[b]
+        src, row = np.searchsorted(keys, key), np.searchsorted(keys, rep_key[tgt] - key)
+        step = phi[row] + al * (rep_sq[tgt] - sq[src] - sq[row])
+        return orbit[src], step, tgt - lo, first[lo:hi] - first[lo]
+
+    cuts = [0, *(np.flatnonzero(np.diff(first // _PAIR_CHUNK)) + 1).tolist(), len(reps)]  # first pairs in one window
+    whole = pairs(0, len(reps)) if len(cuts) == 2 else None
     w = np.where(np.arange(len(reps)), -np.inf, 0.0)  # 0 at the orbit of s = 0
     for _ in range(kappa):
-        x = w[src] + step
-        top = np.maximum.reduceat(x, starts)
-        w = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
+        new = np.empty(len(reps))
+        for lo, hi in zip(cuts, cuts[1:]):
+            src, step, tgt, starts = whole or pairs(lo, hi)
+            x = w[src] + step
+            top = np.maximum.reduceat(x, starts)
+            new[lo:hi] = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
+        w = new
     return float(glt[n] + logsumexp((w + np.log(np.bincount(orbit)))[reps.sum(axis=1) == n]))
 
 
@@ -731,19 +746,20 @@ def gauge_pair_check(
 
 def _gauge_pair(split: _Split, beta: float, sites_of, gs: Sequence[CouplingMatrix]) -> list[GaugePairResult]:
     """:func:`gauge_pair_check` for each g of ``gs`` at the sites ``sites_of[g.stream]``, with every g
-    and its flip in one stack."""
-    stack, odd, flips = [], [], []
+    and its flip in one stack; every flip comes from one :func:`pottsglass.core._gauge_flip`."""
+    parities = []
     for g in gs:
         sites = [int(s) for s in sites_of[g.stream]]
         if not sites:
             raise ValueError("sites multiset must be non-empty")
-        if any(not 0 <= s < g.n for s in sites):
+        if min(sites) < 0 or max(sites) >= g.n:
             raise IndexError(f"site indices must lie in [0, {g.n})")
-        parity = np.bincount(sites, minlength=g.n) % 2 == 1  # tau_s^2 = 1: only odd multiplicities count
-        flips.append(int(parity.argmax()) if parity.any() else None)  # the smallest odd site
-        stack += [g] if flips[-1] is None else [g, g.flipped_at(flips[-1])]
-        odd += [parity] * (1 if flips[-1] is None else 2)
-    na, odd = split.rows_a.shape[1], np.array(odd)
+        parities.append(np.bincount(sites, minlength=g.n) % 2 == 1)  # tau_s^2 = 1: only odd multiplicities count
+    flips = [int(parity.argmax()) if parity.any() else None for parity in parities]  # the smallest odd site
+    flipped = _gauge_flip(np.stack([g.g for g in gs]), [-1 if flip is None else flip for flip in flips])  # -1: no site
+    stack = [c for g, flip, h in zip(gs, flips, flipped) for c in ([g] if flip is None else [g, CouplingMatrix(h)])]
+    odd = np.array([p for parity, flip in zip(parities, flips) for p in [parity] * (1 if flip is None else 2)])
+    na = split.rows_a.shape[1]
     tau = [np.where(odd[:, None, lo:hi], 3.0 - 2 * rows, 1.0).prod(axis=2)  # tau = +1 on color 1, -1 on color 2
            for rows, lo, hi in ((split.rows_a, 0, na), (split.rows_b, na, split.n))]
     _, mass = _mass(split, stack, beta, "raw", [tuple(tau)])  # the product is separable: A part times B part

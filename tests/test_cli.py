@@ -3,6 +3,8 @@ import math
 import os
 import re
 import shlex
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -83,6 +85,28 @@ def test_stdout_when_no_sink(capsys, monkeypatch):
     assert "kappa,beta_kappa" in out
     assert run(["gauge-check", "--n", "4", "--beta", "1.0", "--trials", "3"]) == 0
     assert capsys.readouterr().out.startswith("# pottsglass")
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    cli._parser.cache_clear()
+    commands = [["thresholds", "--kappa-max", "6"], SMOKE_COMMANDS[1], ["gauge-check", "--n", "4", "--trials", "5"],
+                ["thresholds", "--kappa-max", "6"]]
+    for k, args in enumerate(commands):
+        assert run(args + ["--out", str(tmp_path / f"seq{k}.csv")]) == 0
+    assert cli._parser.cache_info().misses == 1  # one build_parser call for every main call
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for k, args in enumerate(commands):
+        alone = tmp_path / f"alone{k}.csv"
+        subprocess.run([sys.executable, "-m", "pottsglass.cli", *args, "--out", str(alone)], env=env, check=True,
+                       capture_output=True)
+        assert (tmp_path / f"seq{k}.csv").read_bytes() == alone.read_bytes()
+
+
+def test_fmt_python_and_numpy_floats_print_alike():
+    for value in (0.1, -2.5e-300, 1e17, math.inf, -math.inf, math.nan, 0.0, -0.0):
+        assert cli._fmt(value) == cli._fmt(np.float64(value)) == f"{value:.17g}"
+    assert cli._fmt(np.float32(0.1)) == f"{float(np.float32(0.1)):.17g}"
+    assert [cli._fmt(v) for v in (True, False, 3, np.int64(-4), None, "x")] == ["true", "false", "3", "-4", "None", "x"]
 
 
 def test_outdir_env(tmp_path, monkeypatch):
@@ -277,14 +301,14 @@ def test_moment_check_draws_each_replica_once_per_size_and_beta(monkeypatch):
             for m in spec.moments:
                 est = exact.magnetization_moment_exact(n, beta, m, replicas=spec.replicas, seed=spec.seed)
                 expected.append([m, n, beta, est.value, est.stderr, est.bound, est.satisfied])
-    draw = core.CouplingMatrix.__dict__["from_seed"].__func__
+    draw = core._standard_normal  # the one draw route: map_replicas and from_seed both call it
     calls = []
 
-    def counted(cls, *args, **kwargs):
-        calls.append(args)
-        return draw(cls, *args, **kwargs)
+    def counted(n, seed, streams):
+        calls.extend((n, seed, stream) for stream in streams)
+        return draw(n, seed, streams)
 
-    monkeypatch.setattr(core.CouplingMatrix, "from_seed", classmethod(counted))
+    monkeypatch.setattr(core, "_standard_normal", counted)
     _, rows = cli.rows_for_spec(spec)
     assert rows == expected
     assert len(calls) == len(spec.n) * len(spec.beta) * spec.replicas

@@ -433,6 +433,50 @@ class TestCouplingMatrix:
         assert f.g[0, 2] == g.g[0, 2]
 
 
+class TestStackedDraw:
+    """One draw route: a replica stack is drawn at once, bitwise as ``from_seed`` per stream."""
+
+    @pytest.mark.parametrize("stack", [1, 3, 64])
+    @pytest.mark.parametrize("n", [1, 2, 8, 33])
+    def test_map_replicas_stacks_equal_from_seed(self, stack, n):
+        replicas = 2 * stack + 1  # a partial last stack of one
+        for seed in (5, 2 ** 63 + 11):
+            out = core.map_replicas(_replica_record, n, seed, replicas, stack=stack)
+            assert [stream for stream, _ in out] == list(range(replicas))
+            for r, (_, g) in enumerate(out):
+                assert np.array_equal(g, core.CouplingMatrix.from_seed(n, seed, r).g)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 33, 64])
+    def test_stack_rows_equal_a_fresh_generator(self, n):
+        streams = [0, 7, core.CHAIN_NAMESPACE | 3, core.RESTART_NAMESPACE, core.TEMPER_NAMESPACE | 9, 2 ** 63,
+                   2 ** 64 - 1]
+        for seed in (0, 2 ** 40, 2 ** 63, 2 ** 64 - 2):
+            draws = core._standard_normal(n, seed, streams)
+            assert draws.shape == (len(streams), n, n) and not draws.flags.writeable
+            for row, stream in zip(draws, streams):
+                fresh = core.philox_generator(seed, stream).integers(0, 1 << 53, size=(n, n))
+                assert np.array_equal(row, ndtri((fresh + 0.5) * 2.0 ** -53))
+                assert np.array_equal(row, core.CouplingMatrix.from_seed(n, seed, stream).g)
+
+    def test_replicas_hold_read_only_rows(self):
+        (g, h), = core.map_replicas(lambda gs: [tuple(gs)], 4, 3, 2, stack=2)
+        assert not g.g.flags.writeable and not h.g.flags.writeable
+        assert (g.seed, g.stream, h.stream) == (3, 0, 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_stacked_flips_equal_flipped_at(self, n):
+        gs = [core.CouplingMatrix.from_seed(n, 13, r) for r in range(5)]
+        sites = [0, n - 1, -1, n // 2, 0]  # -1 flips nothing: an even-parity trial in the same stack
+        flipped = core._gauge_flip(np.stack([g.g for g in gs]), sites)
+        for g, site, f in zip(gs, sites, flipped):
+            hand = g.g.copy()
+            if site >= 0:
+                hand[site, :] *= -1.0
+                hand[:, site] *= -1.0
+                assert np.array_equal(f, g.flipped_at(site).g)
+            assert np.array_equal(f, hand) and np.array_equal(np.signbit(f), np.signbit(hand))
+
+
 @pytest.mark.parametrize("module", ["pottsglass", "pottsglass.core", "pottsglass.exact", "pottsglass.rate",
                                     "pottsglass.montecarlo", "pottsglass.cli", "pottsglass.experiment"])
 def test_exported_names_resolve(module):

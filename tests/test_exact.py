@@ -332,6 +332,24 @@ class TestUncenteredRatio:
         box = np.prod(reps + 1, axis=1)
         assert (sizes * box).sum() == math.comb(n + 2 * kappa, 2 * kappa)  # the represented pairs, as capped
 
+    @pytest.mark.parametrize("kappa,n", [(2, 20), (3, 12), (4, 8), (5, 6)])
+    def test_chunked_targets_equal_one_chunk(self, kappa, n):
+        betas = (0.0, 0.5, 3.0, 50.0)
+        whole = [exact._log_ez2_raw_all(n, beta, kappa) for beta in betas]
+        chunks, fan_out = [], exact._fan_out
+        with mock.patch.object(exact, "_PAIR_CHUNK", 7), \
+                mock.patch.object(exact, "_fan_out", lambda box: chunks.append(len(box)) or fan_out(box)):
+            chunked = [exact._log_ez2_raw_all(n, beta, kappa) for beta in betas]
+        assert len(chunks) > kappa * len(betas)  # several chunks, rebuilt in every round
+        assert chunked == whole  # bitwise
+
+    @pytest.mark.parametrize("kappa,n", [(3, 24), (4, 8)])
+    def test_benchmark_sizes_are_one_chunk(self, kappa, n):
+        calls, fan_out = [], exact._fan_out
+        with mock.patch.object(exact, "_fan_out", lambda box: calls.append(len(box)) or fan_out(box)):
+            exact._log_ez2_raw_all(n, 1.0, kappa)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("kappa,n,beta", [(3, 24, 0.0), (3, 24, 1.0), (4, 12, 1.0), (2, 6, 50.0)])
     def test_no_runtime_warning(self, kappa, n, beta):
         with warnings.catch_warnings():
@@ -376,6 +394,23 @@ class TestGauge:
             g = core.CouplingMatrix.from_seed(5, 33, stream)
             res = exact.gauge_pair_check(g, math.inf, [2])
             assert abs(res.pair_sum) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_stack_mixing_parities_equals_one_trial_at_a_time(self, beta):
+        n = 6
+        sites_of = {0: [0], 1: [1, 1], 2: [n - 1], 3: [2, 2, 3, 3], 4: [0, n - 1, n - 1], 5: [n - 1, 4, 4]}
+        split = exact._split(n, 2, "all")
+        gs = [core.CouplingMatrix.from_seed(n, 17, r) for r in sites_of]
+        stacked = exact._gauge_pair(split, beta, sites_of, gs)
+        assert [res.parity for res in stacked] == ["odd", "even", "odd", "even", "odd", "odd"]
+        for g, res in zip(gs, stacked):
+            assert res == exact.gauge_pair_check(g, beta, sites_of[g.stream])  # bitwise
+            if res.flip_site is not None:
+                hand = g.g.copy()
+                hand[res.flip_site, :] *= -1.0
+                hand[:, res.flip_site] *= -1.0
+                flipped = core.CouplingMatrix(hand)
+                assert res.value_flipped == exact.gauge_pair_check(flipped, beta, sites_of[g.stream]).value
 
 
 class TestKappa2Moments:
