@@ -28,14 +28,12 @@ __all__ = ["main", "rows_for_spec", "render_output", "read_spec"]
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells: numpy floats take the isinstance branch below, with the same text
-        return f"{value:.17g}"
+    if isinstance(value, (float, np.floating)):  # first: most cells are floats, and bool and ints are not
+        return f"{float(value):.17g}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     return str(value)
 
 

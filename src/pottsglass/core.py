@@ -234,11 +234,6 @@ class CouplingMatrix:
         s.setflags(write=False)
         return s
 
-    @cached_property
-    def sym_rows(self) -> tuple[list[np.ndarray], list[float]]:
-        """The row views of :attr:`sym` and its diagonal as Python floats, once per matrix (per-chain sweeps)."""
-        return list(self.sym), self.sym.diagonal().tolist()
-
     def flipped_at(self, site: int) -> "CouplingMatrix":
         """Sign-flip every coupling incident to ``site`` (diagonal untouched): :func:`_gauge_flip` of one coupling."""
         if not 0 <= site < self.n:

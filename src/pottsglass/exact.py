@@ -198,7 +198,7 @@ def _sector_label(constraint) -> str:
 # permutation, get bit-identical energies.
 
 _BLOCK = 1 << 15  # pairs per energy block: bounds working memory at any sector size
-_PAIR_CHUNK = 1 << 18  # (s, r) pairs per chunk of _log_ez2_raw_all's targets: about 20 MiB of working memory
+_PAIR_CHUNK = 1 << 17  # (s, r) pairs per chunk of _log_ez2_raw_all's targets: every benchmark size is one chunk
 
 
 class _Split(NamedTuple):
@@ -615,9 +615,10 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     target t takes every s in the box [0, t], reads W at the orbit of s, and the
     last sum weights t by its orbit size; 2 s.r = |t|_2^2 - |s|_2^2 - |r|_2^2 in
     exact integers.  Each target is stabilized by its own maximum (the cross
-    term can overflow exp).  Several chunks of targets, each about ``_PAIR_CHUNK``
-    pairs, are rebuilt in every row step, which bounds memory; each target's
-    group reduces alone, so the value does not depend on the chunking.
+    term can overflow exp).  The pairs are built in chunks of targets, each
+    about ``_PAIR_CHUNK`` pairs, which bounds the working memory; only each
+    chunk's source orbits, steps and targets are kept for the row steps.  Each
+    target's group reduces alone, so the value does not depend on the chunking.
     """
     glt = _log_gamma_table(n)
     al = beta ** 2 / (2.0 * n)
@@ -640,16 +641,15 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
         return orbit[src], step, tgt - lo, first[lo:hi] - first[lo]
 
     cuts = [0, *(np.flatnonzero(np.diff(first // _PAIR_CHUNK)) + 1).tolist(), len(reps)]  # first pairs in one window
-    whole = pairs(0, len(reps)) if len(cuts) == 2 else None
+    chunks = [pairs(lo, hi) for lo, hi in zip(cuts, cuts[1:])]  # built once, read by every row step
     w = np.where(np.arange(len(reps)), -np.inf, 0.0)  # 0 at the orbit of s = 0
     for _ in range(kappa):
-        new = np.empty(len(reps))
-        for lo, hi in zip(cuts, cuts[1:]):
-            src, step, tgt, starts = whole or pairs(lo, hi)
+        parts = []
+        for src, step, tgt, starts in chunks:
             x = w[src] + step
             top = np.maximum.reduceat(x, starts)
-            new[lo:hi] = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
-        w = new
+            parts.append(top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts)))
+        w = np.concatenate(parts)
     return float(glt[n] + logsumexp((w + np.log(np.bincount(orbit)))[reps.sum(axis=1) == n]))
 
 

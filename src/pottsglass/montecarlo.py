@@ -197,33 +197,32 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
     equal to the current color is a no-op.  The local fields are rebuilt once
     per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
-    accepted move O(n), in place, on the rows of ``g.sym_rows`` (made once per
-    coupling) and colors in a list, written back once.  :func:`_run_stack`
-    makes this sweep for a stack of chains at once, with the same bytes, from
-    the crossover :func:`_lockstep` on.
+    accepted move O(n), in place.  :func:`_run_stack` makes this sweep for a
+    stack of chains at once, with the same bytes, from the crossover
+    :func:`_lockstep` on.
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
     n, kappa, beta = state.n, state.kappa, state.beta
-    srows, diag = g.sym_rows
+    s = g.sym
     sqn = math.sqrt(n)
     draws = state.rng.random((3, n))
     # the map in numpy: at large n a Python int(u * n) per proposal costs more than the saved draw calls
     sites, props = (draws[:2] * [[n], [kappa]]).astype(np.int64).tolist()
-    h = _local_fields(state.colors, g.sym, kappa)
-    hrows, colors = list(h), state.colors.tolist()
+    colors = state.colors
+    h = _local_fields(colors, s, kappa)
+    hrows, srows = list(h), list(s)  # row views, made once per sweep
     energy = state.energy
     for t, new, u in zip(sites, props, draws[2].tolist()):  # colors 0-based here
-        old = colors[t] - 1
+        old = colors.item(t) - 1
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
-        d = (h.item(new, t) - h.item(old, t) + diag[t]) / sqn
+        d = (h.item(new, t) - h.item(old, t) + s.item(t, t)) / sqn
         if d >= 0.0 or u < math.exp(beta * d):
             colors[t] = new + 1
             np.subtract(hrows[old], srows[t], out=hrows[old])
             np.add(hrows[new], srows[t], out=hrows[new])
             energy += d
-    state.colors[:] = colors
     return state._end_sweep(g, energy)
 
 
@@ -430,22 +429,23 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     n_other = n - per
     if n_other == 0:
         raise SectorError("no differing-color pair exists")
-    s, (srows, diag) = g.sym, g.sym_rows
+    s = g.sym
     sqn = math.sqrt(n)
     draws = state.rng.random((3, n))
     sites, ranks = (draws[:2] * [[n], [n_other]]).astype(np.int64).tolist()
-    h = _local_fields(state.colors, s, kappa)
-    own = np.argsort(state.colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
-    hrows, colors, shift = list(h), state.colors.tolist(), np.empty(n)
+    colors = state.colors
+    h = _local_fields(colors, s, kappa)
+    own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
+    hrows, srows, shift = list(h), list(s), np.empty(n)
     energy = state.energy
     for i, rank, u in zip(sites, ranks, draws[2].tolist()):
-        a = colors[i]
+        a = colors.item(i)
         j = _partner(own, a, rank)
-        b = colors[j]
+        b = colors.item(j)
         sij = s.item(i, j)
-        d1 = (h.item(b - 1, i) - h.item(a - 1, i) + diag[i]) / sqn
+        d1 = (h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)) / sqn
         # site j's fields once site i already holds color b
-        d2 = ((h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + diag[j]) / sqn
+        d2 = ((h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)) / sqn
         d = d1 + d2
         if d >= 0.0 or u < math.exp(beta * d):
             colors[i] = b
@@ -457,7 +457,6 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
                 del sites_of[bisect_left(sites_of, out)]
                 insort(sites_of, into)
             energy += d
-    state.colors[:] = colors
     return state._end_sweep(g, energy)
 
 
