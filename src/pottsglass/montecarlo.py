@@ -20,6 +20,10 @@ lockstep with others (:func:`_run_stack`).  Its energy is computed from scratch
 by :func:`pottsglass.core.hamiltonian_raw` at its start and every
 ``AUDIT_INTERVAL`` sweeps, which guards the cached running sum against drift;
 so a configuration and its color images get bit-identical energies there.
+
+Every kernel accepts in the log domain, ``u < e^{beta dH}`` as one comparison
+with a threshold made when ``u`` is drawn (:func:`_log_uniforms`); alone and in
+lockstep, a chain compares the same floats.
 """
 
 from __future__ import annotations
@@ -71,11 +75,11 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
 # per sector (kernel), tiers (largest n, rows): from that many rows a stack of chains of size n, in the first tier
-# that covers n, sweeps faster in lockstep than chain by chain (BENCH_mc_stack.json, BENCH_mc_swap_lockstep.json)
-LOCKSTEP_ROWS = {"all": ((12, 12), (math.inf, 24)), "balanced": ((9, 8), (96, 13), (math.inf, 24))}
+# that covers n, sweeps faster in lockstep than chain by chain (BENCH_mc_stack.json, BENCH_mc_swap_lockstep.json,
+# BENCH_mc_log_accept.json)
+LOCKSTEP_ROWS = {"all": ((12, 9), (math.inf, 24)), "balanced": ((9, 8), (96, 13), (math.inf, 24))}
 _STACK_ELEMS = 1 << 21  # coupling elements per estimate_tail stack: its stacked g + g^T stays within 16 MiB
 MAX_RUNGS = 256  # rungs of a tempering ladder: its chain ids keep 8 bits for the rung
-_EXP_SLACK = 1e-12  # a lockstep uniform this close (relative) to np.exp's threshold is decided by math.exp
 
 
 @dataclass
@@ -189,17 +193,25 @@ def _partner(own: list[list[int]], a: int, rank: int) -> int:
     return own[c + (c + 1 >= a)][p]
 
 
+def _log_uniforms(us: np.ndarray) -> np.ndarray:
+    """``np.log`` of a draw's uniforms, -inf at u = 0: a proposal is accepted iff its raw difference ``x = sqrt(n) dH``
+    exceeds ``log(u)`` times ``sqrt(n) / beta`` (inf at beta = 0, so every proposal is accepted there), and a ladder
+    swap iff its log acceptance exceeds ``log(u)``."""
+    with np.errstate(divide="ignore"):
+        return np.log(us)
+
+
 def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     """n single-site recoloring proposals with acceptance min(1, e^{beta dH}).
 
     One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
     as ``(u0, u1, u)``, recolors site ``int(u0 * n)`` to color
-    ``1 + int(u1 * kappa)`` and accepts if ``u < e^{beta dH}``.  A proposal
-    equal to the current color is a no-op.  The local fields are rebuilt once
-    per sweep, an O(kappa n^2) product; a proposal then costs O(1) and an
-    accepted move O(n), in place.  :func:`_run_stack` makes this sweep for a
-    stack of chains at once, with the same bytes, from the crossover
-    :func:`_lockstep` on.
+    ``1 + int(u1 * kappa)`` and accepts if ``sqrt(n) dH`` exceeds the
+    threshold of ``u`` (:func:`_log_uniforms`).  A proposal equal to the current
+    color is a no-op.  The local fields are rebuilt once per sweep, an
+    O(kappa n^2) product; a proposal then costs O(1) and an accepted move O(n),
+    in place.  :func:`_run_stack` makes this sweep for a stack of chains at
+    once, with the same bytes, from the crossover :func:`_lockstep` on.
     """
     if state.sector != "all":
         raise SectorError("metropolis_sweep serves the unconstrained sector")
@@ -213,16 +225,17 @@ def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     h = _local_fields(colors, s, kappa)
     hrows, srows = list(h), list(s)  # row views, made once per sweep
     energy = state.energy
-    for t, new, u in zip(sites, props, draws[2].tolist()):  # colors 0-based here
+    scale = sqn / beta if beta else math.inf
+    for t, new, log_u in zip(sites, props, _log_uniforms(draws[2]).tolist()):  # colors 0-based here
         old = colors.item(t) - 1
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
-        d = (h.item(new, t) - h.item(old, t) + s.item(t, t)) / sqn
-        if d >= 0.0 or u < math.exp(beta * d):
+        x = h.item(new, t) - h.item(old, t) + s.item(t, t)
+        if x > log_u * scale:
             colors[t] = new + 1
             np.subtract(hrows[old], srows[t], out=hrows[old])
             np.add(hrows[new], srows[t], out=hrows[new])
-            energy += d
+            energy += x / sqn
     return state._end_sweep(g, energy)
 
 
@@ -265,8 +278,8 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
     rows, n, per = len(chains), chains[0].n, len(chains) // len(gs)
     s, colors = np.stack([g.sym for g in gs]), np.stack([c.colors for c in chains]) - 1
     energy, betas, r = np.array([c.energy for c in chains]), [c.beta for c in chains], np.arange(rows)
-    # per row: beta, sqrt(n), 0, and the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
-    consts = (np.array(betas), np.full(rows, math.sqrt(n)), np.zeros(rows), r * kappa, r * n, r // per * n,
+    # per row: its threshold scale and the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
+    consts = (np.array([math.sqrt(n) / beta if beta else math.inf for beta in betas]), r * kappa, r * n, r // per * n,
               np.diagonal(s, axis1=1, axis2=2).reshape(-1))
     swap = chains[0].sector == "balanced"
     moves = _swap_moves if swap else _lockstep_moves
@@ -278,17 +291,15 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
         b = min(total - done, AUDIT_INTERVAL - chains[0].sweeps % AUDIT_INTERVAL,
                 max(1, _STACK_ELEMS // (10 * rows * n)))
         tables = _proposal_tables([c.rng for c in chains], b, n, consts, kappa, swap)
-        ladder_us = np.hstack([t.rng.random((b, per - 1)) for t in tempers]).tolist() if tempers else None
+        ladder_logs = tempers and _log_uniforms(np.hstack([t.rng.random((b, per - 1)) for t in tempers])).tolist()
         for k, step in enumerate(zip(*tables)):
-            # None: some uniform lies within rounding of its threshold, so the sweep is decided with math.exp
-            colors, energy = (moves(colors, energy, s, step, consts, kappa, exact=False)
-                              or moves(colors, energy, s, step, consts, kappa, exact=True))
+            colors, energy = moves(colors, energy, s, step, consts, kappa)
             if k == b - 1:
                 for c, row in zip(chains, colors + 1):
                     c.colors, c.sweeps = row, c.sweeps + b - 1
                 energy = np.array([c._end_sweep(g, e).energy for c, g, e in zip(chains, owners, energy.tolist())])
             if tempers:
-                colors, energy = _stack_swaps(colors, energy, lows, dbetas, ladder_us[k], accepts)
+                colors, energy = _stack_swaps(colors, energy, lows, dbetas, ladder_logs[k], accepts)
             if (measured := done + k - burn_in) >= 0 and measured % thinning == 0:
                 records.append(observe(colors, energy))
         done += b
@@ -304,60 +315,46 @@ def _proposal_tables(rngs, b: int, n: int, consts, kappa: int, swap: bool) -> tu
     """Entry ``[k, j, r]``: proposal ``j`` of chain ``r`` (drawing from ``rngs[r]``) in sweep ``k`` of a block:
     its site ``t`` in the flat colors, row ``S[r, t]`` of the stacked couplings, ``S[r, t, t]``, the flat
     position of ``h[r, 0, t]``, then those of ``h[r, new, t]`` and ``new`` (Metropolis) or the partner's
-    ``divmod(rank, n // kappa)`` (swap), and ``u``, read as in :func:`metropolis_sweep` or :func:`swap_sweep`."""
-    fields0, cells0, srows0, diag = consts[3:]
+    ``divmod(rank, n // kappa)`` (swap), and the threshold of ``u``, read as in :func:`metropolis_sweep` or
+    :func:`swap_sweep`."""
+    log_scales, fields0, cells0, srows0, diag = consts
     draws = np.stack([rng.random((b, 3, n)) for rng in rngs], axis=-1)  # [k, :, j, r]
     scale = n - n // kappa if swap else kappa
     sites, props = (draws[:, :2] * [[[n]], [[scale]]]).astype(np.int64).swapaxes(0, 1)
-    srow, hcol = sites + srows0, sites + fields0 * n
+    srow, hcol, limits = sites + srows0, sites + fields0 * n, _log_uniforms(draws[:, 2])
+    limits *= log_scales  # elementwise, the product each chain's kernel forms
     if swap:  # the partner's other-color index c, and its place r * per + p among the stack's sites of its color
         c, p = np.divmod(props, n // kappa)
-        return sites + cells0, srow, diag[srow], hcol, c, p + cells0 // kappa, draws[:, 2].copy()
-    return sites + cells0, srow, diag[srow], hcol, hcol + props * n, props.copy(), draws[:, 2].copy()
+        return sites + cells0, srow, diag[srow], hcol, c, p + cells0 // kappa, limits
+    return sites + cells0, srow, diag[srow], hcol, hcol + props * n, props.copy(), limits
 
 
-def _accept(d, u, consts, move, e, exact) -> None:
-    """``move = d >= 0 or u < e^{beta d}`` per row, by ``math.exp`` if ``exact``, else ``np.exp`` (thresholds in e)."""
-    betas, _, zero = consts[:3]
-    if exact:
-        move[:] = [dd >= 0.0 or uu < math.exp(b * dd) for dd, uu, b in zip(d.tolist(), u.tolist(), betas.tolist())]
-    else:  # e = 1 > u when d >= 0
-        x = betas * d
-        np.less(u, np.exp(np.minimum(x, zero, out=x), out=e), out=move)
-
-
-def _settle(colors, energy, steps, moves, us, thresholds, exact):
-    """A sweep's colors and energies, or None if not ``exact`` and some ``u`` is within ``_EXP_SLACK`` of its threshold.
-    Each energy adds its accepted ``d`` in proposal order (a rejected one adds ``-0.0``, which changes no float)."""
-    # the absolute 1e-300 covers thresholds that underflow, where the two exps may part by a subnormal
-    if not exact and (np.abs(us - thresholds) <= _EXP_SLACK * thresholds + 1e-300).any():
-        return None
+def _settle(colors, energy, steps, moves):
+    """A sweep's colors and energies: each energy adds its accepted ``x / sqrt(n)`` in proposal order (a rejected
+    one adds ``-0.0``, which changes no float), the per-chain kernels' sum, from one division of the step table."""
+    steps /= math.sqrt(colors.shape[1])
     steps[~moves] = -0.0
     return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
 
 
-def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
+def _lockstep_moves(colors, energy, s, step, consts, kappa):
     """The ``n`` proposals of one :func:`_run_stack` sweep of Metropolis chains, from its tables ``step``;
     returns the new colors (0-based) and energies (:func:`_settle`).
 
-    Proposal ``j`` of chain ``r`` reads ``d = (h[r, new, t] - h[r, old, t] + S[r, t, t]) / sqrt(n)``;
-    an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and ``h[r, new] += S[r, t]``,
-    elementwise, as :func:`metropolis_sweep` does.  The test ``u < e^{beta d}`` uses ``np.exp``, which
-    may differ from that kernel's ``math.exp`` in the last bit; so this fast pass returns None when any
-    ``u`` of the sweep lies within ``_EXP_SLACK`` of its threshold.  ``exact`` applies the kernel's own rule.
+    Proposal ``j`` of chain ``r`` reads ``x = h[r, new, t] - h[r, old, t] + S[r, t, t]`` and is accepted
+    iff ``x`` exceeds its threshold; an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and
+    ``h[r, new] += S[r, t]``, elementwise, as :func:`metropolis_sweep` does, on the same floats.
     """
-    n = colors.shape[1]
-    sqn, base = consts[1], consts[3]
+    n, base = colors.shape[1], consts[1]
     colors = colors.copy()
     h = _stack_fields(colors, s, kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
-    steps, moves, thresholds = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool), np.empty_like(step[-1])
-    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, u, d, move, e in zip(*step, steps, moves, thresholds):
+    steps, moves = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool)
+    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, limit, x, move in zip(*step, steps, moves):
         old = cells[at_k]
-        np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=d)
-        d += diag_k
-        d /= sqn
-        _accept(d, u, consts, move, e, exact)
+        np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=x)
+        x += diag_k
+        np.greater(x, limit, out=move)
         move &= new != old
         idx = move.nonzero()[0]
         if idx.size:
@@ -368,35 +365,33 @@ def _lockstep_moves(colors, energy, s, step, consts, kappa, exact):
             rows[:idx.size] -= row
             rows[idx.size:] += row
             hrows[sink] = rows
-    return _settle(colors, energy, steps, moves, step[-1], thresholds, exact)
+    return _settle(colors, energy, steps, moves)
 
 
-def _swap_moves(colors, energy, s, step, consts, kappa, exact):
+def _swap_moves(colors, energy, s, step, consts, kappa):
     """:func:`_lockstep_moves` for balanced chains, as :func:`swap_sweep` makes them: proposal ``j`` of chain ``r``
     pairs site ``i`` (color ``a``) with the ``(p + 1)``-th site of color ``b = c + (c >= a)`` in index order, the
-    site :func:`_partner` names, and reads the same ``d1 + d2``; an accepted one swaps the two colors and moves
-    ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``."""
+    site :func:`_partner` names, and compares the same raw ``x1 + x2`` with its threshold; an accepted one swaps the
+    two colors and moves ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``."""
     n = colors.shape[1]
-    sqn, base, cells0, srows0, diag = consts[1], *consts[3:]
+    base, cells0, srows0, diag = consts[1:]
     colors = colors.copy()
     h = _stack_fields(colors, s, kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
     sflat, hbase = s.reshape(-1), base * n
-    steps, moves, thresholds = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool), np.empty_like(step[-1])
-    for at_i, srow_i, diag_i, hcol_i, c, p, u, d, move, e in zip(*step, steps, moves, thresholds):
+    steps, moves = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool)
+    for at_i, srow_i, diag_i, hcol_i, c, p, limit, x, move in zip(*step, steps, moves):
         a = cells[at_i]
         b = c + (c >= a)
         j = (colors == b[:, None]).nonzero()[1][p]  # every row holds n // kappa sites of each color
         srow_j, hcol_j, an, bn = srows0 + j, hbase + j, a * n, b * n
         sij = sflat[srow_i * n + j]
-        d1 = flat[hcol_i + bn] - flat[hcol_i + an]
-        d1 += diag_i
-        d1 /= sqn
-        np.subtract(flat[hcol_j + an] - sij, flat[hcol_j + bn] + sij, out=d)  # site j's once site i holds b
-        d += diag[srow_j]
-        d /= sqn
-        d += d1
-        _accept(d, u, consts, move, e, exact)
+        x1 = flat[hcol_i + bn] - flat[hcol_i + an]
+        x1 += diag_i
+        np.subtract(flat[hcol_j + an] - sij, flat[hcol_j + bn] + sij, out=x)  # site j's once site i holds b
+        x += diag[srow_j]
+        x += x1
+        np.greater(x, limit, out=move)
         idx = move.nonzero()[0]
         if idx.size:
             now, was = b[idx], a[idx]
@@ -407,7 +402,7 @@ def _swap_moves(colors, energy, s, step, consts, kappa, exact):
             rows[:idx.size] -= shift
             rows[idx.size:] += shift
             hrows[sink] = rows
-    return _settle(colors, energy, steps, moves, step[-1], thresholds, exact)
+    return _settle(colors, energy, steps, moves)
 
 
 def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
@@ -415,12 +410,12 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
 
     One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
     as ``(u0, u1, u)``, swaps site ``int(u0 * n)`` with its partner of rank
-    ``int(u1 * (n - per))`` (:func:`_partner`) and accepts if
-    ``u < e^{beta dH}``.  The partner is uniform over the sites of the other
-    colors, whose count is constant in the balanced sector, so the proposal is
-    symmetric.  Color counts are conserved exactly.  :func:`_run_stack` makes
-    this sweep for a stack of chains at once (:func:`_swap_moves`), with the
-    same bytes.
+    ``int(u1 * (n - per))`` (:func:`_partner`) and accepts if ``sqrt(n) dH``
+    exceeds the threshold of ``u`` (:func:`_log_uniforms`).  The partner is
+    uniform over the sites of the other colors, whose count is constant in the
+    balanced sector, so the proposal is symmetric.  Color counts are conserved
+    exactly.  :func:`_run_stack` makes this sweep for a stack of chains at once
+    (:func:`_swap_moves`), with the same bytes.
     """
     if state.sector != "balanced":
         raise SectorError("swap_sweep serves the balanced sector")
@@ -438,16 +433,17 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
     own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
     hrows, srows, shift = list(h), list(s), np.empty(n)
     energy = state.energy
-    for i, rank, u in zip(sites, ranks, draws[2].tolist()):
+    scale = sqn / beta if beta else math.inf
+    for i, rank, log_u in zip(sites, ranks, _log_uniforms(draws[2]).tolist()):
         a = colors.item(i)
         j = _partner(own, a, rank)
         b = colors.item(j)
         sij = s.item(i, j)
-        d1 = (h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)) / sqn
+        x1 = h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)
         # site j's fields once site i already holds color b
-        d2 = ((h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)) / sqn
-        d = d1 + d2
-        if d >= 0.0 or u < math.exp(beta * d):
+        x2 = (h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)
+        x = x1 + x2
+        if x > log_u * scale:
             colors[i] = b
             colors[j] = a
             np.subtract(srows[i], srows[j], out=shift)
@@ -456,7 +452,7 @@ def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
             for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
                 del sites_of[bisect_left(sites_of, out)]
                 insort(sites_of, into)
-            energy += d
+            energy += x / sqn
     return state._end_sweep(g, energy)
 
 
@@ -540,28 +536,27 @@ def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadde
 def _ladder_swaps(ladder: TemperingLadder) -> TemperingLadder:
     """Adjacent swap proposals from the bottom up, one ``random(rungs - 1)`` draw.
 
-    A swap of rungs (i, j) is accepted with probability
-    min(1, exp((beta_i - beta_j)(H_j - H_i))); configurations and cached
-    energies travel, the rung temperatures stay put.
+    A swap of rungs (i, j) is accepted with probability min(1, e^L),
+    L = (beta_i - beta_j)(H_j - H_i): iff L exceeds ``log u``; configurations
+    and cached energies travel, the rung temperatures stay put.
     """
     rungs = ladder.rungs
     ladder.swap_attempts += 1
-    for k, (lo, hi, u) in enumerate(zip(rungs, rungs[1:], ladder.rng.random(size=len(rungs) - 1).tolist())):
-        log_acc = (lo.beta - hi.beta) * (hi.energy - lo.energy)
-        if log_acc >= 0.0 or u < math.exp(log_acc):
+    logs = _log_uniforms(ladder.rng.random(size=len(rungs) - 1)).tolist()
+    for k, (lo, hi, log_u) in enumerate(zip(rungs, rungs[1:], logs)):
+        if (lo.beta - hi.beta) * (hi.energy - lo.energy) > log_u:
             lo.colors, hi.colors = hi.colors, lo.colors
             lo.energy, hi.energy = hi.energy, lo.energy
             ladder.swap_accepts[k] += 1
     return ladder
 
 
-def _stack_swaps(colors, energy, lows, dbetas, us, accepts):
+def _stack_swaps(colors, energy, lows, dbetas, logs, accepts):
     """:func:`_ladder_swaps` of a :func:`_run_stack` stack's ladders in one pass, with the same floats: pair
-    ``p`` may exchange rows ``k = lows[p]`` and ``k + 1`` (betas ``dbetas[p]`` apart) with uniform ``us[p]``."""
+    ``p`` may exchange rows ``k = lows[p]`` and ``k + 1`` (betas ``dbetas[p]`` apart), against ``log u = logs[p]``."""
     e, order = energy.tolist(), list(range(len(energy)))
-    for p, (k, dbeta, u) in enumerate(zip(lows, dbetas, us)):
-        log_acc = dbeta * (e[k + 1] - e[k])
-        if log_acc >= 0.0 or u < math.exp(log_acc):
+    for p, (k, dbeta, log_u) in enumerate(zip(lows, dbetas, logs)):
+        if dbeta * (e[k + 1] - e[k]) > log_u:
             order[k], order[k + 1], e[k], e[k + 1] = order[k + 1], order[k], e[k + 1], e[k]
             accepts[p] += 1
     return colors[order], np.array(e)

@@ -60,11 +60,22 @@ def single_proposal_kernel(g, kappa, beta, sector):
 # sites per proposal, and a flatnonzero scan for the swap partner.  Their
 # draws follow the kernels' documented map (v0.1.11): one random((3, n)) per
 # sweep, site int(u0 n), color 1 + int(u1 kappa) or swap rank int(u1 (n - per)).
+# They accept in the log domain (v0.1.14): a raw difference x = sqrt(n) dH
+# above log(u) sqrt(n) / beta, with np.log over the same draw row.
 
 
-def _reference_site_delta(colors, srow, site, old, new, kappa, sqn):
+def _reference_site_delta(colors, srow, site, old, new, kappa):
     sums = np.bincount(colors - 1, weights=srow, minlength=kappa)
-    return float((sums[new - 1] - sums[old - 1] + srow[site]) / sqn)
+    return float(sums[new - 1] - sums[old - 1] + srow[site])
+
+
+def _reference_logs(us):
+    with np.errstate(divide="ignore"):  # u = 0: log u = -inf, always accepted
+        return np.log(us).tolist()
+
+
+def _reference_limits(us, sqn, beta):
+    return [-math.inf if beta == 0.0 else log_u * (sqn / beta) for log_u in _reference_logs(us)]
 
 
 def reference_metropolis_sweep(state, g):
@@ -72,16 +83,17 @@ def reference_metropolis_sweep(state, g):
     s = g.g + g.g.T
     sqn = math.sqrt(n)
     u0, u1, us = state.rng.random((3, n))
+    limits = _reference_limits(us, sqn, beta)
     colors = state.colors
     for k in range(n):
         t, new = int(u0[k] * n), 1 + int(u1[k] * kappa)
         old = int(colors[t])
         if new == old:
             continue
-        d = _reference_site_delta(colors, s[t], t, old, new, kappa, sqn)
-        if d >= 0.0 or us[k] < math.exp(beta * d):
+        x = _reference_site_delta(colors, s[t], t, old, new, kappa)
+        if x > limits[k]:
             colors[t] = new
-            state.energy += d
+            state.energy += x / sqn
     state.sweeps += 1
     if state.sweeps % mc.AUDIT_INTERVAL == 0:
         state._audit(g)
@@ -93,6 +105,7 @@ def reference_swap_sweep(state, g):
     sqn = math.sqrt(n)
     per = n // kappa
     u0, u1, us = state.rng.random((3, n))
+    limits = _reference_limits(us, sqn, beta)
     colors = state.colors
     for k in range(n):
         i = int(u0[k] * n)
@@ -100,13 +113,13 @@ def reference_swap_sweep(state, g):
         c, p = divmod(int(u1[k] * (n - per)), per)
         b = c + 1 if c + 1 < a else c + 2
         j = int(np.flatnonzero(colors == b)[p])
-        d1 = _reference_site_delta(colors, s[i], i, a, b, kappa, sqn)
+        x1 = _reference_site_delta(colors, s[i], i, a, b, kappa)
         colors[i] = b
-        d2 = _reference_site_delta(colors, s[j], j, b, a, kappa, sqn)
+        x2 = _reference_site_delta(colors, s[j], j, b, a, kappa)
         colors[i] = a
-        if d1 + d2 >= 0.0 or us[k] < math.exp(beta * (d1 + d2)):
+        if x1 + x2 > limits[k]:
             colors[i], colors[j] = b, a
-            state.energy += d1 + d2
+            state.energy += (x1 + x2) / sqn
     state.sweeps += 1
     if state.sweeps % mc.AUDIT_INTERVAL == 0:
         state._audit(g)
@@ -115,13 +128,35 @@ def reference_swap_sweep(state, g):
 def reference_tempering_step(ladder, g):
     for rung in ladder.rungs:
         reference_metropolis_sweep(rung, g)
-    us = ladder.rng.random(size=len(ladder.rungs) - 1)
+    logs = _reference_logs(ladder.rng.random(size=len(ladder.rungs) - 1))
     for k in range(len(ladder.rungs) - 1):
         lo, hi = ladder.rungs[k], ladder.rungs[k + 1]
-        log_acc = (lo.beta - hi.beta) * (hi.energy - lo.energy)
-        if log_acc >= 0.0 or us[k] < math.exp(log_acc):
+        if (lo.beta - hi.beta) * (hi.energy - lo.energy) > logs[k]:
             lo.colors, hi.colors = hi.colors, lo.colors
             lo.energy, hi.energy = hi.energy, lo.energy
+
+
+class _EdgeDraws:
+    """Stands in for a generator: the uniforms it has drawn, counted from its first, are 0 at every 7th place
+    and 1 - 2^-53 at every 11th, the wrapped generator's elsewhere; so a per-sweep and a per-block draw
+    read the same values, and both edges of [0, 1) reach every kind of decision."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def random(self, size):
+        us = self.rng.random(size)
+        at = self.drawn + np.arange(us.size).reshape(us.shape)
+        us[at % 7 == 3], us[at % 11 == 5] = 0.0, np.nextafter(1.0, 0.0)
+        self.drawn += us.size
+        return us
+
+
+def _edge_generator(seed, stream):
+    return _EdgeDraws(core.philox_generator(seed, stream))
 
 
 def energies(colors, energy):
@@ -179,9 +214,9 @@ class TestKernelsMatchReference:
             for a, b in zip(stacked, alone):
                 assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
 
-    def test_lockstep_math_exp_pass(self, monkeypatch):
-        # a slack of 1 puts every uniform near its threshold: every sweep is decided by math.exp
-        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
+    def test_lockstep_at_the_draw_edges(self, monkeypatch):
+        # u = 0 and u = 1 - 2^-53 in every sweep of every chain, beta = 0 included
+        monkeypatch.setattr(mc, "philox_generator", _edge_generator)
         self.test_lockstep(8, 2)
 
     def test_lockstep_ladders(self):
@@ -216,8 +251,8 @@ class TestKernelsMatchReference:
         for a, b in zip(stacked, alone):
             assert np.array_equal(a.swap_accepts, b.swap_accepts) and a.swap_accepts.sum() > 0
 
-    def test_swap_lockstep_math_exp_pass(self, monkeypatch):
-        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)  # every sweep is decided by math.exp
+    def test_swap_lockstep_at_the_draw_edges(self, monkeypatch):
+        monkeypatch.setattr(mc, "philox_generator", _edge_generator)  # the ladders' swap draws too
         self.test_swap_lockstep(6, 3)
 
     @staticmethod
@@ -268,31 +303,70 @@ class TestKernelsMatchReference:
         self.assert_same_ladders(stacked, alone)
         self.assert_same_ladders(one_sweep_stacked, alone)
 
-    def test_math_exp_pass_inside_a_block(self, monkeypatch):
-        # a slack of 1 sends every sweep of the ladder stack to math.exp, sweeps 2 to 99 of a block included
-        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
-        passes, moves = [], mc._lockstep_moves
+    @pytest.mark.parametrize("sector, n, kappa, seed", [("all", 8, 2, 18), ("balanced", 6, 3, 21)])
+    def test_draw_edges_inside_a_block(self, sector, n, kappa, seed, monkeypatch):
+        # u = 0 and u = 1 - 2^-53 in sweeps 2 to 99 of a draw block, beta = 0 rungs included: _run_chains
+        # gives the same records, states and generators with every stack in lockstep and with none
+        monkeypatch.setattr(mc, "philox_generator", _edge_generator)
+        gs = [core.CouplingMatrix.from_seed(n, 41, r) for r in range(3)]
+        runs = []
+        for lockstep in (True, False):
+            monkeypatch.setattr(mc, "_lockstep", lambda *stack, on=lockstep: on)
+            ladders = [mc.TemperingLadder.start(g, kappa, [0.0, 2.0, 4.0], sector, seed=seed, ladder_id=r)
+                       for r, g in enumerate(gs)]
+            chains = [rung for ladder in ladders for rung in ladder.rungs]
+            runs.append((mc._run_chains(chains, ladders, gs, kappa, 20, 130, 5, energies), ladders))
+        (records, stacked), (alone_records, alone) = runs
+        assert records.shape == (9, 26) and records.tolist() == alone_records.tolist()
+        self.assert_same_ladders(stacked, alone)
+        assert all(ladder.swap_accepts.sum() > 0 for ladder in stacked)
 
-        def spy(*args, exact):
-            passes.append(exact)
-            return moves(*args, exact=exact)
 
-        monkeypatch.setattr(mc, "_lockstep_moves", spy)
-        self.assert_same_ladders(*self.run_ladders(8, 2, [0.0, 2.0, 4.0], 3, 20, 130, 5, seed=18)[1:])
-        assert passes == [False, True] * 150
+def test_log_of_draws_is_layout_free():
+    """``np.log`` gives the same bits over 2^20 draws in every layout the two paths take it in, so a chain's
+    acceptance thresholds do not depend on the stack it sweeps in: a per-chain row of any length, the strided
+    ``[:, 2]`` slice of a ``(b, 3, n, R)`` block, a ladders' ``(b, rungs - 1)`` hstack, and numpy scalars.
+    (A negative-stride view may take a different loop, which rounds differently; no path makes one.)"""
+    us = core.philox_generator(23, 0).random(1 << 20)
+    logs = np.log(us)
+    # per-chain rows: contiguous chunks of every length 1 to 64, the SIMD loops' tails included
+    cuts = np.cumsum(np.resize(np.arange(1, 65), us.size))
+    chunks = np.split(us, cuts[cuts < us.size])
+    assert np.concatenate([np.log(chunk) for chunk in chunks]).tolist() == logs.tolist()
+    for b, n, rows in ((64, 128, 128), (256, 4096, 1), (16, 4096, 16), (1024, 1024, 1)):
+        block = np.zeros((b, 3, n, rows))
+        block[:, 2] = us[:b * n * rows].reshape(b, n, rows)
+        assert np.log(block[:, 2]).reshape(-1).tolist() == logs[:b * n * rows].tolist()
+    ladders = np.hstack([chunk.reshape(512, -1) for chunk in np.split(us, 4)])  # four (512, 512) draws
+    assert np.log(ladders).reshape(512, 4, 512).swapaxes(0, 1).reshape(-1).tolist() == logs.tolist()
+    assert [np.log(np.float64(u)) for u in us.tolist()] == logs.tolist()
 
-    def test_swap_math_exp_pass_inside_a_block(self, monkeypatch):
-        monkeypatch.setattr(mc, "_EXP_SLACK", 1.0)
-        passes, moves = [], mc._swap_moves
 
-        def spy(*args, exact):
-            passes.append(exact)
-            return moves(*args, exact=exact)
+def test_block_thresholds_equal_each_chains_own():
+    """A draw block's thresholds (``_proposal_tables``: one ``np.log`` over the block, times each chain's scale)
+    equal ``log(u) * scale`` as the per-chain kernels form it in Python floats, beta = 0 and the edges of [0, 1)
+    included; u = 0 and beta = 0 give -inf, which every raw difference exceeds."""
+    n, betas = 12, [0.0, 1e-300, 0.3, 1.0, 7.5]
+    block = core.philox_generator(24, 0).random((40, 3, n, len(betas)))
+    block[0, 2, :2] = [[0.0] * len(betas), [np.nextafter(1.0, 0.0)] * len(betas)]
 
-        monkeypatch.setattr(mc, "_swap_moves", spy)
-        self.assert_same_ladders(*self.run_ladders(6, 3, [0.0, 2.0, 4.0], 3, 20, 130, 5, seed=21,
-                                                   sector="balanced")[1:])
-        assert passes == [False, True] * 150
+    class Slice:  # chain r's generator: its slice of the block
+        def __init__(self, r):
+            self.r = r
+
+        def random(self, size):
+            return block[..., self.r].copy()
+
+    rows = np.arange(len(betas))
+    scales = [math.sqrt(n) / beta if beta else math.inf for beta in betas]  # as the kernels form them
+    consts = (np.array(scales), rows * 2, rows * n, rows * n, np.zeros(rows.size * n))
+    limits = mc._proposal_tables([Slice(r) for r in rows], 40, n, consts, 2, False)[-1]
+    for k in range(40):
+        for r, scale in enumerate(scales):
+            row = np.ascontiguousarray(block[k, :, :, r])[2]
+            assert [log_u * scale for log_u in mc._log_uniforms(row).tolist()] == limits[k, :, r].tolist()
+    assert np.isneginf(limits[:, :, 0]).all() and np.isneginf(limits[0, 0]).all()
+    assert (-1e-14 < limits[0, 1, 2:]).all() and (limits[0, 1, 2:] < 0.0).all()
 
 
 @pytest.mark.parametrize("n, kappa, couplings, per", [(1, 2, 3, 1), (8, 2, 16, 1), (8, 2, 4, 5), (64, 3, 5, 3),
