@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, core, exact, montecarlo, rate
 from .experiment import ExperimentSpec, ValidationError
 
-__all__ = ["main", "rows_for_spec", "render_output", "read_spec"]
+__all__ = ["main", "rows_for_spec", "render_output"]
 
 
 def _fmt(value) -> str:
@@ -301,18 +301,6 @@ def render_output(spec: ExperimentSpec, columns, rows) -> str:
     ]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def read_spec(path: str) -> ExperimentSpec:
-    """Recover the embedded spec from an output file (CSV or JSON)."""
-    with open(path) as fh:
-        text = fh.read()
-    if text.lstrip().startswith("{"):
-        return ExperimentSpec.from_json(json.dumps(json.loads(text)["meta"]["spec"]))
-    for line in text.splitlines():
-        if line.startswith("# spec: "):
-            return ExperimentSpec.from_json(line[len("# spec: "):])
-    raise ValueError(f"no spec header found in {path}")
 
 
 def _output_path(spec: ExperimentSpec) -> str | None:

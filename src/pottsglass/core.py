@@ -6,13 +6,13 @@ Conventions used throughout the package:
 * The Hamiltonian double sum runs over *all* ordered pairs ``(i, j)``,
   including the diagonal ``i == j``.  Many spin-glass codes drop the
   diagonal; here it is kept.
-* Magnetization and overlap counts are exact integers over ``n``; floating
+* Sector and overlap counts are exact integers over ``n``; floating
   point enters only at the energy/covariance layer.
 * :func:`hamiltonian_raw` sums one configuration's energy by a mask gather and
   one numpy sum, never BLAS, so a configuration and its color images get
   bit-identical energies.  The Monte Carlo chains take their energies from it.
 * All types are immutable after construction and safe to share across
-  threads.  Enumeration streams are single-consumer.
+  threads.
 
 Randomness: coupling matrices come from the counter-based Philox bit
 generator keyed with ``(seed, stream)``.  Each matrix entry is a 53-bit
@@ -31,10 +31,8 @@ import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtri
@@ -48,7 +46,6 @@ __all__ = [
     "EnumerationCapError",
     "SectorError",
     "SpinConfig",
-    "MagnetizationVector",
     "CouplingMatrix",
     "OverlapMatrix",
     "philox_generator",
@@ -56,16 +53,12 @@ __all__ = [
     "mean_stderr",
     "write_atomic",
     "hamiltonian_raw",
-    "hamiltonian_centered",
     "centering_shift",
-    "delta_energy",
-    "magnetization",
     "overlap",
     "covariance_raw",
     "covariance_centered",
     "sector_counts",
     "count_configs",
-    "enumerate_configs",
     "max_deviation",
 ]
 
@@ -150,55 +143,6 @@ class SpinConfig:
     def n(self) -> int:
         return int(self.colors.size)
 
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(int(c) for c in self.colors)
-
-    def with_color(self, site: int, new_color: int) -> "SpinConfig":
-        """Copy with one site recolored."""
-        if not 0 <= site < self.n:
-            raise IndexError(f"site {site} out of range [0, {self.n})")
-        if not 1 <= new_color <= self.kappa:
-            raise ValueError(f"color {new_color} out of range [1, {self.kappa}]")
-        arr = self.colors.copy()
-        arr[site] = new_color
-        return SpinConfig(arr, self.kappa)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SpinConfig)
-            and self.kappa == other.kappa
-            and np.array_equal(self.colors, other.colors)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class MagnetizationVector:
-    """Per-color site fractions, kept as exact integer counts over ``n``."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
-        if arr.min() < 0 or int(arr.sum()) != self.n:
-            raise ValueError("counts must be nonnegative and sum to n")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def fractions(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(int(c), self.n) for c in self.counts)
-
-    def asarray(self) -> np.ndarray:
-        return self.counts / self.n
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MagnetizationVector)
-            and self.n == other.n
-            and np.array_equal(self.counts, other.counts)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class CouplingMatrix:
@@ -233,12 +177,6 @@ class CouplingMatrix:
         s = self.g + self.g.T
         s.setflags(write=False)
         return s
-
-    def flipped_at(self, site: int) -> "CouplingMatrix":
-        """Sign-flip every coupling incident to ``site`` (diagonal untouched): :func:`_gauge_flip` of one coupling."""
-        if not 0 <= site < self.n:
-            raise IndexError(f"site {site} out of range [0, {self.n})")
-        return CouplingMatrix(_gauge_flip(self.g[None], [site])[0])
 
 
 def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int = 1) -> list:
@@ -303,18 +241,8 @@ class OverlapMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "counts", arr)
 
-    @property
-    def kappa(self) -> int:
-        return int(self.counts.shape[0])
-
     def asarray(self) -> np.ndarray:
         return self.counts / self.n
-
-    def row_sums(self) -> MagnetizationVector:
-        return MagnetizationVector(self.counts.sum(axis=1), self.n)
-
-    def col_sums(self) -> MagnetizationVector:
-        return MagnetizationVector(self.counts.sum(axis=0), self.n)
 
 
 def _check_pair(sigma: SpinConfig, g: CouplingMatrix) -> None:
@@ -333,38 +261,6 @@ def hamiltonian_raw(sigma: SpinConfig, g: CouplingMatrix) -> float:
 def centering_shift(g: CouplingMatrix, kappa: int) -> float:
     """The configuration-independent shift ``n^{-1/2} kappa^{-1} sum_{i,j} g_ij``."""
     return float(g.g.sum() / (kappa * math.sqrt(g.n)))
-
-
-def hamiltonian_centered(sigma: SpinConfig, g: CouplingMatrix) -> float:
-    """Energy with the color indicator replaced by ``1{.} - 1/kappa``."""
-    _check_pair(sigma, g)
-    return hamiltonian_raw(sigma, g) - centering_shift(g, sigma.kappa)
-
-
-def delta_energy(sigma: SpinConfig, g: CouplingMatrix, site: int, new_color: int) -> float:
-    """Energy change from recoloring one site, in O(n).
-
-    Identical for the raw and centered Hamiltonians since the centering
-    shift does not depend on the configuration.
-    """
-    _check_pair(sigma, g)
-    if not 0 <= site < sigma.n:
-        raise IndexError(f"site {site} out of range [0, {sigma.n})")
-    if not 1 <= new_color <= sigma.kappa:
-        raise ValueError(f"color {new_color} out of range [1, {sigma.kappa}]")
-    old = int(sigma.colors[site])
-    if new_color == old:
-        return 0.0
-    c = sigma.colors
-    row = g.g[site, :] + g.g[:, site]
-    gain = row[c == new_color].sum()
-    loss = row[c == old].sum() - row[site]  # exclude the self term; it never changes
-    return float((gain - loss) / math.sqrt(sigma.n))
-
-
-def magnetization(sigma: SpinConfig) -> MagnetizationVector:
-    counts = np.bincount(sigma.colors - 1, minlength=sigma.kappa)
-    return MagnetizationVector(counts, sigma.n)
 
 
 def overlap(sigma: SpinConfig, tau: SpinConfig) -> OverlapMatrix:
@@ -405,10 +301,7 @@ def sector_counts(n: int, kappa: int, constraint) -> np.ndarray | None:
         if n % kappa != 0:
             raise DivisibilityError(f"balanced sector needs kappa | n, got n={n}, kappa={kappa}")
         return np.full(kappa, n // kappa, dtype=np.int64)
-    if isinstance(constraint, MagnetizationVector):
-        counts = np.asarray(constraint.counts, dtype=np.int64)
-    else:
-        counts = np.asarray(list(constraint), dtype=np.int64)
+    counts = np.asarray(list(constraint), dtype=np.int64)
     if counts.size != kappa:
         raise DivisibilityError(f"fixed-d constraint needs {kappa} counts, got {counts.size}")
     if counts.min() < 0 or int(counts.sum()) != n:
@@ -425,20 +318,6 @@ def count_configs(n: int, kappa: int, constraint="all") -> int:
     for c in counts:
         total //= math.factorial(int(c))
     return total
-
-
-def enumerate_configs(n: int, kappa: int, constraint="all") -> Iterator[SpinConfig]:
-    """Lazily yield each configuration of the sector once, in lexicographic order.
-
-    Fixed sectors filter the full product by color counts, so the stream
-    costs O(kappa^n) on any sector.  The exact engines never materialize a
-    sector: they pair the rows of its two halves (``exact._split``).
-    """
-    counts = sector_counts(n, kappa, constraint)
-    for colors in product(range(1, kappa + 1), repeat=n):
-        arr = np.array(colors, dtype=np.int64)
-        if counts is None or np.array_equal(np.bincount(arr - 1, minlength=kappa), counts):
-            yield SpinConfig(arr, kappa)
 
 
 def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,9 @@
 """Brute-force-exact engines at small n.
 
-Partition functions, free energies, Gibbs and annealed expectations, ground
-states, the exact second-moment ratio over balanced overlap tables, the
-Stirling expansion of the table law, and the two-color gauge identities.
+Partition functions, free energies, annealed moments, Gibbs tails and
+magnetization moments, the exact second-moment ratio over balanced overlap
+tables, the Stirling expansion of the table law, and the two-color gauge
+identities.
 
 Every log-scale accumulation uses running-max log-sum-exp; partition
 functions are never exponentiated raw.  Factorials go through log-gamma in
@@ -27,7 +28,6 @@ from .core import (
     DivisibilityError,
     EnumerationCapError,
     SectorError,
-    SpinConfig,
     _gauge_flip,
     _lex_extend,
     centering_shift,
@@ -43,7 +43,6 @@ __all__ = [
     "AdmissibleMatrix",
     "FreeEnergySample",
     "QuenchedFreeEnergy",
-    "GroundStateResult",
     "GaugePairResult",
     "MomentEstimate",
     "TailEstimate",
@@ -52,15 +51,12 @@ __all__ = [
     "gibbs_weights",
     "log_partition",
     "quenched_free_energy",
-    "gibbs_expectation",
-    "ground_state",
     "admissible_array",
     "log_overlap_law",
     "second_moment_ratio",
     "ldp_log_probability",
     "shell_histogram",
     "uncentered_ratio",
-    "uncentered_lower_bound",
     "annealed_log_partition_balanced",
     "gauge_pair_check",
     "magnetization_moment_exact",
@@ -126,9 +122,6 @@ class AdmissibleMatrix:
     def kappa(self) -> int:
         return int(self.counts.shape[0])
 
-    def asarray(self) -> np.ndarray:
-        return self.counts / self.n
-
 
 @dataclass(frozen=True)
 class FreeEnergySample:
@@ -153,26 +146,6 @@ class QuenchedFreeEnergy:
     mean: float
     stderr: float
     samples: tuple[FreeEnergySample, ...]
-
-    @property
-    def replicas(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
-class GroundStateResult:
-    """Exact maximum energy and the full set of maximizing configurations."""
-
-    energy: float
-    maximizers: np.ndarray  # (count, n) color rows
-    n: int
-    kappa: int
-    sector: str
-    kind: str
-
-    @property
-    def degeneracy(self) -> int:
-        return int(self.maximizers.shape[0])
 
 
 def _sector_label(constraint) -> str:
@@ -366,23 +339,6 @@ def _energy_blocks(split: _Split, gs: Sequence[CouplingMatrix], kind: str) -> It
         yield energies, pa, pb
 
 
-def _fold(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str, top: np.ndarray) -> Iterator[tuple]:
-    """Gibbs weights of every block under each of the couplings ``gs``, below a running top energy.
-
-    ``top[r]`` enters at ``-inf`` and is raised in place to the largest energy
-    under ``gs[r]`` so far.  Yields ``(carry, w, pa, pb)``: ``w[r, ...] =
-    gibbs_weights(H, beta, top[r])`` over the block of :func:`_energy_blocks`,
-    and ``carry[r] = gibbs_weights(old top, beta, top[r])`` lifts a sum over
-    the earlier blocks to the new top -- exactly 1.0 where the top held, and 0
-    or 1 at beta = inf -- so every weight stays <= 1.
-    """
-    for energies, pa, pb in _energy_blocks(split, gs, kind):
-        peak = np.maximum(top, energies.reshape(len(gs), -1).max(axis=1))
-        carry = gibbs_weights(top, beta, peak)
-        top[:] = peak
-        yield carry, gibbs_weights(energies, beta, top.reshape((-1,) + (1,) * pa.ndim)), pa, pb
-
-
 def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = "raw",
           factors: Sequence[tuple[np.ndarray, np.ndarray]] = ()) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs mass of the sector under each of the couplings ``gs``, resolved by color counts.
@@ -397,15 +353,22 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
     runs in the same order as in a stack of one.  Each pair weighs ``mult[a]``
     times: on an orbit split, a count vector's mass lands on its canonical
     representatives, so only the sum over ``k``, or a statistic averaged over
-    the permutations of the count vector, is the sector's.
+    the permutations of the count vector, is the sector's.  The blocks of
+    :func:`_energy_blocks` fold below a running top: when a block raises it,
+    the mass so far is lifted by ``gibbs_weights(old top, beta, new top)`` --
+    exactly 1.0 where the top held, and 0 or 1 at beta = inf -- so every
+    weight stays <= 1.
     """
     k = len(split.counts)
     top, mass = np.full(len(gs), -np.inf), np.zeros((len(gs), k, 1 + len(factors)))
     for lo in range(0, len(gs), split.stack):
         part = slice(lo, lo + split.stack)
-        stack, stack_mass = gs[part], mass[part]  # views: updates land in mass, and _fold raises top in place
-        for carry, w, pa, pb in _fold(split, stack, beta, kind, top[part]):
-            stack_mass *= carry[:, None, None]
+        stack, stack_top, stack_mass = gs[part], top[part], mass[part]  # views: updates land in top and mass
+        for energies, pa, pb in _energy_blocks(split, stack, kind):
+            peak = np.maximum(stack_top, energies.reshape(len(stack), -1).max(axis=1))
+            stack_mass *= gibbs_weights(stack_top, beta, peak)[:, None, None]
+            stack_top[:] = peak
+            w = gibbs_weights(energies, beta, peak.reshape((-1,) + (1,) * pa.ndim))
             w = w * np.take(split.mult, pa)  # each pair stands for its color images
             label = np.take(split.label + k * np.arange(len(stack))[:, None], split.key_a[pa] + split.key_b[pb], axis=1)
             cols = [w] + [w * np.take(fa[part], pa, axis=1) * np.take(fb[part], pb, axis=1) for fa, fb in factors]
@@ -446,49 +409,6 @@ def quenched_free_energy(
     samples = map_replicas(partial(_log_partition, split, beta, kind, sector), n, seed, replicas, workers, split.stack)
     mean, stderr = mean_stderr([s.free_energy for s in samples])
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
-
-
-def gibbs_expectation(g: CouplingMatrix, beta: float, kappa: int, observable: Callable[[SpinConfig], float],
-                      sector="all", kind: str = "raw", cap: int = DEFAULT_CAP) -> float:
-    """Exact Gibbs average of an observable, stabilized by a running top energy.
-
-    ``beta = inf`` uses the uniform distribution on the energy maximizers of
-    :func:`ground_state`.  The observable sees each configuration of nonzero
-    weight once; the blocks fold ``sum w f`` and ``sum w`` below the running
-    top, so memory stays one block however large the sector.
-    """
-    if math.isinf(beta):
-        rows = ground_state(g, kappa, sector, kind, cap).maximizers
-        return float(np.mean([observable(SpinConfig(row, kappa)) for row in rows]))
-    split, top, total, norm = _split(g.n, kappa, sector, cap), np.full(1, -np.inf), 0.0, 0.0
-    for (carry,), (w,), pa, pb in _fold(split, [g], beta, kind, top):
-        keep = w > 0
-        pa, pb = (np.broadcast_to(x, keep.shape)[keep] for x in (pa, pb))
-        values = [observable(SpinConfig(row, kappa)) for row in np.hstack((split.rows_a[pa], split.rows_b[pb]))]
-        total = total * carry + float((w[keep] * np.array(values, dtype=np.float64)).sum())
-        norm = norm * carry + float(w.sum())
-    return float(total / norm)
-
-
-def ground_state(g: CouplingMatrix, kappa: int, sector="all", kind: str = "raw",
-                 cap: int = DEFAULT_CAP) -> GroundStateResult:
-    """Exact maximum energy over the sector, with every maximizer kept.
-
-    Float ties are kept as-is: configurations related by a global color
-    permutation produce bit-identical energies, so the structural degeneracy
-    is exact.  Maximizers come in lexicographic order; the blocks fold at
-    beta = inf, keeping the ``(pa, pb)`` of the hits so far until a carry of
-    0 (a higher top) drops them.
-    """
-    split, top, best = _split(g.n, kappa, sector, cap), np.full(1, -np.inf), []
-    for (carry,), (w,), pa, pb in _fold(split, [g], math.inf, kind, top):
-        if not carry:
-            best = []
-        best.append([np.broadcast_to(x, w.shape)[w > 0] for x in (pa, pb)])
-    pa, pb = (np.concatenate(x) for x in zip(*best))
-    maximizers = np.hstack((split.rows_a[pa], split.rows_b[pb]))
-    return GroundStateResult(float(top[0]), maximizers[np.lexsort(maximizers.T[::-1])], g.n, kappa,
-                             _sector_label(sector), kind)
 
 
 def admissible_array(n: int, kappa: int) -> np.ndarray:
@@ -685,13 +605,8 @@ def _log_uncentered_ratio(n: int, beta: float, kappa: int, sector, cap: int) -> 
     return logsumexp(lp + beta ** 2 * frob)
 
 
-def uncentered_lower_bound(n: int, beta: float, kappa: int, sector="all") -> float:
-    """Closed-form divergence floor for the raw-Hamiltonian moment ratio (``inf`` on overflow)."""
-    return exp_or_inf(_log_uncentered_lower_bound(n, beta, kappa, sector))
-
-
 def _log_uncentered_lower_bound(n: int, beta: float, kappa: int, sector) -> float:
-    """Log of :func:`uncentered_lower_bound`."""
+    """Log of the closed-form divergence floor of the raw-Hamiltonian moment ratio."""
     label = _sector_label(sector)
     if label == "all":
         return beta ** 2 * (n - 1) / kappa ** 2

@@ -164,11 +164,6 @@ class ExperimentSpec:
         del payload["out"], payload["workers"]
         return json.dumps(payload, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in json.loads(text).items() if k in names})
-
 
 def _int_tuple(value) -> tuple[int, ...]:
     if value is None:

@@ -493,10 +493,6 @@ class TemperingLadder:
         if any((r.kappa, r.sector, r.n) != (first.kappa, first.sector, first.n) for r in self.rungs):
             raise ValueError("ladder rungs must share kappa, sector and n")
 
-    @property
-    def betas(self) -> tuple[float, ...]:
-        return tuple(r.beta for r in self.rungs)
-
     @classmethod
     def start(
         cls,

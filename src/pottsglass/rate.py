@@ -30,7 +30,6 @@ __all__ = [
     "margin_fit",
     "random_polytope_point",
     "kl_to_uniform",
-    "frobenius_gap",
     "local_expansion_check",
     "potts_row_objective",
     "exponent_gap",
@@ -194,12 +193,6 @@ def kl_to_uniform(point) -> float:
     ):
         raise ValueError("point violates the margin constraints")
     return float(_kl_rows(r[None], kappa)[0])
-
-
-def frobenius_gap(point) -> float:
-    """Squared Frobenius distance to the uniform table ``kappa^{-2} 11^T``."""
-    r, kappa = _as_matrix(point)
-    return float(_sq_gaps(r[None], kappa)[0])
 
 
 class LocalExpansionResult(NamedTuple):

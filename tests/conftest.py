@@ -21,9 +21,8 @@ from pottsglass import core, exact
 def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
     """All sector configurations as one ``(count, n)`` int array, the brute-force route.
 
-    Rows are in lexicographic order, matching :func:`pottsglass.core.enumerate_configs`:
-    each site takes every color that still has sites left in the sector (any
-    color, for ``"all"``).  Raises :class:`pottsglass.core.EnumerationCapError` before
+    Rows are in lexicographic order: each site takes every color that still has
+    sites left in the sector (any color, for ``"all"``).  Raises :class:`pottsglass.core.EnumerationCapError` before
     materializing anything too large.
     """
     total = core.count_configs(n, kappa, constraint)
@@ -32,6 +31,22 @@ def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -
     counts = core.sector_counts(n, kappa, constraint)
     picks, _ = core._lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
     return picks.astype(np.int64) + 1
+
+
+def maximizers(g: core.CouplingMatrix, kappa: int, constraint="all") -> np.ndarray:
+    """The sector's energy maximizers, in lexicographic order: every row of :func:`config_array` whose
+    :func:`pottsglass.core.hamiltonian_raw` equals the largest, so a color image of a maximizer ties bitwise."""
+    colors = config_array(g.n, kappa, constraint)
+    energies = np.array([core.hamiltonian_raw(core.SpinConfig(row, kappa), g) for row in colors])
+    return colors[energies == energies.max()]
+
+
+def flipped_at(g: core.CouplingMatrix, site: int) -> core.CouplingMatrix:
+    """``g`` with the sign of every coupling incident to ``site`` flipped by hand; the diagonal entry flips twice."""
+    hand = g.g.copy()
+    hand[site, :] *= -1.0
+    hand[:, site] *= -1.0
+    return core.CouplingMatrix(hand)
 
 
 def split_energies(n, kappa, sector, g):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -10,12 +11,25 @@ from hypothesis import strategies as st
 
 from pottsglass import core, exact
 
-from conftest import (config_array, full_split_log_partition, gram_pair_covariances, log_ez2_raw_all_pairs,
-                      match_matrix_flat, split_energies)
+from conftest import (config_array, flipped_at, full_split_log_partition, gram_pair_covariances,
+                      log_ez2_raw_all_pairs, match_matrix_flat, split_energies)
 
 
 def coupling(matrix):
     return core.CouplingMatrix(np.array(matrix, dtype=np.float64))
+
+
+def mass_average(g, beta, kappa, fa, fb, sector="all"):
+    """Gibbs average of ``fa(half A row) fb(half B row)`` by :func:`exact._mass`'s factor column, over the full split."""
+    split = exact._split(g.n, kappa, sector)
+    _, (w,) = exact._mass(split, [g], beta, "raw", [(fa(split.rows_a)[None], fb(split.rows_b)[None])])
+    return w[:, 1].sum() / w[:, 0].sum()
+
+
+def ground(g, kappa, sector="all"):
+    """(largest energy, number of maximizers) by :func:`exact._mass` at beta = inf, over the full split."""
+    (top,), (w,) = exact._mass(exact._split(g.n, kappa, sector), [g], math.inf)
+    return float(top), w[:, 0].sum()
 
 
 def pair_sum_ratio_oracle(n, beta, kappa, kind):
@@ -107,38 +121,35 @@ class TestQuenchedFreeEnergy:
 class TestGibbsExpectation:
     def test_constant_observable(self):
         g = core.CouplingMatrix.from_seed(4, 2)
-        assert exact.gibbs_expectation(g, 1.2, 2, lambda s: 1.0) == pytest.approx(1.0, abs=1e-12)
+        ones = lambda rows: np.ones(len(rows))
+        assert mass_average(g, 1.2, 2, ones, ones) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_marginal(self):
         g = core.CouplingMatrix.from_seed(4, 2)
-        got = exact.gibbs_expectation(g, 0.0, 3, lambda s: float(s.colors[0] == 1))
+        got = mass_average(g, 0.0, 3, lambda rows: (rows[:, 0] == 1).astype(float), lambda rows: np.ones(len(rows)))
         assert got == pytest.approx(1 / 3, abs=1e-12)
 
     def test_monochrome_mass_at_infinite_temperature(self):
-        g = core.CouplingMatrix.from_seed(4, 2)
-        obs = lambda s: float(np.abs(core.magnetization(s).asarray() - 0.5).max() >= 0.5)
-        assert exact.gibbs_expectation(g, 0.0, 2, obs) == pytest.approx(2 / 16, abs=1e-12)
+        # replica 0 of seed 2 is CouplingMatrix.from_seed(4, 2); only the two monochrome configs deviate by 0.5
+        assert exact.tail_probability_exact(4, 0.0, 0.5, replicas=1, seed=2).value == pytest.approx(2 / 16, abs=1e-12)
 
 
 class TestGroundState:
     def test_single_site(self):
-        g = coupling([[0.4]])
-        res = exact.ground_state(g, 3, "all", "raw")
-        assert res.energy == pytest.approx(0.4, abs=1e-14)
-        assert res.degeneracy == 3
+        energy, degeneracy = ground(coupling([[0.4]]), 3)
+        assert energy == pytest.approx(0.4, abs=1e-14)
+        assert degeneracy == 3
 
     def test_all_ones_coupling(self):
         g = coupling(np.ones((4, 4)))
-        res = exact.ground_state(g, 2, "all", "raw")
-        assert res.energy == pytest.approx(8.0, abs=1e-12)
-        assert res.degeneracy == 2  # the two monochrome configurations
-        bal = exact.ground_state(g, 2, "balanced", "raw")
-        assert bal.energy == pytest.approx(4.0, abs=1e-12)
+        energy, degeneracy = ground(g, 2)
+        assert energy == pytest.approx(8.0, abs=1e-12)
+        assert degeneracy == 2  # the two monochrome configurations
+        assert ground(g, 2, "balanced")[0] == pytest.approx(4.0, abs=1e-12)
 
     def test_color_swap_degeneracy_is_bitwise(self):
         g = core.CouplingMatrix.from_seed(6, 9)
-        res = exact.ground_state(g, 2, "all", "raw")
-        assert res.degeneracy % 2 == 0
+        assert ground(g, 2)[1] % 2 == 0
 
 
 class TestAdmissible:
@@ -295,10 +306,10 @@ class TestUncenteredRatio:
         kappa, beta = 2, 1.0
         values = [exact.uncentered_ratio(n, beta, kappa, "all") for n in (2, 4, 6, 8)]
         assert all(a < b for a, b in zip(values, values[1:]))
-        assert values[-1] >= exact.uncentered_lower_bound(8, beta, kappa, "all")
+        assert math.log(values[-1]) >= exact._log_uncentered_lower_bound(8, beta, kappa, "all")
         bal = [exact.uncentered_ratio(n, beta, kappa, "balanced") for n in (2, 4, 6, 8)]
         for n, v in zip((2, 4, 6, 8), bal):
-            assert v >= exact.uncentered_lower_bound(n, beta, kappa, "balanced")
+            assert math.log(v) >= exact._log_uncentered_lower_bound(n, beta, kappa, "balanced")
 
     @pytest.mark.parametrize("kappa,ns", [(2, (1, 2, 5, 10, 20, 40)), (3, (1, 3, 8, 15, 24)), (4, (2, 5, 8, 12)),
                                           (5, (1, 4, 7, 10)), (6, (2, 3, 6, 8))])
@@ -496,12 +507,11 @@ class TestSplitEngine:
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_ground_states_are_closed_under_color_permutations(self, kappa, n, sector, seed):
         g = core.CouplingMatrix.from_seed(n, seed, 0)
-        res = exact.ground_state(g, kappa, sector, "raw")
-        found = {tuple(row) for row in res.maximizers}
-        assert len(found) == res.degeneracy
+        rows, energies = split_energies(n, kappa, sector, g)
+        found = {tuple(row) for row in rows[energies == energies.max()]}
+        assert ground(g, kappa, sector) == (energies.max(), len(found))
         for perm in itertools.permutations(range(1, kappa + 1)):
-            assert {tuple(np.array((0,) + perm)[row]) for row in res.maximizers} == found
-        assert res.maximizers.tolist() == sorted(res.maximizers.tolist())  # lexicographic
+            assert {tuple(np.array((0,) + perm)[list(row)]) for row in found} == found
 
     @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 9, (4, 5)),
                                                 (3, 10, (2, 3, 5))])
@@ -518,31 +528,24 @@ class TestSplitEngine:
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_ground_state_agrees_over_small_blocks(self, kappa, n, sector, seed, monkeypatch):
         g = core.CouplingMatrix.from_seed(n, seed, 0)
-        want = exact.ground_state(g, kappa, sector, "raw")
+        want_top, want = exact._mass(exact._split(n, kappa, sector), [g], math.inf)
         monkeypatch.setattr(exact, "_BLOCK", 7)  # tree blocks of a few pairs: the running top moves often
-        got = exact.ground_state(g, kappa, sector, "raw")
-        assert got.energy == want.energy
-        assert np.array_equal(got.maximizers, want.maximizers)
+        got_top, got = exact._mass(exact._split(n, kappa, sector), [g], math.inf)
+        assert np.array_equal(got_top, want_top)
+        assert np.array_equal(got, want)  # the maximizers of each count vector
 
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_folded_gibbs_expectation_matches_unfolded_sum(self, kappa, n, sector, seed, monkeypatch):
         g = core.CouplingMatrix.from_seed(n, seed, 0)
         rows, energies = split_energies(n, kappa, sector, g)
-        f = lambda colors: (colors == 1).sum(axis=-1) + 0.5 * colors[..., 0] * colors[..., -1]
-        calls = []
-
-        def observable(s):
-            calls.append(1)
-            return float(f(s.colors))
-
+        fa = lambda half: 1.0 + (half == 1).sum(axis=1)
+        fb = lambda half: 0.5 * half[:, -1]
         monkeypatch.setattr(exact, "_BLOCK", 7)  # tree blocks of a few pairs: the running top moves often
         for beta in (0.0, 1.0, math.inf):
             w = exact.gibbs_weights(energies, beta, energies.max())
-            want = (w * f(rows)).sum() / w.sum()
-            calls.clear()
-            got = exact.gibbs_expectation(g, beta, kappa, observable, sector)
+            want = (w * fa(rows[:, :n // 2]) * fb(rows[:, n // 2:])).sum() / w.sum()
+            got = mass_average(g, beta, kappa, fa, fb, sector)
             assert math.isclose(got, want, rel_tol=1e-12), beta
-        assert len(calls) == exact.ground_state(g, kappa, sector).degeneracy  # beta = inf: each maximizer once
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -745,10 +748,12 @@ class TestSplitOracle:
                     for beta in BETAS[:2]:
                         got = exact.log_partition(g, beta, kappa, sector, kind).log_z
                         assert close(got, exact.logsumexp(beta * (energies - shift))), (sector, kind, beta)
-                gs = exact.ground_state(g, kappa, sector, "raw")
+                split = exact._split(n, kappa, sector)
+                (top,), (w,) = exact._mass(split, [g], math.inf)
                 ties = oracle_weights(energies, math.inf) > 0
-                assert close(gs.energy, energies.max())
-                assert gs.maximizers.tolist() == colors[ties].tolist()
+                assert close(top, energies.max())
+                want = Counter(tuple(np.bincount(row - 1, minlength=kappa).tolist()) for row in colors[ties])
+                assert {tuple(c): m for c, m in zip(split.counts.tolist(), w[:, 0]) if m} == want  # maximizers per count vector
 
     @pytest.mark.parametrize("n,kappa", ORACLE_SIZES)
     def test_tails(self, n, kappa):
@@ -782,7 +787,7 @@ class TestSplitOracle:
             g = core.CouplingMatrix.from_seed(n, 9, 0)
             sites = [0, n - 1, n // 2, n // 2]
             res = exact.gauge_pair_check(g, beta, sites)
-            flipped = g if res.flip_site is None else g.flipped_at(res.flip_site)
+            flipped = g if res.flip_site is None else flipped_at(g, res.flip_site)
             for value, coupling_ in ((res.value, g), (res.value_flipped, flipped)):
                 w = oracle_weights(oracle_energies(colors, coupling_), beta)
                 want = (w * tau[:, sites].prod(axis=1)).sum() / w.sum()
