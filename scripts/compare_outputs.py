@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the eighteen ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the twenty ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -43,7 +43,9 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # last disorder stack (core.map_replicas draws each stack at once): gauge-check at n = 8 (64 trials a stack, and
 # every stack's flips from one sign product), exact-free-energy at kappa = 2, n = 8 (128 a stack) and
 # moment-check at n = 12 (8 a stack); and mc-free-energy's balanced grid of 8 rungs, below the crossover, so its
-# chains take the per-chain swap path (montecarlo.swap_sweep), which every larger balanced stack skips
+# chains take the per-chain swap path (montecarlo.swap_sweep), which every larger balanced stack skips; and
+# uncentered-ratio's balanced sector (the overlap-table sum and its floor), and its recursion at kappa = 31, the
+# largest kappa whose base-(n + 1) keys fit in int64 at n = 3
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -70,6 +72,8 @@ EXTRA_JOBS = (
     Job("moment-n12-21", ("moment-check", "--n", "12", "--m", "1,2,4", "--replicas", "21")),
     Job("mcfe-k3-n12-balanced-grid8", ("mc-free-energy", "--kappa", "3", "--n", "12", "--sector", "balanced",
                                        "--n-grid", "8", "--sweeps", "200", "--burn-in", "50")),
+    Job("unc-k3-n3-6-9-balanced", ("uncentered-ratio", "--kappa", "3", "--n", "3,6,9", "--sector", "balanced")),
+    Job("unc-k31-n3", ("uncentered-ratio", "--kappa", "31", "--n", "3")),
 )
 
 

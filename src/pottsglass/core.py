@@ -288,39 +288,25 @@ def covariance_centered(sigma: SpinConfig, tau: SpinConfig) -> float:
     return float(sigma.n * (m ** 2).sum())
 
 
-def sector_counts(n: int, kappa: int, constraint) -> np.ndarray | None:
-    """Normalize a sector constraint to a per-color count vector.
-
-    ``constraint`` is ``"all"`` (returns None), ``"balanced"``, or a sequence
-    of per-color site counts summing to ``n``.
-    """
-    named = isinstance(constraint, str)  # compare names only: an array of counts compares elementwise
-    if constraint is None or named and constraint == "all":
+def sector_counts(n: int, kappa: int, sector: str) -> np.ndarray | None:
+    """Per-color counts of a sector: None for ``"all"``, ``n / kappa`` each for ``"balanced"``."""
+    if not isinstance(sector, str) or sector not in ("all", "balanced"):  # an array would compare elementwise
+        raise SectorError(f"sector must be 'all' or 'balanced', got {sector!r}")
+    if sector == "all":
         return None
-    if named and constraint == "balanced":
-        if n % kappa != 0:
-            raise DivisibilityError(f"balanced sector needs kappa | n, got n={n}, kappa={kappa}")
-        return np.full(kappa, n // kappa, dtype=np.int64)
-    counts = np.asarray(list(constraint), dtype=np.int64)
-    if counts.size != kappa:
-        raise DivisibilityError(f"fixed-d constraint needs {kappa} counts, got {counts.size}")
-    if counts.min() < 0 or int(counts.sum()) != n:
-        raise DivisibilityError(f"fixed-d counts must be nonnegative and sum to n={n}")
-    return counts
+    if n % kappa != 0:
+        raise DivisibilityError(f"balanced sector needs kappa | n, got n={n}, kappa={kappa}")
+    return np.full(kappa, n // kappa, dtype=np.int64)
 
 
-def count_configs(n: int, kappa: int, constraint="all") -> int:
+def count_configs(n: int, kappa: int, sector: str = "all") -> int:
     """Exact cardinality of a sector, without enumerating it."""
-    counts = sector_counts(n, kappa, constraint)
-    if counts is None:
+    if sector_counts(n, kappa, sector) is None:
         return kappa ** n
-    total = math.factorial(n)
-    for c in counts:
-        total //= math.factorial(int(c))
-    return total
+    return math.factorial(n) // math.factorial(n // kappa) ** kappa
 
 
-def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np.ndarray]:
+def _lex_extend(choices: np.ndarray, budget, steps: int, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Every sequence of ``steps`` rows of ``choices`` whose sum fits under ``budget``.
 
     Each prefix is extended by every choice that still fits its remaining
@@ -328,11 +314,18 @@ def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np
     ascending, so the sequences come out in lexicographic order of choice
     index (Knuth, TAOCP 7.2.1.2).  Returns ``(picks, left)``: the choice
     indices of each sequence, ``(count, steps)``, and its remaining budget.
+    A step's extensions are counted before they are built, and more than
+    ``cap`` of them raise :class:`EnumerationCapError`.
     """
     picks = np.empty((1, 0), dtype=np.min_scalar_type(len(choices)))
     left = np.asarray(budget, dtype=np.int64)[None]
-    for _ in range(steps):
-        rows, pick = np.nonzero((choices <= left[:, None]).all(axis=2))
+    for step in range(steps):
+        fits = (choices <= left[:, None]).all(axis=2)
+        count = np.count_nonzero(fits)
+        if count > cap:
+            raise EnumerationCapError(f"{count} partial sequences after {step + 1} of {steps} steps, "
+                                      f"exceeding the cap of {cap}")
+        rows, pick = np.nonzero(fits)
         picks = np.hstack((picks[rows], pick.astype(picks.dtype)[:, None]))
         left = left[rows] - choices[pick]
     return picks, left

@@ -148,15 +148,6 @@ class QuenchedFreeEnergy:
     samples: tuple[FreeEnergySample, ...]
 
 
-def _sector_label(constraint) -> str:
-    """The sector's name: all (also for None), balanced, or fixed for counts of any type."""
-    if constraint is None:
-        return "all"
-    if isinstance(constraint, str) and constraint in ("all", "balanced"):
-        return constraint
-    return "fixed"
-
-
 # ---------------------------------------------------------------------------
 # Split-half enumeration (meet in the middle: Horowitz and Sahni 1974)
 #
@@ -231,18 +222,18 @@ def _unique_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], inverse
 
 
-def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: bool = False) -> _Split:
+def _split(n: int, kappa: int, sector: str = "all", cap: int = DEFAULT_CAP, orbits: bool = False) -> _Split:
     """Enumerate the two halves of a sector once and pair them up (see :class:`_Split`).
 
     Each half is every lexicographic row that fits under the sector's
-    budget (d, or n per color for ``all``), grouped by its counts.  In a
-    fixed sector the A rows with counts c, for c in lexicographic order,
-    pair with the B rows with counts d - c only.  With ``orbits``, a sector
-    closed under color permutations (all, or equal counts) keeps one A row
-    per color orbit, its restricted-growth string (Knuth, TAOCP 7.2.1.5),
-    weighted by the orbit's size ``kappa! / (kappa - k_A)!`` for its k_A
-    colors: a sum of a color-invariant F over the sector is then the
-    weighted sum over the pairs.  The cap counts the sector's states.
+    budget (d = n / kappa per color if balanced, else n), grouped by its
+    counts.  In the balanced sector the A rows with counts c, for c in
+    lexicographic order, pair with the B rows with counts d - c only.  With
+    ``orbits`` (both sectors are closed under color permutations), the split
+    keeps one A row per color orbit, its restricted-growth string (Knuth,
+    TAOCP 7.2.1.5), weighted by the orbit's size ``kappa! / (kappa - k_A)!``
+    for its k_A colors: a sum of a color-invariant F over the sector is then
+    the weighted sum over the pairs.  The cap counts the sector's states.
     """
     total = count_configs(n, kappa, sector)
     if total > cap:
@@ -255,7 +246,7 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
         enumerated[m] = picks, *_unique_rows(budget - left, n + 1)
     (picks_a, groups_a, key_a), (picks_b, groups_b, key_b) = enumerated[n // 2], enumerated[n - n // 2]
     mult = np.ones(len(picks_a))
-    if orbits and (d is None or (d == d[0]).all()):  # each new color of a kept row is the next unused one
+    if orbits:  # each new color of a kept row is the next unused one
         rows = picks_a.astype(np.int64)
         seen = np.maximum.accumulate(np.hstack((np.full((len(rows), 1), -1), rows)), axis=1)[:, :-1]
         keep = (rows <= seen + 1).all(axis=1)
@@ -265,7 +256,7 @@ def _split(n: int, kappa: int, sector="all", cap: int = DEFAULT_CAP, orbits: boo
         counts, label = _unique_rows((groups_a[:, None] + groups_b).reshape(-1, kappa), n + 1)
         key_a = key_a * len(groups_b)
         parts = [(len(picks_a), len(picks_b))]
-    else:  # the counts d - c of B run in reverse lexicographic order as c of A runs forward
+    else:  # balanced: the counts d - c of B run in reverse lexicographic order as c of A runs forward
         sizes_a = np.bincount(key_a, minlength=len(groups_a))
         used = sizes_a[len(groups_a) - 1 - key_b] > 0  # B rows whose A group kept a row
         picks_b, key_b = picks_b[used], key_b[used]
@@ -390,7 +381,7 @@ def _log_partition(split: _Split, beta: float, kind: str, sector,
         raise ValueError("beta must be nonnegative")
     top, mass = _mass(split, gs, beta, kind)
     return [FreeEnergySample(beta * float(t) + math.log(w[:, 0].sum()), g.n, split.kappa, beta, g.seed, g.stream,
-                             _sector_label(sector), kind) for g, t, w in zip(gs, top, mass)]
+                             sector, kind) for g, t, w in zip(gs, top, mass)]
 
 
 def quenched_free_energy(
@@ -416,13 +407,15 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
 
     Tables are built one row at a time: every partial table is extended by
     each row composition that fits under its remaining column margins, and
-    the last row is forced; the rows come out in lexicographic order.
+    the last row is forced; the rows come out in lexicographic order.  Every
+    partial table completes to at least one table, so a step that would hold
+    more than ``DEFAULT_CAP`` partial tables raises before it builds them.
     """
     if n % kappa != 0:
         raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
     margin = n // kappa
     rows = _compositions(margin, kappa)
-    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1)
+    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1, DEFAULT_CAP)
     return np.concatenate((rows[picks], left[:, None]), axis=1)
 
 
@@ -544,8 +537,8 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     al = beta ** 2 / (2.0 * n)
     states = _compositions(n, kappa + 1)[:, :-1]  # every s with |s| <= n, lexicographic
     reps, orbit = _unique_rows(np.sort(states, axis=1), n + 1)  # one sorted t per orbit, and the orbit of each s
-    keys = np.ravel_multi_index(states.T, (n + 1,) * kappa)  # s + r never carries in base n + 1: keys add
     place, sq, box = (n + 1) ** np.arange(kappa)[::-1], (states ** 2).sum(axis=1), np.prod(reps + 1, axis=1)
+    keys = states @ place  # lexicographic, so sorted; s + r never carries in base n + 1: keys add
     phi = -glt[states].sum(axis=1) + al * (states.sum(axis=1) ** 2 + 3.0 * sq)
     rep_key, rep_sq, first = reps @ place, (reps ** 2).sum(axis=1), np.cumsum(box) - box  # first: a target's first pair
 
@@ -587,16 +580,15 @@ def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = D
 
 def _log_uncentered_ratio(n: int, beta: float, kappa: int, sector, cap: int) -> float:
     """Log of :func:`uncentered_ratio`, finite where the ratio overflows."""
-    counts = sector_counts(n, kappa, sector)
-    if counts is None:
+    if sector_counts(n, kappa, sector) is None:
         n_pairs = math.comb(n + 2 * kappa, 2 * kappa)
         if n_pairs > cap:
             raise EnumerationCapError(
                 f"row recursion has {n_pairs} (s, r) pairs, exceeding the cap of {cap}"
             )
+        if (n + 1) ** kappa > 2 ** 63:  # the base-(n + 1) keys of the column sums overflow int64, as in _unique_rows
+            raise EnumerationCapError(f"row recursion keys span (n + 1)^kappa = {n + 1}^{kappa} values, past int64")
         return _log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa)
-    if not np.all(counts == counts[0]):
-        raise SectorError("uncentered_ratio supports the 'all' and 'balanced' sectors")
     # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
     # to the overlap-law average of exp(beta^2 n ||r||_F^2).
     tables = admissible_array(n, kappa)
@@ -607,10 +599,9 @@ def _log_uncentered_ratio(n: int, beta: float, kappa: int, sector, cap: int) -> 
 
 def _log_uncentered_lower_bound(n: int, beta: float, kappa: int, sector) -> float:
     """Log of the closed-form divergence floor of the raw-Hamiltonian moment ratio."""
-    label = _sector_label(sector)
-    if label == "all":
+    if sector == "all":
         return beta ** 2 * (n - 1) / kappa ** 2
-    if label == "balanced":
+    if sector == "balanced":
         return beta ** 2 * (n - 1) * ((n - kappa) / ((n - 1) * kappa)) ** 2
     raise SectorError("bound available for the 'all' and 'balanced' sectors")
 

@@ -107,8 +107,6 @@ class ChainState:
             raise ValueError("chain beta must be finite and nonnegative")
         if not math.isfinite(self.energy):
             raise ValueError(f"chain energy must be finite, got {self.energy!r}")
-        if self.sector not in ("all", "balanced"):
-            raise SectorError(f"unsupported chain sector {self.sector!r}")
         # a fractional count would never meet the audit schedule of _end_sweep
         if isinstance(self.sweeps, bool) or not isinstance(self.sweeps, Integral) or self.sweeps < 0:
             raise ValueError(f"chain sweeps must be a nonnegative integer, got {self.sweeps!r}")
@@ -117,10 +115,9 @@ class ChainState:
         if not np.array_equal(self.colors, colors):
             raise ValueError(f"chain colors must be integers, got {colors.tolist()!r}")
         SpinConfig(self.colors.copy(), self.kappa)  # 1-d, non-empty, kappa >= 2, colors in [1, kappa]
-        if self.sector == "balanced":
-            counts = np.bincount(self.colors - 1, minlength=self.kappa)
-            if not np.all(counts == self.colors.size // self.kappa):
-                raise SectorError("balanced chain must start from a balanced configuration")
+        counts = sector_counts(self.colors.size, self.kappa, self.sector)  # None for 'all'; other sectors raise
+        if counts is not None and not np.array_equal(np.bincount(self.colors - 1, minlength=self.kappa), counts):
+            raise SectorError("balanced chain must start from a balanced configuration")
 
     @property
     def n(self) -> int:
@@ -136,14 +133,13 @@ class ChainState:
         seed: int = 0,
         chain_id: int = 0,
     ) -> "ChainState":
+        counts = sector_counts(g.n, kappa, sector)  # None for 'all'; any other sector raises before a draw
         rng = philox_generator(seed, CHAIN_NAMESPACE | chain_id)
-        n = g.n
-        if sector == "balanced":
-            counts = sector_counts(n, kappa, "balanced")
+        if counts is None:
+            colors = rng.integers(1, kappa + 1, size=g.n)
+        else:
             colors = np.repeat(np.arange(1, kappa + 1), counts)
             rng.shuffle(colors)
-        else:
-            colors = rng.integers(1, kappa + 1, size=n)
         energy = hamiltonian_raw(SpinConfig(colors.copy(), kappa), g)
         return cls(colors=colors, kappa=kappa, beta=beta, sector=sector, energy=energy, rng=rng,
                    seed=seed, chain_id=chain_id)

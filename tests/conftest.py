@@ -18,25 +18,25 @@ import pytest
 from pottsglass import core, exact
 
 
-def config_array(n: int, kappa: int, constraint="all", cap: int | None = None) -> np.ndarray:
+def config_array(n: int, kappa: int, sector: str = "all", cap: int | None = None) -> np.ndarray:
     """All sector configurations as one ``(count, n)`` int array, the brute-force route.
 
     Rows are in lexicographic order: each site takes every color that still has
     sites left in the sector (any color, for ``"all"``).  Raises :class:`pottsglass.core.EnumerationCapError` before
     materializing anything too large.
     """
-    total = core.count_configs(n, kappa, constraint)
+    total = core.count_configs(n, kappa, sector)
     if cap is not None and total > cap:
         raise core.EnumerationCapError(f"sector has {total} configurations, exceeding the cap of {cap}")
-    counts = core.sector_counts(n, kappa, constraint)
+    counts = core.sector_counts(n, kappa, sector)
     picks, _ = core._lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
     return picks.astype(np.int64) + 1
 
 
-def maximizers(g: core.CouplingMatrix, kappa: int, constraint="all") -> np.ndarray:
+def maximizers(g: core.CouplingMatrix, kappa: int, sector: str = "all") -> np.ndarray:
     """The sector's energy maximizers, in lexicographic order: every row of :func:`config_array` whose
     :func:`pottsglass.core.hamiltonian_raw` equals the largest, so a color image of a maximizer ties bitwise."""
-    colors = config_array(g.n, kappa, constraint)
+    colors = config_array(g.n, kappa, sector)
     energies = np.array([core.hamiltonian_raw(core.SpinConfig(row, kappa), g) for row in colors])
     return colors[energies == energies.max()]
 

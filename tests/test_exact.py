@@ -6,10 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pottsglass import core, exact
+from pottsglass import montecarlo as mc
 
 from conftest import (config_array, flipped_at, full_split_log_partition, gram_pair_covariances,
                       log_ez2_raw_all_pairs, match_matrix_flat, split_energies)
@@ -69,14 +70,21 @@ class TestLogPartition:
         with pytest.raises(core.DivisibilityError):
             exact.log_partition(g5, 1.0, 2, "balanced", "raw")
 
-    @pytest.mark.parametrize("kappa, counts", [(2, (2, 2)), (3, (1, 0, 4))])
-    def test_array_sector_matches_tuple(self, kappa, counts):
-        n = sum(counts)
-        assert np.array_equal(config_array(n, kappa, np.array(counts)), config_array(n, kappa, counts))
-        g = core.CouplingMatrix.from_seed(n, 6)
-        fs = exact.log_partition(g, 1.0, kappa, np.array(counts))
-        assert fs.log_z == exact.log_partition(g, 1.0, kappa, counts).log_z
-        assert fs.sector == "fixed"
+    def test_sector_is_all_or_balanced(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed before the sector was rejected")
+
+        assert exact.quenched_free_energy(4, 1.0, 2, "balanced", replicas=2).samples[0].sector == "balanced"
+        monkeypatch.setattr(exact, "_lex_extend", refuse)
+        monkeypatch.setattr(mc, "philox_generator", refuse)
+        g = core.CouplingMatrix.from_seed(6, 1)
+        for sector in ((3, 3), np.array([3, 3]), None, "fixed"):
+            for call in (lambda: core.sector_counts(6, 2, sector), lambda: core.count_configs(6, 2, sector),
+                         lambda: exact.log_partition(g, 1.0, 2, sector),
+                         lambda: mc.ChainState.start(g, 2, 1.0, sector),
+                         lambda: mc.ChainState(np.array([1, 2]), 2, 1.0, sector, 0.0, rng=None)):  # as a load builds it
+                with pytest.raises(core.SectorError):
+                    call()
 
 
 class TestQuenchedFreeEnergy:
@@ -175,6 +183,19 @@ class TestAdmissible:
     def test_divisibility(self):
         with pytest.raises(core.DivisibilityError):
             exact.admissible_array(5, 2)
+
+    def test_table_count_cap(self, monkeypatch):
+        # kappa = 4, n = 8: 10 partial tables after the first row, 282 tables
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 282)
+        assert len(exact.admissible_array(8, 4)) == 282
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 281)
+        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
+                    lambda: exact.shell_histogram(8, 4), lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced")):
+            with pytest.raises(core.EnumerationCapError, match="282 partial sequences after 3 of 3 steps"):
+                run()
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 9)  # counted before the first step's extensions are built
+        with pytest.raises(core.EnumerationCapError, match="10 partial sequences after 1 of 3 steps"):
+            exact.admissible_array(8, 4)
 
     @pytest.mark.parametrize("total,parts", [(0, 1), (0, 3), (5, 1), (5, 3), (6, 5)])
     def test_compositions_match_product_filter_in_order(self, total, parts):
@@ -286,6 +307,13 @@ class TestShells:
 
 
 class TestUncenteredRatio:
+    def test_row_recursion_keys_fit_in_int64(self, monkeypatch):
+        assert exact.uncentered_ratio(3, 1.0, 31) == 2.7337692097639783  # keys below 4^31 = 2^62: the value as before
+        monkeypatch.setattr(exact, "_log_ez2_raw_all", lambda *args: pytest.fail("recursion ran past int64 keys"))
+        for n, kappa in ((3, 32), (4, 28)):
+            with pytest.raises(core.EnumerationCapError, match=rf"{n + 1}\^{kappa} values, past int64"):
+                exact.uncentered_ratio(n, 1.0, kappa)
+
     def test_beta_zero(self):
         assert exact.uncentered_ratio(4, 0.0, 2, "all") == pytest.approx(1.0, abs=1e-12)
         assert exact.uncentered_ratio(4, 0.0, 2, "balanced") == pytest.approx(1.0, abs=1e-12)
@@ -484,16 +512,6 @@ PERMUTATION_CASES = [  # (kappa, n, sector, seed); the first one broke under the
 ]
 
 
-class Draws:
-    """Replays fixed values, in order, as the draws of a ``st.data()`` example."""
-
-    def __init__(self, *values):
-        self.values = iter(values)
-
-    def draw(self, strategy):
-        return next(self.values)
-
-
 class TestSplitEngine:
     @pytest.mark.parametrize("kappa,n,sector,seed", PERMUTATION_CASES)
     def test_color_permutations_give_bitwise_equal_energies(self, kappa, n, sector, seed):
@@ -513,8 +531,8 @@ class TestSplitEngine:
         for perm in itertools.permutations(range(1, kappa + 1)):
             assert {tuple(np.array((0,) + perm)[list(row)]) for row in found} == found
 
-    @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 9, (4, 5)),
-                                                (3, 10, (2, 3, 5))])
+    @pytest.mark.parametrize("kappa,n,sector", [(3, 7, "all"), (3, 6, "balanced"), (2, 10, "balanced"),
+                                                (3, 9, "balanced")])
     def test_flat_and_tree_blocks_agree_bitwise(self, kappa, n, sector, monkeypatch):
         g = core.CouplingMatrix.from_seed(n, 12, 3)
         flat_rows, flat = split_energies(n, kappa, sector, g)
@@ -549,15 +567,10 @@ class TestSplitEngine:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    # halves of one row each: the half energies once summed in an order that depended on the stack size
-    @example(data=Draws(2, 9, [0], (0, 9), "raw", 0.0, 5, 2, 268, 0))
-    @example(data=Draws(2, 16, [0], (0, 16), "raw", 0.0, 5, 2, 268, 0))
     def test_stacked_mass_equals_stacks_of_one_bitwise(self, data):
         kappa = data.draw(st.sampled_from((2, 3, 4)))
         n = data.draw(st.integers(1, {2: 10, 3: 7, 4: 6}[kappa]))
-        cuts = sorted(data.draw(st.lists(st.integers(0, n), min_size=kappa - 1, max_size=kappa - 1)))
-        fixed = tuple(np.diff([0, *cuts, n]))
-        sector = data.draw(st.sampled_from(["all", fixed] + (["balanced"] if n % kappa == 0 else [])))
+        sector = data.draw(st.sampled_from(["all"] + (["balanced"] if n % kappa == 0 else [])))
         kind = data.draw(st.sampled_from(("raw", "centered")))
         beta = data.draw(st.sampled_from((0.0, math.inf)) | st.floats(0.1, 4.0))
         block = data.draw(st.sampled_from((5, 64, 1000, exact._BLOCK)))  # tree or flat; stacks cut or whole
@@ -668,23 +681,6 @@ class TestOrbitQuotient:
                 mgf = exact.magnetization_mgf_exact(n, beta, 1.7, replicas=3, seed=2)
                 assert close(mgf.value, np.mean(want, axis=0)[1]), beta
 
-    @pytest.mark.parametrize("kappa,sector", [(2, (3, 6)), (3, (1, 2, 4)), (3, (0, 3, 5)), (4, (2, 2, 1, 3))])
-    def test_fixed_unequal_sectors_keep_the_full_split(self, kappa, sector):
-        n = sum(sector)
-        split, full = exact._split(n, kappa, sector, orbits=True), exact._split(n, kappa, sector)
-        assert np.array_equal(split.rows_a, full.rows_a) and (split.mult == 1).all()
-        for stream in range(2):
-            g = core.CouplingMatrix.from_seed(n, 3, stream)
-            for beta in (0.0, 1.1):
-                want = exact._log_partition(full, beta, "centered", sector, [g])[0].log_z
-                assert exact.log_partition(g, beta, kappa, sector).log_z == want
-
-    def test_equal_fixed_counts_are_the_balanced_sector(self):
-        split, balanced = exact._split(9, 3, (3, 3, 3), orbits=True), exact._split(9, 3, "balanced", orbits=True)
-        assert np.array_equal(split.rows_a, balanced.rows_a) and np.array_equal(split.mult, balanced.mult)
-        g = core.CouplingMatrix.from_seed(9, 4, 0)
-        assert exact.log_partition(g, 1.2, 3, (3, 3, 3)).log_z == exact.log_partition(g, 1.2, 3, "balanced").log_z
-
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_stacked_mass_on_orbits_equals_stacks_of_one_bitwise(self, data):
@@ -719,12 +715,6 @@ def oracle_weights(energies, beta):
     return np.exp(beta * (energies - top))
 
 
-def fixed_sector(n, kappa):
-    """A fixed count vector with a zero count: (0, rest spread as evenly as possible)."""
-    rest = [(n + i) // (kappa - 1) for i in range(kappa - 1)]
-    return (0, *sorted(rest))
-
-
 ORACLE_SIZES = [(n, kappa) for n in (1, 2, 3, 5, 8, 13) for kappa in (2, 3, 4)]
 BETAS = (0.0, 1.3, math.inf)
 
@@ -736,7 +726,7 @@ def close(a, b, floor=0.0):
 class TestSplitOracle:
     @pytest.mark.parametrize("n,kappa", ORACLE_SIZES)
     def test_log_partition_and_ground_state(self, n, kappa):
-        sectors = ["all", fixed_sector(n, kappa)] + (["balanced"] if n % kappa == 0 else [])
+        sectors = ["all"] + (["balanced"] if n % kappa == 0 else [])
         for sector in sectors:
             if core.count_configs(n, kappa, sector) > 70_000:
                 continue
