@@ -37,13 +37,13 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # beta_max = 0 entropy row, and kappa = 3 stacks in lockstep (montecarlo._run_stack, from montecarlo._lockstep's
 # crossover on): tail-bound's 24 Metropolis chains without a ladder and with 3-rung ladders, and mc-free-energy's
 # 13-rung balanced grid ladder (the pair-swap kernel); the last three run 300 sweeps, which cross three audits
-# and three draw blocks; and exact-free-energy over color orbits with multiplicities up to 4! = 24 (kappa = 4) and
+# and many draw blocks; and exact-free-energy over color orbits with multiplicities up to 4! = 24 (kappa = 4) and
 # with half A one site shorter than half B (odd n); and uncentered-ratio's recursion over color orbits at kappa = 2,
 # 5 and 6, and at beta = 50, where the ratio overflows to inf; and replica or trial counts that leave a partial
 # last disorder stack (core.map_replicas draws each stack at once): gauge-check at n = 8 (64 trials a stack, and
 # every stack's flips from one sign product), exact-free-energy at kappa = 2, n = 8 (128 a stack) and
 # moment-check at n = 12 (8 a stack); and mc-free-energy's balanced grid of 8 rungs, below the crossover, so its
-# chains take the per-chain swap path (montecarlo.swap_sweep), which every larger balanced stack skips; and
+# chains sweep row by row (montecarlo._swap_row), which every larger balanced stack skips; and
 # uncentered-ratio's balanced sector (the overlap-table sum and its floor), and its recursion at kappa = 31, the
 # largest kappa whose base-(n + 1) keys fit in int64 at n = 3
 EXTRA_JOBS = (

@@ -5,25 +5,26 @@ dynamics target the balanced sector while conserving the magnetization
 exactly; parallel tempering couples chains across an inverse-temperature
 ladder.  Estimators (magnetization tails, thermodynamic integration over a
 tempering ladder) ride on top of these kernels, through one runner
-(:func:`_run_chains`).
+(:func:`_run_stack`).
 
 Zero temperature is never sampled here: beta = inf claims route to the
 exact ground-state measure in :mod:`pottsglass.exact`, since no
 equilibration guarantee exists at beta = inf.
 
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
-``CHAIN_NAMESPACE | c`` of ``s`` the same 3n uniforms per sweep, drawn per
-sweep (``random((3, n))``) or per block of ``b`` (``random((b, 3, n))``), so
-trajectories are bit-for-bit reproducible and independent of the worker count
-used to farm out disorder replicas, and of whether a chain sweeps alone or in
-lockstep with others (:func:`_run_stack`).  Its energy is computed from scratch
-by :func:`pottsglass.core.hamiltonian_raw` at its start and every
-``AUDIT_INTERVAL`` sweeps, which guards the cached running sum against drift;
-so a configuration and its color images get bit-identical energies there.
+``CHAIN_NAMESPACE | c`` of ``s`` the same 3n uniforms per sweep (one sweep's
+``random((3, n))`` in :func:`sweep`, a block's ``random((b, 3, n))`` in
+:func:`_run_stack`) through one proposal map (:func:`_proposal_tables`), so
+trajectories are bit-for-bit reproducible and independent of the worker count,
+of the stack a chain sweeps in and of the kernel form, row by row or lockstep.
+Its energy is computed from scratch by :func:`pottsglass.core.hamiltonian_raw`
+at its start and every ``AUDIT_INTERVAL`` sweeps, which guards the cached
+running sum against drift; so a configuration and its color images get
+bit-identical energies there.
 
 Every kernel accepts in the log domain, ``u < e^{beta dH}`` as one comparison
-with a threshold made when ``u`` is drawn (:func:`_log_uniforms`); alone and in
-lockstep, a chain compares the same floats.
+with a threshold made when ``u`` is drawn (:func:`_log_uniforms`); row by row
+and in lockstep, a chain compares the same floats.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ __all__ = [
     "ChainState",
     "TemperingLadder",
     "TiResult",
-    "metropolis_sweep",
-    "swap_sweep",
     "sweep",
     "tempering_step",
     "run_sweeps",
@@ -75,10 +74,11 @@ __all__ = [
 CHECKPOINT_VERSION = 2
 AUDIT_INTERVAL = 100  # sweeps between recomputations of a chain's cached energy
 # per sector (kernel), tiers (largest n, rows): from that many rows a stack of chains of size n, in the first tier
-# that covers n, sweeps faster in lockstep than chain by chain (BENCH_mc_stack.json, BENCH_mc_swap_lockstep.json,
-# BENCH_mc_log_accept.json)
-LOCKSTEP_ROWS = {"all": ((12, 9), (math.inf, 24)), "balanced": ((9, 8), (96, 13), (math.inf, 24))}
+# that covers n, sweeps faster in lockstep than row by row (BENCH_mc_stack.json, BENCH_mc_swap_lockstep.json,
+# BENCH_mc_log_accept.json, BENCH_mc_one_runner.json)
+LOCKSTEP_ROWS = {"all": ((12, 12), (13, 16), (math.inf, 24)), "balanced": ((9, 8), (96, 13), (math.inf, 24))}
 _STACK_ELEMS = 1 << 21  # coupling elements per estimate_tail stack: its stacked g + g^T stays within 16 MiB
+_BLOCK_PROPOSALS = 1 << 13  # proposals per _run_stack draw block: its draws and tables stay within 1 MiB
 MAX_RUNGS = 256  # rungs of a tempering ladder: its chain ids keep 8 bits for the rung
 
 
@@ -163,143 +163,156 @@ class ChainState:
         return self
 
 
-def _local_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
-    """``h[a - 1, i] = sum_j S_ij 1{c_j = a}`` for every color ``a`` and site ``i``, one matmul."""
-    onehot = colors == np.arange(1, kappa + 1)[:, None]
-    return onehot.astype(np.float64) @ s
-
-
 def _stack_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
-    """:func:`_local_fields` of every row of ``colors`` (0-based, shape ``(R, n)``), one batched matmul.
-
-    The rows come in ``len(s)`` equal groups, group ``g`` on the couplings ``s[g]``; a group's rows
-    share its matrix, not copies.  The batch runs the same BLAS product per chain as a stack of one,
-    so a chain's fields do not depend on the stack it sweeps in.
-    """
-    rows, n = colors.shape
-    onehot = (colors[:, None] == np.arange(kappa)[:, None]).astype(np.float64)
-    return (onehot.reshape(len(s), -1, kappa, n) @ s[:, None]).reshape(rows, kappa, n)
+    """The local fields ``h[..., a - 1, i] = sum_j S_ij 1{c_j = a}`` of the chains ``colors`` (as :class:`ChainState`
+    holds them, ``(..., n)``) on the couplings ``s`` (``(..., n, n)``), leading axes broadcast: one matmul.  A stack
+    passes its rows grouped by coupling, ``(G, R / G, n)`` against ``s[:, None]``, so a group shares its matrix;
+    the batch runs the same BLAS product per chain as a chain alone, so no field depends on the stack."""
+    return (colors[..., None, :] == np.arange(1, kappa + 1)[:, None]).astype(np.float64) @ s
 
 
-def _partner(own: list[list[int]], a: int, rank: int) -> int:
-    """Swap partner of rank ``rank`` for color ``a``: with ``(c, p) = divmod(rank, per)``, site ``p``
-    of the sorted sites ``own`` of the ``c``-th color other than ``a``.  O(1); in the balanced
-    sector ranks ``0 .. n - per - 1`` name each other-color site exactly once."""
-    c, p = divmod(rank, len(own[0]))
-    return own[c + (c + 1 >= a)][p]
-
-
+@np.errstate(divide="ignore")  # as a decorator: it costs less per call than a with block
 def _log_uniforms(us: np.ndarray) -> np.ndarray:
     """``np.log`` of a draw's uniforms, -inf at u = 0: a proposal is accepted iff its raw difference ``x = sqrt(n) dH``
     exceeds ``log(u)`` times ``sqrt(n) / beta`` (inf at beta = 0, so every proposal is accepted there), and a ladder
     swap iff its log acceptance exceeds ``log(u)``."""
-    with np.errstate(divide="ignore"):
-        return np.log(us)
+    return np.log(us)
 
 
-def metropolis_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
-    """n single-site recoloring proposals with acceptance min(1, e^{beta dH}).
+def _proposal_tables(draws: np.ndarray, choices: int, scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The proposal map: entry ``[k, j, r]`` of the three tables is proposal ``j`` of chain ``r`` in sweep ``k``, its
+    site, its proposal (a new color for Metropolis, a partner rank for a swap; ``choices`` of them) and its threshold.
 
-    One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
-    as ``(u0, u1, u)``, recolors site ``int(u0 * n)`` to color
-    ``1 + int(u1 * kappa)`` and accepts if ``sqrt(n) dH`` exceeds the
-    threshold of ``u`` (:func:`_log_uniforms`).  A proposal equal to the current
-    color is a no-op.  The local fields are rebuilt once per sweep, an
-    O(kappa n^2) product; a proposal then costs O(1) and an accepted move O(n),
-    in place.  :func:`_run_stack` makes this sweep for a stack of chains at
-    once, with the same bytes, from the crossover :func:`_lockstep` on.
+    ``draws[k, :, :, r]`` is chain ``r``'s ``random((3, n))`` for sweep ``k`` (a block's ``random((b, 3, n))``
+    holds the same values); proposal ``j`` reads column ``j`` as ``(u0, u1, u)``: site ``int(u0 * n)``, proposal
+    ``int(u1 * choices)`` and threshold ``log(u) * scales[r]`` (:func:`_log_uniforms`), in numpy, which at
+    n = 256 costs less than a Python ``int(u * n)`` per proposal.
     """
-    if state.sector != "all":
-        raise SectorError("metropolis_sweep serves the unconstrained sector")
-    n, kappa, beta = state.n, state.kappa, state.beta
-    s = g.sym
-    sqn = math.sqrt(n)
-    draws = state.rng.random((3, n))
-    # the map in numpy: at large n a Python int(u * n) per proposal costs more than the saved draw calls
-    sites, props = (draws[:2] * [[n], [kappa]]).astype(np.int64).tolist()
-    colors = state.colors
-    h = _local_fields(colors, s, kappa)
-    hrows, srows = list(h), list(s)  # row views, made once per sweep
-    energy = state.energy
-    scale = sqn / beta if beta else math.inf
-    for t, new, log_u in zip(sites, props, _log_uniforms(draws[2]).tolist()):  # colors 0-based here
+    sites, props = (draws[:, :2] * np.array([draws.shape[2], choices])[:, None, None]).astype(np.int64).swapaxes(0, 1)
+    limits = _log_uniforms(draws[:, 2])
+    limits *= scales  # elementwise, the product each row kernel forms
+    return sites, props, limits
+
+
+def _metropolis_row(colors, energy: float, s: np.ndarray, sites, props, limits, kappa: int) -> float:
+    """A Metropolis sweep of one chain (``colors`` as :class:`ChainState` holds them, changed in place; couplings
+    ``s = g + g^T``) from its column of the proposal tables; returns its running energy.
+
+    Proposal ``(t, new, limit)`` recolors site ``t`` to color ``new + 1`` with acceptance min(1, e^{beta dH}), iff
+    ``x = sqrt(n) dH`` exceeds ``limit``, and adds ``x / sqrt(n)`` to the energy; the current color is a no-op.  The
+    fields are built once per sweep, an O(kappa n^2) product; a proposal costs O(1), an accepted move O(n) in place.
+    """
+    h = _stack_fields(colors, s, kappa)
+    hrows = list(h)  # row views, made once per sweep
+    sqn = math.sqrt(colors.size)
+    for t, new, limit in zip(sites, props, limits):  # new and old are 0-based colors
         old = colors.item(t) - 1
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
         x = h.item(new, t) - h.item(old, t) + s.item(t, t)
-        if x > log_u * scale:
+        if x > limit:
             colors[t] = new + 1
-            np.subtract(hrows[old], srows[t], out=hrows[old])
-            np.add(hrows[new], srows[t], out=hrows[new])
+            row = s[t]
+            np.subtract(hrows[old], row, out=hrows[old])
+            np.add(hrows[new], row, out=hrows[new])
             energy += x / sqn
-    return state._end_sweep(g, energy)
+    return energy
+
+
+def _swap_row(colors, energy: float, s: np.ndarray, sites, ranks, limits, kappa: int) -> float:
+    """A pair-swap sweep of one balanced chain, as :func:`_metropolis_row` makes a Metropolis one: proposal
+    ``(i, rank, limit)`` transposes site ``i`` (color ``a``) and its partner ``j``, with ``(c, p) = divmod(rank,
+    n // kappa)`` the ``p``-th site in index order of the ``c``-th color other than ``a``.  Every color holds
+    ``n // kappa`` sites, so the ranks name each other-color site once: the proposal is symmetric, and the color
+    counts are conserved exactly.  The per-color site lists stay sorted (``del`` and ``insort``, O(n) like the
+    field update, which moves ``S[i] - S[j]`` from ``h[a]`` to ``h[b]``)."""
+    n = colors.size
+    per = n // kappa
+    h = _stack_fields(colors, s, kappa)
+    own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
+    hrows, shift = list(h), np.empty(n)
+    sqn = math.sqrt(n)
+    for i, rank, limit in zip(sites, ranks, limits):
+        a = colors.item(i)
+        c, p = divmod(rank, per)
+        j = own[c + (c + 1 >= a)][p]
+        b = colors.item(j)
+        sij = s.item(i, j)
+        x1 = h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)
+        # site j's fields once site i already holds color b
+        x2 = (h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)
+        x = x1 + x2
+        if x > limit:
+            colors[i] = b
+            colors[j] = a
+            np.subtract(s[i], s[j], out=shift)
+            np.subtract(hrows[a - 1], shift, out=hrows[a - 1])
+            np.add(hrows[b - 1], shift, out=hrows[b - 1])
+            for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
+                del sites_of[bisect_left(sites_of, out)]
+                insort(sites_of, into)
+            energy += x / sqn
+    return energy
 
 
 def _lockstep(rows: int, n: int, sector: str) -> bool:
-    """Whether a stack of ``rows`` chains of size ``n`` sweeps faster in :func:`_run_stack` than chain by chain."""
+    """Whether a stack of ``rows`` chains of size ``n`` sweeps faster in lockstep than row by row."""
     return rows >= next(need for top, need in LOCKSTEP_ROWS[sector] if n <= top)
-
-
-def _run_chains(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
-                burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
-    """:func:`_run_stack` from the crossover (:func:`_lockstep`) on; below it :func:`sweep` or :func:`tempering_step`
-    runs each replica alone, with the same bytes and records (``observe`` then sees that replica's chains)."""
-    if _lockstep(len(chains), chains[0].n, chains[0].sector):
-        return _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning, observe)
-    per, step_one, records = len(chains) // len(gs), tempering_step if tempers else sweep, []
-    for r, (unit, g) in enumerate(zip(tempers or chains, gs)):  # replica by replica, its couplings alone in cache
-        own, series = chains[r * per:(r + 1) * per], []
-        for t in range(burn_in + sweeps):
-            step_one(unit, g)
-            if t >= burn_in and (t - burn_in) % thinning == 0:
-                series.append(observe(np.stack([c.colors for c in own]) - 1, np.array([c.energy for c in own])))
-        records.append(np.array(series).T)
-    return np.vstack(records)
 
 
 def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
                burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
-    """``burn_in + sweeps`` :func:`sweep` steps of a stack's chains at once (:func:`_lockstep_moves`, or
-    :func:`_swap_moves` in the balanced sector), each followed by every ladder's :func:`_ladder_swaps`, with the
-    same bytes; returns ``observe(colors, energies)`` of the stack (0-based colors, a row per chain) after every
-    ``thinning``-th measured sweep, as columns.
+    """The one chain runner: ``burn_in + sweeps`` sweeps of a stack's chains, each followed by every ladder's
+    swaps (:func:`_stack_swaps`); returns ``observe(colors, energies)`` of the stack (0-based colors, a row per
+    chain) after every ``thinning``-th measured sweep, as columns.
 
     ``chains``: ``len(chains) // len(gs)`` per coupling of ``gs`` (a chain, or a ladder's rungs), in
-    coupling order, at one sweep count; their colors, energies and betas live in arrays for the run.  A
-    chain draws ``random((b, 3, n))``, the values of ``b`` calls ``random((3, n))``, and a ladder
-    ``random((b, rungs - 1))``, in blocks ending at the run's end or the next audit, within ``_STACK_ELEMS``
-    (ten numbers a proposal).  A block's last sweep ends through :meth:`ChainState._end_sweep`, chain
-    by chain, so each keeps its audit schedule; the chains then hold the stack's state.
+    coupling order, at one sweep count; their colors and energies live in arrays for the run.  A block of
+    ``b`` sweeps draws ``random((b, 3, n))`` per chain, mapped to proposal tables (:func:`_proposal_tables`),
+    and ``random((b, rungs - 1))`` per ladder; it ends at the run's end or the next audit and holds at most
+    ``_BLOCK_PROPOSALS`` proposals (or one sweep).  From the crossover :func:`_lockstep` on, a sweep runs in
+    lockstep (:func:`_lockstep_moves`, :func:`_swap_moves` in the balanced sector) on a stacked copy of the
+    couplings; below it, row by row (:func:`_metropolis_row`, :func:`_swap_row`) on each coupling's own
+    ``g.sym``: the same bytes either way.  A block's last sweep ends through :meth:`ChainState._end_sweep`,
+    chain by chain, so each keeps its audit schedule; the chains then hold the stack's state.
     """
     rows, n, per = len(chains), chains[0].n, len(chains) // len(gs)
-    s, colors = np.stack([g.sym for g in gs]), np.stack([c.colors for c in chains]) - 1
-    energy, betas, r = np.array([c.energy for c in chains]), [c.beta for c in chains], np.arange(rows)
-    # per row: its threshold scale and the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
-    consts = (np.array([math.sqrt(n) / beta if beta else math.inf for beta in betas]), r * kappa, r * n, r // per * n,
-              np.diagonal(s, axis1=1, axis2=2).reshape(-1))
-    swap = chains[0].sector == "balanced"
-    moves = _swap_moves if swap else _lockstep_moves
-    owners = [g for g in gs for _ in range(per)]
+    swap, owners = chains[0].sector == "balanced", [g for g in gs for _ in range(per)]
+    if _lockstep(rows, n, chains[0].sector):
+        s, r = np.stack([g.sym for g in gs]), np.arange(rows)
+        # per row: the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
+        offsets = (r * kappa, r * n, r // per * n, np.diagonal(s, axis1=1, axis2=2).reshape(-1))
+        moves = partial(_swap_moves if swap else _lockstep_moves, s=s, offsets=offsets, kappa=kappa)
+    else:
+        moves = partial(_row_moves, _swap_row if swap else _metropolis_row, [g.sym for g in owners], kappa)
+    colors, energy = np.stack([c.colors for c in chains]) - 1, np.array([c.energy for c in chains])
+    betas, choices = [c.beta for c in chains], n - n // kappa if swap else kappa
+    scales = np.array([math.sqrt(n) / beta if beta else math.inf for beta in betas])
     lows = [k for k in range(rows - 1) if (k + 1) % per]  # lower rung of each adjacent pair of a ladder
     dbetas, accepts = [betas[k] - betas[k + 1] for k in lows], [0] * len(lows)
     records, done, total = [], 0, burn_in + sweeps
     while done < total:
         b = min(total - done, AUDIT_INTERVAL - chains[0].sweeps % AUDIT_INTERVAL,
-                max(1, _STACK_ELEMS // (10 * rows * n)))
-        tables = _proposal_tables([c.rng for c in chains], b, n, consts, kappa, swap)
+                max(1, _BLOCK_PROPOSALS // (rows * n)))
+        draws = np.empty((b, 3, n, rows))  # each generator straight into its slice
+        for r, c in enumerate(chains):
+            draws[..., r] = c.rng.random((b, 3, n))
+        tables = _proposal_tables(draws, choices, scales)
         ladder_logs = tempers and _log_uniforms(np.hstack([t.rng.random((b, per - 1)) for t in tempers])).tolist()
         for k, step in enumerate(zip(*tables)):
-            colors, energy = moves(colors, energy, s, step, consts, kappa)
+            colors, energy = moves(colors, energy, step)
             if k == b - 1:
                 for c, row in zip(chains, colors + 1):
                     c.colors, c.sweeps = row, c.sweeps + b - 1
                 energy = np.array([c._end_sweep(g, e).energy for c, g, e in zip(chains, owners, energy.tolist())])
             if tempers:
-                colors, energy = _stack_swaps(colors, energy, lows, dbetas, ladder_logs[k], accepts)
+                e = energy.tolist()
+                order = _stack_swaps(e, lows, dbetas, ladder_logs[k], accepts)
+                colors, energy = colors[order], np.array(e)
             if (measured := done + k - burn_in) >= 0 and measured % thinning == 0:
                 records.append(observe(colors, energy))
         done += b
-        del tables, step  # freed before the next block draws
+        del draws, tables, step  # freed before the next block draws
     for c, row, e in zip(chains, colors + 1, energy.tolist()):  # after the last ladder swaps
         c.colors, c.energy = row, e
     for temper, acc in zip(tempers, np.reshape(accepts, (len(tempers), per - 1))):
@@ -307,46 +320,42 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
     return np.stack(records, axis=1)
 
 
-def _proposal_tables(rngs, b: int, n: int, consts, kappa: int, swap: bool) -> tuple[np.ndarray, ...]:
-    """Entry ``[k, j, r]``: proposal ``j`` of chain ``r`` (drawing from ``rngs[r]``) in sweep ``k`` of a block:
-    its site ``t`` in the flat colors, row ``S[r, t]`` of the stacked couplings, ``S[r, t, t]``, the flat
-    position of ``h[r, 0, t]``, then those of ``h[r, new, t]`` and ``new`` (Metropolis) or the partner's
-    ``divmod(rank, n // kappa)`` (swap), and the threshold of ``u``, read as in :func:`metropolis_sweep` or
-    :func:`swap_sweep`."""
-    log_scales, fields0, cells0, srows0, diag = consts
-    draws = np.stack([rng.random((b, 3, n)) for rng in rngs], axis=-1)  # [k, :, j, r]
-    scale = n - n // kappa if swap else kappa
-    sites, props = (draws[:, :2] * [[[n]], [[scale]]]).astype(np.int64).swapaxes(0, 1)
-    srow, hcol, limits = sites + srows0, sites + fields0 * n, _log_uniforms(draws[:, 2])
-    limits *= log_scales  # elementwise, the product each chain's kernel forms
-    if swap:  # the partner's other-color index c, and its place r * per + p among the stack's sites of its color
-        c, p = np.divmod(props, n // kappa)
-        return sites + cells0, srow, diag[srow], hcol, c, p + cells0 // kappa, limits
-    return sites + cells0, srow, diag[srow], hcol, hcol + props * n, props.copy(), limits
+def _row_moves(kernel, syms, kappa, colors, energy, step):
+    """One sweep of a stack below the crossover: ``kernel`` (:func:`_metropolis_row` or :func:`_swap_row`) on
+    each row in turn, on its own couplings ``syms[r]`` and its column of the sweep's tables ``step``."""
+    colors = colors + 1  # as the chains hold them
+    columns = (table.T.tolist() for table in step)
+    energy = [kernel(*row, kappa) for row in zip(colors, energy.tolist(), syms, *columns)]
+    return colors - 1, np.array(energy)
 
 
 def _settle(colors, energy, steps, moves):
     """A sweep's colors and energies: each energy adds its accepted ``x / sqrt(n)`` in proposal order (a rejected
-    one adds ``-0.0``, which changes no float), the per-chain kernels' sum, from one division of the step table."""
+    one adds ``-0.0``, which changes no float), the row kernels' sum, from one division of the step table."""
     steps /= math.sqrt(colors.shape[1])
     steps[~moves] = -0.0
     return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
 
 
-def _lockstep_moves(colors, energy, s, step, consts, kappa):
-    """The ``n`` proposals of one :func:`_run_stack` sweep of Metropolis chains, from its tables ``step``;
+def _lockstep_moves(colors, energy, step, s, offsets, kappa):
+    """The ``n`` proposals of one sweep of a stack of Metropolis chains at once, from its tables ``step``;
     returns the new colors (0-based) and energies (:func:`_settle`).
 
-    Proposal ``j`` of chain ``r`` reads ``x = h[r, new, t] - h[r, old, t] + S[r, t, t]`` and is accepted
-    iff ``x`` exceeds its threshold; an accepted one sets the color and makes ``h[r, old] -= S[r, t]`` and
-    ``h[r, new] += S[r, t]``, elementwise, as :func:`metropolis_sweep` does, on the same floats.
+    ``offsets`` place site ``t`` of chain ``r`` in the flat stack: cell ``r n + t``, coupling row ``S[r, t]`` and
+    field ``h[r, a, t]``.  Proposal ``j`` of chain ``r`` reads ``x = h[r, new, t] - h[r, old, t] + S[r, t, t]`` and
+    is accepted iff ``x`` exceeds its threshold; an accepted one sets the color and makes ``h[r, old] -= S[r, t]``
+    and ``h[r, new] += S[r, t]``, elementwise, as :func:`_metropolis_row` does, on the same floats.
     """
-    n, base = colors.shape[1], consts[1]
+    sites, props, limits = step
+    n = colors.shape[1]
+    base, cells0, srows0, diag = offsets
+    at, srow, hcol = sites + cells0, sites + srows0, sites + base * n
     colors = colors.copy()
-    h = _stack_fields(colors, s, kappa)
+    h = _stack_fields(colors.reshape(len(s), -1, n) + 1, s[:, None], kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
-    steps, moves = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool)
-    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, limit, x, move in zip(*step, steps, moves):
+    steps, moves = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
+    for at_k, srow_k, diag_k, hcol_k, hnew_k, new, limit, x, move in zip(
+            at, srow, diag[srow], hcol, hcol + props * n, props, limits, steps, moves):
         old = cells[at_k]
         np.subtract(flat[hnew_k], flat[hcol_k + old * n], out=x)
         x += diag_k
@@ -364,22 +373,28 @@ def _lockstep_moves(colors, energy, s, step, consts, kappa):
     return _settle(colors, energy, steps, moves)
 
 
-def _swap_moves(colors, energy, s, step, consts, kappa):
-    """:func:`_lockstep_moves` for balanced chains, as :func:`swap_sweep` makes them: proposal ``j`` of chain ``r``
-    pairs site ``i`` (color ``a``) with the ``(p + 1)``-th site of color ``b = c + (c >= a)`` in index order, the
-    site :func:`_partner` names, and compares the same raw ``x1 + x2`` with its threshold; an accepted one swaps the
-    two colors and moves ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``."""
+def _swap_moves(colors, energy, step, s, offsets, kappa):
+    """:func:`_lockstep_moves` for balanced chains, as :func:`_swap_row` makes them: proposal ``j`` of chain ``r``
+    pairs site ``i`` (color ``a``) with the ``(p + 1)``-th site of color ``b = c + (c >= a)`` in index order, and
+    compares the same raw ``x1 + x2`` with its threshold; an accepted one swaps the two colors and moves
+    ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``.  Every row holds ``n // kappa`` sites of each color, so
+    that site is entry ``r n // kappa + p`` of the column indices of ``colors == b`` over the whole stack."""
+    sites, ranks, limits = step
     n = colors.shape[1]
-    base, cells0, srows0, diag = consts[1:]
+    base, cells0, srows0, diag = offsets
+    at, srow, hcol = sites + cells0, sites + srows0, sites + base * n
+    cs, ps = np.divmod(ranks, n // kappa)
+    ps += cells0 // kappa
     colors = colors.copy()
-    h = _stack_fields(colors, s, kappa)
+    h = _stack_fields(colors.reshape(len(s), -1, n) + 1, s[:, None], kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
     sflat, hbase = s.reshape(-1), base * n
-    steps, moves = np.empty_like(step[-1]), np.empty(step[-1].shape, dtype=bool)
-    for at_i, srow_i, diag_i, hcol_i, c, p, limit, x, move in zip(*step, steps, moves):
+    steps, moves = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
+    for at_i, srow_i, diag_i, hcol_i, c, p, limit, x, move in zip(at, srow, diag[srow], hcol, cs, ps, limits,
+                                                                   steps, moves):
         a = cells[at_i]
         b = c + (c >= a)
-        j = (colors == b[:, None]).nonzero()[1][p]  # every row holds n // kappa sites of each color
+        j = (colors == b[:, None]).nonzero()[1][p]
         srow_j, hcol_j, an, bn = srows0 + j, hbase + j, a * n, b * n
         sij = sflat[srow_i * n + j]
         x1 = flat[hcol_i + bn] - flat[hcol_i + an]
@@ -401,59 +416,17 @@ def _swap_moves(colors, energy, s, step, consts, kappa):
     return _settle(colors, energy, steps, moves)
 
 
-def swap_sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
-    """n proposed transpositions of two differing-color sites (balanced sector).
-
-    One ``random((3, n))`` draw per sweep: proposal ``k`` reads column ``k``
-    as ``(u0, u1, u)``, swaps site ``int(u0 * n)`` with its partner of rank
-    ``int(u1 * (n - per))`` (:func:`_partner`) and accepts if ``sqrt(n) dH``
-    exceeds the threshold of ``u`` (:func:`_log_uniforms`).  The partner is
-    uniform over the sites of the other colors, whose count is constant in the
-    balanced sector, so the proposal is symmetric.  Color counts are conserved
-    exactly.  :func:`_run_stack` makes this sweep for a stack of chains at once
-    (:func:`_swap_moves`), with the same bytes.
-    """
-    if state.sector != "balanced":
-        raise SectorError("swap_sweep serves the balanced sector")
-    n, kappa, beta = state.n, state.kappa, state.beta
-    per = n // kappa
-    n_other = n - per
-    if n_other == 0:
-        raise SectorError("no differing-color pair exists")
-    s = g.sym
-    sqn = math.sqrt(n)
-    draws = state.rng.random((3, n))
-    sites, ranks = (draws[:2] * [[n], [n_other]]).astype(np.int64).tolist()
-    colors = state.colors
-    h = _local_fields(colors, s, kappa)
-    own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
-    hrows, srows, shift = list(h), list(s), np.empty(n)
-    energy = state.energy
-    scale = sqn / beta if beta else math.inf
-    for i, rank, log_u in zip(sites, ranks, _log_uniforms(draws[2]).tolist()):
-        a = colors.item(i)
-        j = _partner(own, a, rank)
-        b = colors.item(j)
-        sij = s.item(i, j)
-        x1 = h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)
-        # site j's fields once site i already holds color b
-        x2 = (h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)
-        x = x1 + x2
-        if x > log_u * scale:
-            colors[i] = b
-            colors[j] = a
-            np.subtract(srows[i], srows[j], out=shift)
-            np.subtract(hrows[a - 1], shift, out=hrows[a - 1])
-            np.add(hrows[b - 1], shift, out=hrows[b - 1])
-            for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
-                del sites_of[bisect_left(sites_of, out)]
-                insort(sites_of, into)
-            energy += x / sqn
-    return state._end_sweep(g, energy)
-
-
 def sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
-    return swap_sweep(state, g) if state.sector == "balanced" else metropolis_sweep(state, g)
+    """n proposals of one chain, from one ``random((3, n))`` draw (:func:`_proposal_tables`): recolorings
+    (:func:`_metropolis_row`) in the 'all' sector, pair swaps (:func:`_swap_row`) in the balanced one.
+    :func:`_run_stack` makes this sweep for a stack of chains, with the same bytes."""
+    n, kappa, swap = state.colors.size, state.kappa, state.sector == "balanced"
+    draws = state.rng.random((3, n))[None, ..., None]
+    sites, props, limits = _proposal_tables(draws, n - n // kappa if swap else kappa,
+                                            math.sqrt(n) / state.beta if state.beta else math.inf)
+    energy = (_swap_row if swap else _metropolis_row)(state.colors, state.energy, g.sym, sites.ravel().tolist(),
+                                                      props.ravel().tolist(), limits.ravel().tolist(), kappa)
+    return state._end_sweep(g, energy)
 
 
 def run_sweeps(state: ChainState, g: CouplingMatrix, count: int) -> ChainState:
@@ -512,46 +485,33 @@ class TemperingLadder:
 
 
 def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
-    """One sweep per rung, then :func:`_ladder_swaps`.
-
-    :func:`estimate_tail` and :func:`free_energy_ti` make it for a stack of
-    ladders at once, all rungs in lockstep and all swaps in one pass
-    (:func:`_run_stack`).
-    """
-    if len(ladder.rungs) < 2:
-        raise ValueError("tempering needs at least 2 rungs")
-    for rung in ladder.rungs:
-        sweep(rung, g)
-    return _ladder_swaps(ladder)
-
-
-def _ladder_swaps(ladder: TemperingLadder) -> TemperingLadder:
-    """Adjacent swap proposals from the bottom up, one ``random(rungs - 1)`` draw.
-
-    A swap of rungs (i, j) is accepted with probability min(1, e^L),
-    L = (beta_i - beta_j)(H_j - H_i): iff L exceeds ``log u``; configurations
-    and cached energies travel, the rung temperatures stay put.
-    """
+    """One :func:`sweep` per rung, then the adjacent swaps (:func:`_stack_swaps`) against one ``random(rungs - 1)``
+    draw.  :func:`_run_stack` makes it for a stack of ladders, with the same bytes."""
     rungs = ladder.rungs
+    if len(rungs) < 2:
+        raise ValueError("tempering needs at least 2 rungs")
+    for rung in rungs:
+        sweep(rung, g)
+    energy, colors = [r.energy for r in rungs], [r.colors for r in rungs]
+    order = _stack_swaps(energy, range(len(rungs) - 1), [lo.beta - hi.beta for lo, hi in zip(rungs, rungs[1:])],
+                         _log_uniforms(ladder.rng.random(len(rungs) - 1)).tolist(), ladder.swap_accepts)
+    for rung, k, e in zip(rungs, order, energy):
+        rung.colors, rung.energy = colors[k], e
     ladder.swap_attempts += 1
-    logs = _log_uniforms(ladder.rng.random(size=len(rungs) - 1)).tolist()
-    for k, (lo, hi, log_u) in enumerate(zip(rungs, rungs[1:], logs)):
-        if (lo.beta - hi.beta) * (hi.energy - lo.energy) > log_u:
-            lo.colors, hi.colors = hi.colors, lo.colors
-            lo.energy, hi.energy = hi.energy, lo.energy
-            ladder.swap_accepts[k] += 1
     return ladder
 
 
-def _stack_swaps(colors, energy, lows, dbetas, logs, accepts):
-    """:func:`_ladder_swaps` of a :func:`_run_stack` stack's ladders in one pass, with the same floats: pair
-    ``p`` may exchange rows ``k = lows[p]`` and ``k + 1`` (betas ``dbetas[p]`` apart), against ``log u = logs[p]``."""
-    e, order = energy.tolist(), list(range(len(energy)))
+def _stack_swaps(energy: list[float], lows, dbetas, logs, accepts) -> list[int]:
+    """Adjacent ladder swaps (Hukushima and Nemoto 1996) from the bottom up, in one pass over a stack's ladders: pair
+    ``p`` may exchange rows ``k = lows[p]`` and ``k + 1`` (betas ``dbetas[p]`` apart), iff ``L = (beta_k - beta_{k+1})
+    (H_{k+1} - H_k)`` exceeds ``log u = logs[p]`` (counted in ``accepts[p]``).  Configurations and energies travel,
+    temperatures stay put: swaps ``energy`` in place and returns the row each row now holds."""
+    order = list(range(len(energy)))
     for p, (k, dbeta, log_u) in enumerate(zip(lows, dbetas, logs)):
-        if dbeta * (e[k + 1] - e[k]) > log_u:
-            order[k], order[k + 1], e[k], e[k + 1] = order[k + 1], order[k], e[k + 1], e[k]
+        if dbeta * (energy[k + 1] - energy[k]) > log_u:
+            order[k], order[k + 1], energy[k], energy[k + 1] = order[k + 1], order[k], energy[k + 1], energy[k]
             accepts[p] += 1
-    return colors[order], np.array(e)
+    return order
 
 
 def equilibration_flagged(series: np.ndarray) -> bool:
@@ -585,14 +545,13 @@ def estimate_tail(
     ``ladder`` is set (recommended for large beta).  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
     The replicas go in ``ceil(replicas / workers)`` per stack, at most
-    ``_STACK_ELEMS`` coupling elements, and a stack from the crossover
-    :func:`_lockstep` on sweeps in lockstep (:func:`_run_stack`): the same
-    bytes as one chain at a time, in less time.
+    ``_STACK_ELEMS`` coupling elements, each run by :func:`_run_stack`: the
+    same bytes as one chain at a time.
     """
     if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
         raise ValueError(f"need replicas >= 1, sweeps >= 1, thinning >= 1 and burn_in >= 0, "
                          f"got {replicas}, {sweeps}, {thinning}, {burn_in}")
-    if len(ladder) == 1:  # the lockstep path never reaches tempering_step's own check
+    if len(ladder) == 1:  # the runner never reaches tempering_step's own check
         raise ValueError(f"a tempering ladder needs at least 2 rungs, got {tuple(ladder)}")
     if ladder and (math.isinf(beta) or ladder[-1] != beta):  # beta = inf is exact: no chains to temper
         raise ValueError(f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}")
@@ -623,7 +582,7 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     """Replicas of :func:`estimate_tail`, one per coupling of ``gs``: each one's tail fractions per
     epsilon, its flag, and its ladder's ``(swap_attempts, swap_accepts)`` (None without a ladder).
 
-    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``, all of them through :func:`_run_chains`.
+    Replica ``r`` (coupling stream ``g.stream``) runs chain or ladder ``r``, all of them through :func:`_run_stack`.
     """
     if ladder:
         tempers = [TemperingLadder.start(g, kappa, ladder, "all", seed, ladder_id=g.stream) for g in gs]
@@ -631,8 +590,8 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     else:
         tempers, chains = [], [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
     top = len(chains) // len(gs) - 1  # each replica's chain: its ladder's top rung
-    devs = _run_chains(chains, tempers, gs, kappa, burn_in, sweeps, thinning,
-                       lambda colors, energy: _deviations(colors[top::top + 1], kappa))
+    devs = _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning,
+                      lambda colors, energy: _deviations(colors[top::top + 1], kappa))
     swaps = [np.stack((t.swap_attempts, t.swap_accepts)) for t in tempers] or [None] * len(gs)
     return [([(row >= e).mean() for e in epsilons], equilibration_flagged(row), sw) for row, sw in zip(devs, swaps)]
 
@@ -697,7 +656,7 @@ def free_energy_ti(
     shift = centering_shift(g, kappa) if kind == "centered" else 0.0
     grid = np.linspace(0.0, beta_max, n_grid)
     ladder = TemperingLadder.start(g, kappa, grid, sector, seed)
-    energies = _run_chains(ladder.rungs, [ladder], [g], kappa, burn_in, sweeps, 1, lambda _, energy: energy - shift)
+    energies = _run_stack(ladder.rungs, [ladder], [g], kappa, burn_in, sweeps, 1, lambda _, energy: energy - shift)
     means, errs = np.array([_batch_stats(series) for series in energies]).T
     flagged = any(equilibration_flagged(series) for series in energies)
     swap_rates = tuple((ladder.swap_accepts / ladder.swap_attempts).tolist())

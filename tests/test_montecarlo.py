@@ -164,6 +164,21 @@ def energies(colors, energy):
     return energy
 
 
+def force_lockstep(monkeypatch, on):
+    """Make every ``_run_stack`` stack sweep in lockstep (``on``) or row by row, whatever its size."""
+    monkeypatch.setattr(mc, "_lockstep", lambda *stack: on)
+
+
+def swap_partner(colors, kappa, i, rank):
+    """The site that a swap proposal of site ``i`` at ``rank`` pairs it with (1-based ``colors``): the other site
+    that ``_swap_row`` recolors when it accepts that one proposal (threshold -inf, couplings 0)."""
+    after = colors.copy()
+    mc._swap_row(after, 0.0, np.zeros((colors.size, colors.size)), [i], [rank], [-math.inf], kappa)
+    moved = np.flatnonzero(after != colors)
+    assert moved.size == 2 and i in moved
+    return int(moved[moved != i][0])
+
+
 def assert_same_chain(new, ref):
     assert np.array_equal(new.colors, ref.colors)
     assert abs(new.energy - ref.energy) <= 1e-9 * max(1.0, abs(ref.energy))
@@ -177,7 +192,7 @@ class TestKernelsMatchReference:
         g = core.CouplingMatrix.from_seed(n, 31)
         new, ref = (mc.ChainState.start(g, kappa, 1.3, "all", seed=8) for _ in range(2))
         for _ in range(sweeps):
-            mc.metropolis_sweep(new, g)
+            mc.sweep(new, g)
             reference_metropolis_sweep(ref, g)
             assert_same_chain(new, ref)
 
@@ -186,7 +201,7 @@ class TestKernelsMatchReference:
         g = core.CouplingMatrix.from_seed(n, 32)
         new, ref = (mc.ChainState.start(g, kappa, 1.3, "balanced", seed=9) for _ in range(2))
         for _ in range(sweeps):
-            mc.swap_sweep(new, g)
+            mc.sweep(new, g)
             reference_swap_sweep(ref, g)
             assert_same_chain(new, ref)
 
@@ -201,59 +216,67 @@ class TestKernelsMatchReference:
                 assert_same_chain(a, b)
 
     @pytest.mark.parametrize("n, kappa", [(5, 3), (8, 2), (64, 3)])
-    def test_lockstep(self, n, kappa):
-        # 16 chains on distinct couplings and betas; 250 sweeps cross two audits
+    def test_lockstep(self, n, kappa, monkeypatch):
+        # 16 chains on distinct couplings and betas; 250 sweeps cross two audits; in lockstep, then row by row
         betas = np.linspace(0.0, 4.0, 16)
         gs = [core.CouplingMatrix.from_seed(n, 36, r) for r in range(16)]
-        stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
-                           for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
-        for _ in range(250):
-            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
-            for chain, g in zip(alone, gs):
-                mc.metropolis_sweep(chain, g)
-            for a, b in zip(stacked, alone):
-                assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
+            stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
+                               for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
+            for _ in range(250):
+                mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
+                for chain, g in zip(alone, gs):
+                    mc.sweep(chain, g)
+                for a, b in zip(stacked, alone):
+                    assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
 
     def test_lockstep_at_the_draw_edges(self, monkeypatch):
         # u = 0 and u = 1 - 2^-53 in every sweep of every chain, beta = 0 included
         monkeypatch.setattr(mc, "philox_generator", _edge_generator)
-        self.test_lockstep(8, 2)
+        self.test_lockstep(8, 2, monkeypatch)
 
-    def test_lockstep_ladders(self):
+    def test_lockstep_ladders(self, monkeypatch):
         # four 5-rung ladders in one stack: the rungs of a ladder share their replica's couplings
         gs = [core.CouplingMatrix.from_seed(8, 37, r) for r in range(4)]
-        stacked, alone = ([mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 3.0, 4.0], "all", seed=14, ladder_id=r)
-                           for r, g in enumerate(gs)] for _ in range(2))
-        chains = [rung for ladder in stacked for rung in ladder.rungs]
-        for _ in range(250):
-            mc._run_stack(chains, stacked, gs, 2, 0, 1, 1, energies)
-            for ladder, g in zip(alone, gs):
-                mc.tempering_step(ladder, g)
-        for a, b in zip(stacked, alone):
-            assert np.array_equal(a.swap_attempts, b.swap_attempts) and np.array_equal(a.swap_accepts, b.swap_accepts)
-            assert a.swap_accepts.sum() > 0
-            for x, y in zip(a.rungs, b.rungs):
-                assert np.array_equal(x.colors, y.colors) and x.energy == y.energy
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
+            stacked, alone = ([mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 3.0, 4.0], "all", seed=14,
+                                                        ladder_id=r) for r, g in enumerate(gs)] for _ in range(2))
+            chains = [rung for ladder in stacked for rung in ladder.rungs]
+            for _ in range(250):
+                mc._run_stack(chains, stacked, gs, 2, 0, 1, 1, energies)
+                for ladder, g in zip(alone, gs):
+                    mc.tempering_step(ladder, g)
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a.swap_attempts, b.swap_attempts)
+                assert np.array_equal(a.swap_accepts, b.swap_accepts)
+                assert a.swap_accepts.sum() > 0
+                for x, y in zip(a.rungs, b.rungs):
+                    assert np.array_equal(x.colors, y.colors) and x.energy == y.energy
 
     @pytest.mark.parametrize("n, kappa", [(6, 3), (8, 2), (12, 4)])
-    def test_swap_lockstep(self, n, kappa):
-        # two 4-rung balanced ladders in one stack, one sweep a run: 250 sweeps cross two audits
+    def test_swap_lockstep(self, n, kappa, monkeypatch):
+        # two 4-rung balanced ladders in one stack, one sweep a run: 250 sweeps cross two audits; in lockstep,
+        # then row by row
         gs = [core.CouplingMatrix.from_seed(n, 40, r) for r in range(2)]
-        stacked, alone = ([mc.TemperingLadder.start(g, kappa, [0.0, 0.7, 1.5, 3.0], "balanced", seed=19, ladder_id=r)
-                           for r, g in enumerate(gs)] for _ in range(2))
-        chains = [rung for ladder in stacked for rung in ladder.rungs]
-        for _ in range(250):
-            mc._run_stack(chains, stacked, gs, kappa, 0, 1, 1, energies)
-            for ladder, g in zip(alone, gs):
-                mc.tempering_step(ladder, g)
-            for a, b in zip(chains, (rung for ladder in alone for rung in ladder.rungs)):
-                assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
-        for a, b in zip(stacked, alone):
-            assert np.array_equal(a.swap_accepts, b.swap_accepts) and a.swap_accepts.sum() > 0
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
+            stacked, alone = ([mc.TemperingLadder.start(g, kappa, [0.0, 0.7, 1.5, 3.0], "balanced", seed=19,
+                                                        ladder_id=r) for r, g in enumerate(gs)] for _ in range(2))
+            chains = [rung for ladder in stacked for rung in ladder.rungs]
+            for _ in range(250):
+                mc._run_stack(chains, stacked, gs, kappa, 0, 1, 1, energies)
+                for ladder, g in zip(alone, gs):
+                    mc.tempering_step(ladder, g)
+                for a, b in zip(chains, (rung for ladder in alone for rung in ladder.rungs)):
+                    assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a.swap_accepts, b.swap_accepts) and a.swap_accepts.sum() > 0
 
     def test_swap_lockstep_at_the_draw_edges(self, monkeypatch):
         monkeypatch.setattr(mc, "philox_generator", _edge_generator)  # the ladders' swap draws too
-        self.test_swap_lockstep(6, 3)
+        self.test_swap_lockstep(6, 3, monkeypatch)
 
     @staticmethod
     def run_ladders(n, kappa, betas, replicas, burn_in, sweeps, thinning, seed, sector="all"):
@@ -289,33 +312,35 @@ class TestKernelsMatchReference:
         self.assert_same_ladders(*self.run_ladders(9, 3, [0.0, 1.0, 2.5], 3, 50, 200, 7, seed=16)[1:])
 
     def test_swap_stack_run_leaves_every_stream_where_alone(self):
-        # balanced ladders at n = 12 and 48, in draw blocks of 100, 100 and 50 sweeps
+        # balanced ladders at n = 12 and 48, in draw blocks of 75 and 18 sweeps that also end at every audit
         for n in (12, 48):
             self.assert_same_ladders(*self.run_ladders(n, 3, [0.0, 1.0, 2.5], 3, 50, 200, 7, seed=20,
                                                        sector="balanced")[1:])
 
     def test_records_independent_of_draw_block(self, monkeypatch):
         runs = [self.run_ladders(8, 2, [0.5, 1.5, 3.0], 4, 30, 220, 3, seed=17)]
-        monkeypatch.setattr(mc, "_STACK_ELEMS", 1)  # one sweep per draw block
+        monkeypatch.setattr(mc, "_BLOCK_PROPOSALS", 1)  # one sweep per draw block
         runs.append(self.run_ladders(8, 2, [0.5, 1.5, 3.0], 4, 30, 220, 3, seed=17))
         (records, stacked, alone), (one_sweep_records, one_sweep_stacked, _) = runs
         assert records.shape == (4, 74) and np.array_equal(records, one_sweep_records)
         self.assert_same_ladders(stacked, alone)
         self.assert_same_ladders(one_sweep_stacked, alone)
 
-    @pytest.mark.parametrize("sector, n, kappa, seed", [("all", 8, 2, 18), ("balanced", 6, 3, 21)])
+    @pytest.mark.parametrize("sector, n, kappa, seed", [("all", 8, 2, 18), ("balanced", 6, 3, 21),
+                                                        ("all", 48, 3, 22), ("balanced", 24, 3, 23)])
     def test_draw_edges_inside_a_block(self, sector, n, kappa, seed, monkeypatch):
-        # u = 0 and u = 1 - 2^-53 in sweeps 2 to 99 of a draw block, beta = 0 rungs included: _run_chains
-        # gives the same records, states and generators with every stack in lockstep and with none
+        # u = 0 and u = 1 - 2^-53 inside the draw blocks (several of them at n = 24 and 48, and the audit at
+        # sweep 100), beta = 0 rungs included: _run_stack gives the same records, states and generators with
+        # every stack in lockstep and with every stack row by row
         monkeypatch.setattr(mc, "philox_generator", _edge_generator)
         gs = [core.CouplingMatrix.from_seed(n, 41, r) for r in range(3)]
         runs = []
-        for lockstep in (True, False):
-            monkeypatch.setattr(mc, "_lockstep", lambda *stack, on=lockstep: on)
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
             ladders = [mc.TemperingLadder.start(g, kappa, [0.0, 2.0, 4.0], sector, seed=seed, ladder_id=r)
                        for r, g in enumerate(gs)]
             chains = [rung for ladder in ladders for rung in ladder.rungs]
-            runs.append((mc._run_chains(chains, ladders, gs, kappa, 20, 130, 5, energies), ladders))
+            runs.append((mc._run_stack(chains, ladders, gs, kappa, 20, 130, 5, energies), ladders))
         (records, stacked), (alone_records, alone) = runs
         assert records.shape == (9, 26) and records.tolist() == alone_records.tolist()
         self.assert_same_ladders(stacked, alone)
@@ -349,18 +374,8 @@ def test_block_thresholds_equal_each_chains_own():
     n, betas = 12, [0.0, 1e-300, 0.3, 1.0, 7.5]
     block = core.philox_generator(24, 0).random((40, 3, n, len(betas)))
     block[0, 2, :2] = [[0.0] * len(betas), [np.nextafter(1.0, 0.0)] * len(betas)]
-
-    class Slice:  # chain r's generator: its slice of the block
-        def __init__(self, r):
-            self.r = r
-
-        def random(self, size):
-            return block[..., self.r].copy()
-
-    rows = np.arange(len(betas))
     scales = [math.sqrt(n) / beta if beta else math.inf for beta in betas]  # as the kernels form them
-    consts = (np.array(scales), rows * 2, rows * n, rows * n, np.zeros(rows.size * n))
-    limits = mc._proposal_tables([Slice(r) for r in rows], 40, n, consts, 2, False)[-1]
+    limits = mc._proposal_tables(block, 2, np.array(scales))[-1]
     for k in range(40):
         for r, scale in enumerate(scales):
             row = np.ascontiguousarray(block[k, :, :, r])[2]
@@ -375,18 +390,20 @@ def test_stack_fields_are_each_chains_own_product(n, kappa, couplings, per):
     """A chain's fields in a stack equal its fields alone, so no result depends on the stack size."""
     gs = [core.CouplingMatrix.from_seed(n, 38, r) for r in range(couplings)]
     colors = np.random.default_rng(15).integers(0, kappa, size=(couplings * per, n))
-    fields = mc._stack_fields(colors, np.stack([g.sym for g in gs]), kappa)
+    # grouped by coupling, as a lockstep stack passes its rows
+    fields = mc._stack_fields(colors.reshape(couplings, per, n) + 1, np.stack([g.sym for g in gs])[:, None], kappa)
+    fields = fields.reshape(-1, kappa, n)
     for r, row in enumerate(colors):
-        assert np.array_equal(fields[r], mc._local_fields(row + 1, gs[r // per].sym, kappa))
-        assert np.array_equal(fields[r], mc._stack_fields(row[None], gs[r // per].sym[None], kappa)[0])
+        assert np.array_equal(fields[r], (row == np.arange(kappa)[:, None]).astype(np.float64) @ gs[r // per].sym)
+        assert np.array_equal(fields[r], mc._stack_fields(row + 1, gs[r // per].sym, kappa))
 
 
 @given(st.integers(2, 4), st.integers(1, 12), st.data())
 def test_partner_ranks_cover_other_color_sites_once(kappa, per, data):
     colors = np.array(data.draw(st.permutations(np.repeat(np.arange(1, kappa + 1), per).tolist())))
     a = data.draw(st.integers(1, kappa))
-    own = [np.flatnonzero(colors == b).tolist() for b in range(1, kappa + 1)]
-    partners = [mc._partner(own, a, rank) for rank in range(colors.size - per)]
+    i = data.draw(st.sampled_from(np.flatnonzero(colors == a).tolist()))
+    partners = [swap_partner(colors, kappa, i, rank) for rank in range(colors.size - per)]
     assert sorted(partners) == np.flatnonzero(colors != a).tolist()
 
 
@@ -407,21 +424,23 @@ class TestTopEdgeOfDrawMap:
         chain.rng = _TopEdgeGenerator()
         expected = chain.colors.copy()
         expected[n - 1] = kappa  # beta = 0 accepts every proposal
-        mc.metropolis_sweep(chain, g)
+        mc.sweep(chain, g)
         assert np.array_equal(chain.colors, expected)
 
     @pytest.mark.parametrize("n, kappa", [(1, 2), (5, 3), (8, 2), (257, 4)])
-    def test_lockstep_proposes_last_site_and_color(self, n, kappa):
+    def test_lockstep_proposes_last_site_and_color(self, n, kappa, monkeypatch):
         gs = [core.CouplingMatrix.from_seed(n, 34, r) for r in range(3)]
-        chains = [mc.ChainState.start(g, kappa, 0.0, "all", seed=11, chain_id=r) for r, g in enumerate(gs)]
-        expected = []
-        for chain in chains:
-            chain.rng = _TopEdgeGenerator()
-            expected.append(chain.colors.copy())
-            expected[-1][n - 1] = kappa
-        mc._run_stack(chains, [], gs, kappa, 0, 1, 1, energies)
-        for chain, colors in zip(chains, expected):
-            assert np.array_equal(chain.colors, colors)
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
+            chains = [mc.ChainState.start(g, kappa, 0.0, "all", seed=11, chain_id=r) for r, g in enumerate(gs)]
+            expected = []
+            for chain in chains:
+                chain.rng = _TopEdgeGenerator()
+                expected.append(chain.colors.copy())
+                expected[-1][n - 1] = kappa
+            mc._run_stack(chains, [], gs, kappa, 0, 1, 1, energies)
+            for chain, colors in zip(chains, expected):
+                assert np.array_equal(chain.colors, colors)
 
     @pytest.mark.parametrize("n, kappa", [(2, 2), (6, 3), (12, 3), (192, 3)])
     def test_swap_proposes_last_rank(self, n, kappa):
@@ -431,23 +450,25 @@ class TestTopEdgeOfDrawMap:
         colors = new.colors.copy()
         own = [np.flatnonzero(colors == b).tolist() for b in range(1, kappa + 1)]
         last = own[kappa - 1][-1] if colors[n - 1] != kappa else own[kappa - 2][-1]
-        assert mc._partner(own, int(colors[n - 1]), n - n // kappa - 1) == last
+        assert swap_partner(colors, kappa, n - 1, n - n // kappa - 1) == last
         # every proposal pairs site n - 1 with the last rank, and beta = 0 accepts it
-        mc.swap_sweep(new, g)
+        mc.sweep(new, g)
         reference_swap_sweep(ref, g)
         assert_same_chain(new, ref)
 
     @pytest.mark.parametrize("n, kappa", [(2, 2), (6, 3), (12, 3), (192, 3)])
-    def test_swap_lockstep_proposes_last_rank(self, n, kappa):
+    def test_swap_lockstep_proposes_last_rank(self, n, kappa, monkeypatch):
         gs = [core.CouplingMatrix.from_seed(n, 35, r) for r in range(3)]
-        stacked, alone = ([mc.ChainState.start(g, kappa, 0.0, "balanced", seed=12, chain_id=r)
-                           for r, g in enumerate(gs)] for _ in range(2))
-        for chain in stacked + alone:
-            chain.rng = _TopEdgeGenerator()
-        mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
-        for a, b, g in zip(stacked, alone, gs):
-            mc.swap_sweep(b, g)
-            assert np.array_equal(a.colors, b.colors) and a.energy == b.energy
+        for on in (True, False):
+            force_lockstep(monkeypatch, on)
+            stacked, alone = ([mc.ChainState.start(g, kappa, 0.0, "balanced", seed=12, chain_id=r)
+                               for r, g in enumerate(gs)] for _ in range(2))
+            for chain in stacked + alone:
+                chain.rng = _TopEdgeGenerator()
+            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
+            for a, b, g in zip(stacked, alone, gs):
+                mc.sweep(b, g)
+                assert np.array_equal(a.colors, b.colors) and a.energy == b.energy
 
 
 class TestMetropolis:
@@ -456,7 +477,7 @@ class TestMetropolis:
         chain = mc.ChainState.start(g, 3, 0.0, "all", seed=7)
         counts = np.zeros((5, 3), dtype=np.int64)
         for _ in range(10000):
-            mc.metropolis_sweep(chain, g)
+            mc.sweep(chain, g)
             counts[np.arange(5), chain.colors - 1] += 1
         for site in range(5):
             assert chisquare(counts[site]).pvalue > 0.001
@@ -471,12 +492,6 @@ class TestMetropolis:
             assert np.abs(flow - flow.T).max() < 1e-10
             assert np.abs(P.sum(axis=1) - 1).max() < 1e-12
 
-    def test_sector_guard(self):
-        g = core.CouplingMatrix.from_seed(4, 1)
-        chain = mc.ChainState.start(g, 2, 1.0, "balanced", seed=0)
-        with pytest.raises(core.SectorError):
-            mc.metropolis_sweep(chain, g)
-
     def test_matches_exact_state_distribution(self):
         g = core.CouplingMatrix.from_seed(4, 12)
         kappa, beta = 2, 0.9
@@ -488,7 +503,7 @@ class TestMetropolis:
         batch_fracs = np.zeros((n_batches, len(colors)))
         for b in range(n_batches):
             for _ in range(per_batch):
-                mc.metropolis_sweep(chain, g)
+                mc.sweep(chain, g)
                 batch_fracs[b, index[tuple(chain.colors)]] += 1
         batch_fracs /= per_batch
         emp = batch_fracs.mean(axis=0)
@@ -503,7 +518,7 @@ class TestSwap:
         chain = mc.ChainState.start(g, 3, 1.5, "balanced", seed=2)
         target = np.bincount(chain.colors - 1, minlength=3).copy()
         for _ in range(2000):
-            mc.swap_sweep(chain, g)
+            mc.sweep(chain, g)
             assert np.array_equal(np.bincount(chain.colors - 1, minlength=3), target)
 
     def test_conserves_magnetization_over_a_million_moves(self):
@@ -512,7 +527,7 @@ class TestSwap:
         target = np.bincount(chain.colors - 1, minlength=2).copy()
         for block in range(100):
             for _ in range(500):  # 100 * 500 sweeps * 20 proposals = 1e6 moves
-                mc.swap_sweep(chain, g)
+                mc.sweep(chain, g)
             assert np.array_equal(np.bincount(chain.colors - 1, minlength=2), target)
 
     def test_uniform_over_balanced_at_infinite_temperature(self):
@@ -522,7 +537,7 @@ class TestSwap:
         index = {tuple(row): i for i, row in enumerate(colors)}
         visits = np.zeros(6)
         for _ in range(30000):
-            mc.swap_sweep(chain, g)
+            mc.sweep(chain, g)
             visits[index[tuple(chain.colors)]] += 1
         assert chisquare(visits).pvalue > 0.001
 
@@ -533,12 +548,6 @@ class TestSwap:
         pi /= pi.sum()
         flow = pi[:, None] * P
         assert np.abs(flow - flow.T).max() < 1e-10
-
-    def test_sector_guard(self):
-        g = core.CouplingMatrix.from_seed(4, 1)
-        chain = mc.ChainState.start(g, 2, 1.0, "all", seed=0)
-        with pytest.raises(core.SectorError):
-            mc.swap_sweep(chain, g)
 
     def test_unbalanced_start_rejected(self):
         g = core.CouplingMatrix.from_seed(4, 1)
@@ -747,16 +756,18 @@ class TestChainInternals:
         chain.energy += 1.0  # simulate drift
         with pytest.raises(RuntimeError, match="drifted"):
             for _ in range(mc.AUDIT_INTERVAL):
-                mc.metropolis_sweep(chain, g)
+                mc.sweep(chain, g)
         assert chain.sweeps == mc.AUDIT_INTERVAL  # caught by the first audit, not before
 
-    def test_energy_audit_catches_corruption_in_lockstep(self):
+    def test_energy_audit_catches_corruption_in_lockstep(self, monkeypatch):
         gs = [core.CouplingMatrix.from_seed(4, 4, r) for r in range(3)]
-        chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
-        chains[1].energy += 1.0  # simulate drift in one chain of the stack
-        with pytest.raises(RuntimeError, match="drifted"):
-            mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1, energies)  # one block, ended by the audits
-        assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
+        for on in (True, False):  # in lockstep, then row by row
+            force_lockstep(monkeypatch, on)
+            chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
+            chains[1].energy += 1.0  # simulate drift in one chain of the stack
+            with pytest.raises(RuntimeError, match="drifted"):
+                mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1, energies)  # one block, ended by the audits
+            assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
         g = core.CouplingMatrix.from_seed(5, 8)
@@ -857,7 +868,7 @@ class TestChainInternals:
         pytest.param("ladder", {"swap_accepts": [-1, 3]}, "0 <= accepts <= attempts", id="accepts-negative"),
         pytest.param("ladder", {"swap_attempts": [-4, 4]}, "0 <= accepts <= attempts", id="attempts-negative"),
         pytest.param("ladder", {"swap_accepts": [5, 3]}, "0 <= accepts <= attempts", id="accepts-above-attempts"),
-        # a top rung unlike the others used to load; a balanced one ended in IndexError in swap_sweep
+        # a top rung unlike the others used to load; a balanced one ended in IndexError in the swap sweep
         pytest.param("top-rung", {"sector": "balanced", "colors": [1, 2, 1, 2]}, "must share",
                      id="top-rung-balanced"),
         pytest.param("top-rung", {"kappa": 3}, "must share", id="top-rung-kappa-3"),
