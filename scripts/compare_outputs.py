@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the twenty ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the twenty-two ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -45,7 +45,8 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # moment-check at n = 12 (8 a stack); and mc-free-energy's balanced grid of 8 rungs, below the crossover, so its
 # chains sweep row by row (montecarlo._swap_row), which every larger balanced stack skips; and
 # uncentered-ratio's balanced sector (the overlap-table sum and its floor), and its recursion at kappa = 31, the
-# largest kappa whose base-(n + 1) keys fit in int64 at n = 3
+# largest kappa whose base-(n + 1) keys fit in int64 at n = 3; and ldp-check at kappa = 3 (the benchmark runs
+# kappa = 2 only), and moment-check at odd orders only, whose records are placeholders and which enumerates nothing
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -74,6 +75,8 @@ EXTRA_JOBS = (
                                        "--n-grid", "8", "--sweeps", "200", "--burn-in", "50")),
     Job("unc-k3-n3-6-9-balanced", ("uncentered-ratio", "--kappa", "3", "--n", "3,6,9", "--sector", "balanced")),
     Job("unc-k31-n3", ("uncentered-ratio", "--kappa", "31", "--n", "3")),
+    Job("ldp-k3-n9-18-27", ("ldp-check", "--kappa", "3", "--n", "9,18,27")),
+    Job("moment-n4-8-odd", ("moment-check", "--n", "4,8", "--m", "1,3")),
 )
 
 

@@ -47,7 +47,6 @@ KEEP = {
     "exact.gauge_pair_check": _CRITERION,
     "exact.magnetization_mgf_exact": _CRITERION,
     "exact.magnetization_mgf_exact.<locals>.<lambda>#1": "the statistic of magnetization_mgf_exact, a criterion import",
-    "exact.second_moment_ratio": _CRITERION,
     "exact.uncentered_ratio": _CRITERION,
     "montecarlo.<lambda>#1": _CHECKPOINT,
     "montecarlo._from_payload": _CHECKPOINT,

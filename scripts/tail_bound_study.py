@@ -54,9 +54,9 @@ def main():
                 n, beta, epsilons, kappa=2, replicas=args.replicas,
                 sweeps=1500, burn_in=500, thinning=3, seed=args.seed, ladder=ladder,
             )
-            for est in estimates:
+            for eps, est in zip(epsilons, estimates):
                 flag = " (slow-mixing flag)" if est.flagged else ""
-                print(f"{n:>4} {beta:>6} {est.epsilon:>5} {est.value:>10.6f} {est.stderr:>9.6f}"
+                print(f"{n:>4} {beta:>6} {eps:>5} {est.value:>10.6f} {est.stderr:>9.6f}"
                       f" {est.bound:>9.6f} {'mc':>8}{flag}")
 
 

@@ -222,7 +222,8 @@ def _run_moment_check(spec: ExperimentSpec):
                 n, beta, spec.moment_orders, replicas=spec.replicas, seed=spec.seed, cap=spec.cap,
                 workers=spec.workers,
             )
-            rows += [[est.m, n, beta, est.value, est.stderr, est.bound, est.satisfied] for est in estimates]
+            rows += [[m, n, beta, est.value, est.stderr, est.bound, est.satisfied]
+                     for m, est in zip(spec.moment_orders, estimates)]
     return cols, rows
 
 
@@ -231,19 +232,19 @@ def _run_moment_check(spec: ExperimentSpec):
           cap=exact.DEFAULT_CAP)
 def _run_tail_bound(spec: ExperimentSpec):
     cols = ["n", "beta", "epsilon", "estimate", "stderr", "bound", "within_bound", "flagged"]
-    rows = []
+    rows, epsilons = [], spec.epsilon or (0.25,)
     for n in spec.n:
         for beta in spec.beta:
             estimates = montecarlo.estimate_tail(
-                n, beta, spec.epsilon or (0.25,), kappa=spec.kappa, replicas=spec.replicas,
+                n, beta, epsilons, kappa=spec.kappa, replicas=spec.replicas,
                 sweeps=spec.sweeps, burn_in=spec.burn_in, thinning=spec.thinning, ladder=spec.ladder,
                 seed=spec.seed, cap=spec.cap, workers=spec.workers,
             )
             if estimates[0].swap_rates:
                 rates = " ".join(f"{rate:.4f}" for rate in estimates[0].swap_rates)
                 print(f"ladder swap acceptance (n={n}, beta={beta:g}) = {rates}", file=sys.stderr)
-            rows += [[n, beta, est.epsilon, est.value, est.stderr, est.bound, est.satisfied, est.flagged]
-                     for est in estimates]
+            rows += [[n, beta, eps, est.value, est.stderr, est.bound, est.satisfied, est.flagged]
+                     for eps, est in zip(epsilons, estimates)]
     return cols, rows
 
 

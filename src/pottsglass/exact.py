@@ -8,6 +8,9 @@ identities.
 Every log-scale accumulation uses running-max log-sum-exp; partition
 functions are never exponentiated raw.  Factorials go through log-gamma in
 double precision, while admissibility is checked in exact integers first.
+Each moment, generating function and tail estimator returns one record,
+:class:`Estimate`, per order or epsilon, in the order given; an overlap table
+is a kappa-by-kappa integer array, and a stack of them one array.
 Disorder replication derives child generators from one root seed and the
 replica index (see :mod:`pottsglass.core`), so any single replica is
 reproducible in isolation.
@@ -40,12 +43,10 @@ from .core import (
 
 __all__ = [
     "DEFAULT_CAP",
-    "AdmissibleMatrix",
+    "Estimate",
     "FreeEnergySample",
     "QuenchedFreeEnergy",
     "GaugePairResult",
-    "MomentEstimate",
-    "TailEstimate",
     "logsumexp",
     "exp_or_inf",
     "gibbs_weights",
@@ -96,31 +97,6 @@ def gibbs_weights(energies, beta: float, top) -> np.ndarray:
     if math.isinf(beta):
         return (gap == 0).astype(np.float64)
     return np.exp(beta * gap) if beta else np.ones(np.shape(gap))
-
-
-@dataclass(frozen=True, eq=False)
-class AdmissibleMatrix:
-    """kappa-by-kappa nonnegative integer table with all margins n/kappa."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.counts, dtype=np.int64)
-        k = arr.shape[0]
-        if arr.ndim != 2 or arr.shape[1] != k:
-            raise ValueError("admissible table must be square")
-        if self.n % k != 0:
-            raise DivisibilityError(f"admissible table needs kappa | n, got n={self.n}, kappa={k}")
-        margin = self.n // k
-        if arr.min() < 0 or (arr.sum(axis=0) != margin).any() or (arr.sum(axis=1) != margin).any():
-            raise ValueError(f"all row and column sums must equal n/kappa = {margin}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "counts", arr)
-
-    @property
-    def kappa(self) -> int:
-        return int(self.counts.shape[0])
 
 
 @dataclass(frozen=True)
@@ -425,21 +401,17 @@ def _log_gamma_table(n: int) -> np.ndarray:
 
 
 def log_overlap_law(tables: np.ndarray, n: int, kappa: int) -> np.ndarray:
-    """Log probability of each admissible table under the balanced overlap law.
+    """Log probability of each of a ``(count, kappa, kappa)`` stack of admissible integer tables under
+    the balanced overlap law.
 
     For a fixed balanced sigma and uniform balanced tau the overlap table
     has probability ``[n!/((n/kappa)!)^kappa]^{-1} prod_a (n/kappa)! /
     prod_b (n r_ab)!``.
     """
-    tables = np.asarray(tables, dtype=np.int64)
-    squeeze = tables.ndim == 2
-    if squeeze:
-        tables = tables[None]
     glt = _log_gamma_table(n)
     margin = n // kappa
     log_sector = glt[n] - kappa * glt[margin]
-    lp = -log_sector + kappa * glt[margin] - glt[tables].sum(axis=(1, 2))
-    return lp[0] if squeeze else lp
+    return -log_sector + kappa * glt[margin] - glt[tables].sum(axis=(1, 2))
 
 
 def second_moment_ratio(n: int, beta: float, kappa: int) -> float:
@@ -466,14 +438,22 @@ def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
     The asymptotic value is ``-n D(r||u) - ((kappa-1)^2/2) log n
     - (1/2) sum_{r_ab != 0} log r_ab`` with ``u`` the uniform table; the
     difference of the two stays O(1) as n grows at fixed rational r.  The
-    table is validated as admissible and must match ``(n, kappa)``.
+    table must be a kappa-by-kappa array of nonnegative integers whose rows
+    and columns each sum to n/kappa.
     """
-    if not isinstance(table, AdmissibleMatrix):
-        table = AdmissibleMatrix(np.asarray(table, dtype=np.int64), n)
-    if table.n != n or table.kappa != kappa:
-        raise ValueError(f"table is for (n, kappa) = ({table.n}, {table.kappa}), not ({n}, {kappa})")
-    exact = float(log_overlap_law(table.counts, n, kappa))
-    r = table.counts / n
+    given = np.asarray(table)
+    counts = given.astype(np.int64)
+    if counts.shape != (kappa, kappa):
+        raise ValueError(f"table must be {kappa}-by-{kappa}, got shape {counts.shape}")
+    if not np.array_equal(counts, given):
+        raise ValueError(f"table entries must be integers, got {given.tolist()!r}")
+    if n % kappa != 0:
+        raise DivisibilityError(f"admissible table needs kappa | n, got n={n}, kappa={kappa}")
+    margin = n // kappa
+    if counts.min() < 0 or (counts.sum(axis=0) != margin).any() or (counts.sum(axis=1) != margin).any():
+        raise ValueError(f"all row and column sums must equal n/kappa = {margin}")
+    exact = float(log_overlap_law(counts[None], n, kappa)[0])
+    r = counts / n
     pos = r > 0
     kl = float((r[pos] * np.log(kappa ** 2 * r[pos])).sum())
     asym = -n * kl - (kappa - 1) ** 2 / 2.0 * math.log(n) - 0.5 * float(np.log(r[pos]).sum())
@@ -677,27 +657,11 @@ def _gauge_pair(split: _Split, beta: float, sites_of, gs: Sequence[CouplingMatri
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
-    value: float
-    stderr: float
-    bound: float
-    m: int
-    n: int
-    beta: float
-    replicas: int
+class Estimate:
+    """Disorder mean and stderr of a Gibbs average over ``replicas`` replicas, against its closed-form
+    ceiling ``bound`` (None: no closed form).  Chains add whether any replica was flagged as slow-mixing
+    and a ladder's swap acceptance rate per adjacent rung pair, summed over replicas."""
 
-    @property
-    def satisfied(self) -> bool:
-        return self.value <= self.bound + 3.0 * self.stderr
-
-
-@dataclass(frozen=True)
-class TailEstimate:
-    """Disorder mean and stderr of the Gibbs mass of ``max_a |d_a - 1/kappa| >= epsilon``, against the
-    ceiling :func:`_tail_bound` (None: no closed form).  Chains add whether any replica was flagged as
-    slow-mixing and a ladder's swap acceptance rate per adjacent rung pair, summed over replicas."""
-
-    epsilon: float
     value: float
     stderr: float
     bound: float | None
@@ -760,8 +724,8 @@ def magnetization_moment_exact(n: int, beta: float, m, replicas: int = 200, seed
     disorder realization's Gibbs average pairs to zero.  Even moments are
     estimated over disorder replicas and compared against the bound
     ``m! / (2^m (m/2)!) n^{-m/2}``.  One order ``m`` gives one estimate; a
-    sequence gives a list of estimates sharing the enumeration and the
-    disorder draws.
+    sequence gives a list of estimates, one per order in its order, sharing
+    the enumeration and the disorder draws.
     """
     orders = [int(m)] if np.isscalar(m) else [int(k) for k in m]
     if any(k < 1 for k in orders):
@@ -769,35 +733,35 @@ def magnetization_moment_exact(n: int, beta: float, m, replicas: int = 200, seed
     even = [k for k in orders if k % 2 == 0]
     if even and replicas < 2:
         raise ValueError("even-moment estimation needs at least 2 replicas")
-    estimates = {k: MomentEstimate(0.0, 0.0, 0.0, k, n, beta, 0) for k in orders if k % 2 == 1}
+    estimates = {k: Estimate(0.0, 0.0, 0.0, 0) for k in orders if k % 2 == 1}
     if even:
         moments = _replica_average(n, 2, lambda f: [(f[:, 0] - 0.5) ** k for k in even], beta, replicas, seed,
                                    cap, workers)
         for k, (mean, se) in zip(even, moments):
             bound = math.factorial(k) / (2 ** k * math.factorial(k // 2)) / n ** (k // 2)
-            estimates[k] = MomentEstimate(mean, se, bound, k, n, beta, replicas)
+            estimates[k] = Estimate(mean, se, bound, replicas)
     out = [estimates[k] for k in orders]
     return out[0] if np.isscalar(m) else out
 
 
 def magnetization_mgf_exact(n: int, beta: float, lam: float, replicas: int = 200, seed: int = 0,
-                            cap: int = DEFAULT_CAP) -> MomentEstimate:
+                            cap: int = DEFAULT_CAP) -> Estimate:
     """Disorder-averaged ``<exp(lam (d_1 - 1/2))>`` against ``e^{lam^2/(4n)}``."""
     [(mean, se)] = _replica_average(n, 2, lambda f: [np.exp(lam * (f[:, 0] - 0.5))], beta, replicas, seed, cap)
-    return MomentEstimate(mean, se, math.exp(lam ** 2 / (4.0 * n)), 0, n, beta, replicas)
+    return Estimate(mean, se, math.exp(lam ** 2 / (4.0 * n)), replicas)
 
 
 def tail_probability_exact(
     n: int, beta: float, epsilon, replicas: int = 200, seed: int = 0,
     cap: int = DEFAULT_CAP, kappa: int = 2, workers: int = 1,
 ):
-    """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``, as :class:`TailEstimate`.
+    """Disorder-averaged Gibbs mass of ``max_a |d_a - 1/kappa| >= eps``, as :class:`Estimate`.
 
-    One ``epsilon`` gives one estimate; a sequence gives a list of estimates
-    sharing the enumeration and the disorder draws.
+    One ``epsilon`` gives one estimate; a sequence gives a list of estimates,
+    one per epsilon in its order, sharing the enumeration and the disorder draws.
     """
     eps = [float(epsilon)] if np.isscalar(epsilon) else [float(e) for e in epsilon]
     tails = _replica_average(n, kappa, lambda f: max_deviation(f) >= np.array(eps)[:, None], beta, replicas, seed,
                              cap, workers)
-    out = [TailEstimate(e, mean, se, _tail_bound(n, e, kappa), replicas) for e, (mean, se) in zip(eps, tails)]
+    out = [Estimate(mean, se, _tail_bound(n, e, kappa), replicas) for e, (mean, se) in zip(eps, tails)]
     return out[0] if np.isscalar(epsilon) else out

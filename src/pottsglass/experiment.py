@@ -147,6 +147,12 @@ class ExperimentSpec:
             for n in self.n:
                 if self.exceeds_cap(n, *sector):
                     raise ValidationError(f"the sector at n={n} has more states than the enumeration cap {self.cap}")
+        if self.command == "uncentered-ratio" and self.sector == "all":  # exact._log_uncentered_ratio's row recursion
+            for n in self.n:
+                if (n + 1) ** min(self.kappa, 64) > 2 ** 63:  # from kappa = 64 on, past int64 at every n
+                    raise ValidationError(f"the row recursion's keys at n={n} span {n + 1}^{self.kappa}, past int64")
+                if math.comb(n + 2 * self.kappa, 2 * self.kappa) > self.cap:
+                    raise ValidationError(f"the row recursion at n={n} has more (s, r) pairs than the cap {self.cap}")
 
     def exceeds_cap(self, n: int, kappa: int, sector: str) -> bool:
         """Whether the sector has more than ``cap`` configurations; an 'all' or balanced

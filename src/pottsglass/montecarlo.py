@@ -54,7 +54,7 @@ from .core import (
     sector_counts,
     write_atomic,
 )
-from .exact import DEFAULT_CAP, TailEstimate, _tail_bound, tail_probability_exact
+from .exact import DEFAULT_CAP, Estimate, _tail_bound, tail_probability_exact
 
 __all__ = [
     "ChainState",
@@ -536,11 +536,12 @@ def estimate_tail(
     n: int, beta: float, epsilon, kappa: int = 2, replicas: int = 8, sweeps: int = 2000,
     burn_in: int = 1000, thinning: int = 10, ladder=(), seed: int = 0, cap: int = DEFAULT_CAP,
     workers: int = 1,
-) -> list[TailEstimate]:
+) -> list[Estimate]:
     """Disorder-and-Gibbs double average of ``1{max_a |d_a - 1/kappa| >= eps}``.
 
-    Accepts one epsilon or a sequence; all epsilons share the same chains.
-    beta = inf returns :func:`pottsglass.exact.tail_probability_exact`
+    Accepts one epsilon or a sequence; all epsilons share the same chains,
+    and the list holds one :class:`pottsglass.exact.Estimate` per epsilon, in
+    order.  beta = inf returns :func:`pottsglass.exact.tail_probability_exact`
     itself; finite beta runs Metropolis chains, or a tempering ladder when
     ``ladder`` is set (recommended for large beta).  Replica ``r`` samples
     the coupling of stream ``r`` (:func:`pottsglass.core.map_replicas`).
@@ -571,10 +572,8 @@ def estimate_tail(
     if ladder:
         attempts, accepts = np.sum([swaps for _, _, swaps in results], axis=0)
         swap_rates = tuple((accepts / attempts).tolist())
-    return [
-        TailEstimate(e, *mean_stderr(fractions[:, idx]), _tail_bound(n, e, kappa), replicas, flagged, swap_rates)
-        for idx, e in enumerate(epsilons)
-    ]
+    return [Estimate(*mean_stderr(fractions[:, idx]), _tail_bound(n, e, kappa), replicas, flagged, swap_rates)
+            for idx, e in enumerate(epsilons)]
 
 
 def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, seed,
@@ -660,8 +659,6 @@ def free_energy_ti(
     means, errs = np.array([_batch_stats(series) for series in energies]).T
     flagged = any(equilibration_flagged(series) for series in energies)
     swap_rates = tuple((ladder.swap_accepts / ladder.swap_attempts).tolist())
-    if beta_max == 0.0:
-        return TiResult(log_size / n, 0.0, 0.0, grid, means, errs, log_size, flagged, swap_rates)
     h = grid[1] - grid[0]
     integral = float(np.trapezoid(means, grid))
     weights = np.full(n_grid, h)

@@ -181,6 +181,9 @@ INVALID_COMMANDS = {
     "second-moment-indivisible-size": ["second-moment", "--kappa", "3", "--n", "3,4"],
     "ldp-indivisible-size": ["ldp-check", "--kappa", "2", "--n", "4,6"],
     "shell-count-indivisible-size": ["shell-count", "--kappa", "3", "--n", "6,7"],
+    # the 'all'-sector row recursion: keys past int64 ((n + 1)^kappa = 4^32), and more (s, r) pairs than the cap
+    "uncentered-keys-past-int64": ["uncentered-ratio", "--kappa", "32", "--n", "3"],
+    "uncentered-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--cap", "1000"],
 }
 
 
@@ -328,10 +331,14 @@ def test_moment_check_draws_each_replica_once_per_size_and_beta(monkeypatch):
     assert len(calls) == len(spec.n) * len(spec.beta) * spec.replicas
 
 
-def test_computation_cap_exits_1(tmp_path):
-    code = run(["uncentered-ratio", "--kappa", "3", "--n", "20", "--beta", "0.5",
-                "--cap", "1000", "--out", str(tmp_path / "x.csv")])
-    assert code == 1
+def test_computation_cap_exits_1(tmp_path, monkeypatch):
+    argv = ["uncentered-ratio", "--kappa", "3", "--n", "20", "--beta", "0.5", "--cap", "1000",
+            "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 2  # the spec knows the row recursion's C(26, 6) pairs exceed the cap
+    # the engine keeps its own check for library callers; a cap met while computing exits 1
+    monkeypatch.setattr(ExperimentSpec, "validate", lambda spec: None)
+    assert run(argv) == 1
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -236,6 +236,8 @@ class TestOverlapLaw:
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
             exact.ldp_log_probability(4, 2, [[2, 1], [0, 1]])
+        with pytest.raises(core.DivisibilityError):
+            exact.ldp_log_probability(5, 2, [[2, 0], [0, 3]])
 
 
 class TestSecondMoment:
@@ -277,11 +279,19 @@ class TestLdp:
 
     @pytest.mark.parametrize("n,kappa", [(9, 3), (6, 4), (6, 2)])
     def test_table_must_match_n_and_kappa(self, n, kappa):
-        table = exact.AdmissibleMatrix(2 * np.eye(3, dtype=np.int64), 6)
-        for given in (table, table.counts):  # an array is read at the requested n
+        table = 2 * np.eye(3, dtype=np.int64)  # admissible at (n, kappa) = (6, 3) only
+        for given in (table, table.tolist()):  # the table is read at the requested n
             with pytest.raises(ValueError):
                 exact.ldp_log_probability(n, kappa, given)
         exact.ldp_log_probability(6, 3, table)
+
+    def test_rejects_a_table_an_integer_cast_would_change(self):
+        # the cast of [[2.7, 0], [0, 2]] is admissible at n = 4, but the table is not
+        for table in ([[2.7, 0], [0, 2]], [[2.0, 0.0], [0.0, 2.0 + 1e-9]]):
+            with pytest.raises(ValueError, match="integers"):
+                exact.ldp_log_probability(4, 2, table)
+        whole = exact.ldp_log_probability(4, 2, [[2.0, 0.0], [0.0, 2.0]])  # integer-valued floats stay accepted
+        assert whole == exact.ldp_log_probability(4, 2, [[2, 0], [0, 2]])
 
     def test_gap_stays_bounded(self):
         gaps = []
@@ -758,8 +768,8 @@ class TestSplitOracle:
                 w = oracle_weights(oracle_energies(colors, core.CouplingMatrix.from_seed(n, 5, r)), beta)
                 per_replica.append([(w * (deviation >= e)).sum() / w.sum() for e in epsilons])
             got = exact.tail_probability_exact(n, beta, epsilons, replicas=3, seed=5, kappa=kappa)
-            for est, want in zip(got, np.mean(per_replica, axis=0)):
-                assert close(est.value, want), (beta, est.epsilon)
+            for e, est, want in zip(epsilons, got, np.mean(per_replica, axis=0)):
+                assert close(est.value, want), (beta, e)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
     def test_two_color_moments_mgf_and_gauge(self, n):

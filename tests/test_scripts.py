@@ -51,7 +51,12 @@ def test_color_symmetry_scan_passes_its_cap(monkeypatch, capsys):
 
 def test_free_energy_trend(monkeypatch, capsys):
     lines = run_script("free_energy_trend.py", ["--sizes", "3,6", "--replicas", "2"], monkeypatch, capsys)
-    assert [line.split()[0] for line in lines[3:]] == ["3", "6"]
+    rows = [line.split() for line in lines[3:]]
+    assert [row[0] for row in rows] == ["3", "6"]
+    for row in rows:  # sampled ratio, exact ratio, Paley-Zygmund floor, sampled fraction with Z >= E Z / 2
+        sampled, ratio, floor, above = map(float, row[6:])
+        assert all(math.isfinite(v) for v in (sampled, ratio, floor, above))
+        assert floor == pytest.approx(0.25 / ratio, rel=1e-5) and 0.0 <= above <= 1.0
 
 
 def test_threshold_table(monkeypatch, capsys, tmp_path):
