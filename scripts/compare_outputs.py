@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the twenty-two ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the twenty-four ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -46,7 +46,8 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # chains sweep row by row (montecarlo._swap_row), which every larger balanced stack skips; and
 # uncentered-ratio's balanced sector (the overlap-table sum and its floor), and its recursion at kappa = 31, the
 # largest kappa whose base-(n + 1) keys fit in int64 at n = 3; and ldp-check at kappa = 3 (the benchmark runs
-# kappa = 2 only), and moment-check at odd orders only, whose records are placeholders and which enumerates nothing
+# kappa = 2 only), and moment-check at odd orders only, whose records are placeholders and which enumerates nothing;
+# and second-moment's row recursion at kappa = 5 and 6 (the benchmark runs kappa = 3 and 4)
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -77,6 +78,8 @@ EXTRA_JOBS = (
     Job("unc-k31-n3", ("uncentered-ratio", "--kappa", "31", "--n", "3")),
     Job("ldp-k3-n9-18-27", ("ldp-check", "--kappa", "3", "--n", "9,18,27")),
     Job("moment-n4-8-odd", ("moment-check", "--n", "4,8", "--m", "1,3")),
+    Job("sm-k5-n5-20", ("second-moment", "--kappa", "5", "--n", "5,10,15,20", "--beta", "1.0")),
+    Job("sm-k6-n6-12", ("second-moment", "--kappa", "6", "--n", "6,12", "--beta", "1.0")),
 )
 
 

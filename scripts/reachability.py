@@ -7,7 +7,7 @@ Then, in this process and at small settings, it runs:
 
 * every job of ``scripts/compare_outputs.py`` (the perfbench workloads and
   its ``EXTRA_JOBS``) at seed 0 through ``job_argv``, so with ``--workers 1``;
-* the four experiment scripts, at the settings of ``tests/test_scripts.py``;
+* the five experiment scripts, at the settings of ``tests/test_scripts.py``;
 * ``scripts/rate_sweep.py``'s two case builders and its first ``kappa3`` case.
 
 Every ``def`` and ``lambda`` of the package's source that none of these calls
@@ -72,6 +72,7 @@ SCRIPT_RUNS = (
     ("color_symmetry_scan.py", ["--replicas", "2", "--sizes3", "3,4", "--sizes2", "4,5"]),
     ("free_energy_trend.py", ["--sizes", "3,6", "--replicas", "2"]),
     ("threshold_table.py", ["--kappa-max", "4", "--out", "{tmp}/thresholds.csv"]),
+    ("second_moment_threshold.py", ["--kappas", "3,4", "--fractions", "1.1", "--seconds", "0"]),
 )
 
 

@@ -14,7 +14,7 @@ Five layers:
 * :mod:`pottsglass.cli` -- reproducible experiment runner with CSV/JSON sinks.
 """
 
-__version__ = "0.1.14"
+__version__ = "0.1.15"
 
 from .core import (
     CouplingMatrix,

@@ -306,7 +306,7 @@ def count_configs(n: int, kappa: int, sector: str = "all") -> int:
     return math.factorial(n) // math.factorial(n // kappa) ** kappa
 
 
-def _lex_extend(choices: np.ndarray, budget, steps: int, cap: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
+def _lex_extend(choices: np.ndarray, budget, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Every sequence of ``steps`` rows of ``choices`` whose sum fits under ``budget``.
 
     Each prefix is extended by every choice that still fits its remaining
@@ -314,18 +314,11 @@ def _lex_extend(choices: np.ndarray, budget, steps: int, cap: float = math.inf) 
     ascending, so the sequences come out in lexicographic order of choice
     index (Knuth, TAOCP 7.2.1.2).  Returns ``(picks, left)``: the choice
     indices of each sequence, ``(count, steps)``, and its remaining budget.
-    A step's extensions are counted before they are built, and more than
-    ``cap`` of them raise :class:`EnumerationCapError`.
     """
     picks = np.empty((1, 0), dtype=np.min_scalar_type(len(choices)))
     left = np.asarray(budget, dtype=np.int64)[None]
-    for step in range(steps):
-        fits = (choices <= left[:, None]).all(axis=2)
-        count = np.count_nonzero(fits)
-        if count > cap:
-            raise EnumerationCapError(f"{count} partial sequences after {step + 1} of {steps} steps, "
-                                      f"exceeding the cap of {cap}")
-        rows, pick = np.nonzero(fits)
+    for _ in range(steps):
+        rows, pick = np.nonzero((choices <= left[:, None]).all(axis=2))
         picks = np.hstack((picks[rows], pick.astype(picks.dtype)[:, None]))
         left = left[rows] - choices[pick]
     return picks, left

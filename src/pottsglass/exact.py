@@ -1,9 +1,9 @@
 """Brute-force-exact engines at small n.
 
 Partition functions, free energies, annealed moments, Gibbs tails and
-magnetization moments, the exact second-moment ratio over balanced overlap
-tables, the Stirling expansion of the table law, and the two-color gauge
-identities.
+magnetization moments, the exact second-moment ratios summed over overlap
+tables one row at a time, the Stirling expansion of the table law, and the
+two-color gauge identities.
 
 Every log-scale accumulation uses running-max log-sum-exp; partition
 functions are never exponentiated raw.  Factorials go through log-gamma in
@@ -383,16 +383,31 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
 
     Tables are built one row at a time: every partial table is extended by
     each row composition that fits under its remaining column margins, and
-    the last row is forced; the rows come out in lexicographic order.  Every
-    partial table completes to at least one table, so a step that would hold
-    more than ``DEFAULT_CAP`` partial tables raises before it builds them.
+    the last row is forced; the rows come out in lexicographic order.  The
+    tables are counted first (:func:`_check_tables`), so a set of more than
+    ``DEFAULT_CAP`` raises before any partial table is built; every partial
+    table completes to at least one table, so no step holds more.
     """
     if n % kappa != 0:
         raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
+    _check_tables(n, kappa)
     margin = n // kappa
     rows = _compositions(margin, kappa)
-    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1, DEFAULT_CAP)
+    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1)
     return np.concatenate((rows[picks], left[:, None]), axis=1)
+
+
+def _check_tables(n: int, kappa: int) -> None:
+    """Refuse more than ``DEFAULT_CAP`` admissible tables.  The choices of the kappa - 1 free rows bound the
+    count; past the cap, :func:`_row_recursion` counts the tables in exact integers, where its pairs stay
+    within ``kappa * DEFAULT_CAP``."""
+    margin = n // kappa
+    if math.comb(margin + kappa - 1, kappa - 1) ** min(kappa - 1, 64) <= DEFAULT_CAP:  # a bound of at least 2^64
+        return
+    _row_pairs(n, kappa, "balanced", kappa * DEFAULT_CAP)
+    count = _row_recursion(kappa, n, margin)
+    if count > DEFAULT_CAP:
+        raise EnumerationCapError(f"{count} admissible tables, exceeding the cap of {DEFAULT_CAP}")
 
 
 def _log_gamma_table(n: int) -> np.ndarray:
@@ -417,19 +432,18 @@ def log_overlap_law(tables: np.ndarray, n: int, kappa: int) -> np.ndarray:
 def second_moment_ratio(n: int, beta: float, kappa: int) -> float:
     """Exact ``E (Z^bal)^2 / (E Z^bal)^2`` for the centered balanced model.
 
-    Computed as the overlap-law average of
-    ``exp(beta^2 n ||r - kappa^{-2} 11^T||_F^2)`` over admissible tables.
+    The overlap-law average of ``exp(beta^2 n ||r - kappa^{-2} 11^T||_F^2)``
+    over admissible tables, summed one table row at a time
+    (:func:`_row_recursion`); its (s, r) pairs count against ``DEFAULT_CAP``.
     ``inf`` where the ratio overflows a double.
     """
     return exp_or_inf(_log_second_moment_ratio(n, beta, kappa))
 
 
 def _log_second_moment_ratio(n: int, beta: float, kappa: int) -> float:
-    """Log of :func:`second_moment_ratio`, finite where the ratio overflows."""
-    tables = admissible_array(n, kappa)
-    lp = log_overlap_law(tables, n, kappa)
-    gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
-    return logsumexp(lp + beta ** 2 * n * gap)
+    """Log of :func:`second_moment_ratio`, finite where the ratio overflows: n ||T/n - u||_F^2 = ||T||_F^2 / n - n /
+    kappa^2, so the balanced uncentered sum less ``beta^2 n / kappa^2``."""
+    return _log_uncentered_ratio(n, beta, kappa, "balanced", DEFAULT_CAP) - beta ** 2 * n / kappa ** 2
 
 
 def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
@@ -496,54 +510,109 @@ def _log_ez_raw(n: int, beta: float, kappa: int) -> float:
 def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
     """log E Z^2 for the unconstrained raw model.
 
-    Pairs (sigma, tau) are grouped by their joint color-count table C; the
-    number of pairs with table C is the multinomial n!/prod C_ab!, and the
-    Gaussian pair moment is exp(al (sum_a rows_a^2 + sum_b cols_b^2 +
-    2 sum C^2)) with al = beta^2 / (2n).  The table sum runs one row r of C
-    at a time over the partial column sums s of the rows before it:
-    ``W'(t) = LSE_{s+r=t} [W(s) + phi(r) + 2 al s.r]`` from W(0) = 0,
-    where ``phi(r) = -sum_b log r_b! + al (|r|^2 + 3 sum_b r_b^2)`` and
-    ``|r| = sum_b r_b``; then log E Z^2 = log n! + LSE_{|t|=n} W(t).  W is
-    invariant under permuting tau's colors, so it is kept per orbit: each sorted
-    target t takes every s in the box [0, t], reads W at the orbit of s, and the
-    last sum weights t by its orbit size; 2 s.r = |t|_2^2 - |s|_2^2 - |r|_2^2 in
-    exact integers.  Each target is stabilized by its own maximum (the cross
-    term can overflow exp).  The pairs are built in chunks of targets, each
-    about ``_PAIR_CHUNK`` pairs, which bounds the working memory; only each
-    chunk's source orbits, steps and targets are kept for the row steps.  Each
-    target's group reduces alone, so the value does not depend on the chunking.
+    Pairs (sigma, tau) are grouped by their joint color-count table C: n!/prod
+    C_ab! pairs, each of Gaussian moment exp(al (sum_a rows_a^2 + sum_b cols_b^2
+    + 2 sum C^2)), al = beta^2 / (2n).  So log n! plus the row recursion over
+    any rows with ``phi(r) = -sum_b log r_b! + al (|r|^2 + 3 sum_b r_b^2)``,
+    |r| = sum_b r_b, and cross weight 2 al.
     """
-    glt = _log_gamma_table(n)
-    al = beta ** 2 / (2.0 * n)
-    states = _compositions(n, kappa + 1)[:, :-1]  # every s with |s| <= n, lexicographic
-    reps, orbit = _unique_rows(np.sort(states, axis=1), n + 1)  # one sorted t per orbit, and the orbit of each s
-    place, sq, box = (n + 1) ** np.arange(kappa)[::-1], (states ** 2).sum(axis=1), np.prod(reps + 1, axis=1)
-    keys = states @ place  # lexicographic, so sorted; s + r never carries in base n + 1: keys add
-    phi = -glt[states].sum(axis=1) + al * (states.sum(axis=1) ** 2 + 3.0 * sq)
-    rep_key, rep_sq, first = reps @ place, (reps ** 2).sum(axis=1), np.cumsum(box) - box  # first: a target's first pair
+    glt, al = _log_gamma_table(n), beta ** 2 / (2.0 * n)
+    return float(glt[n] + _row_recursion(
+        kappa, n, None, lambda s: -glt[s].sum(axis=1) + al * (s.sum(axis=1) ** 2 + 3.0 * (s ** 2).sum(axis=1)), 2 * al))
+
+
+def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
+    """The (s, r) pairs of a sector's row recursion, refused past ``cap`` or where its keys pass int64.
+
+    Any row: the C(n + 2 kappa, 2 kappa) pairs with |s| + |r| <= n.  Rows of
+    sum m = n / kappa: each s in [0, m]^kappa with |s| in {0, m, .., n - m}
+    (by inclusion-exclusion) against each of the C(m + kappa - 1, kappa - 1) rows.
+    """
+    d = sector_counts(n, kappa, sector)
+    base = n + 1 if d is None else n // kappa + 1
+    if base ** min(kappa, 64) > 2 ** 63:  # from kappa = 64 on, past int64 at every n
+        raise EnumerationCapError(f"row recursion keys span {base}^{kappa} values, past int64")
+    pairs = math.comb(n + 2 * kappa, 2 * kappa) if d is None else math.comb(base + kappa - 2, kappa - 1) * sum(
+        (-1) ** j * math.comb(kappa, j) * math.comb(a - j * base + kappa - 1, kappa - 1)
+        for a in range(0, n, base - 1) for j in range(a // base + 1))
+    if pairs > cap:
+        raise EnumerationCapError(f"row recursion has {pairs} (s, r) pairs, exceeding the cap of {cap}")
+    return pairs
+
+
+def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross: float = 0.0):
+    """Log-sum-exp over the kappa-row tables of nonnegative integers summing to ``total``, one row at a time.
+
+    A table weighs the sum over its rows r of ``phi(r) + cross s.r``, s the
+    column sums of the rows before r: ``W'(t) = LSE_{s+r=t} [W(s) + phi(r) +
+    cross s.r]`` from W(0) = 0, then ``LSE_{|t|=total} W(t)``; ``phi`` None
+    counts the tables in exact integers.  W is kept per orbit of column
+    permutations, at sorted targets t, each read per source s at its orbit;
+    2 s.r = |t|^2 - |s|^2 - |r|^2 in integers.  Any row (``row_sum`` None):
+    kappa row steps, t taking every s in the box [0, t].  Rows of sum m: the
+    column sums lie on planes |s| = k m of [0, m]^kappa, t takes each row r <=
+    t, and one in-place pass plane by plane finishes W.  Each target reduces
+    alone, below its own maximum, in chunks of about ``_PAIR_CHUNK`` pairs.
+    """
+    bound = total if row_sum is None else row_sum
+    place = (bound + 1) ** np.arange(kappa)[::-1]
+    if row_sum is None:  # every s with |s| <= total, lexicographic
+        states = _lex_extend(np.arange(total + 1)[:, None], [total], kappa)[0].astype(np.int64)
+    else:  # plane k: s_b and m - s_b spend budgets k m and total - k m, so every prefix completes
+        v = np.arange(row_sum + 1)[:, None]
+        half = [_lex_extend(np.hstack((v, row_sum - v)), [k * row_sum, total - k * row_sum], kappa)[0]
+                for k in range(kappa // 2 + 1)]
+        states = np.concatenate(half + [row_sum - p for p in half[:(kappa + 1) // 2]]).astype(np.int64)  # s -> m - s
+        states = states[np.argsort(states @ place)]
+    reps, orbit = _unique_rows(np.sort(states, axis=1), bound + 1)  # one sorted t per orbit, and the orbit of each s
+    if row_sum is not None:  # targets plane by plane
+        order = np.argsort(reps.sum(axis=1), kind="stable")
+        reps, orbit = reps[order], np.argsort(order)[orbit]
+    keys, sq = states @ place, (states ** 2).sum(axis=1)  # keys sorted; s + r never carries in base bound + 1
+    rep_key, rep_sq, rep_sum = reps @ place, (reps ** 2).sum(axis=1), reps.sum(axis=1)
+    rows = np.flatnonzero(states.sum(axis=1) == row_sum)  # the rows of sum m (none for any row)
+    cost = np.prod(reps + 1, axis=1) if row_sum is None else np.full(len(reps), len(rows))
+    first, weight = np.cumsum(cost) - cost, None if phi is None else phi(states)  # first: a target's first pair
 
     def pairs(lo: int, hi: int) -> tuple:  # source orbit, step, local target, group starts of targets lo .. hi - 1
-        tgt, rank = _fan_out(box[lo:hi])  # pairs grouped by target, each box's s in lexicographic order
-        tgt += lo
-        key = 0
-        for b in reversed(range(kappa)):
-            rank, digit = np.divmod(rank, reps[tgt, b] + 1)
-            key = key + digit * place[b]
-        src, row = np.searchsorted(keys, key), np.searchsorted(keys, rep_key[tgt] - key)
-        step = phi[row] + al * (rep_sq[tgt] - sq[src] - sq[row])
-        return orbit[src], step, tgt - lo, first[lo:hi] - first[lo]
+        if row_sum is None:  # pairs grouped by target, each box's s in lexicographic order
+            tgt, rank = _fan_out(cost[lo:hi])
+            tgt += lo
+            key = 0
+            for b in reversed(range(kappa)):
+                rank, digit = np.divmod(rank, reps[tgt, b] + 1)
+                key = key + digit * place[b]
+            src, row = np.searchsorted(keys, key), np.searchsorted(keys, rep_key[tgt] - key)
+            starts = first[lo:hi] - first[lo]
+        else:  # each target's rows r <= t, lexicographic
+            fits = (states[rows] <= reps[lo:hi, None]).all(axis=2)
+            tgt, row = np.nonzero(fits)
+            tgt, row, size = tgt + lo, rows[row], fits.sum(axis=1)
+            src, starts = np.searchsorted(keys, rep_key[tgt] - keys[row]), np.cumsum(size) - size
+        step = None if phi is None else weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row])
+        return orbit[src], step, tgt - lo, starts
 
-    cuts = [0, *(np.flatnonzero(np.diff(first // _PAIR_CHUNK)) + 1).tolist(), len(reps)]  # first pairs in one window
-    chunks = [pairs(lo, hi) for lo, hi in zip(cuts, cuts[1:])]  # built once, read by every row step
-    w = np.where(np.arange(len(reps)), -np.inf, 0.0)  # 0 at the orbit of s = 0
-    for _ in range(kappa):
-        parts = []
-        for src, step, tgt, starts in chunks:
+    breaks = np.diff(first // _PAIR_CHUNK) != 0  # first pairs in one window
+    if row_sum is not None:
+        breaks |= np.diff(rep_sum) != 0  # one plane per chunk
+    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(reps)][row_sum is not None:]  # t = 0 takes no row of sum m
+    chunks = ((lo, hi, pairs(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
+    w = np.zeros(len(reps), dtype=object) if phi is None else np.full(len(reps), -np.inf)
+    w[0] = 1 if phi is None else 0.0  # at the orbit of s = 0
+    if row_sum is None:
+        chunks = list(chunks)  # built once, read by every row step
+    for _ in range(kappa if row_sum is None else 1):
+        nxt = np.empty_like(w) if row_sum is None else w  # in place: a plane reads only the plane below it
+        for lo, hi, (src, step, tgt, starts) in chunks:
+            if phi is None:
+                nxt[lo:hi] = np.add.reduceat(w[src], starts)
+                continue
             x = w[src] + step
             top = np.maximum.reduceat(x, starts)
-            parts.append(top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts)))
-        w = np.concatenate(parts)
-    return float(glt[n] + logsumexp((w + np.log(np.bincount(orbit)))[reps.sum(axis=1) == n]))
+            nxt[lo:hi] = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
+        w = nxt
+    size, last = np.bincount(orbit), rep_sum == total
+    return int((w[last] * size[last]).sum()) if phi is None else logsumexp((w + np.log(size))[last])
 
 
 def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
@@ -551,30 +620,24 @@ def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = D
 
     Evaluated exactly through the Gaussian pair-moment identity, summed over
     joint color-count tables one row at a time and over color orbits of the
-    column sums.  The cap counts the C(n+2 kappa, 2 kappa) (s, r) pairs it
-    represents.  Diverges with n for any beta > 0; the constrained sectors
-    only slow the divergence.  ``inf`` where the ratio overflows a double.
+    column sums (:func:`_row_recursion`).  The cap counts the recursion's
+    (s, r) pairs (:func:`_row_pairs`).  Diverges with n for any beta > 0; the
+    constrained sectors only slow the divergence.  ``inf`` where the ratio
+    overflows a double.
     """
     return exp_or_inf(_log_uncentered_ratio(n, beta, kappa, sector, cap))
 
 
 def _log_uncentered_ratio(n: int, beta: float, kappa: int, sector, cap: int) -> float:
     """Log of :func:`uncentered_ratio`, finite where the ratio overflows."""
+    _row_pairs(n, kappa, sector, cap)
     if sector_counts(n, kappa, sector) is None:
-        n_pairs = math.comb(n + 2 * kappa, 2 * kappa)
-        if n_pairs > cap:
-            raise EnumerationCapError(
-                f"row recursion has {n_pairs} (s, r) pairs, exceeding the cap of {cap}"
-            )
-        if (n + 1) ** kappa > 2 ** 63:  # the base-(n + 1) keys of the column sums overflow int64, as in _unique_rows
-            raise EnumerationCapError(f"row recursion keys span (n + 1)^kappa = {n + 1}^{kappa} values, past int64")
         return _log_ez2_raw_all(n, beta, kappa) - 2.0 * _log_ez_raw(n, beta, kappa)
-    # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}; the pair sum reduces
-    # to the overlap-law average of exp(beta^2 n ||r||_F^2).
-    tables = admissible_array(n, kappa)
-    lp = log_overlap_law(tables, n, kappa)
-    frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
-    return logsumexp(lp + beta ** 2 * frob)
+    # balanced: E Z = |sector| e^{beta^2 n / (2 kappa)}, and the pair sum is the overlap-law average of
+    # exp(beta^2 ||T||_F^2 / n), whose summand (m!)^(2 kappa) / (n! prod_ab T_ab!) e^(...) factorizes over the entries
+    glt, m = _log_gamma_table(n), n // kappa
+    tables = _row_recursion(kappa, n, m, lambda s: beta ** 2 / n * (s ** 2).sum(axis=1) - glt[s].sum(axis=1))
+    return float(2 * kappa * glt[m] - glt[n] + tables)
 
 
 def _log_uncentered_lower_bound(n: int, beta: float, kappa: int, sector) -> float:

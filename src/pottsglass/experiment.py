@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .core import count_configs
-from .exact import DEFAULT_CAP
+from .core import EnumerationCapError, count_configs
+from .exact import DEFAULT_CAP, _check_tables, _row_pairs
 from .montecarlo import MAX_RUNGS
 
 __all__ = ["ExperimentSpec", "ValidationError"]
@@ -143,16 +143,18 @@ class ExperimentSpec:
             "moment-check": (2, "all") if even else None,
             "tail-bound": (self.kappa, "all") if math.inf in self.beta else None,
         }.get(self.command)
-        if sector is not None:
-            for n in self.n:
-                if self.exceeds_cap(n, *sector):
-                    raise ValidationError(f"the sector at n={n} has more states than the enumeration cap {self.cap}")
-        if self.command == "uncentered-ratio" and self.sector == "all":  # exact._log_uncentered_ratio's row recursion
-            for n in self.n:
-                if (n + 1) ** min(self.kappa, 64) > 2 ** 63:  # from kappa = 64 on, past int64 at every n
-                    raise ValidationError(f"the row recursion's keys at n={n} span {n + 1}^{self.kappa}, past int64")
-                if math.comb(n + 2 * self.kappa, 2 * self.kappa) > self.cap:
-                    raise ValidationError(f"the row recursion at n={n} has more (s, r) pairs than the cap {self.cap}")
+        for n in self.n:  # each engine's own refusals: sector states, row-recursion pairs and keys, tables
+            if sector is not None and self.exceeds_cap(n, *sector):
+                raise ValidationError(f"the sector at n={n} has more states than the enumeration cap {self.cap}")
+            try:
+                if self.command == "second-moment":
+                    _row_pairs(n, self.kappa, "balanced", DEFAULT_CAP)
+                elif self.command == "uncentered-ratio":
+                    _row_pairs(n, self.kappa, self.sector, self.cap)
+                elif self.command == "shell-count":
+                    _check_tables(n, self.kappa)
+            except EnumerationCapError as err:
+                raise ValidationError(f"{self.command} at n={n}: {err}") from None
 
     def exceeds_cap(self, n: int, kappa: int, sector: str) -> bool:
         """Whether the sector has more than ``cap`` configurations; an 'all' or balanced

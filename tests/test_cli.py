@@ -184,6 +184,10 @@ INVALID_COMMANDS = {
     # the 'all'-sector row recursion: keys past int64 ((n + 1)^kappa = 4^32), and more (s, r) pairs than the cap
     "uncentered-keys-past-int64": ["uncentered-ratio", "--kappa", "32", "--n", "3"],
     "uncentered-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--cap", "1000"],
+    # the balanced row recursion's (s, r) pairs: 210 against --cap, and 20,998,440 against DEFAULT_CAP
+    "uncentered-balanced-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--sector", "balanced",
+                                     "--cap", "1"],
+    "second-moment-over-cap": ["second-moment", "--kappa", "3", "--n", "237"],
 }
 
 
@@ -300,6 +304,15 @@ def test_tail_bound_runs_the_all_sector():
     with pytest.raises(ValidationError, match="'all' sector"):
         ExperimentSpec(command="tail-bound", n=(4,), sector="balanced").validate()
     ExperimentSpec(command="tail-bound", n=(4,)).validate()
+
+
+def test_balanced_row_recursion_and_table_count_refused_at_validation(tmp_path):
+    # keys past int64 ((n / kappa + 1)^kappa = 2^64), and 12! tables: each refused before it is built
+    for command in ("second-moment", "uncentered-ratio"):
+        with pytest.raises(ValidationError, match=r"2\^64 values, past int64"):
+            ExperimentSpec(command=command, kappa=64, n=(64,), sector="balanced").validate()
+    assert run(["shell-count", "--kappa", "12", "--n", "12", "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_prevalidated_cap_exits_2(tmp_path):

@@ -185,17 +185,36 @@ class TestAdmissible:
             exact.admissible_array(5, 2)
 
     def test_table_count_cap(self, monkeypatch):
-        # kappa = 4, n = 8: 10 partial tables after the first row, 282 tables
+        # kappa = 4, n = 8: 282 tables, counted before any is built; the row recursion has 400 (s, r) pairs
         monkeypatch.setattr(exact, "DEFAULT_CAP", 282)
         assert len(exact.admissible_array(8, 4)) == 282
         monkeypatch.setattr(exact, "DEFAULT_CAP", 281)
-        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
-                    lambda: exact.shell_histogram(8, 4), lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced")):
-            with pytest.raises(core.EnumerationCapError, match="282 partial sequences after 3 of 3 steps"):
+        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.shell_histogram(8, 4)):
+            with pytest.raises(core.EnumerationCapError, match="282 admissible tables, exceeding the cap of 281"):
                 run()
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 9)  # counted before the first step's extensions are built
-        with pytest.raises(core.EnumerationCapError, match="10 partial sequences after 1 of 3 steps"):
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 9)  # the count itself stops at kappa * DEFAULT_CAP = 36 pairs
+        with pytest.raises(core.EnumerationCapError, match=r"400 \(s, r\) pairs, exceeding the cap of 36"):
             exact.admissible_array(8, 4)
+        # the second moments count the row recursion's pairs: against DEFAULT_CAP, and against the cap given
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 399)
+        for run in (lambda: exact.second_moment_ratio(8, 1.0, 4),
+                    lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 399)):
+            with pytest.raises(core.EnumerationCapError, match=r"400 \(s, r\) pairs, exceeding the cap of 399"):
+                run()
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 400)
+        assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 400))
+
+    def test_oversized_table_set_refused_before_any_partial_table(self, monkeypatch):
+        # kappa = n = 12: 12! tables, counted over 4,096 column sums; the table rows are never extended
+        lex_extend = exact._lex_extend
+
+        def no_tables(choices, *args, **kwargs):
+            assert choices.shape[1] < 12, "partial tables enumerated"
+            return lex_extend(choices, *args, **kwargs)
+
+        monkeypatch.setattr(exact, "_lex_extend", no_tables)
+        with pytest.raises(core.EnumerationCapError, match="479001600 admissible tables"):
+            exact.admissible_array(12, 12)
 
     @pytest.mark.parametrize("total,parts", [(0, 1), (0, 3), (5, 1), (5, 3), (6, 5)])
     def test_compositions_match_product_filter_in_order(self, total, parts):
@@ -405,6 +424,75 @@ class TestUncenteredRatio:
             warnings.simplefilter("error")
             ratio = exact.uncentered_ratio(n, beta, kappa)
         assert ratio == math.inf if beta == 50.0 else math.isfinite(ratio)
+
+
+# every (kappa, n) whose tables criteria 3 and 7 enumerate, and kappa = 5 and 6
+TABLE_SIZES = {2: range(2, 25, 2), 3: range(3, 37, 3), 4: range(4, 25, 4), 5: (5, 10, 15), 6: (12,)}
+exact_unique = exact._unique_rows  # the unpatched one, for spies
+
+
+class TestRowRecursion:
+    @pytest.mark.parametrize("kappa", sorted(TABLE_SIZES))
+    def test_balanced_sums_match_table_enumeration(self, kappa):
+        for n in TABLE_SIZES[kappa]:
+            tables = exact.admissible_array(n, kappa)
+            lp = exact.log_overlap_law(tables, n, kappa)
+            gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
+            frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
+            assert exact._row_recursion(kappa, n, n // kappa) == len(tables)
+            for beta in (0.0, 0.5, 2.5):
+                for got, want in ((exact._log_second_moment_ratio(n, beta, kappa),
+                                   exact.logsumexp(lp + beta ** 2 * n * gap)),
+                                  (exact._log_uncentered_ratio(n, beta, kappa, "balanced", exact.DEFAULT_CAP),
+                                   exact.logsumexp(lp + beta ** 2 * frob))):
+                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (n, beta, got, want)
+
+    def test_any_row_values_pinned(self):
+        # the 'all' sector's log E Z^2 and ratios, as v0.1.14 gave them: the same floats
+        pinned = {(2, 40, 1.0): (89.04283662599725, 404201.7182271505),
+                  (3, 24, 0.5): (55.81243983905796, 2.472821849377266),
+                  (4, 12, 3.0): (218.77258872352422, 7.862652193614798e+46),
+                  (5, 10, 1.0): (36.5651471935434, 4.452194731425811),
+                  (6, 8, 50.0): (40003.58351893845, math.inf),
+                  (31, 3, 1.0): (22.685810272849228, 2.7337692097639783)}
+        for (kappa, n, beta), values in pinned.items():
+            assert (exact._log_ez2_raw_all(n, beta, kappa), exact.uncentered_ratio(n, beta, kappa)) == values
+
+    @pytest.mark.parametrize("kappa,n", [(2, 8), (3, 9), (4, 8), (5, 10), (6, 12)])
+    def test_balanced_pairs_and_targets(self, kappa, n):
+        # the cap counts each dense column sum on a plane below the last against each row of sum m; the
+        # recursion tests the rows once per sorted target on a plane above the first
+        m = n // kappa
+        dense = [s for s in itertools.product(range(m + 1), repeat=kappa) if sum(s) % m == 0]
+        rows = sum(sum(s) == m for s in dense)
+        pairs = exact._row_pairs(n, kappa, "balanced", math.inf)
+        assert pairs == sum(sum(s) < n for s in dense) * rows
+        seen = []
+        with mock.patch.object(exact, "_unique_rows", lambda *a: seen.append(exact_unique(*a)) or seen[-1]):
+            exact._log_second_moment_ratio(n, 1.0, kappa)
+        reps, orbit = seen[-1]
+        assert sorted(map(tuple, reps.tolist())) == sorted({tuple(sorted(s)) for s in dense})
+        assert np.bincount(orbit).sum() == len(dense)
+        assert (len(reps) - 1) * rows <= pairs
+
+    @pytest.mark.parametrize("kappa,n", [(3, 24), (4, 12), (5, 10)])
+    def test_balanced_chunks_equal_one_chunk(self, kappa, n):
+        betas = (0.0, 0.5, 2.5)
+
+        def run():
+            return [exact._log_second_moment_ratio(n, beta, kappa) for beta in betas] + [exact._row_recursion(kappa, n, n // kappa)]
+
+        whole = run()
+        with mock.patch.object(exact, "_PAIR_CHUNK", 7):
+            chunked = run()
+        assert chunked == whole  # bitwise
+
+    def test_balanced_keys_fit_in_int64(self, monkeypatch):
+        monkeypatch.setattr(exact, "_row_recursion", lambda *args: pytest.fail("recursion ran past int64 keys"))
+        for run in (lambda: exact.second_moment_ratio(64, 1.0, 64),
+                    lambda: exact.uncentered_ratio(64, 1.0, 64, "balanced")):
+            with pytest.raises(core.EnumerationCapError, match=r"2\^64 values, past int64"):
+                run()
 
 
 class TestAnnealedIdentity:

@@ -65,3 +65,26 @@ def test_threshold_table(monkeypatch, capsys, tmp_path):
     assert lines[0] == f"wrote {out}"
     assert [line.split(",")[0] for line in out.read_text().splitlines()[-2:]] == ["3", "4"]
     assert lines[1].startswith("zero-temperature breaking first certified at kappa = ")
+
+
+def test_second_moment_threshold(monkeypatch, capsys):
+    # --seconds 0 stops each kappa at its fourth size; kappa = 4 has one branch, kappa = 3 two
+    from pottsglass import exact, rate
+
+    lines = run_script("second_moment_threshold.py", ["--kappas", "3,4", "--fractions", "1.1", "--seconds", "0"],
+                       monkeypatch, capsys)
+    for kappa in (3, 4):
+        start = 2 + lines.index(next(line for line in lines if line.startswith(f"kappa={kappa}:")))
+        th = rate.high_temperature_threshold(kappa)
+        betas = [1.1 * th.second_moment_branch] + [1.1 * th.ferro_branch] * (kappa == 3)
+        rows = [line.split() for line in lines[start:start + 4]]
+        assert [int(row[0]) for row in rows] == [2 * kappa, 3 * kappa, 4 * kappa, 5 * kappa]
+        for row in rows:
+            want = [exact._log_second_moment_ratio(int(row[0]), beta, kappa) for beta in betas]
+            assert [float(v) for v in row[2:]] == pytest.approx(want, rel=1e-5)
+    assert lines[-6:] == ["kappa=3 second-moment: b > 0 first at 1.1 x the branch",
+                          "kappa=3 second-moment: b > 0.01 first at 1.1 x the branch",
+                          "kappa=3 ferro: b > 0 first at 1.1 x the branch",
+                          "kappa=3 ferro: b > 0.01 first at 1.1 x the branch",
+                          "kappa=4 both: b > 0 first at 1.1 x the branch",
+                          "kappa=4 both: b > 0.01 first at 1.1 x the branch"]
