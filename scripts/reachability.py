@@ -57,9 +57,8 @@ KEEP = {
     "montecarlo.load_chain": _CHECKPOINT,
     "montecarlo.load_ladder": _CHECKPOINT,
     "montecarlo.run_sweeps": _CRITERION,
+    "montecarlo.run_sweeps.<locals>.<lambda>#1": "the default record (the energies) of run_sweeps, a criterion import",
     "montecarlo.save_checkpoint": _CHECKPOINT,
-    "montecarlo.sweep": _CRITERION,
-    "montecarlo.tempering_step": _CRITERION,
     "rate.PolytopePoint.__post_init__": "validates the point that random_polytope_point, a criterion import, returns",
     "rate._as_matrix": "kl_to_uniform, a criterion import, reads its point through it",
     "rate.kl_to_uniform": _CRITERION,

@@ -5,18 +5,20 @@ dynamics target the balanced sector while conserving the magnetization
 exactly; parallel tempering couples chains across an inverse-temperature
 ladder.  Estimators (magnetization tails, thermodynamic integration over a
 tempering ladder) ride on top of these kernels, through one runner
-(:func:`_run_stack`).
+(:func:`_run_stack`), which also drives a lone chain or ladder
+(:func:`run_sweeps`).
 
 Zero temperature is never sampled here: beta = inf claims route to the
 exact ground-state measure in :mod:`pottsglass.exact`, since no
 equilibration guarantee exists at beta = inf.
 
 Reproducibility: chain ``c`` of root seed ``s`` draws from the Philox stream
-``CHAIN_NAMESPACE | c`` of ``s`` the same 3n uniforms per sweep (one sweep's
-``random((3, n))`` in :func:`sweep`, a block's ``random((b, 3, n))`` in
-:func:`_run_stack`) through one proposal map (:func:`_proposal_tables`), so
+``CHAIN_NAMESPACE | c`` of ``s`` the same 3n uniforms per sweep (a block of
+``b`` sweeps draws ``random((b, 3, n))``, the values of ``b`` draws
+``random((3, n))``) through one proposal map (:func:`_proposal_tables`), so
 trajectories are bit-for-bit reproducible and independent of the worker count,
-of the stack a chain sweeps in and of the kernel form, row by row or lockstep.
+of the stack a chain sweeps in, of the block sizes and of the kernel form, row
+by row or lockstep.
 Its energy is computed from scratch by :func:`pottsglass.core.hamiltonian_raw`
 at its start and every ``AUDIT_INTERVAL`` sweeps, which guards the cached
 running sum against drift; so a configuration and its color images get
@@ -60,8 +62,6 @@ __all__ = [
     "ChainState",
     "TemperingLadder",
     "TiResult",
-    "sweep",
-    "tempering_step",
     "run_sweeps",
     "estimate_tail",
     "free_energy_ti",
@@ -183,10 +183,10 @@ def _proposal_tables(draws: np.ndarray, choices: int, scales) -> tuple[np.ndarra
     """The proposal map: entry ``[k, j, r]`` of the three tables is proposal ``j`` of chain ``r`` in sweep ``k``, its
     site, its proposal (a new color for Metropolis, a partner rank for a swap; ``choices`` of them) and its threshold.
 
-    ``draws[k, :, :, r]`` is chain ``r``'s ``random((3, n))`` for sweep ``k`` (a block's ``random((b, 3, n))``
-    holds the same values); proposal ``j`` reads column ``j`` as ``(u0, u1, u)``: site ``int(u0 * n)``, proposal
-    ``int(u1 * choices)`` and threshold ``log(u) * scales[r]`` (:func:`_log_uniforms`), in numpy, which at
-    n = 256 costs less than a Python ``int(u * n)`` per proposal.
+    ``draws[k, :, :, r]`` is chain ``r``'s draw for sweep ``k``, slice ``k`` of its block's ``random((b, 3, n))``
+    (the values of ``b`` draws ``random((3, n))``); proposal ``j`` reads column ``j`` as ``(u0, u1, u)``: site
+    ``int(u0 * n)``, proposal ``int(u1 * choices)`` and threshold ``log(u) * scales[r]`` (:func:`_log_uniforms`),
+    in numpy, which at n = 256 costs less than a Python ``int(u * n)`` per proposal.
     """
     sites, props = (draws[:, :2] * np.array([draws.shape[2], choices])[:, None, None]).astype(np.int64).swapaxes(0, 1)
     limits = _log_uniforms(draws[:, 2])
@@ -262,9 +262,9 @@ def _lockstep(rows: int, n: int, sector: str) -> bool:
 
 def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
                burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
-    """The one chain runner: ``burn_in + sweeps`` sweeps of a stack's chains, each followed by every ladder's
-    swaps (:func:`_stack_swaps`); returns ``observe(colors, energies)`` of the stack (0-based colors, a row per
-    chain) after every ``thinning``-th measured sweep, as columns.
+    """The one chain runner, of the estimators and of :func:`run_sweeps`: ``burn_in + sweeps`` sweeps of a stack's
+    chains, each followed by every ladder's swaps (:func:`_stack_swaps`); returns ``observe(colors, energies)`` of
+    the stack (0-based colors, a row per chain) after every ``thinning``-th measured sweep, as columns.
 
     ``chains``: ``len(chains) // len(gs)`` per coupling of ``gs`` (a chain, or a ladder's rungs), in
     coupling order, at one sweep count; their colors and energies live in arrays for the run.  A block of
@@ -416,25 +416,6 @@ def _swap_moves(colors, energy, step, s, offsets, kappa):
     return _settle(colors, energy, steps, moves)
 
 
-def sweep(state: ChainState, g: CouplingMatrix) -> ChainState:
-    """n proposals of one chain, from one ``random((3, n))`` draw (:func:`_proposal_tables`): recolorings
-    (:func:`_metropolis_row`) in the 'all' sector, pair swaps (:func:`_swap_row`) in the balanced one.
-    :func:`_run_stack` makes this sweep for a stack of chains, with the same bytes."""
-    n, kappa, swap = state.colors.size, state.kappa, state.sector == "balanced"
-    draws = state.rng.random((3, n))[None, ..., None]
-    sites, props, limits = _proposal_tables(draws, n - n // kappa if swap else kappa,
-                                            math.sqrt(n) / state.beta if state.beta else math.inf)
-    energy = (_swap_row if swap else _metropolis_row)(state.colors, state.energy, g.sym, sites.ravel().tolist(),
-                                                      props.ravel().tolist(), limits.ravel().tolist(), kappa)
-    return state._end_sweep(g, energy)
-
-
-def run_sweeps(state: ChainState, g: CouplingMatrix, count: int) -> ChainState:
-    for _ in range(count):
-        sweep(state, g)
-    return state
-
-
 @dataclass
 class TemperingLadder:
     """Parallel-tempering stack: one chain per rung, shared disorder."""
@@ -447,8 +428,8 @@ class TemperingLadder:
     ladder_id: int | None = None
 
     def __post_init__(self):
-        if not self.rungs:
-            raise ValueError("ladder needs at least one rung")
+        if len(self.rungs) < 2:  # a lone rung has no pair to swap with
+            raise ValueError(f"a tempering ladder needs at least 2 rungs, got {len(self.rungs)}")
         betas = [r.beta for r in self.rungs]
         if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
             raise ValueError("rung betas must be nondecreasing")
@@ -459,8 +440,10 @@ class TemperingLadder:
         if not all(map(np.array_equal, (tried, taken), given)) or (taken < 0).any() or (taken > tried).any():
             raise ValueError(f"swap counters must be integers, 0 <= accepts <= attempts: {[c.tolist() for c in given]}")
         first = self.rungs[0]
-        if any((r.kappa, r.sector, r.n) != (first.kappa, first.sector, first.n) for r in self.rungs):
-            raise ValueError("ladder rungs must share kappa, sector and n")
+        # one sweep count too: a run's draw blocks end at the first rung's audits (_run_stack)
+        if any((r.kappa, r.sector, r.n, r.sweeps) != (first.kappa, first.sector, first.n, first.sweeps)
+               for r in self.rungs):
+            raise ValueError("ladder rungs must share kappa, sector, n and sweep count")
 
     @classmethod
     def start(
@@ -484,21 +467,15 @@ class TemperingLadder:
                    seed=seed, ladder_id=ladder_id)
 
 
-def tempering_step(ladder: TemperingLadder, g: CouplingMatrix) -> TemperingLadder:
-    """One :func:`sweep` per rung, then the adjacent swaps (:func:`_stack_swaps`) against one ``random(rungs - 1)``
-    draw.  :func:`_run_stack` makes it for a stack of ladders, with the same bytes."""
-    rungs = ladder.rungs
-    if len(rungs) < 2:
-        raise ValueError("tempering needs at least 2 rungs")
-    for rung in rungs:
-        sweep(rung, g)
-    energy, colors = [r.energy for r in rungs], [r.colors for r in rungs]
-    order = _stack_swaps(energy, range(len(rungs) - 1), [lo.beta - hi.beta for lo, hi in zip(rungs, rungs[1:])],
-                         _log_uniforms(ladder.rng.random(len(rungs) - 1)).tolist(), ladder.swap_accepts)
-    for rung, k, e in zip(rungs, order, energy):
-        rung.colors, rung.energy = colors[k], e
-    ladder.swap_attempts += 1
-    return ladder
+def run_sweeps(state: ChainState | TemperingLadder, g: CouplingMatrix, count: int,
+               observe=lambda colors, energy: energy) -> np.ndarray:
+    """``count`` sweeps of a chain, or of a ladder's rungs each followed by its swaps, on its coupling ``g``, in one
+    :func:`_run_stack` call; returns ``observe(colors, energies)`` after every sweep, a row per chain or rung
+    (0-based colors) and a column per sweep, by default the energies; ``state`` ends at the last sweep."""
+    if count < 1:
+        raise ValueError(f"need sweeps >= 1, got {count}")
+    chains, tempers = (state.rungs, [state]) if isinstance(state, TemperingLadder) else ([state], [])
+    return _run_stack(chains, tempers, [g], chains[0].kappa, 0, count, 1, observe)
 
 
 def _stack_swaps(energy: list[float], lows, dbetas, logs, accepts) -> list[int]:
@@ -552,7 +529,7 @@ def estimate_tail(
     if replicas < 1 or sweeps < 1 or thinning < 1 or burn_in < 0:
         raise ValueError(f"need replicas >= 1, sweeps >= 1, thinning >= 1 and burn_in >= 0, "
                          f"got {replicas}, {sweeps}, {thinning}, {burn_in}")
-    if len(ladder) == 1:  # the runner never reaches tempering_step's own check
+    if len(ladder) == 1:  # TemperingLadder refuses it too, but only once the couplings are drawn
         raise ValueError(f"a tempering ladder needs at least 2 rungs, got {tuple(ladder)}")
     if ladder and (math.isinf(beta) or ladder[-1] != beta):  # beta = inf is exact: no chains to temper
         raise ValueError(f"the ladder must end at a finite target beta: ladder top {ladder[-1]}, beta {beta}")

@@ -18,6 +18,7 @@ import pytest
 from pottsglass import core, exact, montecarlo as mc, rate
 
 from conftest import batch_energies_raw, config_array, independent_grid_oracle, match_matrix_flat
+from test_montecarlo import configurations, single_proposal_kernel, visit_counts
 
 
 @contextmanager
@@ -336,14 +337,10 @@ def exact_state_probs(g, kappa, beta, sector):
     return colors, energies, w / w.sum()
 
 
-def histogram_matches(chain, g, colors, probs, n_batches, per_batch):
-    index = {tuple(row): i for i, row in enumerate(colors)}
-    fracs = np.zeros((n_batches, len(colors)))
-    for b in range(n_batches):
-        for _ in range(per_batch):
-            mc.sweep(chain, g)
-            fracs[b, index[tuple(chain.colors)]] += 1
-    fracs /= per_batch
+def histogram_matches(visited, colors, probs, n_batches, per_batch):
+    """Whether a chain's ``configurations`` records, ``n_batches`` batches of ``per_batch`` sweeps, visit each row of
+    ``colors`` (a sector) with its probability ``probs``, to 3 batch-mean stderrs."""
+    fracs = visit_counts(visited, colors, n_batches) / per_batch
     emp = fracs.mean(axis=0)
     se = fracs.std(axis=0, ddof=1) / math.sqrt(n_batches)
     return np.all(np.abs(emp - probs) <= 3 * se + 2e-4)
@@ -356,33 +353,25 @@ def test_criterion_8_mc_validity():
         colors, _, probs = exact_state_probs(g, 2, 0.8, "all")
         chain = mc.ChainState.start(g, 2, 0.8, "all", seed=80)
         mc.run_sweeps(chain, g, 1000)
-        assert histogram_matches(chain, g, colors, probs, 60, 1500)
+        visited = mc.run_sweeps(chain, g, 60 * 1500, configurations)[0]
+        assert histogram_matches(visited, colors, probs, 60, 1500)
 
         colors_b, _, probs_b = exact_state_probs(g, 3, 1.0, "balanced")
         chain_b = mc.ChainState.start(g, 3, 1.0, "balanced", seed=81)
         mc.run_sweeps(chain_b, g, 1000)
-        assert histogram_matches(chain_b, g, colors_b, probs_b, 60, 1500)
+        visited = mc.run_sweeps(chain_b, g, 60 * 1500, configurations)[0]
+        assert histogram_matches(visited, colors_b, probs_b, 60, 1500)
 
         # tempering rung stationarity at n = 5
         g5 = core.CouplingMatrix.from_seed(5, 89)
         ladder = mc.TemperingLadder.start(g5, 2, [0.5, 1.2], "all", seed=82)
-        for _ in range(1000):
-            mc.tempering_step(ladder, g5)
+        mc.run_sweeps(ladder, g5, 1000)
         cold_colors, _, cold_probs = exact_state_probs(g5, 2, 1.2, "all")
-        index = {tuple(row): i for i, row in enumerate(cold_colors)}
         n_batches, per_batch = 40, 1200
-        fracs = np.zeros((n_batches, len(cold_colors)))
-        for b in range(n_batches):
-            for _ in range(per_batch):
-                mc.tempering_step(ladder, g5)
-                fracs[b, index[tuple(ladder.rungs[1].colors)]] += 1
-        fracs /= per_batch
-        emp, se = fracs.mean(axis=0), fracs.std(axis=0, ddof=1) / math.sqrt(n_batches)
-        assert np.all(np.abs(emp - cold_probs) <= 3 * se + 2e-4)
+        cold = mc.run_sweeps(ladder, g5, n_batches * per_batch, configurations)[1]
+        assert histogram_matches(cold, cold_colors, cold_probs, n_batches, per_batch)
 
         # detailed balance of the single-proposal kernel at n <= 4
-        from test_montecarlo import single_proposal_kernel
-
         for kappa, n, beta, sector in ((2, 4, 1.2, "all"), (3, 3, 0.8, "all"), (2, 4, 1.0, "balanced")):
             gk = core.CouplingMatrix.from_seed(n, 90 + n)
             _, energies, P = single_proposal_kernel(gk, kappa, beta, sector)

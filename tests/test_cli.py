@@ -510,8 +510,7 @@ def test_tail_bound_prints_ladder_swap_rates(tmp_path, capsys):
     for r in range(replicas):
         g = core.CouplingMatrix.from_seed(n, seed, r)
         ladder = mc.TemperingLadder.start(g, 2, betas, "all", seed, ladder_id=r)
-        for _ in range(burn_in + sweeps):
-            mc.tempering_step(ladder, g)
+        mc.run_sweeps(ladder, g, burn_in + sweeps)
         attempts, accepts = attempts + ladder.swap_attempts, accepts + ladder.swap_accepts
     assert rates == pytest.approx(accepts / attempts, abs=5e-5)
     assert attempts.tolist() == [replicas * (burn_in + sweeps)] * 2

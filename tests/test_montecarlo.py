@@ -159,14 +159,52 @@ def _edge_generator(seed, stream):
     return _EdgeDraws(core.philox_generator(seed, stream))
 
 
+class _CountedDraws:
+    """Stands in for a chain's generator and counts its draws: ``_run_stack`` makes one per draw block."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def random(self, size):
+        self.calls += 1
+        return self.rng.random(size)
+
+
 def energies(colors, energy):
     """The record of a stack run that tests only its chains: every chain's energy."""
     return energy
 
 
+def trajectory(colors, energy):
+    """The record of a run that follows its chains: each chain's colors as it holds them (1-based), then its energy,
+    one float row."""
+    return np.hstack((colors + 1, energy[:, None]))
+
+
+def configurations(colors, energy):
+    """The record of a run that counts where its chains go: each chain's colors (0-based)."""
+    return colors.copy()
+
+
+def visit_counts(records, colors, batches=1):
+    """A row per run of ``batches`` equal runs of one chain's ``configurations`` records: how many of its sweeps
+    end in each row of ``colors`` (1-based, a sector as ``config_array`` lists it)."""
+    index = {tuple(row): i for i, row in enumerate(colors.tolist())}
+    visits = np.array([index[tuple(row)] for row in (records + 1).tolist()])
+    return np.stack([np.bincount(run, minlength=len(colors)) for run in np.split(visits, batches)])
+
+
 def force_lockstep(monkeypatch, on):
     """Make every ``_run_stack`` stack sweep in lockstep (``on``) or row by row, whatever its size."""
     monkeypatch.setattr(mc, "_lockstep", lambda *stack: on)
+
+
+def step_alone(state, g):
+    """One ``run_sweeps`` sweep of a chain or ladder, row by row whatever ``force_lockstep`` set: the side that a
+    stack, in lockstep or not, is compared with."""
+    with pytest.MonkeyPatch.context() as patch:
+        force_lockstep(patch, False)
+        mc.run_sweeps(state, g, 1)
 
 
 def swap_partner(colors, kappa, i, rank):
@@ -180,8 +218,10 @@ def swap_partner(colors, kappa, i, rank):
 
 
 def assert_same_chain(new, ref):
-    assert np.array_equal(new.colors, ref.colors)
-    assert abs(new.energy - ref.energy) <= 1e-9 * max(1.0, abs(ref.energy))
+    """``new``: a chain, or its row of a ``trajectory`` record."""
+    colors, energy = (new.colors, new.energy) if isinstance(new, mc.ChainState) else (new[:-1], new[-1])
+    assert np.array_equal(colors, ref.colors)
+    assert abs(energy - ref.energy) <= 1e-9 * max(1.0, abs(ref.energy))
 
 
 class TestKernelsMatchReference:
@@ -191,29 +231,50 @@ class TestKernelsMatchReference:
     def test_metropolis(self, n, kappa, sweeps):
         g = core.CouplingMatrix.from_seed(n, 31)
         new, ref = (mc.ChainState.start(g, kappa, 1.3, "all", seed=8) for _ in range(2))
-        for _ in range(sweeps):
-            mc.sweep(new, g)
+        for record in mc.run_sweeps(new, g, sweeps, trajectory)[0]:
             reference_metropolis_sweep(ref, g)
-            assert_same_chain(new, ref)
+            assert_same_chain(record, ref)
+        assert_same_chain(new, ref)
 
     @pytest.mark.parametrize("n, kappa, sweeps", [(6, 3, 400), (12, 3, 400), (30, 2, 250)])
     def test_swap(self, n, kappa, sweeps):
         g = core.CouplingMatrix.from_seed(n, 32)
         new, ref = (mc.ChainState.start(g, kappa, 1.3, "balanced", seed=9) for _ in range(2))
-        for _ in range(sweeps):
-            mc.sweep(new, g)
+        for record in mc.run_sweeps(new, g, sweeps, trajectory)[0]:
             reference_swap_sweep(ref, g)
-            assert_same_chain(new, ref)
+            assert_same_chain(record, ref)
+        assert_same_chain(new, ref)
 
     def test_tempering(self):
         g = core.CouplingMatrix.from_seed(8, 33)
         new, ref = (mc.TemperingLadder.start(g, 2, [0.0, 1.0, 2.0, 4.0], "all", seed=10)
                     for _ in range(2))
-        for _ in range(300):
-            mc.tempering_step(new, g)
+        for records in mc.run_sweeps(new, g, 300, trajectory).swapaxes(0, 1):
             reference_tempering_step(ref, g)
-            for a, b in zip(new.rungs, ref.rungs):
+            for a, b in zip(records, ref.rungs):
                 assert_same_chain(a, b)
+        for a, b in zip(new.rungs, ref.rungs):
+            assert_same_chain(a, b)
+
+    @pytest.mark.parametrize("kind, n, kappa", [("all", 96, 3), ("balanced", 96, 3), ("ladder", 32, 2)])
+    def test_one_run_across_audits_and_draw_blocks(self, kind, n, kappa):
+        # one run_sweeps call of 250 sweeps, its records against the reference after every sweep: it crosses the
+        # audits at sweeps 100 and 200 in five draw blocks of 85, 15, 85, 15 and 50 sweeps (85 sweeps of 96
+        # proposals, one chain at n = 96 or three rungs at n = 32, fill _BLOCK_PROPOSALS)
+        g = core.CouplingMatrix.from_seed(n, 42)
+        if kind == "ladder":
+            new, ref = (mc.TemperingLadder.start(g, kappa, [0.0, 1.0, 2.5], "all", seed=24) for _ in range(2))
+            step, chains, refs = reference_tempering_step, new.rungs, ref.rungs
+        else:
+            new, ref = (mc.ChainState.start(g, kappa, 1.3, kind, seed=24) for _ in range(2))
+            step, chains, refs = reference_metropolis_sweep if kind == "all" else reference_swap_sweep, [new], [ref]
+        for chain in chains:
+            chain.rng = _CountedDraws(chain.rng)
+        for records in mc.run_sweeps(new, g, 250, trajectory).swapaxes(0, 1):
+            step(ref, g)
+            for a, b in zip(records, refs):
+                assert_same_chain(a, b)
+        assert [(c.rng.calls, c.sweeps) for c in chains] == [(5, 250)] * len(chains)
 
     @pytest.mark.parametrize("n, kappa", [(5, 3), (8, 2), (64, 3)])
     def test_lockstep(self, n, kappa, monkeypatch):
@@ -227,7 +288,7 @@ class TestKernelsMatchReference:
             for _ in range(250):
                 mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
                 for chain, g in zip(alone, gs):
-                    mc.sweep(chain, g)
+                    step_alone(chain, g)
                 for a, b in zip(stacked, alone):
                     assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
 
@@ -247,7 +308,7 @@ class TestKernelsMatchReference:
             for _ in range(250):
                 mc._run_stack(chains, stacked, gs, 2, 0, 1, 1, energies)
                 for ladder, g in zip(alone, gs):
-                    mc.tempering_step(ladder, g)
+                    step_alone(ladder, g)
             for a, b in zip(stacked, alone):
                 assert np.array_equal(a.swap_attempts, b.swap_attempts)
                 assert np.array_equal(a.swap_accepts, b.swap_accepts)
@@ -268,7 +329,7 @@ class TestKernelsMatchReference:
             for _ in range(250):
                 mc._run_stack(chains, stacked, gs, kappa, 0, 1, 1, energies)
                 for ladder, g in zip(alone, gs):
-                    mc.tempering_step(ladder, g)
+                    step_alone(ladder, g)
                 for a, b in zip(chains, (rung for ladder in alone for rung in ladder.rungs)):
                     assert np.array_equal(a.colors, b.colors) and a.energy == b.energy and a.sweeps == b.sweeps
             for a, b in zip(stacked, alone):
@@ -280,7 +341,7 @@ class TestKernelsMatchReference:
 
     @staticmethod
     def run_ladders(n, kappa, betas, replicas, burn_in, sweeps, thinning, seed, sector="all"):
-        """A stack of ``replicas`` ladders run by ``_run_stack``, and the same ladders stepped alone."""
+        """A stack of ``replicas`` ladders run by ``_run_stack``, and the same ladders stepped alone, a sweep a call."""
         gs = [core.CouplingMatrix.from_seed(n, 39, r) for r in range(replicas)]
         stacked, alone = ([mc.TemperingLadder.start(g, kappa, betas, sector, seed=seed, ladder_id=r)
                            for r, g in enumerate(gs)] for _ in range(2))
@@ -292,7 +353,7 @@ class TestKernelsMatchReference:
                                 burn_in, sweeps, thinning, top_deviations)
         for ladder, g in zip(alone, gs):
             for _ in range(burn_in + sweeps):
-                mc.tempering_step(ladder, g)
+                step_alone(ladder, g)
         return records, stacked, alone
 
     @staticmethod
@@ -424,7 +485,7 @@ class TestTopEdgeOfDrawMap:
         chain.rng = _TopEdgeGenerator()
         expected = chain.colors.copy()
         expected[n - 1] = kappa  # beta = 0 accepts every proposal
-        mc.sweep(chain, g)
+        mc.run_sweeps(chain, g, 1)
         assert np.array_equal(chain.colors, expected)
 
     @pytest.mark.parametrize("n, kappa", [(1, 2), (5, 3), (8, 2), (257, 4)])
@@ -452,7 +513,7 @@ class TestTopEdgeOfDrawMap:
         last = own[kappa - 1][-1] if colors[n - 1] != kappa else own[kappa - 2][-1]
         assert swap_partner(colors, kappa, n - 1, n - n // kappa - 1) == last
         # every proposal pairs site n - 1 with the last rank, and beta = 0 accepts it
-        mc.sweep(new, g)
+        mc.run_sweeps(new, g, 1)
         reference_swap_sweep(ref, g)
         assert_same_chain(new, ref)
 
@@ -467,7 +528,7 @@ class TestTopEdgeOfDrawMap:
                 chain.rng = _TopEdgeGenerator()
             mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
             for a, b, g in zip(stacked, alone, gs):
-                mc.sweep(b, g)
+                step_alone(b, g)
                 assert np.array_equal(a.colors, b.colors) and a.energy == b.energy
 
 
@@ -475,10 +536,8 @@ class TestMetropolis:
     def test_infinite_temperature_site_marginals_uniform(self):
         g = core.CouplingMatrix.from_seed(5, 1)
         chain = mc.ChainState.start(g, 3, 0.0, "all", seed=7)
-        counts = np.zeros((5, 3), dtype=np.int64)
-        for _ in range(10000):
-            mc.sweep(chain, g)
-            counts[np.arange(5), chain.colors - 1] += 1
+        # sweeps that end with each site at each color
+        counts = (mc.run_sweeps(chain, g, 10000, configurations)[0][:, :, None] == np.arange(3)).sum(axis=0)
         for site in range(5):
             assert chisquare(counts[site]).pvalue > 0.001
 
@@ -496,16 +555,11 @@ class TestMetropolis:
         g = core.CouplingMatrix.from_seed(4, 12)
         kappa, beta = 2, 0.9
         colors, probs = exact_gibbs_weights(g, kappa, beta, "all")
-        index = {tuple(row): i for i, row in enumerate(colors)}
         chain = mc.ChainState.start(g, kappa, beta, "all", seed=4)
         mc.run_sweeps(chain, g, 500)
         n_batches, per_batch = 50, 800
-        batch_fracs = np.zeros((n_batches, len(colors)))
-        for b in range(n_batches):
-            for _ in range(per_batch):
-                mc.sweep(chain, g)
-                batch_fracs[b, index[tuple(chain.colors)]] += 1
-        batch_fracs /= per_batch
+        visited = mc.run_sweeps(chain, g, n_batches * per_batch, configurations)[0]
+        batch_fracs = visit_counts(visited, colors, n_batches) / per_batch
         emp = batch_fracs.mean(axis=0)
         se = batch_fracs.std(axis=0, ddof=1) / math.sqrt(n_batches)
         # batch means absorb the sweep-to-sweep autocorrelation
@@ -517,28 +571,22 @@ class TestSwap:
         g = core.CouplingMatrix.from_seed(6, 5)
         chain = mc.ChainState.start(g, 3, 1.5, "balanced", seed=2)
         target = np.bincount(chain.colors - 1, minlength=3).copy()
-        for _ in range(2000):
-            mc.sweep(chain, g)
-            assert np.array_equal(np.bincount(chain.colors - 1, minlength=3), target)
+        for colors in mc.run_sweeps(chain, g, 2000, configurations)[0]:
+            assert np.array_equal(np.bincount(colors, minlength=3), target)
 
     def test_conserves_magnetization_over_a_million_moves(self):
         g = core.CouplingMatrix.from_seed(20, 55)
         chain = mc.ChainState.start(g, 2, 0.8, "balanced", seed=56)
         target = np.bincount(chain.colors - 1, minlength=2).copy()
         for block in range(100):
-            for _ in range(500):  # 100 * 500 sweeps * 20 proposals = 1e6 moves
-                mc.sweep(chain, g)
+            mc.run_sweeps(chain, g, 500)  # 100 * 500 sweeps * 20 proposals = 1e6 moves
             assert np.array_equal(np.bincount(chain.colors - 1, minlength=2), target)
 
     def test_uniform_over_balanced_at_infinite_temperature(self):
         g = core.CouplingMatrix.from_seed(4, 9)
         chain = mc.ChainState.start(g, 2, 0.0, "balanced", seed=3)
         colors = config_array(4, 2, "balanced")
-        index = {tuple(row): i for i, row in enumerate(colors)}
-        visits = np.zeros(6)
-        for _ in range(30000):
-            mc.sweep(chain, g)
-            visits[index[tuple(chain.colors)]] += 1
+        (visits,) = visit_counts(mc.run_sweeps(chain, g, 30000, configurations)[0], colors)
         assert chisquare(visits).pvalue > 0.001
 
     def test_detailed_balance_matrix(self):
@@ -562,25 +610,18 @@ class TestTempering:
     def test_equal_betas_always_swap(self):
         g = core.CouplingMatrix.from_seed(4, 2)
         ladder = mc.TemperingLadder.start(g, 2, [0.7, 0.7], "all", seed=5)
-        for _ in range(50):
-            mc.tempering_step(ladder, g)
+        mc.run_sweeps(ladder, g, 50)
         assert ladder.swap_accepts[0] == ladder.swap_attempts[0] == 50
 
     def test_rung_marginals_match_exact(self):
         g = core.CouplingMatrix.from_seed(4, 15)
         betas = [0.4, 1.0]
         ladder = mc.TemperingLadder.start(g, 2, betas, "all", seed=6)
-        for _ in range(500):
-            mc.tempering_step(ladder, g)
+        mc.run_sweeps(ladder, g, 500)
         colors, probs_hot = exact_gibbs_weights(g, 2, betas[0], "all")
         _, probs_cold = exact_gibbs_weights(g, 2, betas[1], "all")
-        index = {tuple(row): i for i, row in enumerate(colors)}
-        visits = np.zeros((2, len(colors)))
         sweeps = 30000
-        for _ in range(sweeps):
-            mc.tempering_step(ladder, g)
-            for r in range(2):
-                visits[r, index[tuple(ladder.rungs[r].colors)]] += 1
+        visits = np.vstack([visit_counts(rung, colors) for rung in mc.run_sweeps(ladder, g, sweeps, configurations)])
         assert chisquare(visits[0], probs_hot * sweeps).pvalue > 0.001
         assert chisquare(visits[1], probs_cold * sweeps).pvalue > 0.001
 
@@ -591,11 +632,18 @@ class TestTempering:
         with pytest.raises(ValueError, match="at most 256 rungs"):
             mc.TemperingLadder.start(g, 2, [1.0] * 257, "all", seed=1)
 
-    def test_needs_two_rungs(self):
+    def test_needs_two_rungs(self, tmp_path):
+        # a 1-rung ladder used to start, save and load, and was refused only at its first step
         g = core.CouplingMatrix.from_seed(4, 2)
-        ladder = mc.TemperingLadder.start(g, 2, [0.5], "all", seed=1)
-        with pytest.raises(ValueError):
-            mc.tempering_step(ladder, g)
+        for betas in ([0.5], []):
+            with pytest.raises(ValueError, match="at least 2 rungs"):
+                mc.TemperingLadder.start(g, 2, betas, "all", seed=1)
+        payload = json.loads(PINNED_CHECKPOINTS["ladder"])
+        payload.update(rungs=payload["rungs"][:1], swap_attempts=[], swap_accepts=[])
+        path = tmp_path / "one-rung.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="at least 2 rungs"):
+            mc.load_ladder(str(path))
 
 
 class TestEstimators:
@@ -755,8 +803,7 @@ class TestChainInternals:
         chain = mc.ChainState.start(g, 2, 0.5, "all", seed=1)
         chain.energy += 1.0  # simulate drift
         with pytest.raises(RuntimeError, match="drifted"):
-            for _ in range(mc.AUDIT_INTERVAL):
-                mc.sweep(chain, g)
+            mc.run_sweeps(chain, g, mc.AUDIT_INTERVAL)
         assert chain.sweeps == mc.AUDIT_INTERVAL  # caught by the first audit, not before
 
     def test_energy_audit_catches_corruption_in_lockstep(self, monkeypatch):
@@ -785,17 +832,29 @@ class TestChainInternals:
     def test_checkpoint_roundtrip_ladder(self, tmp_path):
         g = core.CouplingMatrix.from_seed(4, 8)
         ladder = mc.TemperingLadder.start(g, 2, [0.3, 0.9], "all", seed=3)
-        for _ in range(11):
-            mc.tempering_step(ladder, g)
+        mc.run_sweeps(ladder, g, 11)
         path = str(tmp_path / "ladder.json")
         mc.save_checkpoint(ladder, path)
         restored = mc.load_ladder(path)
-        mc.tempering_step(ladder, g)
-        mc.tempering_step(restored, g)
+        mc.run_sweeps(ladder, g, 1)
+        mc.run_sweeps(restored, g, 1)
         for a, b in zip(ladder.rungs, restored.rungs):
             assert np.array_equal(a.colors, b.colors)
             assert a.energy == b.energy
         assert np.array_equal(ladder.swap_accepts, restored.swap_accepts)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_run_sweeps_needs_a_sweep(self, count, tmp_path):
+        # a count below 1 used to return silently
+        g = core.CouplingMatrix.from_seed(4, 8)
+        for state in (mc.ChainState.start(g, 2, 0.5, "all", seed=1),
+                      mc.TemperingLadder.start(g, 2, [0.3, 0.9], "all", seed=3)):
+            before, after = tmp_path / "before.json", tmp_path / "after.json"
+            mc.save_checkpoint(state, str(before))
+            with pytest.raises(ValueError, match="sweeps >= 1"):
+                mc.run_sweeps(state, g, count)
+            mc.save_checkpoint(state, str(after))
+            assert after.read_text() == before.read_text()  # refused before any draw
 
     def test_checkpoint_kind_and_version_checked(self, tmp_path):
         g = core.CouplingMatrix.from_seed(4, 8)
@@ -858,7 +917,7 @@ class TestChainInternals:
         pytest.param("chain", {"sweeps": -1}, "sweeps must be a nonnegative integer", id="sweeps-negative"),
         # used to load as [1, 1, 3, 3, 2]: the int64 cast truncated it
         pytest.param("chain", {"colors": [1.5, 1, 3, 3, 2]}, "colors must be integers", id="colors-fraction"),
-        # short counters used to raise IndexError only inside tempering_step
+        # short counters used to raise IndexError only at the ladder's first step
         pytest.param("ladder", {"swap_attempts": [4]}, "needs 2 swap counters", id="attempts-short"),
         pytest.param("ladder", {"swap_accepts": [3, 2, 0]}, "needs 2 swap counters", id="accepts-long"),
         # used to load as [4, 4] and [3, 3]: the int64 cast truncated them
@@ -873,6 +932,8 @@ class TestChainInternals:
                      id="top-rung-balanced"),
         pytest.param("top-rung", {"kappa": 3}, "must share", id="top-rung-kappa-3"),
         pytest.param("top-rung", {"colors": [2, 1, 2]}, "must share", id="top-rung-n-3"),
+        # used to load; a run's draw blocks end at the first rung's audits, so the top one's were skipped
+        pytest.param("top-rung", {"sweeps": 5}, "must share", id="top-rung-sweeps"),
     ])
     def test_malformed_checkpoint_rejected(self, kind, edit, match, tmp_path):
         path = tmp_path / "edited.json"
@@ -940,18 +1001,16 @@ def _pinned_run(name):
     """The state ``PINNED_CHECKPOINTS[name]`` holds, run afresh, and its step."""
     if name == "ladder":
         g = core.CouplingMatrix.from_seed(4, 3)
-        ladder = mc.TemperingLadder.start(g, 2, [0.2, 0.6, 1.0], "all", seed=3, ladder_id=2)
-        for _ in range(4):
-            mc.tempering_step(ladder, g)
-        return ladder, lambda state: mc.tempering_step(state, g)
-    if name == "chain-all":
+        state, sweeps = mc.TemperingLadder.start(g, 2, [0.2, 0.6, 1.0], "all", seed=3, ladder_id=2), 4
+    elif name == "chain-all":
         g = core.CouplingMatrix.from_seed(5, 2)
-        chain, sweeps = mc.ChainState.start(g, 3, 0.7, "all", seed=2, chain_id=1), 7
+        state, sweeps = mc.ChainState.start(g, 3, 0.7, "all", seed=2, chain_id=1), 7
     else:
         g = core.CouplingMatrix.from_seed(6, 4)
         # past the first audit, so the saved energy is a running sum on an audited one
-        chain, sweeps = mc.ChainState.start(g, 3, 1.1, "balanced", seed=4, chain_id=0), mc.AUDIT_INTERVAL + 3
-    return mc.run_sweeps(chain, g, sweeps), lambda state: mc.sweep(state, g)
+        state, sweeps = mc.ChainState.start(g, 3, 1.1, "balanced", seed=4, chain_id=0), mc.AUDIT_INTERVAL + 3
+    mc.run_sweeps(state, g, sweeps)
+    return state, lambda state: mc.run_sweeps(state, g, 1)
 
 
 class TestCheckpointFormat:
