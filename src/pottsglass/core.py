@@ -16,8 +16,9 @@ Conventions used throughout the package:
 
 Randomness: coupling matrices come from the counter-based Philox bit
 generator keyed with ``(seed, stream)``.  Each matrix entry is a 53-bit
-uniform pushed through the inverse normal CDF, so a matrix is reproducible
-bit-for-bit across platforms from ``(n, seed, stream)``.  Streams are
+uniform pushed through the inverse normal CDF (a numpy port of Cephes
+``ndtri``, equal to ``scipy.special.ndtri`` bit for bit), so a matrix is
+reproducible bit-for-bit across platforms from ``(n, seed, stream)``.  Streams are
 namespaced by purpose: disorder replica ``r`` uses stream ``r``, Monte Carlo
 chain ``c`` uses ``CHAIN_NAMESPACE | c``, optimizer restart ``i`` uses
 ``RESTART_NAMESPACE | i``.
@@ -29,13 +30,15 @@ import math
 import os
 import tempfile
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
+# numpy loads these two lazily, on the first np.unique and the first draw; most commands reach both, so they load
+# with the package instead of inside a command
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
 
 __all__ = [
     "CHAIN_NAMESPACE",
@@ -92,24 +95,117 @@ def philox_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _libm_log(x) -> np.ndarray:
+    """``np.log`` of a 1-d array through the C library's scalar ``log``, as Cephes calls it.  numpy's SIMD log
+    (AVX-512) rounds some inputs differently; it takes strides of one sign only (a pair of negative ones is flipped
+    to positive), so a forward contiguous input (``ascontiguousarray`` undoes a reversed view) goes into a reversed
+    output."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty(x.shape)[::-1]
+    np.log(x, out=out)
+    return out
+
+
+def _polevl(x, coef):
+    """Cephes ``polevl``: Horner's rule from ``coef[0] * x + coef[1]``, highest power first."""
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coef):
+    """Cephes ``p1evl``: ``polevl`` with an implied leading coefficient 1, so it starts at ``x + coef[0]``."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+# Cephes ndtri (Moshier 1989, Methods and Programs for Mathematical Functions), the routine behind
+# scipy.special.ndtri: a rational approximation in y - 1/2 for exp(-2) < y <= 1 - exp(-2), and in 1/x with
+# x = sqrt(-2 log y) on the tails, (P1, Q1) for x < 8 and (P2, Q2) beyond
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """The inverse normal CDF of a flat array in (0, 1]: Cephes ``ndtri`` operation for operation (IEEE ``+ - * /``
+    and ``sqrt`` round the same in numpy, ``log`` is libm's), so every value equals ``scipy.special.ndtri``'s bit
+    for bit.  The central branch runs on every entry, with the tails' ``u`` zeroed; the tails then overwrite theirs."""
+    hi = y > 1.0 - _EXP_M2
+    t = np.where(hi, 1.0 - y, y)
+    low = t <= _EXP_M2
+    u = np.where(low, 0.0, t - 0.5)
+    u2 = u * u
+    x = u + u * (u2 * _polevl(u2, _NDTRI_P0) / _p1evl(u2, _NDTRI_Q0))
+    x *= _S2PI
+    tail = np.flatnonzero(low & (t > 0.0))  # t = 0 only at y = 1
+    s = np.sqrt(-2.0 * _libm_log(t[tail]))
+    z = 1.0 / s
+    x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    far = s >= 8.0  # y < exp(-32)
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _NDTRI_P2) / _p1evl(zf, _NDTRI_Q2)
+    r = s - _libm_log(s) / s - x1
+    x[tail] = np.where(hi[tail], r, -r)
+    x[t == 0.0] = np.inf
+    return x
+
+
+_NDTRI_CHUNK = 1 << 14  # entries per _ndtri call: its dozen temporaries stay in cache and bounded
+
 _DRAWS = threading.local()  # the thread's generator, re-keyed per stream: cheaper than a new one, same numbers
+
+
+def _rekeyed_draws() -> tuple[np.random.Generator, dict]:
+    """This thread's generator and the state that re-keys it: counter 0, the key ``state["state"]["key"]``
+    (set in place per stream), an empty buffer."""
+    if not hasattr(_DRAWS, "rng"):
+        zeros = [0, 0, 0, 0]
+        _DRAWS.rng = philox_generator(0)
+        _DRAWS.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": [0, 0]},
+                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return _DRAWS.rng, _DRAWS.state
 
 
 def _standard_normal(n: int, seed: int, streams) -> np.ndarray:
     """The one draw route: read-only ``(len(streams), n, n)`` couplings, row ``r`` the platform-stable normals
     ``ndtri((integers(0, 2**53) + 0.5) * 2**-53)`` of a fresh ``philox_generator(seed, streams[r])``, drawn
-    into one buffer and converted at once.  ``random()`` is ``(random_raw() >> 11) * 2**-53``, and the shift
-    is what ``integers(0, 2**53)`` returns (Lemire's method rejects nothing at a power-of-two range)."""
-    if not hasattr(_DRAWS, "rng"):
-        _DRAWS.rng = philox_generator(0)
-    rng, zeros, g = _DRAWS.rng, np.zeros(4, dtype=np.uint64), np.empty((len(streams), n, n))
-    for r, stream in enumerate(streams):  # counter 0, the stream's key, an empty buffer
-        key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-        rng.bit_generator.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": key},
-                                   "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    into one buffer and converted by :func:`_ndtri`, equal to ``scipy.special.ndtri`` bit for bit.
+    ``random()`` is ``(random_raw() >> 11) * 2**-53``, and the shift is what ``integers(0, 2**53)`` returns
+    (Lemire's method rejects nothing at a power-of-two range)."""
+    rng, state = _rekeyed_draws()
+    key, g = state["state"]["key"], np.empty((len(streams), n, n))
+    key[0] = seed & _MASK64
+    for r, stream in enumerate(streams):
+        key[1] = stream & _MASK64
+        rng.bit_generator.state = state
         rng.random(out=g[r])
-    g += 2.0 ** -54  # k 2^-53 + 2^-54 rounds as (k + 0.5) 2^-53: scaling by a power of two is exact
-    ndtri(g, out=g)  # elementwise, in place: one buffer per stack
+    flat = g.reshape(-1)
+    flat += 2.0 ** -54  # k 2^-53 + 2^-54 rounds as (k + 0.5) 2^-53: scaling by a power of two is exact
+    for start in range(0, flat.size, _NDTRI_CHUNK):
+        flat[start:start + _NDTRI_CHUNK] = _ndtri(flat[start:start + _NDTRI_CHUNK])
     g.setflags(write=False)
     return g
 
@@ -192,6 +288,8 @@ def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 
     """
     task, starts = partial(_draw_stack, fn, n, seed, stack, replicas), range(0, replicas, stack)
     if workers > 1 and len(starts) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool pays its import
+
         with ProcessPoolExecutor(min(workers, len(starts))) as ex:
             return [x for part in ex.map(task, starts, chunksize=-(-len(starts) // workers)) for x in part]
     return [x for start in starts for x in task(start)]

@@ -24,7 +24,6 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .core import (
     CouplingMatrix,
@@ -33,6 +32,8 @@ from .core import (
     SectorError,
     _gauge_flip,
     _lex_extend,
+    _libm_log,
+    _polevl,
     centering_shift,
     count_configs,
     map_replicas,
@@ -410,9 +411,33 @@ def _check_tables(n: int, kappa: int) -> None:
         raise EnumerationCapError(f"{count} admissible tables, exceeding the cap of {DEFAULT_CAP}")
 
 
+# Cephes lgam (Moshier 1989), the routine behind scipy.special.gammaln, at the integers x = k + 1: log k! for
+# x < 13, else Stirling's series, its correction the A series below 1000, three terms from 1000 on, none above 1e8
+_LOG_SMALL_FACTORIALS = np.array([math.log(float(math.factorial(k))) for k in range(12)])
+_LS2PI = 0.91893853320467274178  # log sqrt(2 pi)
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.93650340457716943945E-4,
+           -2.77777777730099687205E-3, 8.33333333333331927722E-2)
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """``log k!`` of a flat array of integers ``k >= 0``, Cephes ``lgam(k + 1)`` operation for operation (libm's
+    ``log``), so every value equals ``scipy.special.gammaln(k + 1.0)``'s bit for bit."""
+    k = np.asarray(k, dtype=np.int64)
+    out = np.empty(k.shape)
+    small = k < 12
+    out[small] = _LOG_SMALL_FACTORIALS[k[small]]
+    x = k[~small] + 1.0
+    q = (x - 0.5) * _libm_log(x) - x + _LS2PI
+    p = 1.0 / (x * x)
+    series = np.where(x >= 1000.0, ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                                    + 0.0833333333333333333333) / x, _polevl(p, _LGAM_A) / x)
+    out[~small] = np.where(x > 1e8, q, q + series)
+    return out
+
+
 def _log_gamma_table(n: int) -> np.ndarray:
     # table[k] = log k!
-    return gammaln(np.arange(n + 1, dtype=np.float64) + 1.0)
+    return _log_factorial(np.arange(n + 1))
 
 
 def log_overlap_law(tables: np.ndarray, n: int, kappa: int) -> np.ndarray:

@@ -116,6 +116,17 @@ def test_parser_is_built_once_and_reused(tmp_path):
         assert (tmp_path / f"seq{k}.csv").read_bytes() == alone.read_bytes()
 
 
+def test_cli_imports_no_scipy_and_no_process_pool():
+    # a fresh interpreter: importing the CLI loads neither scipy nor concurrent.futures, and preloads the two numpy
+    # submodules that numpy would otherwise load inside the first command
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    code = "import json, sys, pottsglass.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = json.loads(subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                                       text=True).stdout)
+    assert [m for m in loaded if m.startswith("scipy") or m.startswith("concurrent.futures")] == []
+    assert {"numpy.random", "numpy.ma"} <= set(loaded)
+
+
 def test_fmt_python_and_numpy_floats_print_alike():
     for value in (0.1, -2.5e-300, 1e17, math.inf, -math.inf, math.nan, 0.0, -0.0):
         assert cli._fmt(value) == cli._fmt(np.float64(value)) == f"{value:.17g}"

@@ -428,7 +428,91 @@ class TestStackedDraw:
             assert np.array_equal(f, hand) and np.array_equal(np.signbit(f), np.signbit(hand))
 
 
-@pytest.mark.parametrize("module", ["pottsglass", "pottsglass.core", "pottsglass.exact", "pottsglass.rate",
+def _grid(k) -> np.ndarray:
+    """The draw grid ``(k + 0.5) 2^-53`` as ``_standard_normal`` forms it."""
+    return np.asarray(k, dtype=np.uint64) * 2.0 ** -53 + 2.0 ** -54
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestNdtriPort:
+    """``core._ndtri`` is Cephes ``ndtri`` operation for operation: scipy's values, compared bit for bit."""
+
+    def assert_bitwise_scipy(self, y):
+        got = np.concatenate([core._ndtri(part) for part in np.array_split(y, -(-y.size // core._NDTRI_CHUNK))])
+        assert np.count_nonzero(_bits(got) != _bits(ndtri(y))) == 0
+
+    def test_random_grid_points(self):
+        rng = np.random.default_rng(20260)
+        for _ in range(4):  # 2^22 draws, a quarter at a time
+            self.assert_bitwise_scipy(_grid(rng.integers(0, 2 ** 53, size=2 ** 20)))
+
+    def test_both_tail_ends(self):
+        k = np.arange(10 ** 6, dtype=np.uint64)
+        y = _grid(k)
+        assert np.count_nonzero(y < math.exp(-32)) > 0  # the x >= 8 branch (P2, Q2)
+        self.assert_bitwise_scipy(y)
+        self.assert_bitwise_scipy(_grid(2 ** 53 - 1 - k))
+
+    def test_top_of_the_grid_is_plus_infinity(self):
+        y = _grid([2 ** 53 - 1, 2 ** 53 - 2, 0])
+        assert y[0] == 1.0
+        got = core._ndtri(y)
+        assert got[0] == np.inf and np.isfinite(got[1:]).all()
+        self.assert_bitwise_scipy(y)
+
+    @pytest.mark.parametrize("edge", [math.exp(-2), 1.0 - math.exp(-2), math.exp(-32), 1.0 - math.exp(-32)])
+    def test_branch_edges(self, edge):
+        k0 = int(edge * 2 ** 53)
+        self.assert_bitwise_scipy(_grid(np.arange(max(k0 - 20_000, 0), min(k0 + 20_000, 2 ** 53))))
+        y = edge + np.arange(-2000, 2001) * np.spacing(edge)  # every double within 2000 ulps, off the grid too
+        self.assert_bitwise_scipy(y[y <= 1.0])
+
+    def test_stacks_convert_in_chunks(self):
+        n = 200  # 3 * 200^2 entries: several conversion chunks, the last one partial
+        streams = [0, 5, core.CHAIN_NAMESPACE | 1]
+        g = core._standard_normal(n, 3, streams)
+        assert 3 * n * n > 2 * core._NDTRI_CHUNK
+        for row, stream in zip(g, streams):
+            hand = core.philox_generator(3, stream).integers(0, 1 << 53, size=(n, n))
+            assert np.array_equal(_bits(row), _bits(ndtri((hand + 0.5) * 2.0 ** -53)))
+
+
+class TestLibmLog:
+    """``core._libm_log`` equals the C library's ``log`` (``math.log``) in every memory layout it is handed."""
+
+    @pytest.fixture(scope="class")
+    def tails(self):
+        rng = np.random.default_rng(7)
+        y = _grid(rng.integers(0, 2 ** 50, size=100_000))  # the tail branch's log y, y < 2^-3
+        s = np.sqrt(-2.0 * np.array([math.log(v) for v in y]))  # and its log x, x = sqrt(-2 log y)
+        x = np.concatenate([y, s, 2.0 + 6.6 * rng.random(100_000)])
+        return x, np.array([math.log(v) for v in x])
+
+    def test_contiguous(self, tails):
+        x, want = tails
+        assert np.array_equal(_bits(core._libm_log(x)), _bits(want))
+
+    def test_reversed_view(self, tails):
+        # a reversed view reversed again is contiguous, and would take numpy's SIMD loop
+        x, want = tails
+        assert np.array_equal(_bits(core._libm_log(x[::-1])), _bits(want[::-1]))
+        assert np.array_equal(_bits(core._libm_log(x[::-1][::-1])), _bits(want))
+
+    def test_strided_view(self, tails):
+        x, want = tails
+        assert np.array_equal(_bits(core._libm_log(x[::3])), _bits(want[::3]))
+        assert np.array_equal(_bits(core._libm_log(x[::-2])), _bits(want[::-2]))
+
+    def test_short_arrays(self, tails):
+        x, want = tails
+        for size in range(0, 40):
+            assert np.array_equal(_bits(core._libm_log(x[size:2 * size])), _bits(want[size:2 * size]))
+
+
+@pytest.mark.parametrize("module",["pottsglass", "pottsglass.core", "pottsglass.exact", "pottsglass.rate",
                                     "pottsglass.montecarlo", "pottsglass.cli", "pottsglass.experiment"])
 def test_exported_names_resolve(module):
     mod = importlib.import_module(module)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from pottsglass import core, exact
 from pottsglass import montecarlo as mc
@@ -158,6 +159,22 @@ class TestGroundState:
     def test_color_swap_degeneracy_is_bitwise(self):
         g = core.CouplingMatrix.from_seed(6, 9)
         assert ground(g, 2)[1] % 2 == 0
+
+
+class TestLogFactorial:
+    """``exact._log_factorial`` is Cephes ``lgam`` at the integers: scipy's ``gammaln`` values, bit for bit."""
+
+    def test_table_equals_gammaln(self):
+        n = 200_000  # log k! below 13, the A series below 1000, the three-term series from 1000 on
+        got = exact._log_gamma_table(n)
+        assert got.shape == (n + 1,)
+        assert np.array_equal(got.view(np.int64), gammaln(np.arange(n + 1) + 1.0).view(np.int64))
+
+    @pytest.mark.parametrize("k", [0, 11, 12, 998, 999, 10 ** 8 - 1, 10 ** 8, 10 ** 8 + 1, 3 * 10 ** 9, 2 ** 52])
+    def test_scalar_calls_equal_gammaln(self, k):
+        # from x = k + 1 > 1e8 on, Stirling's series carries no correction
+        got = exact._log_factorial(k)
+        assert float(got) == gammaln(k + 1.0) and np.signbit(got) == np.signbit(gammaln(k + 1.0))
 
 
 class TestAdmissible:
