@@ -151,7 +151,8 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.3770209948908
 def _ndtri(y: np.ndarray) -> np.ndarray:
     """The inverse normal CDF of a flat array in (0, 1]: Cephes ``ndtri`` operation for operation (IEEE ``+ - * /``
     and ``sqrt`` round the same in numpy, ``log`` is libm's), so every value equals ``scipy.special.ndtri``'s bit
-    for bit.  The central branch runs on every entry, with the tails' ``u`` zeroed; the tails then overwrite theirs."""
+    for bit.  The central branch runs on every entry, the tails' ``u`` zeroed to keep its rational function in range;
+    the tails then overwrite theirs."""
     hi = y > 1.0 - _EXP_M2
     t = np.where(hi, 1.0 - y, y)
     low = t <= _EXP_M2
@@ -178,24 +179,18 @@ _NDTRI_CHUNK = 1 << 14  # entries per _ndtri call: its dozen temporaries stay in
 _DRAWS = threading.local()  # the thread's generator, re-keyed per stream: cheaper than a new one, same numbers
 
 
-def _rekeyed_draws() -> tuple[np.random.Generator, dict]:
-    """This thread's generator and the state that re-keys it: counter 0, the key ``state["state"]["key"]``
-    (set in place per stream), an empty buffer."""
-    if not hasattr(_DRAWS, "rng"):
-        zeros = [0, 0, 0, 0]
-        _DRAWS.rng = philox_generator(0)
-        _DRAWS.state = {"bit_generator": "Philox", "state": {"counter": zeros, "key": [0, 0]},
-                        "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    return _DRAWS.rng, _DRAWS.state
-
-
 def _standard_normal(n: int, seed: int, streams) -> np.ndarray:
     """The one draw route: read-only ``(len(streams), n, n)`` couplings, row ``r`` the platform-stable normals
     ``ndtri((integers(0, 2**53) + 0.5) * 2**-53)`` of a fresh ``philox_generator(seed, streams[r])``, drawn
     into one buffer and converted by :func:`_ndtri`, equal to ``scipy.special.ndtri`` bit for bit.
     ``random()`` is ``(random_raw() >> 11) * 2**-53``, and the shift is what ``integers(0, 2**53)`` returns
     (Lemire's method rejects nothing at a power-of-two range)."""
-    rng, state = _rekeyed_draws()
+    if not hasattr(_DRAWS, "rng"):  # counter 0 and an empty buffer; the key is set in place per stream
+        zeros = [0, 0, 0, 0]
+        _DRAWS.rng, _DRAWS.state = philox_generator(0), {
+            "bit_generator": "Philox", "state": {"counter": zeros, "key": [0, 0]},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng, state = _DRAWS.rng, _DRAWS.state
     key, g = state["state"]["key"], np.empty((len(streams), n, n))
     key[0] = seed & _MASK64
     for r, stream in enumerate(streams):

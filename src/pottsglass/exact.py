@@ -420,8 +420,8 @@ _LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4, 7.936503404577
 
 
 def _log_factorial(k: np.ndarray) -> np.ndarray:
-    """``log k!`` of a flat array of integers ``k >= 0``, Cephes ``lgam(k + 1)`` operation for operation (libm's
-    ``log``), so every value equals ``scipy.special.gammaln(k + 1.0)``'s bit for bit."""
+    """``log k!`` of integers ``k >= 0`` (an array or a scalar), Cephes ``lgam(k + 1)`` operation for operation
+    (libm's ``log``), so every value equals ``scipy.special.gammaln(k + 1.0)``'s bit for bit."""
     k = np.asarray(k, dtype=np.int64)
     out = np.empty(k.shape)
     small = k < 12
