@@ -31,7 +31,7 @@ import os
 import tempfile
 import threading
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -261,13 +261,6 @@ class CouplingMatrix:
     @property
     def n(self) -> int:
         return int(self.g.shape[0])
-
-    @cached_property
-    def sym(self) -> np.ndarray:
-        """The symmetrized couplings ``g + g^T`` (read-only), computed once per matrix."""
-        s = self.g + self.g.T
-        s.setflags(write=False)
-        return s
 
 
 def map_replicas(fn: Callable, n: int, seed: int, replicas: int, workers: int = 1, stack: int = 1) -> list:

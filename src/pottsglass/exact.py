@@ -401,11 +401,11 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
 def _check_tables(n: int, kappa: int) -> None:
     """Refuse more than ``DEFAULT_CAP`` admissible tables.  The choices of the kappa - 1 free rows bound the
     count; past the cap, :func:`_row_recursion` counts the tables in exact integers, where its pairs stay
-    within ``kappa * DEFAULT_CAP``."""
+    within ``DEFAULT_CAP`` (as many as any table set under the cap needs, at every kappa)."""
     margin = n // kappa
     if math.comb(margin + kappa - 1, kappa - 1) ** min(kappa - 1, 64) <= DEFAULT_CAP:  # a bound of at least 2^64
         return
-    _row_pairs(n, kappa, "balanced", kappa * DEFAULT_CAP)
+    _row_pairs(n, kappa, "balanced", DEFAULT_CAP)
     count = _row_recursion(kappa, n, margin)
     if count > DEFAULT_CAP:
         raise EnumerationCapError(f"{count} admissible tables, exceeding the cap of {DEFAULT_CAP}")
@@ -549,17 +549,20 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
 def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
     """The (s, r) pairs of a sector's row recursion, refused past ``cap`` or where its keys pass int64.
 
-    Any row: the C(n + 2 kappa, 2 kappa) pairs with |s| + |r| <= n.  Rows of
-    sum m = n / kappa: each s in [0, m]^kappa with |s| in {0, m, .., n - m}
-    (by inclusion-exclusion) against each of the C(m + kappa - 1, kappa - 1) rows.
+    Any row: the C(n + 2 kappa, 2 kappa) pairs with |s| + |r| <= n.  Rows of sum m = n / kappa: the recursion
+    tests each of the C(m + kappa - 1, kappa - 1) rows once per sorted target t on the planes |t| = m, 2m, .., n
+    of [0, m]^kappa, the q^{km} coefficients of the Gaussian binomial [m + kappa choose kappa]_q.  The targets
+    are the kappa-multisets of {0, .., m} whose sum m divides, less t = 0: by a roots-of-unity filter over the
+    cycle index of S_kappa, sum over e | m, e <= kappa, of phi(e) (C(m / e + kappa // e, kappa // e) - 1) / m.
     """
     d = sector_counts(n, kappa, sector)
     base = n + 1 if d is None else n // kappa + 1
     if base ** min(kappa, 64) > 2 ** 63:  # from kappa = 64 on, past int64 at every n
         raise EnumerationCapError(f"row recursion keys span {base}^{kappa} values, past int64")
-    pairs = math.comb(n + 2 * kappa, 2 * kappa) if d is None else math.comb(base + kappa - 2, kappa - 1) * sum(
-        (-1) ** j * math.comb(kappa, j) * math.comb(a - j * base + kappa - 1, kappa - 1)
-        for a in range(0, n, base - 1) for j in range(a // base + 1))
+    m = base - 1
+    pairs = math.comb(n + 2 * kappa, 2 * kappa) if d is None else math.comb(m + kappa - 1, kappa - 1) * sum(
+        sum(math.gcd(r, e) == 1 for r in range(e)) * (math.comb(m // e + kappa // e, kappa // e) - 1)
+        for e in range(1, kappa + 1) if m % e == 0) // m
     if pairs > cap:
         raise EnumerationCapError(f"row recursion has {pairs} (s, r) pairs, exceeding the cap of {cap}")
     return pairs

@@ -164,11 +164,11 @@ class ChainState:
 
 
 def _stack_fields(colors: np.ndarray, s: np.ndarray, kappa: int) -> np.ndarray:
-    """The local fields ``h[..., a - 1, i] = sum_j S_ij 1{c_j = a}`` of the chains ``colors`` (as :class:`ChainState`
-    holds them, ``(..., n)``) on the couplings ``s`` (``(..., n, n)``), leading axes broadcast: one matmul.  A stack
-    passes its rows grouped by coupling, ``(G, R / G, n)`` against ``s[:, None]``, so a group shares its matrix;
-    the batch runs the same BLAS product per chain as a chain alone, so no field depends on the stack."""
-    return (colors[..., None, :] == np.arange(1, kappa + 1)[:, None]).astype(np.float64) @ s
+    """The local fields ``h[..., a, i] = sum_j S_ij 1{c_j = a}`` of the chains ``colors`` (0-based, ``(..., n)``) on
+    the couplings ``s`` (``(..., n, n)``), leading axes broadcast: one matmul.  :func:`_run_stack` passes its rows
+    grouped by coupling, ``(G, R / G, n)`` against ``s[:, None]``, so a group shares its matrix; the batch runs the
+    same BLAS product per chain as a chain alone, so no field depends on the stack."""
+    return (colors[..., None, :] == np.arange(kappa)[:, None]).astype(np.float64) @ s
 
 
 @np.errstate(divide="ignore")  # as a decorator: it costs less per call than a with block
@@ -194,24 +194,23 @@ def _proposal_tables(draws: np.ndarray, choices: int, scales) -> tuple[np.ndarra
     return sites, props, limits
 
 
-def _metropolis_row(colors, energy: float, s: np.ndarray, sites, props, limits, kappa: int) -> float:
-    """A Metropolis sweep of one chain (``colors`` as :class:`ChainState` holds them, changed in place; couplings
-    ``s = g + g^T``) from its column of the proposal tables; returns its running energy.
+def _metropolis_row(colors, energy: float, h: np.ndarray, s: np.ndarray, sites, props, limits) -> float:
+    """A Metropolis sweep of one chain (0-based ``colors``, changed in place; its fields ``h``, ``(kappa, n)``, and
+    couplings ``s = g + g^T``) from its column of the proposal tables; returns its running energy.
 
-    Proposal ``(t, new, limit)`` recolors site ``t`` to color ``new + 1`` with acceptance min(1, e^{beta dH}), iff
-    ``x = sqrt(n) dH`` exceeds ``limit``, and adds ``x / sqrt(n)`` to the energy; the current color is a no-op.  The
-    fields are built once per sweep, an O(kappa n^2) product; a proposal costs O(1), an accepted move O(n) in place.
+    Proposal ``(t, new, limit)`` recolors site ``t`` to color ``new`` with acceptance min(1, e^{beta dH}), iff
+    ``x = sqrt(n) dH`` exceeds ``limit``, and adds ``x / sqrt(n)`` to the energy; the current color is a no-op.  A
+    proposal costs O(1), an accepted move O(n) in place.
     """
-    h = _stack_fields(colors, s, kappa)
     hrows = list(h)  # row views, made once per sweep
     sqn = math.sqrt(colors.size)
-    for t, new, limit in zip(sites, props, limits):  # new and old are 0-based colors
-        old = colors.item(t) - 1
+    for t, new, limit in zip(sites, props, limits):
+        old = colors.item(t)
         if new == old:
             continue  # dH = 0: always accepted, state unchanged
         x = h.item(new, t) - h.item(old, t) + s.item(t, t)
         if x > limit:
-            colors[t] = new + 1
+            colors[t] = new
             row = s[t]
             np.subtract(hrows[old], row, out=hrows[old])
             np.add(hrows[new], row, out=hrows[new])
@@ -219,36 +218,35 @@ def _metropolis_row(colors, energy: float, s: np.ndarray, sites, props, limits, 
     return energy
 
 
-def _swap_row(colors, energy: float, s: np.ndarray, sites, ranks, limits, kappa: int) -> float:
+def _swap_row(colors, energy: float, h: np.ndarray, s: np.ndarray, sites, ranks, limits) -> float:
     """A pair-swap sweep of one balanced chain, as :func:`_metropolis_row` makes a Metropolis one: proposal
     ``(i, rank, limit)`` transposes site ``i`` (color ``a``) and its partner ``j``, with ``(c, p) = divmod(rank,
-    n // kappa)`` the ``p``-th site in index order of the ``c``-th color other than ``a``.  Every color holds
-    ``n // kappa`` sites, so the ranks name each other-color site once: the proposal is symmetric, and the color
-    counts are conserved exactly.  The per-color site lists stay sorted (``del`` and ``insort``, O(n) like the
-    field update, which moves ``S[i] - S[j]`` from ``h[a]`` to ``h[b]``)."""
-    n = colors.size
+    n // kappa)`` the ``p``-th site in index order of color ``b = c + (c >= a)``, the ``c``-th color other than
+    ``a``.  Every color holds ``n // kappa`` sites, so the ranks name each other-color site once: the proposal is
+    symmetric, and the color counts are conserved exactly.  The per-color site lists stay sorted (``del`` and
+    ``insort``, O(n) like the field update, which moves ``S[i] - S[j]`` from ``h[a]`` to ``h[b]``)."""
+    n, kappa = colors.size, len(h)
     per = n // kappa
-    h = _stack_fields(colors, s, kappa)
     own = np.argsort(colors, kind="stable").reshape(kappa, per).tolist()  # sorted sites per color
     hrows, shift = list(h), np.empty(n)
     sqn = math.sqrt(n)
     for i, rank, limit in zip(sites, ranks, limits):
         a = colors.item(i)
         c, p = divmod(rank, per)
-        j = own[c + (c + 1 >= a)][p]
-        b = colors.item(j)
+        b = c + (c >= a)
+        j = own[b][p]
         sij = s.item(i, j)
-        x1 = h.item(b - 1, i) - h.item(a - 1, i) + s.item(i, i)
+        x1 = h.item(b, i) - h.item(a, i) + s.item(i, i)
         # site j's fields once site i already holds color b
-        x2 = (h.item(a - 1, j) - sij) - (h.item(b - 1, j) + sij) + s.item(j, j)
+        x2 = (h.item(a, j) - sij) - (h.item(b, j) + sij) + s.item(j, j)
         x = x1 + x2
         if x > limit:
             colors[i] = b
             colors[j] = a
             np.subtract(s[i], s[j], out=shift)
-            np.subtract(hrows[a - 1], shift, out=hrows[a - 1])
-            np.add(hrows[b - 1], shift, out=hrows[b - 1])
-            for sites_of, out, into in ((own[a - 1], i, j), (own[b - 1], j, i)):
+            np.subtract(hrows[a], shift, out=hrows[a])
+            np.add(hrows[b], shift, out=hrows[b])
+            for sites_of, out, into in ((own[a], i, j), (own[b], j, i)):
                 del sites_of[bisect_left(sites_of, out)]
                 insort(sites_of, into)
             energy += x / sqn
@@ -260,31 +258,37 @@ def _lockstep(rows: int, n: int, sector: str) -> bool:
     return rows >= next(need for top, need in LOCKSTEP_ROWS[sector] if n <= top)
 
 
-def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], kappa: int,
-               burn_in: int, sweeps: int, thinning: int, observe) -> np.ndarray:
+def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: list[CouplingMatrix], burn_in: int,
+               sweeps: int, thinning: int, observe) -> np.ndarray:
     """The one chain runner, of the estimators and of :func:`run_sweeps`: ``burn_in + sweeps`` sweeps of a stack's
     chains, each followed by every ladder's swaps (:func:`_stack_swaps`); returns ``observe(colors, energies)`` of
-    the stack (0-based colors, a row per chain) after every ``thinning``-th measured sweep, as columns.
+    the stack (0-based colors, a row per chain, in an array of the sweep's own that ``observe`` may keep) after
+    every ``thinning``-th measured sweep, as columns.
 
     ``chains``: ``len(chains) // len(gs)`` per coupling of ``gs`` (a chain, or a ladder's rungs), in
     coupling order, at one sweep count; their colors and energies live in arrays for the run.  A block of
     ``b`` sweeps draws ``random((b, 3, n))`` per chain, mapped to proposal tables (:func:`_proposal_tables`),
     and ``random((b, rungs - 1))`` per ladder; it ends at the run's end or the next audit and holds at most
-    ``_BLOCK_PROPOSALS`` proposals (or one sweep).  From the crossover :func:`_lockstep` on, a sweep runs in
-    lockstep (:func:`_lockstep_moves`, :func:`_swap_moves` in the balanced sector) on a stacked copy of the
-    couplings; below it, row by row (:func:`_metropolis_row`, :func:`_swap_row`) on each coupling's own
-    ``g.sym``: the same bytes either way.  A block's last sweep ends through :meth:`ChainState._end_sweep`,
-    chain by chain, so each keeps its audit schedule; the chains then hold the stack's state.
+    ``_BLOCK_PROPOSALS`` proposals (or one sweep).  The runner owns a sweep's state: one stack ``s`` of the
+    couplings ``g + g^T``, and per sweep one copy of the colors and one build of the fields (:func:`_stack_fields`),
+    which the kernels change in place.  From the crossover :func:`_lockstep` on, a sweep runs in lockstep
+    (:func:`_lockstep_moves`, :func:`_swap_moves` in the balanced sector); below it, row by row, row ``r`` on
+    ``s[r // per]`` (:func:`_metropolis_row`, :func:`_swap_row`): the same bytes either way.  A block's last sweep
+    ends through :meth:`ChainState._end_sweep`, chain by chain, so each keeps its audit schedule; the chains then
+    hold the stack's state.
     """
-    rows, n, per = len(chains), chains[0].n, len(chains) // len(gs)
+    rows, n, kappa, per = len(chains), chains[0].n, chains[0].kappa, len(chains) // len(gs)
     swap, owners = chains[0].sector == "balanced", [g for g in gs for _ in range(per)]
+    s = np.empty((len(gs), n, n))
+    for k, g in enumerate(gs):
+        np.add(g.g, g.g.T, out=s[k])
     if _lockstep(rows, n, chains[0].sector):
-        s, r = np.stack([g.sym for g in gs]), np.arange(rows)
+        r = np.arange(rows)
         # per row: the offsets of its fields, cells and coupling rows; S[g, t, t] at g * n + t
         offsets = (r * kappa, r * n, r // per * n, np.diagonal(s, axis1=1, axis2=2).reshape(-1))
-        moves = partial(_swap_moves if swap else _lockstep_moves, s=s, offsets=offsets, kappa=kappa)
+        moves = partial(_swap_moves if swap else _lockstep_moves, s=s, offsets=offsets)
     else:
-        moves = partial(_row_moves, _swap_row if swap else _metropolis_row, [g.sym for g in owners], kappa)
+        moves = partial(_row_moves, _swap_row if swap else _metropolis_row, [s[r // per] for r in range(rows)])
     colors, energy = np.stack([c.colors for c in chains]) - 1, np.array([c.energy for c in chains])
     betas, choices = [c.beta for c in chains], n - n // kappa if swap else kappa
     scales = np.array([math.sqrt(n) / beta if beta else math.inf for beta in betas])
@@ -300,7 +304,9 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
         tables = _proposal_tables(draws, choices, scales)
         ladder_logs = tempers and _log_uniforms(np.hstack([t.rng.random((b, per - 1)) for t in tempers])).tolist()
         for k, step in enumerate(zip(*tables)):
-            colors, energy = moves(colors, energy, step)
+            colors = colors.copy()  # the last sweep's colors stay as observe got them
+            h = _stack_fields(colors.reshape(len(gs), per, n), s[:, None], kappa).reshape(rows, kappa, n)
+            energy = moves(colors, h, energy, step)
             if k == b - 1:
                 for c, row in zip(chains, colors + 1):
                     c.colors, c.sweeps = row, c.sweeps + b - 1
@@ -320,26 +326,24 @@ def _run_stack(chains: list[ChainState], tempers: list[TemperingLadder], gs: lis
     return np.stack(records, axis=1)
 
 
-def _row_moves(kernel, syms, kappa, colors, energy, step):
-    """One sweep of a stack below the crossover: ``kernel`` (:func:`_metropolis_row` or :func:`_swap_row`) on
-    each row in turn, on its own couplings ``syms[r]`` and its column of the sweep's tables ``step``."""
-    colors = colors + 1  # as the chains hold them
+def _row_moves(kernel, syms, colors, h, energy, step):
+    """One sweep of a stack below the crossover: ``kernel`` (:func:`_metropolis_row` or :func:`_swap_row`) on each
+    row's colors, fields, couplings ``syms[r]`` and column of the sweep's tables ``step``; returns the energies."""
     columns = (table.T.tolist() for table in step)
-    energy = [kernel(*row, kappa) for row in zip(colors, energy.tolist(), syms, *columns)]
-    return colors - 1, np.array(energy)
+    return np.array([kernel(*row) for row in zip(colors, energy.tolist(), h, syms, *columns)])
 
 
-def _settle(colors, energy, steps, moves):
-    """A sweep's colors and energies: each energy adds its accepted ``x / sqrt(n)`` in proposal order (a rejected
-    one adds ``-0.0``, which changes no float), the row kernels' sum, from one division of the step table."""
-    steps /= math.sqrt(colors.shape[1])
+def _settle(energy, steps, moves):
+    """A sweep's energies: each adds its accepted ``x / sqrt(n)`` in proposal order (a rejected one adds ``-0.0``,
+    which changes no float), the row kernels' sum, from one division of the step table."""
+    steps /= math.sqrt(len(steps))
     steps[~moves] = -0.0
-    return colors, np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
+    return np.add.accumulate(np.vstack((energy, steps)), axis=0)[-1]
 
 
-def _lockstep_moves(colors, energy, step, s, offsets, kappa):
-    """The ``n`` proposals of one sweep of a stack of Metropolis chains at once, from its tables ``step``;
-    returns the new colors (0-based) and energies (:func:`_settle`).
+def _lockstep_moves(colors, h, energy, step, s, offsets):
+    """The ``n`` proposals of one sweep of a stack of Metropolis chains at once, from its tables ``step``, on the
+    stack's colors (0-based) and fields ``h`` in place; returns the energies (:func:`_settle`).
 
     ``offsets`` place site ``t`` of chain ``r`` in the flat stack: cell ``r n + t``, coupling row ``S[r, t]`` and
     field ``h[r, a, t]``.  Proposal ``j`` of chain ``r`` reads ``x = h[r, new, t] - h[r, old, t] + S[r, t, t]`` and
@@ -350,8 +354,6 @@ def _lockstep_moves(colors, energy, step, s, offsets, kappa):
     n = colors.shape[1]
     base, cells0, srows0, diag = offsets
     at, srow, hcol = sites + cells0, sites + srows0, sites + base * n
-    colors = colors.copy()
-    h = _stack_fields(colors.reshape(len(s), -1, n) + 1, s[:, None], kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
     steps, moves = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
     for at_k, srow_k, diag_k, hcol_k, hnew_k, new, limit, x, move in zip(
@@ -370,23 +372,21 @@ def _lockstep_moves(colors, energy, step, s, offsets, kappa):
             rows[:idx.size] -= row
             rows[idx.size:] += row
             hrows[sink] = rows
-    return _settle(colors, energy, steps, moves)
+    return _settle(energy, steps, moves)
 
 
-def _swap_moves(colors, energy, step, s, offsets, kappa):
+def _swap_moves(colors, h, energy, step, s, offsets):
     """:func:`_lockstep_moves` for balanced chains, as :func:`_swap_row` makes them: proposal ``j`` of chain ``r``
     pairs site ``i`` (color ``a``) with the ``(p + 1)``-th site of color ``b = c + (c >= a)`` in index order, and
     compares the same raw ``x1 + x2`` with its threshold; an accepted one swaps the two colors and moves
     ``S[r, i] - S[r, j]`` from ``h[r, a]`` to ``h[r, b]``.  Every row holds ``n // kappa`` sites of each color, so
     that site is entry ``r n // kappa + p`` of the column indices of ``colors == b`` over the whole stack."""
     sites, ranks, limits = step
-    n = colors.shape[1]
+    n, kappa = colors.shape[1], h.shape[1]
     base, cells0, srows0, diag = offsets
     at, srow, hcol = sites + cells0, sites + srows0, sites + base * n
     cs, ps = np.divmod(ranks, n // kappa)
     ps += cells0 // kappa
-    colors = colors.copy()
-    h = _stack_fields(colors.reshape(len(s), -1, n) + 1, s[:, None], kappa)
     flat, hrows, srows, cells = h.reshape(-1), h.reshape(-1, n), s.reshape(-1, n), colors.reshape(-1)
     sflat, hbase = s.reshape(-1), base * n
     steps, moves = np.empty_like(limits), np.empty(limits.shape, dtype=bool)
@@ -413,7 +413,7 @@ def _swap_moves(colors, energy, step, s, offsets, kappa):
             rows[:idx.size] -= shift
             rows[idx.size:] += shift
             hrows[sink] = rows
-    return _settle(colors, energy, steps, moves)
+    return _settle(energy, steps, moves)
 
 
 @dataclass
@@ -471,11 +471,12 @@ def run_sweeps(state: ChainState | TemperingLadder, g: CouplingMatrix, count: in
                observe=lambda colors, energy: energy) -> np.ndarray:
     """``count`` sweeps of a chain, or of a ladder's rungs each followed by its swaps, on its coupling ``g``, in one
     :func:`_run_stack` call; returns ``observe(colors, energies)`` after every sweep, a row per chain or rung
-    (0-based colors) and a column per sweep, by default the energies; ``state`` ends at the last sweep."""
+    (0-based colors) and a column per sweep, by default the energies; ``state`` ends at the last sweep.  Every sweep
+    hands ``observe`` colors of its own, so it may keep them without a copy."""
     if count < 1:
         raise ValueError(f"need sweeps >= 1, got {count}")
     chains, tempers = (state.rungs, [state]) if isinstance(state, TemperingLadder) else ([state], [])
-    return _run_stack(chains, tempers, [g], chains[0].kappa, 0, count, 1, observe)
+    return _run_stack(chains, tempers, [g], 0, count, 1, observe)
 
 
 def _stack_swaps(energy: list[float], lows, dbetas, logs, accepts) -> list[int]:
@@ -566,7 +567,7 @@ def _tail_replicas(beta, epsilons, kappa, sweeps, burn_in, thinning, ladder, see
     else:
         tempers, chains = [], [ChainState.start(g, kappa, beta, "all", seed, chain_id=g.stream) for g in gs]
     top = len(chains) // len(gs) - 1  # each replica's chain: its ladder's top rung
-    devs = _run_stack(chains, tempers, gs, kappa, burn_in, sweeps, thinning,
+    devs = _run_stack(chains, tempers, gs, burn_in, sweeps, thinning,
                       lambda colors, energy: _deviations(colors[top::top + 1], kappa))
     swaps = [np.stack((t.swap_attempts, t.swap_accepts)) for t in tempers] or [None] * len(gs)
     return [([(row >= e).mean() for e in epsilons], equilibration_flagged(row), sw) for row, sw in zip(devs, swaps)]
@@ -632,7 +633,7 @@ def free_energy_ti(
     shift = centering_shift(g, kappa) if kind == "centered" else 0.0
     grid = np.linspace(0.0, beta_max, n_grid)
     ladder = TemperingLadder.start(g, kappa, grid, sector, seed)
-    energies = _run_stack(ladder.rungs, [ladder], [g], kappa, burn_in, sweeps, 1, lambda _, energy: energy - shift)
+    energies = _run_stack(ladder.rungs, [ladder], [g], burn_in, sweeps, 1, lambda _, energy: energy - shift)
     means, errs = np.array([_batch_stats(series) for series in energies]).T
     flagged = any(equilibration_flagged(series) for series in energies)
     swap_rates = tuple((ladder.swap_accepts / ladder.swap_attempts).tolist())

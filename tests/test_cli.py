@@ -195,10 +195,10 @@ INVALID_COMMANDS = {
     # the 'all'-sector row recursion: keys past int64 ((n + 1)^kappa = 4^32), and more (s, r) pairs than the cap
     "uncentered-keys-past-int64": ["uncentered-ratio", "--kappa", "32", "--n", "3"],
     "uncentered-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--cap", "1000"],
-    # the balanced row recursion's (s, r) pairs: 210 against --cap, and 20,998,440 against DEFAULT_CAP
+    # the balanced row recursion's (s, r) pairs: 70 against --cap, and 20,514,250 against DEFAULT_CAP
     "uncentered-balanced-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--sector", "balanced",
                                      "--cap", "1"],
-    "second-moment-over-cap": ["second-moment", "--kappa", "3", "--n", "237"],
+    "second-moment-over-cap": ["second-moment", "--kappa", "3", "--n", "369"],
 }
 
 

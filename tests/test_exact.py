@@ -202,24 +202,22 @@ class TestAdmissible:
             exact.admissible_array(5, 2)
 
     def test_table_count_cap(self, monkeypatch):
-        # kappa = 4, n = 8: 282 tables, counted before any is built; the row recursion has 400 (s, r) pairs
+        # kappa = 4, n = 8: 282 tables, counted before any is built; the row recursion has 80 (s, r) pairs
         monkeypatch.setattr(exact, "DEFAULT_CAP", 282)
         assert len(exact.admissible_array(8, 4)) == 282
         monkeypatch.setattr(exact, "DEFAULT_CAP", 281)
         for run in (lambda: exact.admissible_array(8, 4), lambda: exact.shell_histogram(8, 4)):
             with pytest.raises(core.EnumerationCapError, match="282 admissible tables, exceeding the cap of 281"):
                 run()
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 9)  # the count itself stops at kappa * DEFAULT_CAP = 36 pairs
-        with pytest.raises(core.EnumerationCapError, match=r"400 \(s, r\) pairs, exceeding the cap of 36"):
-            exact.admissible_array(8, 4)
-        # the second moments count the row recursion's pairs: against DEFAULT_CAP, and against the cap given
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 399)
-        for run in (lambda: exact.second_moment_ratio(8, 1.0, 4),
-                    lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 399)):
-            with pytest.raises(core.EnumerationCapError, match=r"400 \(s, r\) pairs, exceeding the cap of 399"):
+        # the table count itself stops at DEFAULT_CAP pairs; the second moments count the row recursion's pairs
+        # against DEFAULT_CAP, and against the cap given
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 79)
+        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
+                    lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 79)):
+            with pytest.raises(core.EnumerationCapError, match=r"80 \(s, r\) pairs, exceeding the cap of 79"):
                 run()
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 400)
-        assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 400))
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 80)
+        assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 80))
 
     def test_oversized_table_set_refused_before_any_partial_table(self, monkeypatch):
         # kappa = n = 12: 12! tables, counted over 4,096 column sums; the table rows are never extended
@@ -475,22 +473,22 @@ class TestRowRecursion:
         for (kappa, n, beta), values in pinned.items():
             assert (exact._log_ez2_raw_all(n, beta, kappa), exact.uncentered_ratio(n, beta, kappa)) == values
 
-    @pytest.mark.parametrize("kappa,n", [(2, 8), (3, 9), (4, 8), (5, 10), (6, 12)])
+    @pytest.mark.parametrize("kappa,n", [(2, 8), (3, 9), (4, 8), (5, 10), (6, 12), (6, 42)])
     def test_balanced_pairs_and_targets(self, kappa, n):
-        # the cap counts each dense column sum on a plane below the last against each row of sum m; the
-        # recursion tests the rows once per sorted target on a plane above the first
+        # the cap counts each sorted target on a plane above the first against each row of sum m, as the
+        # recursion tests them
         m = n // kappa
         dense = [s for s in itertools.product(range(m + 1), repeat=kappa) if sum(s) % m == 0]
         rows = sum(sum(s) == m for s in dense)
         pairs = exact._row_pairs(n, kappa, "balanced", math.inf)
-        assert pairs == sum(sum(s) < n for s in dense) * rows
+        assert pairs == len({tuple(sorted(s)) for s in dense if sum(s)}) * rows
         seen = []
         with mock.patch.object(exact, "_unique_rows", lambda *a: seen.append(exact_unique(*a)) or seen[-1]):
             exact._log_second_moment_ratio(n, 1.0, kappa)
         reps, orbit = seen[-1]
         assert sorted(map(tuple, reps.tolist())) == sorted({tuple(sorted(s)) for s in dense})
         assert np.bincount(orbit).sum() == len(dense)
-        assert (len(reps) - 1) * rows <= pairs
+        assert (len(reps) - 1) * rows == pairs
 
     @pytest.mark.parametrize("kappa,n", [(3, 24), (4, 12), (5, 10)])
     def test_balanced_chunks_equal_one_chunk(self, kappa, n):

@@ -209,9 +209,11 @@ def step_alone(state, g):
 
 def swap_partner(colors, kappa, i, rank):
     """The site that a swap proposal of site ``i`` at ``rank`` pairs it with (1-based ``colors``): the other site
-    that ``_swap_row`` recolors when it accepts that one proposal (threshold -inf, couplings 0)."""
-    after = colors.copy()
-    mc._swap_row(after, 0.0, np.zeros((colors.size, colors.size)), [i], [rank], [-math.inf], kappa)
+    that ``_swap_row`` recolors when it accepts that one proposal (threshold -inf, fields and couplings 0)."""
+    after = colors - 1  # as the runner hands them to the kernels
+    mc._swap_row(after, 0.0, np.zeros((kappa, colors.size)), np.zeros((colors.size, colors.size)), [i], [rank],
+                 [-math.inf])
+    after += 1
     moved = np.flatnonzero(after != colors)
     assert moved.size == 2 and i in moved
     return int(moved[moved != i][0])
@@ -286,7 +288,7 @@ class TestKernelsMatchReference:
             stacked, alone = ([mc.ChainState.start(g, kappa, float(b), "all", seed=13, chain_id=r)
                                for r, (g, b) in enumerate(zip(gs, betas))] for _ in range(2))
             for _ in range(250):
-                mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
+                mc._run_stack(stacked, [], gs, 0, 1, 1, energies)
                 for chain, g in zip(alone, gs):
                     step_alone(chain, g)
                 for a, b in zip(stacked, alone):
@@ -306,7 +308,7 @@ class TestKernelsMatchReference:
                                                         ladder_id=r) for r, g in enumerate(gs)] for _ in range(2))
             chains = [rung for ladder in stacked for rung in ladder.rungs]
             for _ in range(250):
-                mc._run_stack(chains, stacked, gs, 2, 0, 1, 1, energies)
+                mc._run_stack(chains, stacked, gs, 0, 1, 1, energies)
                 for ladder, g in zip(alone, gs):
                     step_alone(ladder, g)
             for a, b in zip(stacked, alone):
@@ -327,7 +329,7 @@ class TestKernelsMatchReference:
                                                         ladder_id=r) for r, g in enumerate(gs)] for _ in range(2))
             chains = [rung for ladder in stacked for rung in ladder.rungs]
             for _ in range(250):
-                mc._run_stack(chains, stacked, gs, kappa, 0, 1, 1, energies)
+                mc._run_stack(chains, stacked, gs, 0, 1, 1, energies)
                 for ladder, g in zip(alone, gs):
                     step_alone(ladder, g)
                 for a, b in zip(chains, (rung for ladder in alone for rung in ladder.rungs)):
@@ -349,8 +351,8 @@ class TestKernelsMatchReference:
         def top_deviations(colors, energy):  # each ladder's top rung, as estimate_tail records it
             return mc._deviations(colors[len(betas) - 1::len(betas)], kappa)
 
-        records = mc._run_stack([rung for ladder in stacked for rung in ladder.rungs], stacked, gs, kappa,
-                                burn_in, sweeps, thinning, top_deviations)
+        records = mc._run_stack([rung for ladder in stacked for rung in ladder.rungs], stacked, gs, burn_in, sweeps,
+                                thinning, top_deviations)
         for ladder, g in zip(alone, gs):
             for _ in range(burn_in + sweeps):
                 step_alone(ladder, g)
@@ -401,11 +403,23 @@ class TestKernelsMatchReference:
             ladders = [mc.TemperingLadder.start(g, kappa, [0.0, 2.0, 4.0], sector, seed=seed, ladder_id=r)
                        for r, g in enumerate(gs)]
             chains = [rung for ladder in ladders for rung in ladder.rungs]
-            runs.append((mc._run_stack(chains, ladders, gs, kappa, 20, 130, 5, energies), ladders))
+            runs.append((mc._run_stack(chains, ladders, gs, 20, 130, 5, energies), ladders))
         (records, stacked), (alone_records, alone) = runs
         assert records.shape == (9, 26) and records.tolist() == alone_records.tolist()
         self.assert_same_ladders(stacked, alone)
         assert all(ladder.swap_accepts.sum() > 0 for ladder in stacked)
+
+
+@pytest.mark.parametrize("sector", ["all", "balanced"])
+def test_observe_may_keep_the_colors_it_is_handed(sector, monkeypatch):
+    """The runner copies a stack's colors once per sweep, so in either kernel form a record that keeps the array
+    it is handed equals one that copies it."""
+    g = core.CouplingMatrix.from_seed(6, 43)
+    for on in (True, False):
+        force_lockstep(monkeypatch, on)
+        kept, copied = (mc.run_sweeps(mc.ChainState.start(g, 3, 1.3, sector, seed=25), g, 50, observe)
+                        for observe in (lambda colors, energy: colors, configurations))
+        assert np.array_equal(kept, copied) and len(np.unique(copied[0], axis=0)) > 1
 
 
 def test_log_of_draws_is_layout_free():
@@ -449,14 +463,13 @@ def test_block_thresholds_equal_each_chains_own():
                                                       (257, 4, 2, 2)])
 def test_stack_fields_are_each_chains_own_product(n, kappa, couplings, per):
     """A chain's fields in a stack equal its fields alone, so no result depends on the stack size."""
-    gs = [core.CouplingMatrix.from_seed(n, 38, r) for r in range(couplings)]
+    s = np.stack([g.g + g.g.T for g in (core.CouplingMatrix.from_seed(n, 38, r) for r in range(couplings))])
     colors = np.random.default_rng(15).integers(0, kappa, size=(couplings * per, n))
-    # grouped by coupling, as a lockstep stack passes its rows
-    fields = mc._stack_fields(colors.reshape(couplings, per, n) + 1, np.stack([g.sym for g in gs])[:, None], kappa)
-    fields = fields.reshape(-1, kappa, n)
+    # grouped by coupling, as the runner passes its rows
+    fields = mc._stack_fields(colors.reshape(couplings, per, n), s[:, None], kappa).reshape(-1, kappa, n)
     for r, row in enumerate(colors):
-        assert np.array_equal(fields[r], (row == np.arange(kappa)[:, None]).astype(np.float64) @ gs[r // per].sym)
-        assert np.array_equal(fields[r], mc._stack_fields(row + 1, gs[r // per].sym, kappa))
+        assert np.array_equal(fields[r], (row == np.arange(kappa)[:, None]).astype(np.float64) @ s[r // per])
+        assert np.array_equal(fields[r], mc._stack_fields(row, s[r // per], kappa))
 
 
 @given(st.integers(2, 4), st.integers(1, 12), st.data())
@@ -499,7 +512,7 @@ class TestTopEdgeOfDrawMap:
                 chain.rng = _TopEdgeGenerator()
                 expected.append(chain.colors.copy())
                 expected[-1][n - 1] = kappa
-            mc._run_stack(chains, [], gs, kappa, 0, 1, 1, energies)
+            mc._run_stack(chains, [], gs, 0, 1, 1, energies)
             for chain, colors in zip(chains, expected):
                 assert np.array_equal(chain.colors, colors)
 
@@ -526,7 +539,7 @@ class TestTopEdgeOfDrawMap:
                                for r, g in enumerate(gs)] for _ in range(2))
             for chain in stacked + alone:
                 chain.rng = _TopEdgeGenerator()
-            mc._run_stack(stacked, [], gs, kappa, 0, 1, 1, energies)
+            mc._run_stack(stacked, [], gs, 0, 1, 1, energies)
             for a, b, g in zip(stacked, alone, gs):
                 step_alone(b, g)
                 assert np.array_equal(a.colors, b.colors) and a.energy == b.energy
@@ -813,7 +826,7 @@ class TestChainInternals:
             chains = [mc.ChainState.start(g, 2, 0.5, "all", seed=1, chain_id=r) for r, g in enumerate(gs)]
             chains[1].energy += 1.0  # simulate drift in one chain of the stack
             with pytest.raises(RuntimeError, match="drifted"):
-                mc._run_stack(chains, [], gs, 2, 0, mc.AUDIT_INTERVAL, 1, energies)  # one block, ended by the audits
+                mc._run_stack(chains, [], gs, 0, mc.AUDIT_INTERVAL, 1, energies)  # one block, ended by the audits
             assert [c.sweeps for c in chains] == [mc.AUDIT_INTERVAL] * 2 + [mc.AUDIT_INTERVAL - 1]
 
     def test_checkpoint_roundtrip_chain(self, tmp_path):
