@@ -547,13 +547,16 @@ def _log_ez2_raw_all(n: int, beta: float, kappa: int) -> float:
 
 
 def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
-    """The (s, r) pairs of a sector's row recursion, refused past ``cap`` or where its keys pass int64.
+    """The (s, r) pairs of a sector's row recursion, refused where they or the entries of its column sums pass
+    ``cap``, or where its keys pass int64.
 
     Any row: the C(n + 2 kappa, 2 kappa) pairs with |s| + |r| <= n.  Rows of sum m = n / kappa: the recursion
     tests each of the C(m + kappa - 1, kappa - 1) rows once per sorted target t on the planes |t| = m, 2m, .., n
     of [0, m]^kappa, the q^{km} coefficients of the Gaussian binomial [m + kappa choose kappa]_q.  The targets
     are the kappa-multisets of {0, .., m} whose sum m divides, less t = 0: by a roots-of-unity filter over the
     cycle index of S_kappa, sum over e | m, e <= kappa, of phi(e) (C(m / e + kappa // e, kappa // e) - 1) / m.
+    The recursion also holds every column sum on those planes, ((m + 1)^kappa + m - 1) / m of them (by the same
+    filter over [0, m]^kappa), kappa int64 entries each; their entries count against ``cap`` too.
     """
     d = sector_counts(n, kappa, sector)
     base = n + 1 if d is None else n // kappa + 1
@@ -565,6 +568,9 @@ def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
         for e in range(1, kappa + 1) if m % e == 0) // m
     if pairs > cap:
         raise EnumerationCapError(f"row recursion has {pairs} (s, r) pairs, exceeding the cap of {cap}")
+    entries = 0 if d is None else kappa * ((base ** kappa + m - 1) // m)  # 'all': C(n + kappa, kappa) <= pairs
+    if entries > cap:
+        raise EnumerationCapError(f"row recursion holds {entries} column-sum entries, exceeding the cap of {cap}")
     return pairs
 
 

@@ -199,6 +199,9 @@ INVALID_COMMANDS = {
     "uncentered-balanced-over-cap": ["uncentered-ratio", "--kappa", "3", "--n", "9", "--sector", "balanced",
                                      "--cap", "1"],
     "second-moment-over-cap": ["second-moment", "--kappa", "3", "--n", "369"],
+    # 25,200 pairs, but (3^20 + 1) / 2 column sums of 20 entries each, 34,867,844,020 entries against DEFAULT_CAP
+    "second-moment-column-sums-over-cap": ["second-moment", "--kappa", "20", "--n", "40"],
+    "shell-count-column-sums-over-cap": ["shell-count", "--kappa", "20", "--n", "40"],
 }
 
 

@@ -216,8 +216,14 @@ class TestAdmissible:
                     lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 79)):
             with pytest.raises(core.EnumerationCapError, match=r"80 \(s, r\) pairs, exceeding the cap of 79"):
                 run()
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 80)
-        assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 80))
+        # and the 164 entries of its 41 column sums on the planes, 4 entries each
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 163)
+        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
+                    lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 163)):
+            with pytest.raises(core.EnumerationCapError, match="164 column-sum entries, exceeding the cap of 163"):
+                run()
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 164)
+        assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 164))
 
     def test_oversized_table_set_refused_before_any_partial_table(self, monkeypatch):
         # kappa = n = 12: 12! tables, counted over 4,096 column sums; the table rows are never extended
@@ -489,6 +495,10 @@ class TestRowRecursion:
         assert sorted(map(tuple, reps.tolist())) == sorted({tuple(sorted(s)) for s in dense})
         assert np.bincount(orbit).sum() == len(dense)
         assert (len(reps) - 1) * rows == pairs
+        held = max(pairs, kappa * len(dense))  # the column sums' entries count against the cap as well
+        assert exact._row_pairs(n, kappa, "balanced", held) == pairs
+        with pytest.raises(core.EnumerationCapError, match=f"{held} .*exceeding the cap of {held - 1}"):
+            exact._row_pairs(n, kappa, "balanced", held - 1)
 
     @pytest.mark.parametrize("kappa,n", [(3, 24), (4, 12), (5, 10)])
     def test_balanced_chunks_equal_one_chunk(self, kappa, n):
