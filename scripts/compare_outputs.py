@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the twenty-five ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the twenty-seven ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -49,7 +49,8 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # kappa = 2 only), and moment-check at odd orders only, whose records are placeholders and which enumerates nothing;
 # and second-moment's row recursion at kappa = 5 and 6 (the benchmark runs kappa = 3 and 4); and a stack of ladders
 # on three couplings below the crossover, whose 6 rows sweep row by row, each on its own coupling's slice of the
-# runner's coupling stack
+# runner's coupling stack; and shell-count at kappa = 4 and 5, where some tables lie on a shell boundary (the
+# benchmark runs kappa = 3 to n = 24, where none does)
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -84,6 +85,8 @@ EXTRA_JOBS = (
     Job("sm-k6-n6-12", ("second-moment", "--kappa", "6", "--n", "6,12", "--beta", "1.0")),
     Job("tail-k2-n20-ladder-rows", ("tail-bound", "--kappa", "2", "--n", "20", "--beta", "1", "--ladder", "0.5,1",
                                     "--replicas", "3", "--sweeps", "200", "--burn-in", "50")),
+    Job("shell-k4-n20-24", ("shell-count", "--kappa", "4", "--n", "20,24")),
+    Job("shell-k5-n5-10", ("shell-count", "--kappa", "5", "--n", "5,10")),
 )
 
 

@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import (
     CouplingMatrix,
-    DivisibilityError,
     EnumerationCapError,
     SectorError,
     _gauge_flip,
@@ -389,8 +388,6 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
     ``DEFAULT_CAP`` raises before any partial table is built; every partial
     table completes to at least one table, so no step holds more.
     """
-    if n % kappa != 0:
-        raise DivisibilityError(f"admissible tables need kappa | n, got n={n}, kappa={kappa}")
     _check_tables(n, kappa)
     margin = n // kappa
     rows = _compositions(margin, kappa)
@@ -400,15 +397,19 @@ def admissible_array(n: int, kappa: int) -> np.ndarray:
 
 def _check_tables(n: int, kappa: int) -> None:
     """Refuse more than ``DEFAULT_CAP`` admissible tables.  The choices of the kappa - 1 free rows bound the
-    count; past the cap, :func:`_row_recursion` counts the tables in exact integers, where its pairs stay
-    within ``DEFAULT_CAP`` (as many as any table set under the cap needs, at every kappa)."""
-    margin = n // kappa
+    count; past the cap, :func:`_row_recursion` at phi = 0 gives the log of the count, where its pairs stay
+    within ``DEFAULT_CAP`` (as many as any table set under the cap needs, at every kappa).  Near the cap the
+    logs of neighbouring counts differ by about 1 / (2 DEFAULT_CAP), millions of times the pass's rounding,
+    so the test against log(DEFAULT_CAP + 1/2) decides as the integer count would."""
+    margin = int(sector_counts(n, kappa, "balanced")[0])
     if math.comb(margin + kappa - 1, kappa - 1) ** min(kappa - 1, 64) <= DEFAULT_CAP:  # a bound of at least 2^64
         return
     _row_pairs(n, kappa, "balanced", DEFAULT_CAP)
-    count = _row_recursion(kappa, n, margin)
-    if count > DEFAULT_CAP:
-        raise EnumerationCapError(f"{count} admissible tables, exceeding the cap of {DEFAULT_CAP}")
+    log_count = _row_recursion(kappa, n, margin)
+    if log_count > math.log(DEFAULT_CAP + 0.5):
+        count = math.exp(log_count)  # within 4e-15 relative of the count: its units are exact below 1e12 only
+        shown = f"{count:.0f}" if count < 1e12 else f"{count:.6g}"
+        raise EnumerationCapError(f"{shown} admissible tables, exceeding the cap of {DEFAULT_CAP}")
 
 
 # Cephes lgam (Moshier 1989), the routine behind scipy.special.gammaln, at the integers x = k + 1: log k! for
@@ -486,9 +487,7 @@ def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
         raise ValueError(f"table must be {kappa}-by-{kappa}, got shape {counts.shape}")
     if not np.array_equal(counts, given):
         raise ValueError(f"table entries must be integers, got {given.tolist()!r}")
-    if n % kappa != 0:
-        raise DivisibilityError(f"admissible table needs kappa | n, got n={n}, kappa={kappa}")
-    margin = n // kappa
+    margin = int(sector_counts(n, kappa, "balanced")[0])
     if counts.min() < 0 or (counts.sum(axis=0) != margin).any() or (counts.sum(axis=1) != margin).any():
         raise ValueError(f"all row and column sums must equal n/kappa = {margin}")
     exact = float(log_overlap_law(counts[None], n, kappa)[0])
@@ -502,8 +501,8 @@ def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
 def shell_histogram(n: int, kappa: int) -> np.ndarray:
     """Admissible-table counts per Frobenius shell ``[(l-1)/n, l/n)``, l=1..n."""
     tables = admissible_array(n, kappa)
-    gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
-    shells = np.floor(gap * n).astype(np.int64)  # shell l-1 holds gap in [(l-1)/n, l/n)
+    # n gap = (kappa^2 ||T||^2 - n^2) / (n kappa^2) in integers: a table on a boundary lands in the shell above it
+    shells = (kappa ** 2 * (tables ** 2).sum(axis=(1, 2)) - n ** 2) // (n * kappa ** 2)
     return np.bincount(shells, minlength=n)[:n]
 
 
@@ -574,13 +573,13 @@ def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
     return pairs
 
 
-def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross: float = 0.0):
+def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross: float = 0.0) -> float:
     """Log-sum-exp over the kappa-row tables of nonnegative integers summing to ``total``, one row at a time.
 
     A table weighs the sum over its rows r of ``phi(r) + cross s.r``, s the
     column sums of the rows before r: ``W'(t) = LSE_{s+r=t} [W(s) + phi(r) +
     cross s.r]`` from W(0) = 0, then ``LSE_{|t|=total} W(t)``; ``phi`` None
-    counts the tables in exact integers.  W is kept per orbit of column
+    is phi = 0, the log of the table count.  W is kept per orbit of column
     permutations, at sorted targets t, each read per source s at its orbit;
     2 s.r = |t|^2 - |s|^2 - |r|^2 in integers.  Any row (``row_sum`` None):
     kappa row steps, t taking every s in the box [0, t].  Rows of sum m: the
@@ -606,7 +605,8 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
     rep_key, rep_sq, rep_sum = reps @ place, (reps ** 2).sum(axis=1), reps.sum(axis=1)
     rows = np.flatnonzero(states.sum(axis=1) == row_sum)  # the rows of sum m (none for any row)
     cost = np.prod(reps + 1, axis=1) if row_sum is None else np.full(len(reps), len(rows))
-    first, weight = np.cumsum(cost) - cost, None if phi is None else phi(states)  # first: a target's first pair
+    first = np.cumsum(cost) - cost  # a target's first pair
+    weight = np.zeros(len(states)) if phi is None else phi(states)
 
     def pairs(lo: int, hi: int) -> tuple:  # source orbit, step, local target, group starts of targets lo .. hi - 1
         if row_sum is None:  # pairs grouped by target, each box's s in lexicographic order
@@ -623,7 +623,7 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
             tgt, row = np.nonzero(fits)
             tgt, row, size = tgt + lo, rows[row], fits.sum(axis=1)
             src, starts = np.searchsorted(keys, rep_key[tgt] - keys[row]), np.cumsum(size) - size
-        step = None if phi is None else weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row])
+        step = weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row])
         return orbit[src], step, tgt - lo, starts
 
     breaks = np.diff(first // _PAIR_CHUNK) != 0  # first pairs in one window
@@ -631,22 +631,19 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
         breaks |= np.diff(rep_sum) != 0  # one plane per chunk
     cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(reps)][row_sum is not None:]  # t = 0 takes no row of sum m
     chunks = ((lo, hi, pairs(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
-    w = np.zeros(len(reps), dtype=object) if phi is None else np.full(len(reps), -np.inf)
-    w[0] = 1 if phi is None else 0.0  # at the orbit of s = 0
+    w = np.full(len(reps), -np.inf)
+    w[0] = 0.0  # at the orbit of s = 0
     if row_sum is None:
         chunks = list(chunks)  # built once, read by every row step
     for _ in range(kappa if row_sum is None else 1):
         nxt = np.empty_like(w) if row_sum is None else w  # in place: a plane reads only the plane below it
         for lo, hi, (src, step, tgt, starts) in chunks:
-            if phi is None:
-                nxt[lo:hi] = np.add.reduceat(w[src], starts)
-                continue
             x = w[src] + step
             top = np.maximum.reduceat(x, starts)
             nxt[lo:hi] = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
         w = nxt
     size, last = np.bincount(orbit), rep_sum == total
-    return int((w[last] * size[last]).sum()) if phi is None else logsumexp((w + np.log(size))[last])
+    return logsumexp((w + np.log(size))[last])
 
 
 def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:
@@ -689,8 +686,6 @@ def annealed_log_partition_balanced(n: int, beta: float, kappa: int) -> float:
     The centered energy variance is constant on the balanced sector, so
     ``E Z^bal = exp(beta^2 n (kappa-1) / (2 kappa^2)) |Sigma^bal|``.
     """
-    if n % kappa != 0:
-        raise DivisibilityError(f"balanced sector needs kappa | n, got n={n}, kappa={kappa}")
     return math.log(count_configs(n, kappa, "balanced")) + beta ** 2 * n * (kappa - 1) / (
         2.0 * kappa ** 2
     )

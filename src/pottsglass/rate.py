@@ -233,18 +233,15 @@ def local_expansion_check(p, q) -> LocalExpansionResult:
     diff = p - q
     dist = np.abs(diff)
     ok = ~((qmin <= 0.0) | (dist.max(axis=-1) > 0.5 * qmin))
-    p, q, diff, dist, qmin = p[ok], q[ok], diff[ok], dist[ok], qmin[ok]
-    kl = _xlog_sums(p, p / q)
-    quad = 0.5 * (diff ** 2 / q).sum(axis=-1)
-    lhs = abs(kl - quad)
-    # float_power rounds as Python's ``**`` (libm pow) does; numpy's square differs
-    rhs = 5.0 / np.float_power(qmin, 2.0) * (dist ** 3).sum(axis=-1)
-    holds = lhs <= rhs + _EPS16 * (1.0 + abs(kl) + quad)
-    lhs_all = np.full(len(ok), math.nan)
-    rhs_all = np.full(len(ok), math.nan)
-    holds_all = np.full(len(ok), None, dtype=object)
-    lhs_all[ok], rhs_all[ok], holds_all[ok] = lhs, rhs, holds.tolist()
-    return LocalExpansionResult(lhs_all, rhs_all, holds_all, ok)
+    with np.errstate(all="ignore"):  # every row is evaluated, failing ones too, and each sums alone
+        kl = _xlog_sums(p, p / q)
+        quad = 0.5 * (diff ** 2 / q).sum(axis=-1)
+        lhs = abs(kl - quad)
+        # float_power rounds as Python's ``**`` (libm pow) does; numpy's square differs
+        rhs = 5.0 / np.float_power(qmin, 2.0) * (dist ** 3).sum(axis=-1)
+        holds = lhs <= rhs + _EPS16 * (1.0 + abs(kl) + quad)
+    return LocalExpansionResult(np.where(ok, lhs, math.nan), np.where(ok, rhs, math.nan),
+                                np.where(ok, holds.astype(object), None), ok)
 
 
 def potts_row_objective(v, beta: float) -> float:

@@ -152,6 +152,11 @@ INVALID_COMMANDS = {
     "negative-ladder-rung": ["tail-bound", "--ladder=-1,1"],
     "negative-epsilon": ["tail-bound", "--epsilon", "-0.5"],
     "one-replica": ["exact-free-energy", "--replicas", "1"],
+    "tail-zero-replicas": ["tail-bound", "--n", "4", "--replicas", "0"],
+    "zero-workers": ["exact-free-energy", "--n", "3", "--workers", "0"],
+    "kappa-one": ["second-moment", "--kappa", "1", "--n", "3"],
+    "negative-beta": ["second-moment", "--n", "3", "--beta=-1"],
+    "zero-size": ["second-moment", "--n", "0"],
     "short-grid": ["mc-free-energy", "--n-grid", "3"],
     "inf-beta-uncentered": ["uncentered-ratio", "--n", "3", "--beta", "inf"],
     "inf-beta-second-moment": ["second-moment", "--n", "3", "--beta", "inf"],

@@ -2,6 +2,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -225,6 +226,25 @@ class TestAdmissible:
         monkeypatch.setattr(exact, "DEFAULT_CAP", 164)
         assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 164))
 
+    def test_table_count_cap_at_every_table_size(self):
+        # wherever the count, not the row recursion's pairs or column-sum entries, binds: the log-domain count
+        # passes at the enumerated count and refuses one below, with the count exact in the message
+        binding = []
+        for kappa, sizes in TABLE_SIZES.items():
+            for n in sizes:
+                count = len(exact.admissible_array(n, kappa))
+                try:
+                    exact._row_pairs(n, kappa, "balanced", count - 1)
+                except core.EnumerationCapError:
+                    continue
+                binding.append((kappa, n))
+                with mock.patch.object(exact, "DEFAULT_CAP", count):
+                    exact._check_tables(n, kappa)
+                with mock.patch.object(exact, "DEFAULT_CAP", count - 1), pytest.raises(
+                        core.EnumerationCapError, match=f"^{count} admissible tables, exceeding the cap of {count - 1}$"):
+                    exact._check_tables(n, kappa)
+        assert len(binding) == 14 and (4, 8) in binding and (6, 12) in binding
+
     def test_oversized_table_set_refused_before_any_partial_table(self, monkeypatch):
         # kappa = n = 12: 12! tables, counted over 4,096 column sums; the table rows are never extended
         lex_extend = exact._lex_extend
@@ -355,6 +375,16 @@ class TestShells:
         hist = exact.shell_histogram(4, 2)
         assert hist.sum() == 3
 
+    @pytest.mark.parametrize("n,kappa", [(24, 4), (10, 5)])
+    def test_tables_on_a_boundary_open_the_shell_above(self, n, kappa):
+        # shell l - 1 holds the gap ||T||^2 / n^2 - 1 / kappa^2 in [(l - 1) / n, l / n), here in exact rationals;
+        # some tables of these sizes lie on a boundary, where the gap in floats reads one shell low
+        norms, counts = np.unique((exact.admissible_array(n, kappa) ** 2).sum(axis=(1, 2)), return_counts=True)
+        want = np.zeros(n, dtype=np.int64)
+        for norm, count in zip(norms.tolist(), counts):
+            want[math.floor(n * (Fraction(norm, n ** 2) - Fraction(1, kappa ** 2)))] += count
+        assert exact.shell_histogram(n, kappa).tolist() == want.tolist()
+
 
 class TestUncenteredRatio:
     def test_row_recursion_keys_fit_in_int64(self, monkeypatch):
@@ -460,7 +490,7 @@ class TestRowRecursion:
             lp = exact.log_overlap_law(tables, n, kappa)
             gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
             frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
-            assert exact._row_recursion(kappa, n, n // kappa) == len(tables)
+            assert round(math.exp(exact._row_recursion(kappa, n, n // kappa))) == len(tables)
             for beta in (0.0, 0.5, 2.5):
                 for got, want in ((exact._log_second_moment_ratio(n, beta, kappa),
                                    exact.logsumexp(lp + beta ** 2 * n * gap)),
