@@ -37,6 +37,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_CELL = {float: "{:.17g}".format, int: str, str: str}  # _fmt of the exact types most cells have; the rest go to _fmt
+
+
 # ---------------------------------------------------------------------------
 # Handlers: spec -> (columns, rows)
 
@@ -300,7 +303,7 @@ def render_output(spec: ExperimentSpec, columns, rows) -> str:
         f"# spec: {spec.to_json()}",
         ",".join(columns),
     ]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(_CELL.get(type(v), _fmt)(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -336,7 +337,7 @@ def _mass(split: _Split, gs: Sequence[CouplingMatrix], beta: float, kind: str = 
             stack_mass *= gibbs_weights(stack_top, beta, peak)[:, None, None]
             stack_top[:] = peak
             w = gibbs_weights(energies, beta, peak.reshape((-1,) + (1,) * pa.ndim))
-            w = w * np.take(split.mult, pa)  # each pair stands for its color images
+            w *= np.take(split.mult, pa)  # each pair stands for its color images
             label = np.take(split.label + k * np.arange(len(stack))[:, None], split.key_a[pa] + split.key_b[pb], axis=1)
             cols = [w] + [w * np.take(fa[part], pa, axis=1) * np.take(fb[part], pb, axis=1) for fa, fb in factors]
             stack_mass += np.stack([np.bincount(label.ravel(), c.ravel(), len(stack) * k) for c in cols],
@@ -356,8 +357,8 @@ def _log_partition(split: _Split, beta: float, kind: str, sector,
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     top, mass = _mass(split, gs, beta, kind)
-    return [FreeEnergySample(beta * float(t) + math.log(w[:, 0].sum()), g.n, split.kappa, beta, g.seed, g.stream,
-                             sector, kind) for g, t, w in zip(gs, top, mass)]
+    return [FreeEnergySample(beta * t + math.log(w), g.n, split.kappa, beta, g.seed, g.stream, sector, kind)
+            for g, t, w in zip(gs, top.tolist(), mass[:, :, 0].sum(axis=1).tolist())]
 
 
 def quenched_free_energy(
@@ -623,7 +624,7 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
             tgt, row = np.nonzero(fits)
             tgt, row, size = tgt + lo, rows[row], fits.sum(axis=1)
             src, starts = np.searchsorted(keys, rep_key[tgt] - keys[row]), np.cumsum(size) - size
-        step = weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row])
+        step = weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row]) if cross else weight[row]  # balanced: 0
         return orbit[src], step, tgt - lo, starts
 
     breaks = np.diff(first // _PAIR_CHUNK) != 0  # first pairs in one window
@@ -724,28 +725,30 @@ def gauge_pair_check(
 
 def _gauge_pair(split: _Split, beta: float, sites_of, gs: Sequence[CouplingMatrix]) -> list[GaugePairResult]:
     """:func:`gauge_pair_check` for each g of ``gs`` at the sites ``sites_of[g.stream]``, with every g
-    and its flip in one stack; every flip comes from one :func:`pottsglass.core._gauge_flip`."""
-    parities = []
-    for g in gs:
-        sites = [int(s) for s in sites_of[g.stream]]
-        if not sites:
-            raise ValueError("sites multiset must be non-empty")
-        if min(sites) < 0 or max(sites) >= g.n:
-            raise IndexError(f"site indices must lie in [0, {g.n})")
-        parities.append(np.bincount(sites, minlength=g.n) % 2 == 1)  # tau_s^2 = 1: only odd multiplicities count
-    flips = [int(parity.argmax()) if parity.any() else None for parity in parities]  # the smallest odd site
-    flipped = _gauge_flip(np.stack([g.g for g in gs]), [-1 if flip is None else flip for flip in flips])  # -1: no site
-    stack = [c for g, flip, h in zip(gs, flips, flipped) for c in ([g] if flip is None else [g, CouplingMatrix(h)])]
-    odd = np.array([p for parity, flip in zip(parities, flips) for p in [parity] * (1 if flip is None else 2)])
+    and its flip in one stack; every flip comes from one :func:`pottsglass.core._gauge_flip`, and every
+    value from one reduction of the stack's mass."""
+    trials = [sites_of[g.stream] for g in gs]
+    size = list(map(len, trials))
+    if not all(size):
+        raise ValueError("sites multiset must be non-empty")
+    sites, n = np.fromiter(chain.from_iterable(trials), np.int64, sum(size)), split.n
+    if sites.min() < 0 or sites.max() >= n:
+        raise IndexError(f"site indices must lie in [0, {n})")
+    owner = np.repeat(np.arange(len(gs)), size)  # each site's trial; tau_s^2 = 1: only odd multiplicities count
+    parity = np.bincount(owner * n + sites, minlength=len(gs) * n).reshape(len(gs), n) % 2 == 1
+    odd, flips = parity.any(axis=1), parity.argmax(axis=1)  # the smallest odd site
+    flipped = _gauge_flip(np.stack([g.g for g in gs]), np.where(odd, flips, -1))  # -1: no site
+    stack = [c for g, o, h in zip(gs, odd.tolist(), flipped) for c in ([g, CouplingMatrix(h)] if o else [g])]
+    parity = np.repeat(parity, 1 + odd, axis=0)  # per stack entry
     na = split.rows_a.shape[1]
-    tau = [np.where(odd[:, None, lo:hi], 3.0 - 2 * rows, 1.0).prod(axis=2)  # tau = +1 on color 1, -1 on color 2
-           for rows, lo, hi in ((split.rows_a, 0, na), (split.rows_b, na, split.n))]
+    tau = [np.where(parity[:, None, lo:hi], 3.0 - 2 * rows, 1.0).prod(axis=2)  # tau = +1 on color 1, -1 on color 2
+           for rows, lo, hi in ((split.rows_a, 0, na), (split.rows_b, na, n))]
     _, mass = _mass(split, stack, beta, "raw", [tuple(tau)])  # the product is separable: A part times B part
-    values, results = iter(float(w[:, 1].sum() / w[:, 0].sum()) for w in mass), []
-    for flip, value in zip(flips, values):
-        flipped = value if flip is None else next(values)
-        results.append(GaugePairResult(value, flipped, value + flipped, "even" if flip is None else "odd", flip))
-    return results
+    values = mass[:, :, 1].sum(axis=1) / mass[:, :, 0].sum(axis=1)
+    first = np.cumsum(1 + odd) - 1 - odd  # the stack entry of each g; its flip, if any, follows it
+    value, value_flipped = values[first], values[first + odd]
+    return [GaugePairResult(v, f, s, "odd" if o else "even", flip if o else None) for v, f, s, o, flip in
+            zip(value.tolist(), value_flipped.tolist(), (value + value_flipped).tolist(), odd.tolist(), flips.tolist())]
 
 
 @dataclass(frozen=True)
@@ -776,7 +779,7 @@ def _count_averages(split: _Split, observables: np.ndarray, beta: float,
     """Gibbs averages under each of ``gs`` of statistics of the color counts, ``observables[:, k]``
     at ``split.counts[k]``."""
     _, mass = _mass(split, gs, beta)
-    return [(observables * w[:, 0]).sum(axis=1) / w[:, 0].sum() for w in mass]
+    return list((observables * mass[:, None, :, 0]).sum(axis=2) / mass[:, :, 0].sum(axis=1)[:, None])
 
 
 def _replica_average(n: int, kappa: int, statistics: Callable[[np.ndarray], np.ndarray], beta: float,

@@ -587,7 +587,24 @@ class TestGauge:
             res = exact.gauge_pair_check(g, math.inf, [2])
             assert abs(res.pair_sum) <= 1e-12
 
-    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    def test_empty_site_list_is_refused(self):
+        g = core.CouplingMatrix.from_seed(4, 5)
+        with pytest.raises(ValueError, match="non-empty"):
+            exact.gauge_pair_check(g, 1.0, [])
+        gs = [core.CouplingMatrix.from_seed(4, 5, r) for r in range(3)]
+        with pytest.raises(ValueError, match="non-empty"):  # one bad trial inside a stack
+            exact._gauge_pair(exact._split(4, 2, "all"), 1.0, {0: [0], 1: [], 2: [1, 2, 3]}, gs)
+
+    @pytest.mark.parametrize("site", [-1, 4])
+    def test_site_outside_the_sites_is_refused(self, site):
+        g = core.CouplingMatrix.from_seed(4, 5)
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):
+            exact.gauge_pair_check(g, 1.0, [0, site])
+        gs = [core.CouplingMatrix.from_seed(4, 5, r) for r in range(3)]
+        with pytest.raises(IndexError, match=r"\[0, 4\)"):  # one bad trial inside a stack
+            exact._gauge_pair(exact._split(4, 2, "all"), 1.0, {0: [0], 1: [1, 1], 2: [2, site, 3]}, gs)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
     def test_stack_mixing_parities_equals_one_trial_at_a_time(self, beta):
         n = 6
         sites_of = {0: [0], 1: [1, 1], 2: [n - 1], 3: [2, 2, 3, 3], 4: [0, n - 1, n - 1], 5: [n - 1, 4, 4]}
@@ -851,6 +868,23 @@ class TestOrbitQuotient:
                 one_top, one_mass = exact._mass(split, [g], beta)
                 assert np.array_equal(top[[r]], one_top)
                 assert np.array_equal(mass[[r]], one_mass)
+
+    @pytest.mark.parametrize("sector", ["all", "balanced"])
+    @pytest.mark.parametrize("tree", [True, False])  # a tree split takes one coupling at a time
+    @pytest.mark.parametrize("beta", [0.0, 1.3, math.inf])
+    def test_stacked_reductions_equal_stacks_of_one_bitwise(self, sector, tree, beta):
+        n, kappa = 6, 3
+        gs = [core.CouplingMatrix.from_seed(n, 9, r) for r in range(5)]
+        with mock.patch.object(exact, "_BLOCK", 7 if tree else exact._BLOCK):
+            split = exact._split(n, kappa, sector, orbits=True)
+            assert split.flat != tree
+            for kind in ("raw", "centered"):
+                stacked = exact._log_partition(split, beta, kind, sector, gs)
+                assert stacked == [exact._log_partition(split, beta, kind, sector, [g])[0] for g in gs]
+            observables = np.random.default_rng(3).standard_normal((2, len(split.counts)))
+            stacked = exact._count_averages(split, observables, beta, gs)
+            for g, row in zip(gs, stacked):
+                assert np.array_equal(row, exact._count_averages(split, observables, beta, [g])[0])
 
 
 def oracle_energies(colors, g):
