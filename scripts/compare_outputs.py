@@ -2,7 +2,7 @@
 """Compare the benchmark jobs' output files of this checkout with another one's.
 
 Runs every job of ``perfbench/workloads.py`` (all four workloads, 19 jobs) and
-the twenty-nine ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
+the thirty-two ``EXTRA_JOBS`` below, which cover routes no benchmark job takes, at seeds
 0 and 1 through ``job_argv`` -- so with ``--workers 1`` -- once with this
 checkout's ``src`` and once with the other checkout's, each job in a fresh
 interpreter with ``OPENBLAS_NUM_THREADS=1``.  The job list is read from this
@@ -51,7 +51,9 @@ CHAINS = ("--replicas", "2", "--sweeps", "200", "--burn-in", "50")
 # on three couplings below the crossover, whose 6 rows sweep row by row, each on its own coupling's slice of the
 # runner's coupling stack; and shell-count at kappa = 4 and 5, where some tables lie on a shell boundary (the
 # benchmark runs kappa = 3 to n = 24, where none does); and gauge-check's stacked value reduction (exact._gauge_pair)
-# on the tie-count weights of beta = inf and the all-ones weights of beta = 0, with a partial last stack
+# on the tie-count weights of beta = inf and the all-ones weights of beta = 0, with a partial last stack; and
+# shell-count on each route of exact._table_norms: one free row (kappa = 2), the pass that adds the forced last row
+# (kappa = 3, past the benchmark's n) and the middle planes with their matrix product (kappa = 6)
 EXTRA_JOBS = (
     Job("tail-k2-n6-beta-1-inf", ("tail-bound", "--kappa", "2", "--n", "6", "--beta", "1,inf", *CHAINS)),
     Job("tail-k3-n6-beta-inf", ("tail-bound", "--kappa", "3", "--n", "6", "--beta", "inf", "--replicas", "4")),
@@ -90,6 +92,9 @@ EXTRA_JOBS = (
     Job("shell-k5-n5-10", ("shell-count", "--kappa", "5", "--n", "5,10")),
     Job("gauge-n8-trials-130-beta-inf", ("gauge-check", "--n", "8", "--beta", "inf", "--trials", "130")),
     Job("gauge-n8-trials-130-beta-0", ("gauge-check", "--n", "8", "--beta", "0", "--trials", "130")),
+    Job("shell-k2-n2-10-40", ("shell-count", "--kappa", "2", "--n", "2,10,40")),
+    Job("shell-k3-n90-99", ("shell-count", "--kappa", "3", "--n", "90,99")),
+    Job("shell-k6-n6-12", ("shell-count", "--kappa", "6", "--n", "6,12")),
 )
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "gibbs_weights",
     "log_partition",
     "quenched_free_energy",
-    "admissible_array",
     "log_overlap_law",
     "second_moment_ratio",
     "ldp_log_probability",
@@ -139,7 +138,8 @@ class QuenchedFreeEnergy:
 # permutation, get bit-identical energies.
 
 _BLOCK = 1 << 15  # pairs per energy block: bounds working memory at any sector size
-_PAIR_CHUNK = 1 << 17  # (s, r) pairs per chunk of _log_ez2_raw_all's targets: every benchmark size is one chunk
+_PAIR_CHUNK = 1 << 17  # (s, r) pairs, or norm entries on a shell pass, per chunk of a row pass's targets
+_SHELL_WORK = 1 << 30  # norm entries that the shell passes gather (see _check_shells)
 
 
 class _Split(NamedTuple):
@@ -379,40 +379,6 @@ def quenched_free_energy(
     return QuenchedFreeEnergy(mean=mean, stderr=stderr, samples=tuple(samples))
 
 
-def admissible_array(n: int, kappa: int) -> np.ndarray:
-    """All admissible tables stacked as one ``(count, kappa, kappa)`` array.
-
-    Tables are built one row at a time: every partial table is extended by
-    each row composition that fits under its remaining column margins, and
-    the last row is forced; the rows come out in lexicographic order.  The
-    tables are counted first (:func:`_check_tables`), so a set of more than
-    ``DEFAULT_CAP`` raises before any partial table is built; every partial
-    table completes to at least one table, so no step holds more.
-    """
-    _check_tables(n, kappa)
-    margin = n // kappa
-    rows = _compositions(margin, kappa)
-    picks, left = _lex_extend(rows, np.full(kappa, margin), kappa - 1)
-    return np.concatenate((rows[picks], left[:, None]), axis=1)
-
-
-def _check_tables(n: int, kappa: int) -> None:
-    """Refuse more than ``DEFAULT_CAP`` admissible tables.  The choices of the kappa - 1 free rows bound the
-    count; past the cap, :func:`_row_recursion` at phi = 0 gives the log of the count, where its pairs stay
-    within ``DEFAULT_CAP`` (as many as any table set under the cap needs, at every kappa).  Near the cap the
-    logs of neighbouring counts differ by about 1 / (2 DEFAULT_CAP), millions of times the pass's rounding,
-    so the test against log(DEFAULT_CAP + 1/2) decides as the integer count would."""
-    margin = int(sector_counts(n, kappa, "balanced")[0])
-    if math.comb(margin + kappa - 1, kappa - 1) ** min(kappa - 1, 64) <= DEFAULT_CAP:  # a bound of at least 2^64
-        return
-    _row_pairs(n, kappa, "balanced", DEFAULT_CAP)
-    log_count = _row_recursion(kappa, n, margin)
-    if log_count > math.log(DEFAULT_CAP + 0.5):
-        count = math.exp(log_count)  # within 4e-15 relative of the count: its units are exact below 1e12 only
-        shown = f"{count:.0f}" if count < 1e12 else f"{count:.6g}"
-        raise EnumerationCapError(f"{shown} admissible tables, exceeding the cap of {DEFAULT_CAP}")
-
-
 # Cephes lgam (Moshier 1989), the routine behind scipy.special.gammaln, at the integers x = k + 1: log k! for
 # x < 13, else Stirling's series, its correction the A series below 1000, three terms from 1000 on, none above 1e8
 _LOG_SMALL_FACTORIALS = np.array([math.log(float(math.factorial(k))) for k in range(12)])
@@ -500,11 +466,13 @@ def ldp_log_probability(n: int, kappa: int, table) -> tuple[float, float]:
 
 
 def shell_histogram(n: int, kappa: int) -> np.ndarray:
-    """Admissible-table counts per Frobenius shell ``[(l-1)/n, l/n)``, l=1..n."""
-    tables = admissible_array(n, kappa)
+    """Admissible-table counts per Frobenius shell ``[(l-1)/n, l/n)``, l=1..n, from the tables' norms
+    (:func:`_table_norms`); refused in closed form first (:func:`_check_shells`)."""
+    _check_shells(n, kappa)
+    norms, counts = _table_norms(n, kappa)
     # n gap = (kappa^2 ||T||^2 - n^2) / (n kappa^2) in integers: a table on a boundary lands in the shell above it
-    shells = (kappa ** 2 * (tables ** 2).sum(axis=(1, 2)) - n ** 2) // (n * kappa ** 2)
-    return np.bincount(shells, minlength=n)[:n]
+    shells = (kappa ** 2 * norms - n ** 2) // (n * kappa ** 2)
+    return np.bincount(shells, counts, minlength=n)[:n].astype(np.int64)  # float64 sums of integers below 2^53
 
 
 def _fan_out(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -574,6 +542,54 @@ def _row_pairs(n: int, kappa: int, sector, cap: float) -> int:
     return pairs
 
 
+class _Planes(NamedTuple):
+    """The balanced row recursion's column sums s, on the planes |s| = k m of [0, m]^kappa, for all its passes:
+    every state by key (s + r never carries), one sorted target t per orbit of column permutations, plane by plane,
+    with its key, the orbit of each state, and the states that are rows (of sum m)."""
+
+    states: np.ndarray
+    keys: np.ndarray
+    reps: np.ndarray
+    rep_key: np.ndarray
+    orbit: np.ndarray
+    rows: np.ndarray
+
+    def pairs(self, lo: int, hi: int) -> tuple:
+        """(source state, row, local target, group starts) of each target t of ``reps[lo:hi]`` and each row
+        r <= t, lexicographic."""
+        fits = (self.states[self.rows] <= self.reps[lo:hi, None]).all(axis=2)
+        tgt, row = np.nonzero(fits)
+        row, size = self.rows[row], fits.sum(axis=1)
+        return np.searchsorted(self.keys, self.rep_key[lo + tgt] - self.keys[row]), row, tgt, np.cumsum(size) - size
+
+    def cuts(self, cost: np.ndarray) -> list[int]:
+        """Target ranges of about ``_PAIR_CHUNK`` summed ``cost`` each and one plane each, from plane 1 on."""
+        return _cuts(cost, self.reps.sum(axis=1))[1:]  # t = 0 takes no row of sum m
+
+
+def _cuts(cost: np.ndarray, plane: np.ndarray | None = None) -> list[int]:
+    """Bounds of the target ranges whose first pairs share a window of ``_PAIR_CHUNK``, and ``plane``."""
+    first = np.cumsum(cost) - cost
+    breaks = np.diff(first // _PAIR_CHUNK) != 0
+    if plane is not None:
+        breaks |= np.diff(plane) != 0
+    return [0, *(np.flatnonzero(breaks) + 1).tolist(), len(cost)]
+
+
+def _planes(kappa: int, m: int) -> _Planes:
+    """The balanced row recursion's column sums (see :class:`_Planes`)."""
+    place = (m + 1) ** np.arange(kappa)[::-1]
+    v = np.arange(m + 1)[:, None]
+    # plane k: s_b and m - s_b spend budgets k m and (kappa - k) m, so every prefix completes
+    half = [_lex_extend(np.hstack((v, m - v)), [k * m, (kappa - k) * m], kappa)[0] for k in range(kappa // 2 + 1)]
+    states = np.concatenate(half + [m - p for p in half[:(kappa + 1) // 2]]).astype(np.int64)  # s -> m - s
+    states = states[np.argsort(states @ place)]
+    reps, orbit = _unique_rows(np.sort(states, axis=1), m + 1)  # one sorted t per orbit, and the orbit of each s
+    order = np.argsort(reps.sum(axis=1), kind="stable")  # plane by plane
+    reps, orbit = reps[order], np.argsort(order)[orbit]
+    return _Planes(states, states @ place, reps, reps @ place, orbit, np.flatnonzero(states.sum(axis=1) == m))
+
+
 def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross: float = 0.0) -> float:
     """Log-sum-exp over the kappa-row tables of nonnegative integers summing to ``total``, one row at a time.
 
@@ -584,54 +600,42 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
     permutations, at sorted targets t, each read per source s at its orbit;
     2 s.r = |t|^2 - |s|^2 - |r|^2 in integers.  Any row (``row_sum`` None):
     kappa row steps, t taking every s in the box [0, t].  Rows of sum m: the
-    column sums lie on planes |s| = k m of [0, m]^kappa, t takes each row r <=
-    t, and one in-place pass plane by plane finishes W.  Each target reduces
-    alone, below its own maximum, in chunks of about ``_PAIR_CHUNK`` pairs.
+    column sums lie on planes |s| = k m of [0, m]^kappa (:class:`_Planes`), t
+    takes each row r <= t, and one in-place pass plane by plane finishes W.
+    Each target reduces alone, below its own maximum, in chunks of about
+    ``_PAIR_CHUNK`` pairs.
     """
-    bound = total if row_sum is None else row_sum
-    place = (bound + 1) ** np.arange(kappa)[::-1]
     if row_sum is None:  # every s with |s| <= total, lexicographic
+        place = (total + 1) ** np.arange(kappa)[::-1]
         states = _lex_extend(np.arange(total + 1)[:, None], [total], kappa)[0].astype(np.int64)
-    else:  # plane k: s_b and m - s_b spend budgets k m and total - k m, so every prefix completes
-        v = np.arange(row_sum + 1)[:, None]
-        half = [_lex_extend(np.hstack((v, row_sum - v)), [k * row_sum, total - k * row_sum], kappa)[0]
-                for k in range(kappa // 2 + 1)]
-        states = np.concatenate(half + [row_sum - p for p in half[:(kappa + 1) // 2]]).astype(np.int64)  # s -> m - s
-        states = states[np.argsort(states @ place)]
-    reps, orbit = _unique_rows(np.sort(states, axis=1), bound + 1)  # one sorted t per orbit, and the orbit of each s
-    if row_sum is not None:  # targets plane by plane
-        order = np.argsort(reps.sum(axis=1), kind="stable")
-        reps, orbit = reps[order], np.argsort(order)[orbit]
-    keys, sq = states @ place, (states ** 2).sum(axis=1)  # keys sorted; s + r never carries in base bound + 1
-    rep_key, rep_sq, rep_sum = reps @ place, (reps ** 2).sum(axis=1), reps.sum(axis=1)
-    rows = np.flatnonzero(states.sum(axis=1) == row_sum)  # the rows of sum m (none for any row)
-    cost = np.prod(reps + 1, axis=1) if row_sum is None else np.full(len(reps), len(rows))
-    first = np.cumsum(cost) - cost  # a target's first pair
-    weight = np.zeros(len(states)) if phi is None else phi(states)
+        reps, orbit = _unique_rows(np.sort(states, axis=1), total + 1)  # one sorted t per orbit, the orbit of each s
+        keys, rep_key = states @ place, reps @ place  # keys sorted; s + r never carries in base total + 1
+        cost = np.prod(reps + 1, axis=1)
+        first = np.cumsum(cost) - cost  # a target's first pair
 
-    def pairs(lo: int, hi: int) -> tuple:  # source orbit, step, local target, group starts of targets lo .. hi - 1
-        if row_sum is None:  # pairs grouped by target, each box's s in lexicographic order
+        def pairs(lo: int, hi: int) -> tuple:  # pairs grouped by target, each box's s in lexicographic order
             tgt, rank = _fan_out(cost[lo:hi])
-            tgt += lo
             key = 0
             for b in reversed(range(kappa)):
-                rank, digit = np.divmod(rank, reps[tgt, b] + 1)
+                rank, digit = np.divmod(rank, reps[lo + tgt, b] + 1)
                 key = key + digit * place[b]
-            src, row = np.searchsorted(keys, key), np.searchsorted(keys, rep_key[tgt] - key)
-            starts = first[lo:hi] - first[lo]
-        else:  # each target's rows r <= t, lexicographic
-            fits = (states[rows] <= reps[lo:hi, None]).all(axis=2)
-            tgt, row = np.nonzero(fits)
-            tgt, row, size = tgt + lo, rows[row], fits.sum(axis=1)
-            src, starts = np.searchsorted(keys, rep_key[tgt] - keys[row]), np.cumsum(size) - size
-        step = weight[row] + cross / 2 * (rep_sq[tgt] - sq[src] - sq[row]) if cross else weight[row]  # balanced: 0
-        return orbit[src], step, tgt - lo, starts
+            src, row = np.searchsorted(keys, key), np.searchsorted(keys, rep_key[lo + tgt] - key)
+            return src, row, tgt, first[lo:hi] - first[lo]
 
-    breaks = np.diff(first // _PAIR_CHUNK) != 0  # first pairs in one window
-    if row_sum is not None:
-        breaks |= np.diff(rep_sum) != 0  # one plane per chunk
-    cuts = [0, *(np.flatnonzero(breaks) + 1).tolist(), len(reps)][row_sum is not None:]  # t = 0 takes no row of sum m
-    chunks = ((lo, hi, pairs(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
+        cuts = _cuts(cost)
+    else:
+        planes = _planes(kappa, row_sum)
+        states, reps, orbit, pairs = planes.states, planes.reps, planes.orbit, planes.pairs
+        cuts = planes.cuts(np.full(len(reps), len(planes.rows)))
+    sq, rep_sq = (states ** 2).sum(axis=1), (reps ** 2).sum(axis=1)
+    weight = np.zeros(len(states)) if phi is None else phi(states)
+
+    def chunk(lo: int, hi: int) -> tuple:  # source orbit, step, local target, group starts of targets lo .. hi - 1
+        src, row, tgt, starts = pairs(lo, hi)
+        step = weight[row] + cross / 2 * (rep_sq[lo + tgt] - sq[src] - sq[row]) if cross else weight[row]  # balanced: 0
+        return orbit[src], step, tgt, starts
+
+    chunks = ((lo, hi, chunk(lo, hi)) for lo, hi in zip(cuts, cuts[1:]))
     w = np.full(len(reps), -np.inf)
     w[0] = 0.0  # at the orbit of s = 0
     if row_sum is None:
@@ -643,8 +647,76 @@ def _row_recursion(kappa: int, total: int, row_sum: int | None, phi=None, cross:
             top = np.maximum.reduceat(x, starts)
             nxt[lo:hi] = top + np.log(np.add.reduceat(np.exp(x - top[tgt]), starts))
         w = nxt
-    size, last = np.bincount(orbit), rep_sum == total
-    return logsumexp((w + np.log(size))[last])
+    last = reps.sum(axis=1) == total
+    return logsumexp((w + np.log(np.bincount(orbit)))[last])
+
+
+def _table_norms(n: int, kappa: int) -> tuple[np.ndarray, np.ndarray]:
+    """The norms ||T||_F^2 of the admissible tables, and how many tables have each, in float64 sums of integers.
+
+    At kappa = 2 a table is its free first row (a, m - a).  Otherwise orbit t of plane j (:class:`_Planes`)
+    carries the vector W_j(t) over ||.||_F^2 of the j-row tables of column sums t, a row r shifting its source's
+    vector by |r|^2.  Plane 1 holds |t|^2, and planes 2 .. h = ceil(kappa / 2) are built pass by pass.  A table is
+    its top h rows over its bottom kappa - h, of column sums m - t, so the counts are sum_t |orbit of t| W_h(t) *
+    W_{kappa-h}(m - t), convolved over the norm: one matrix product, summed along its antidiagonals.  At kappa = 3
+    the bottom is one forced row, which each pair onto plane 2 adds at once.  Every partial sum counts tables, so
+    stays exact below 2^53 (:func:`_check_shells`).
+    """
+    m = n // kappa
+    if kappa == 2:
+        a = np.arange(m + 1)
+        return 2 * (a ** 2 + (m - a) ** 2), np.ones(m + 1)
+    p = _planes(kappa, m)
+    sq, rest = (p.states ** 2).sum(axis=1), ((m - p.reps) ** 2).sum(axis=1)  # |s|^2, and |m - t|^2 per orbit
+    plane = p.reps.sum(axis=1) // m
+    start = np.searchsorted(plane, np.arange(kappa + 2))  # each plane's first orbit
+    size = np.bincount(p.orbit).astype(np.float64)
+    width = np.arange(kappa + 1) * m * m + 1  # j rows have norms 0 .. j m^2
+    h, counts, built = (kappa + 1) // 2, np.zeros(width[kappa]), {}  # built[j]: plane j's vectors, one per orbit
+    for j in range(2, h + 1):
+        below = built.get(j - 1)  # None on plane 1
+        span = 1 if below is None else width[j - 1]  # norm entries per pair
+        if kappa > 3:
+            built[j] = np.zeros((start[j + 1] - start[j], width[j]))
+        cuts = p.cuts(np.full(len(p.reps), len(p.rows) * span))
+        for lo, hi in zip(cuts, cuts[1:]):
+            if plane[lo] != j:
+                continue
+            src, row, tgt, _ = p.pairs(lo, hi)
+            if kappa == 3:  # each pair's table, its forced last row m - t included
+                counts += np.bincount(sq[src] + sq[row] + rest[lo + tgt], size[lo + tgt], counts.size)
+                continue
+            at, count = tgt * width[j] + sq[row], None
+            if below is None:
+                at += sq[src]
+            else:  # each pair's source vector, shifted
+                at, count = (at[:, None] + np.arange(span)).ravel(), below[p.orbit[src] - start[j - 1]].ravel()
+            dest = built[j][lo - start[j]:hi - start[j]]
+            dest += np.bincount(at, count, dest.size).reshape(dest.shape)
+    if kappa > 3:
+        top = slice(start[h], start[h + 1])
+        bottom = p.orbit[np.searchsorted(p.keys, p.keys[-1] - p.rep_key[top])] - start[kappa - h]  # m - t
+        for i, row in enumerate((size[top, None] * built[h]).T @ built[kappa - h][bottom]):  # antidiagonal sums
+            counts[i:i + len(row)] += row
+    norms = np.flatnonzero(counts)
+    return norms, counts[norms]
+
+
+def _check_shells(n: int, kappa: int) -> None:
+    """Refuse :func:`_table_norms` in closed form where its pairs or column sums (:func:`_row_pairs`; at kappa = 2,
+    its m + 1 rows) pass ``DEFAULT_CAP``, where C(m + kappa - 1, kappa - 1)^(kappa - 1) choices of free rows reach
+    2^53, or where its pairs times the (h - 1) m^2 + 1 norms each carries past plane 2 pass ``_SHELL_WORK``."""
+    m = int(sector_counts(n, kappa, "balanced")[0])
+    rows = math.comb(m + kappa - 1, kappa - 1)
+    if kappa == 2 and rows > DEFAULT_CAP:
+        raise EnumerationCapError(f"{rows} admissible tables, exceeding the cap of {DEFAULT_CAP}")
+    pairs = rows if kappa == 2 else _row_pairs(n, kappa, "balanced", DEFAULT_CAP)  # which bounds kappa and m
+    if rows ** min(kappa - 1, 64) >= 2 ** 53:  # rows >= 2
+        raise EnumerationCapError(f"{rows}^{kappa - 1} bounds the table count, past 2^53, where float64 counts "
+                                  "stop being exact")
+    work = pairs * (((kappa + 1) // 2 - 1) * m * m + 1 if kappa > 4 else 1)
+    if work > _SHELL_WORK:
+        raise EnumerationCapError(f"the shell pass gathers {work} norm entries, exceeding the cap of {_SHELL_WORK}")
 
 
 def uncentered_ratio(n: int, beta: float, kappa: int, sector="all", cap: int = DEFAULT_CAP) -> float:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .core import EnumerationCapError, count_configs
-from .exact import DEFAULT_CAP, _check_tables, _row_pairs
+from .exact import DEFAULT_CAP, _check_shells, _row_pairs
 from .montecarlo import MAX_RUNGS
 
 __all__ = ["ExperimentSpec", "ValidationError"]
@@ -143,7 +143,7 @@ class ExperimentSpec:
             "moment-check": (2, "all") if even else None,
             "tail-bound": (self.kappa, "all") if math.inf in self.beta else None,
         }.get(self.command)
-        for n in self.n:  # each engine's own refusals: sector states, row-recursion pairs and keys, tables
+        for n in self.n:  # each engine's own closed-form refusals: sector states, row-recursion pairs and keys, shells
             if sector is not None and self.exceeds_cap(n, *sector):
                 raise ValidationError(f"the sector at n={n} has more states than the enumeration cap {self.cap}")
             try:
@@ -152,7 +152,7 @@ class ExperimentSpec:
                 elif self.command == "uncentered-ratio":
                     _row_pairs(n, self.kappa, self.sector, self.cap)
                 elif self.command == "shell-count":
-                    _check_tables(n, self.kappa)
+                    _check_shells(n, self.kappa)
             except EnumerationCapError as err:
                 raise ValidationError(f"{self.command} at n={n}: {err}") from None
 

@@ -7,7 +7,9 @@ the library code is never checked against itself.  The one exception,
 bitwise and block-fold tests; ``full_split_log_partition`` sums those
 energies, as the oracle of the color-orbit quotient.  ``log_ez2_raw_all_pairs``
 is the raw E Z^2 row recursion over every column-sum state, the oracle of
-the library's recursion over color orbits.
+the library's recursion over color orbits.  ``admissible_array`` lists the
+overlap tables one by one, the oracle of the shell counts and table sums that
+the library takes over the row recursion's planes.
 """
 
 import math
@@ -31,6 +33,19 @@ def config_array(n: int, kappa: int, sector: str = "all", cap: int | None = None
     counts = core.sector_counts(n, kappa, sector)
     picks, _ = core._lex_extend(np.eye(kappa, dtype=np.int64), np.full(kappa, n) if counts is None else counts, n)
     return picks.astype(np.int64) + 1
+
+
+def admissible_array(n: int, kappa: int) -> np.ndarray:
+    """All admissible tables stacked as one ``(count, kappa, kappa)`` array, the brute-force route.
+
+    Tables are built one row at a time: every partial table is extended by each row composition that fits
+    under its remaining column margins, and the last row is forced; the rows come out in lexicographic order.
+    Every partial table completes to at least one table, so no step holds more than the table count.
+    """
+    margin = int(core.sector_counts(n, kappa, "balanced")[0])
+    rows = exact._compositions(margin, kappa)
+    picks, left = core._lex_extend(rows, np.full(kappa, margin), kappa - 1)
+    return np.concatenate((rows[picks], left[:, None]), axis=1)
 
 
 def maximizers(g: core.CouplingMatrix, kappa: int, sector: str = "all") -> np.ndarray:

@@ -17,7 +17,7 @@ import pytest
 
 from pottsglass import core, exact, montecarlo as mc, rate
 
-from conftest import batch_energies_raw, config_array, independent_grid_oracle, match_matrix_flat
+from conftest import admissible_array, batch_energies_raw, config_array, independent_grid_oracle, match_matrix_flat
 from test_montecarlo import configurations, single_proposal_kernel, visit_counts
 
 
@@ -300,7 +300,7 @@ def test_criterion_7_ldp_and_shells():
     with criterion(7, "overlap law, Stirling band, shell-count fit", 120.0):
         for kappa in (2, 3, 4):
             for n in range(kappa, 25, kappa):
-                tables = exact.admissible_array(n, kappa)
+                tables = admissible_array(n, kappa)
                 total = np.exp(exact.log_overlap_law(tables, n, kappa)).sum()
                 assert abs(total - 1.0) <= 1e-10
 
@@ -317,7 +317,7 @@ def test_criterion_7_ldp_and_shells():
             ratios = {}
             for n in range(kappa, 12 * kappa + 1, kappa):
                 hist = exact.shell_histogram(n, kappa)
-                assert hist.sum() == len(exact.admissible_array(n, kappa))
+                assert hist.sum() == len(admissible_array(n, kappa))
                 for l in range(1, n + 1):
                     if hist[l - 1]:
                         ratios[(n, l)] = hist[l - 1] / (l * n) ** expo

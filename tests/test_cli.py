@@ -207,6 +207,9 @@ INVALID_COMMANDS = {
     # 25,200 pairs, but (3^20 + 1) / 2 column sums of 20 entries each, 34,867,844,020 entries against DEFAULT_CAP
     "second-moment-column-sums-over-cap": ["second-moment", "--kappa", "20", "--n", "40"],
     "shell-count-column-sums-over-cap": ["shell-count", "--kappa", "20", "--n", "40"],
+    # C(18, 5)^5 = 4.6e19 bounds the table count, past 2^53; and 1,809,258,660 norm entries gathered past plane 2
+    "shell-count-count-past-2-53": ["shell-count", "--kappa", "6", "--n", "78"],
+    "shell-count-work-over-cap": ["shell-count", "--kappa", "5", "--n", "75"],
 }
 
 
@@ -326,12 +329,15 @@ def test_tail_bound_runs_the_all_sector():
 
 
 def test_balanced_row_recursion_and_table_count_refused_at_validation(tmp_path):
-    # keys past int64 ((n / kappa + 1)^kappa = 2^64), and 12! tables: each refused before it is built
+    # keys past int64 ((n / kappa + 1)^kappa = 2^64), and a table count bounded only past 2^53 (15^14): each
+    # refused before it is built; 12! tables are counted exactly
     for command in ("second-moment", "uncentered-ratio"):
         with pytest.raises(ValidationError, match=r"2\^64 values, past int64"):
             ExperimentSpec(command=command, kappa=64, n=(64,), sector="balanced").validate()
-    assert run(["shell-count", "--kappa", "12", "--n", "12", "--out", str(tmp_path / "x.csv")]) == 2
-    assert not (tmp_path / "x.csv").exists()
+    with pytest.raises(ValidationError, match=r"15\^14 bounds the table count, past 2\^53"):
+        ExperimentSpec(command="shell-count", kappa=15, n=(15,)).validate()
+    assert run(["shell-count", "--kappa", "12", "--n", "12", "--out", str(tmp_path / "x.csv")]) == 0
+    assert "\n12,1,479001600," in (tmp_path / "x.csv").read_text()
 
 
 def test_prevalidated_cap_exits_2(tmp_path):

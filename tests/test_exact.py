@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, xlogy
 
-from pottsglass import core, exact
+from pottsglass import core, exact, rate
 from pottsglass import montecarlo as mc
 
-from conftest import (config_array, flipped_at, full_split_log_partition, gram_pair_covariances,
+from conftest import (admissible_array, config_array, flipped_at, full_split_log_partition, gram_pair_covariances,
                       log_ez2_raw_all_pairs, match_matrix_flat, split_energies)
 
 
@@ -180,12 +180,12 @@ class TestLogFactorial:
 
 class TestAdmissible:
     def test_counts(self):
-        assert len(exact.admissible_array(2, 2)) == 2
-        assert len(exact.admissible_array(3, 3)) == 6
-        assert len(exact.admissible_array(4, 2)) == 3
+        assert len(admissible_array(2, 2)) == 2
+        assert len(admissible_array(3, 3)) == 6
+        assert len(admissible_array(4, 2)) == 3
 
     def test_margins(self):
-        arr = exact.admissible_array(6, 3)
+        arr = admissible_array(6, 3)
         assert (arr.sum(axis=1) == 2).all() and (arr.sum(axis=2) == 2).all()
         assert len(np.unique(arr.reshape(len(arr), -1), axis=0)) == len(arr)
 
@@ -196,66 +196,63 @@ class TestAdmissible:
         cells = np.array(list(itertools.product(range(margin + 1), repeat=kappa * kappa)))
         cells = cells.reshape(-1, kappa, kappa)
         keep = (cells.sum(axis=1) == margin).all(axis=1) & (cells.sum(axis=2) == margin).all(axis=1)
-        assert exact.admissible_array(n, kappa).tolist() == cells[keep].tolist()
+        assert admissible_array(n, kappa).tolist() == cells[keep].tolist()
 
     def test_divisibility(self):
-        with pytest.raises(core.DivisibilityError):
-            exact.admissible_array(5, 2)
+        for run in (lambda: admissible_array(5, 2), lambda: exact.shell_histogram(5, 2)):
+            with pytest.raises(core.DivisibilityError):
+                run()
 
     def test_table_count_cap(self, monkeypatch):
-        # kappa = 4, n = 8: 282 tables, counted before any is built; the row recursion has 80 (s, r) pairs
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 282)
-        assert len(exact.admissible_array(8, 4)) == 282
-        monkeypatch.setattr(exact, "DEFAULT_CAP", 281)
-        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.shell_histogram(8, 4)):
-            with pytest.raises(core.EnumerationCapError, match="282 admissible tables, exceeding the cap of 281"):
-                run()
-        # the table count itself stops at DEFAULT_CAP pairs; the second moments count the row recursion's pairs
-        # against DEFAULT_CAP, and against the cap given
+        # kappa = 2, n = 8: the 5 tables, one per free row, count against DEFAULT_CAP
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 5)
+        assert exact.shell_histogram(8, 2).sum() == 5
+        monkeypatch.setattr(exact, "DEFAULT_CAP", 4)
+        with pytest.raises(core.EnumerationCapError, match="^5 admissible tables, exceeding the cap of 4$"):
+            exact.shell_histogram(8, 2)
+        # from kappa = 3 on the shell counts and the second moments count the row recursion's pairs against
+        # DEFAULT_CAP, and the uncentered ratio against the cap given: kappa = 4, n = 8 has 80 (s, r) pairs
         monkeypatch.setattr(exact, "DEFAULT_CAP", 79)
-        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
+        for run in (lambda: exact.shell_histogram(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
                     lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 79)):
             with pytest.raises(core.EnumerationCapError, match=r"80 \(s, r\) pairs, exceeding the cap of 79"):
                 run()
         # and the 164 entries of its 41 column sums on the planes, 4 entries each
         monkeypatch.setattr(exact, "DEFAULT_CAP", 163)
-        for run in (lambda: exact.admissible_array(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
+        for run in (lambda: exact.shell_histogram(8, 4), lambda: exact.second_moment_ratio(8, 1.0, 4),
                     lambda: exact.uncentered_ratio(8, 1.0, 4, "balanced", 163)):
             with pytest.raises(core.EnumerationCapError, match="164 column-sum entries, exceeding the cap of 163"):
                 run()
         monkeypatch.setattr(exact, "DEFAULT_CAP", 164)
         assert math.isfinite(exact.second_moment_ratio(8, 1.0, 4) + exact.uncentered_ratio(8, 1.0, 4, "balanced", 164))
+        assert exact.shell_histogram(8, 4).sum() == 282
 
-    def test_table_count_cap_at_every_table_size(self):
-        # wherever the count, not the row recursion's pairs or column-sum entries, binds: the log-domain count
-        # passes at the enumerated count and refuses one below, with the count exact in the message
-        binding = []
-        for kappa, sizes in TABLE_SIZES.items():
-            for n in sizes:
-                count = len(exact.admissible_array(n, kappa))
-                try:
-                    exact._row_pairs(n, kappa, "balanced", count - 1)
-                except core.EnumerationCapError:
-                    continue
-                binding.append((kappa, n))
-                with mock.patch.object(exact, "DEFAULT_CAP", count):
-                    exact._check_tables(n, kappa)
-                with mock.patch.object(exact, "DEFAULT_CAP", count - 1), pytest.raises(
-                        core.EnumerationCapError, match=f"^{count} admissible tables, exceeding the cap of {count - 1}$"):
-                    exact._check_tables(n, kappa)
-        assert len(binding) == 14 and (4, 8) in binding and (6, 12) in binding
+    SHELL_REFUSALS = [  # each closed-form shell rule: the (kappa, n) where it binds, one step below, its message
+        ((2, 40_000_000), (2, 39_999_998), "^20000001 admissible tables, exceeding the cap of 20000000$"),
+        ((3, 369), (3, 366), r"^row recursion has 20514250 \(s, r\) pairs, exceeding the cap of 20000000$"),
+        ((4, 144), (4, 140), r"^row recursion has 23258755 \(s, r\) pairs, exceeding the cap of 20000000$"),
+        ((5, 75), (5, 70), "^the shell pass gathers 1809258660 norm entries, exceeding the cap of 1073741824$"),
+        ((6, 54), (6, 48), r"^2002\^5 bounds the table count, past 2\^53, "),
+        ((15, 15), (14, 14), r"^15\^14 bounds the table count, past 2\^53, "),
+    ]
 
-    def test_oversized_table_set_refused_before_any_partial_table(self, monkeypatch):
-        # kappa = n = 12: 12! tables, counted over 4,096 column sums; the table rows are never extended
-        lex_extend = exact._lex_extend
+    @pytest.mark.parametrize("refused,admitted,message", SHELL_REFUSALS)
+    def test_shell_refusals_bind_in_closed_form(self, refused, admitted, message, monkeypatch):
+        # each rule decides from (kappa, n) alone: no plane and no table count is built to refuse
+        for engine in ("_planes", "_row_recursion", "_table_norms"):
+            monkeypatch.setattr(exact, engine, lambda *args: pytest.fail("a pass ran to decide a refusal"))
+        with pytest.raises(core.EnumerationCapError, match=message):
+            exact.shell_histogram(refused[1], refused[0])
+        exact._check_shells(admitted[1], admitted[0])
 
-        def no_tables(choices, *args, **kwargs):
-            assert choices.shape[1] < 12, "partial tables enumerated"
-            return lex_extend(choices, *args, **kwargs)
-
-        monkeypatch.setattr(exact, "_lex_extend", no_tables)
-        with pytest.raises(core.EnumerationCapError, match="479001600 admissible tables"):
-            exact.admissible_array(12, 12)
+    @pytest.mark.parametrize("kappa,n", [(4, 100), (5, 50), (6, 36), (12, 12), (14, 14)])
+    def test_counts_past_the_table_enumeration(self, kappa, n):
+        # table counts of 4.8e8 to 6.0e11, past any enumeration, each the phi = 0 recursion's count (12! and 14!
+        # exactly, one permutation table each, all of norm n and so in shell 1)
+        hist = exact.shell_histogram(n, kappa)
+        assert hist.sum() == round(math.exp(exact._row_recursion(kappa, n, n // kappa)))
+        if n == kappa:
+            assert hist.tolist() == [math.factorial(n)] + [0] * (n - 1)
 
     @pytest.mark.parametrize("total,parts", [(0, 1), (0, 3), (5, 1), (5, 3), (6, 5)])
     def test_compositions_match_product_filter_in_order(self, total, parts):
@@ -274,7 +271,7 @@ class TestOverlapLaw:
 
     def test_law_normalizes(self):
         for kappa, n in ((2, 8), (3, 9), (4, 8)):
-            tables = exact.admissible_array(n, kappa)
+            tables = admissible_array(n, kappa)
             total = np.exp(exact.log_overlap_law(tables, n, kappa)).sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -282,7 +279,7 @@ class TestOverlapLaw:
         # direct count over all balanced pairs at kappa=2, n=4
         colors = config_array(4, 2, "balanced")
         fixed = colors[0]
-        for table in exact.admissible_array(4, 2):
+        for table in admissible_array(4, 2):
             hits = sum(
                 1
                 for other in colors
@@ -369,17 +366,33 @@ class TestShells:
     def test_partition(self):
         for kappa, n in ((2, 8), (3, 9)):
             hist = exact.shell_histogram(n, kappa)
-            assert hist.sum() == len(exact.admissible_array(n, kappa))
+            assert hist.sum() == len(admissible_array(n, kappa))
 
     def test_kappa2_n4(self):
         hist = exact.shell_histogram(4, 2)
         assert hist.sum() == 3
 
+    def test_matches_table_enumeration_at_every_table_size(self):
+        # the planes' norm counts against the tables one by one: one free row (kappa = 2), the pass with the
+        # forced last row (kappa = 3), plane 2 times itself (kappa = 4), and the passes past plane 2 (kappa >= 5)
+        for kappa, sizes in TABLE_SIZES.items():
+            for n in sizes:
+                tables = admissible_array(n, kappa)
+                shells = (kappa ** 2 * (tables ** 2).sum(axis=(1, 2)) - n ** 2) // (n * kappa ** 2)
+                hist = exact.shell_histogram(n, kappa)
+                assert hist.dtype == np.int64 and hist.tolist() == np.bincount(shells, minlength=n).tolist(), (kappa, n)
+
+    @pytest.mark.parametrize("kappa,n", [(3, 24), (4, 12), (5, 10), (6, 12)])
+    def test_chunks_give_the_same_counts(self, kappa, n):
+        whole = exact.shell_histogram(n, kappa)
+        with mock.patch.object(exact, "_PAIR_CHUNK", 7):
+            assert exact.shell_histogram(n, kappa).tolist() == whole.tolist()
+
     @pytest.mark.parametrize("n,kappa", [(24, 4), (10, 5)])
     def test_tables_on_a_boundary_open_the_shell_above(self, n, kappa):
         # shell l - 1 holds the gap ||T||^2 / n^2 - 1 / kappa^2 in [(l - 1) / n, l / n), here in exact rationals;
         # some tables of these sizes lie on a boundary, where the gap in floats reads one shell low
-        norms, counts = np.unique((exact.admissible_array(n, kappa) ** 2).sum(axis=(1, 2)), return_counts=True)
+        norms, counts = np.unique((admissible_array(n, kappa) ** 2).sum(axis=(1, 2)), return_counts=True)
         want = np.zeros(n, dtype=np.int64)
         for norm, count in zip(norms.tolist(), counts):
             want[math.floor(n * (Fraction(norm, n ** 2) - Fraction(1, kappa ** 2)))] += count
@@ -486,7 +499,7 @@ class TestRowRecursion:
     @pytest.mark.parametrize("kappa", sorted(TABLE_SIZES))
     def test_balanced_sums_match_table_enumeration(self, kappa):
         for n in TABLE_SIZES[kappa]:
-            tables = exact.admissible_array(n, kappa)
+            tables = admissible_array(n, kappa)
             lp = exact.log_overlap_law(tables, n, kappa)
             gap = ((tables / n - 1.0 / kappa ** 2) ** 2).sum(axis=(1, 2))
             frob = (tables.astype(np.float64) ** 2).sum(axis=(1, 2)) / n
@@ -541,6 +554,27 @@ class TestRowRecursion:
         with mock.patch.object(exact, "_PAIR_CHUNK", 7):
             chunked = run()
         assert chunked == whole  # bitwise
+
+    @pytest.mark.parametrize("kappa,n", [(3, 120), (4, 80), (5, 60)])
+    def test_second_moment_meets_its_gaussian_limit_below_the_branch(self, kappa, n):
+        # r = u + x / sqrt(n), x asymptotically Gaussian with covariance Pi / kappa^2 on the (kappa - 1)^2
+        # zero-margin directions, so at beta below kappa / sqrt(2) the ratio tends to rho_inf = (1 - 2 beta^2 /
+        # kappa^2)^(-(kappa - 1)^2 / 2), from above with a 1/n correction (0.34, 0.48 and 0.56 at half the branch)
+        beta = math.sqrt(rate.second_moment_coupling_bound(kappa)) / 2
+        log_limit = -(kappa - 1) ** 2 / 2 * math.log(1 - 2 * beta ** 2 / kappa ** 2)
+        assert 0 < n * (exact._log_second_moment_ratio(n, beta, kappa) - log_limit) < 1
+
+    def test_second_moment_slope_above_the_branch(self):
+        # above the branch log rho_n grows like n V, V = max_t beta^2 ||r_t - u||^2 - D(r_t || u) on the line
+        # r_t = (1 - t) u + t I / kappa from the uniform table to the diagonal one (0.02004 against 0.02075)
+        kappa, beta = 3, 2.10
+        t = np.linspace(0.0, 1.0, 200_001)
+        diagonal, off = (1 - t) / kappa ** 2 + t / kappa, (1 - t) / kappa ** 2
+        kl = kappa * xlogy(diagonal, kappa ** 2 * diagonal) + kappa * (kappa - 1) * xlogy(off, kappa ** 2 * off)
+        v = float((beta ** 2 * t ** 2 * (kappa - 1) / kappa ** 2 - kl).max())
+        log_ratio = [exact._log_second_moment_ratio(n, beta, kappa) for n in (240, 300)]
+        slope = (log_ratio[1] - log_ratio[0]) / 60
+        assert abs(slope - v) < 0.1 * v
 
     def test_balanced_keys_fit_in_int64(self, monkeypatch):
         monkeypatch.setattr(exact, "_row_recursion", lambda *args: pytest.fail("recursion ran past int64 keys"))
@@ -650,6 +684,24 @@ class TestKappa2Moments:
         est = exact.tail_probability_exact(8, 0.0, 0.5, replicas=3, seed=4)
         assert est.value == pytest.approx(2 / 256, abs=1e-12)
         assert est.satisfied
+
+    @pytest.mark.parametrize("beta", [0.5, 2.0, math.inf])
+    def test_gauge_flips_average_to_the_binomial_law(self, beta):
+        # g_ij -> tau_i tau_j g_ij (tau = +-1 per site) maps the Gibbs law of sigma under g onto that of sigma tau,
+        # so the mean over all 2^n flips of one g is the uniform law's: the tails are B(n, eps) and the moments
+        # those of Bin(n, 1/2) / n, with no disorder average and no statistical tolerance
+        n = 8
+        g = core.CouplingMatrix.from_seed(n, 11)
+        tau = 1.0 - 2.0 * np.array(list(itertools.product((0, 1), repeat=n)))
+        flips = [core.CouplingMatrix(h) for h in g.g * tau[:, :, None] * tau[:, None, :]]  # sign products
+        split = exact._split(n, 2, "all")
+        d, eps = split.counts[:, 0] / n - 0.5, (0.25, 0.5)
+        got = np.mean(exact._count_averages(split, np.array([abs(d) >= e for e in eps] + [d ** 2, d ** 4]), beta,
+                                            flips), axis=0)
+        k = np.arange(n + 1)
+        binomial = np.array([math.comb(n, j) for j in k]) / 2 ** n
+        want = [binomial[abs(k / n - 0.5) >= e].sum() for e in eps] + [1 / (4 * n), (3 * n - 2) / (16 * n ** 3)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_replica_engines_need_a_replica(self):
         # zero replicas used to fail deep in the engines (IndexError, or while unpacking)
